@@ -71,11 +71,13 @@ golden:
 	go test -run 'TestGolden' -update .
 
 # Short fuzzing pass over the two binary decoders (profile data and
-# executables): corrupt input must error, never panic.
+# executables): corrupt input must error, never panic. FuzzFixed checks
+# the listing's number formatter against fmt on arbitrary floats.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test -run xxx -fuzz 'FuzzRead$$' -fuzztime 20s ./internal/gmon
 	go test -run xxx -fuzz 'FuzzReadImage$$' -fuzztime 20s ./internal/object
+	go test -run xxx -fuzz 'FuzzFixed$$' -fuzztime 20s ./internal/report
 
 # End-to-end smoke of the continuous-profiling service: start gprofd,
 # replay the workload corpus from concurrent agents via gprofload, and
@@ -106,16 +108,21 @@ query-smoke:
 # Scale smoke: a 10^5-routine synthetic workload through the whole
 # stack — generate real artifacts, run the in-process pipeline under a
 # throughput floor, then run the actual gprof binary over the generated
-# image + profile pair. Bounded by timeout so a scaling regression
+# image + profile pair. The listing must be identical at -jobs 1 and
+# -jobs 2 and match its pinned SHA-256, so a render drift that only
+# shows at scale fails here. Bounded by timeout so a scaling regression
 # fails fast instead of hanging CI.
+SCALE_SHA256 = 91e977d085206792a9f4ef04e8894be98fcdcddfec193248b8a85bea9b61ed98
 .PHONY: scale-smoke
 scale-smoke:
 	rm -rf .scale-smoke && mkdir -p .scale-smoke
 	go build -o .scale-smoke/ ./cmd/synthgen ./cmd/gprof
 	timeout 120 ./.scale-smoke/synthgen -nodes 100000 -seed 1 \
 		-image .scale-smoke/a.out -o .scale-smoke/gmon.out -analyze -minrate 20000
-	timeout 120 ./.scale-smoke/gprof -brief .scale-smoke/a.out .scale-smoke/gmon.out > .scale-smoke/report.txt
-	test -s .scale-smoke/report.txt
+	timeout 120 ./.scale-smoke/gprof -brief -jobs 1 .scale-smoke/a.out .scale-smoke/gmon.out > .scale-smoke/report.txt
+	timeout 120 ./.scale-smoke/gprof -brief -jobs 2 .scale-smoke/a.out .scale-smoke/gmon.out > .scale-smoke/report2.txt
+	cmp .scale-smoke/report.txt .scale-smoke/report2.txt
+	echo "$(SCALE_SHA256)  .scale-smoke/report.txt" | sha256sum -c -
 	rm -rf .scale-smoke
 
 # Whole-stack pipeline smoke: collect stacks from the E8 workload,

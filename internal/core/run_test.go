@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/gmon"
 	"repro/internal/object"
+	"repro/internal/obs"
 	"repro/internal/symtab"
+	"repro/internal/synth"
 	"repro/internal/workloads"
 )
 
@@ -219,5 +222,29 @@ func TestCacheRejectsInvalidImage(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Errorf("invalid image cached: Len = %d", c.Len())
+	}
+}
+
+// The stage list a traced run reports is fixed by the pipeline, not by
+// the input: a 10^4-routine program, whose call chains put hundreds of
+// levels into the parallel propagation schedule, still reports a
+// one-screen -stats summary.
+func TestTracedRunStageNamesBounded(t *testing.T) {
+	w := synth.Generate(synth.Tier(10000, 1))
+	tr := obs.New()
+	ctx := obs.NewContext(context.Background(), tr)
+	if _, err := Run(ctx, TableSource{Table: w.Table()}, w.Prof, Options{Jobs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	rep := tr.Report()
+	var names []string
+	for _, st := range rep.Stages {
+		names = append(names, st.Name)
+	}
+	if len(names) == 0 || len(names) > 16 {
+		t.Errorf("traced run recorded %d distinct stages, want 1..16: %v", len(names), names)
+	}
+	if levels := rep.Gauges["propagate.levels"]; runtime.GOMAXPROCS(0) > 1 && levels < 100 {
+		t.Errorf("propagate.levels = %d; the fixture no longer exercises a deep level schedule", levels)
 	}
 }

@@ -34,7 +34,7 @@ func WriteDOT(w io.Writer, m *model.Profile, opt Options) error {
 	for i := range m.Routines {
 		r := &m.Routines[i]
 		names = append(names, r.Name)
-		if wantNode(v, r, opt, f) {
+		if wantNode(v, int32(i), opt, f) {
 			kept[r.Name] = true
 		}
 	}
@@ -57,7 +57,7 @@ func WriteDOT(w io.Writer, m *model.Profile, opt Options) error {
 		fmt.Fprintf(w, "    label=\"cycle %d\";\n    style=dashed;\n", c.Number)
 		for _, name := range c.Members {
 			if kept[name] {
-				emitNode(w, v, v.routine(name), "    ")
+				emitNode(w, m, name, "    ")
 				emitted[name] = true
 			}
 		}
@@ -65,7 +65,7 @@ func WriteDOT(w io.Writer, m *model.Profile, opt Options) error {
 	}
 	for _, name := range names {
 		if kept[name] && !emitted[name] {
-			emitNode(w, v, v.routine(name), "  ")
+			emitNode(w, m, name, "  ")
 		}
 	}
 
@@ -101,15 +101,16 @@ func WriteDOT(w io.Writer, m *model.Profile, opt Options) error {
 	return nil
 }
 
-func emitNode(w io.Writer, v *view, r *model.Routine, indent string) {
-	pct := v.m.Percent(r.TotalTicks())
+func emitNode(w io.Writer, m *model.Profile, name, indent string) {
+	r, _ := m.Routine(name)
+	pct := m.Percent(r.TotalTicks())
 	// White through a warm tone as the node gets hotter.
 	shade := int(255 - 1.6*pct)
 	if shade < 96 {
 		shade = 96
 	}
 	label := fmt.Sprintf("%s\\n%.2fs self / %.2fs total\\n%d calls",
-		r.Name, v.m.Seconds(r.SelfTicks), v.m.Seconds(r.TotalTicks()),
+		r.Name, m.Seconds(r.SelfTicks), m.Seconds(r.TotalTicks()),
 		r.Calls+r.SelfCalls)
 	fmt.Fprintf(w, "%s%q [label=\"%s\", fillcolor=\"#ff%02x%02x\"];\n",
 		indent, r.Name, label, shade, shade)

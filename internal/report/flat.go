@@ -1,9 +1,10 @@
 package report
 
 import (
-	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/model"
 )
@@ -19,14 +20,13 @@ import (
 // recomputed here over the rows that survive filtering, so a -E or
 // minimum-percent view still reconciles internally.
 func Flat(w io.Writer, m *model.Profile, opt Options) error {
-	v := newView(m)
-	f := opt.compile(v)
+	exclude := opt.compileExclude()
+	lw := newLineWriter(w)
 
-	totalSecs := m.Seconds(m.TotalTicks)
 	if !opt.NoHeaders {
-		fmt.Fprintf(w, "flat profile:\n\n")
-		fmt.Fprintf(w, "  %%         cumulative    self                self    total\n")
-		fmt.Fprintf(w, " time        seconds    seconds     calls  ms/call  ms/call name\n")
+		lw.str("flat profile:\n\n" +
+			"  %         cumulative    self                self    total\n" +
+			" time        seconds    seconds     calls  ms/call  ms/call name\n")
 	}
 	var cum float64
 	for i := range m.Flat {
@@ -34,44 +34,57 @@ func Flat(w io.Writer, m *model.Profile, opt Options) error {
 		if opt.MinPercent > 0 && r.Percent < opt.MinPercent {
 			continue
 		}
-		if f.excluded(r.Name) {
+		if exclude[r.Name] {
 			continue
 		}
 		cum += r.SelfSeconds
-		selfPer, totalPer := "", ""
-		if r.Calls > 0 {
-			selfPer = fmt.Sprintf("%8.2f", r.SelfSeconds*1000/float64(r.Calls))
-			if r.Cycle == 0 {
-				totalPer = fmt.Sprintf("%8.2f", r.TotalMsPerCall)
-			}
+		b := appendFloat(lw.buf, r.Percent, 5, 1)
+		b = append(b, ' ')
+		b = appendFloat(b, cum, 14, 2)
+		b = append(b, ' ')
+		b = appendFloat(b, r.SelfSeconds, 10, 2)
+		b = append(b, ' ')
+		b = appendInt(b, r.Calls, 9)
+		b = append(b, ' ')
+		switch {
+		case r.Calls == 0:
+			b = append(b, "                  "...) // "%8s %8s " of ""
+		case r.Cycle != 0:
+			b = appendFloat(b, r.SelfSeconds*1000/float64(r.Calls), 8, 2)
+			b = append(b, "          "...) // " %8s " of ""
+		default:
+			b = appendFloat(b, r.SelfSeconds*1000/float64(r.Calls), 8, 2)
+			b = append(b, ' ')
+			b = appendFloat(b, r.TotalMsPerCall, 8, 2)
+			b = append(b, ' ')
 		}
-		fmt.Fprintf(w, "%5.1f %14.2f %10.2f %9d %8s %8s %s\n",
-			r.Percent, cum, r.SelfSeconds, r.Calls, selfPer, totalPer, flatLabel(r))
+		lw.buf = append(appendLabel(b, r.Name, r.Cycle), '\n')
+		lw.endLine()
 	}
 	if m.LostTicks > 0 {
-		fmt.Fprintf(w, "%5.1f %14.2f %10.2f %9s %8s %8s %s\n",
-			m.Percent(m.LostTicks), cum+m.Seconds(m.LostTicks), m.Seconds(m.LostTicks),
-			"", "", "", "<outside any routine>")
+		b := appendFloat(lw.buf, m.Percent(m.LostTicks), 5, 1)
+		b = append(b, ' ')
+		b = appendFloat(b, cum+m.Seconds(m.LostTicks), 14, 2)
+		b = append(b, ' ')
+		b = appendFloat(b, m.Seconds(m.LostTicks), 10, 2)
+		lw.buf = append(b, "                             <outside any routine>\n"...) // " %9s %8s %8s " of ""
 	}
 	if !opt.NoHeaders {
-		fmt.Fprintf(w, "\ntotal: %.2f seconds\n", totalSecs)
+		lw.str("\ntotal: ")
+		lw.buf = appendFixed(lw.buf, m.Seconds(m.TotalTicks), 2)
+		lw.str(" seconds\n")
 	}
 
 	if len(m.NeverCalled) > 0 {
-		fmt.Fprintf(w, "\nroutines never called during this execution:\n")
+		lw.str("\nroutines never called during this execution:\n")
 		for _, name := range m.NeverCalled {
-			fmt.Fprintf(w, "    %s\n", name)
+			lw.str("    ")
+			lw.str(name)
+			lw.str("\n")
+			lw.endLine()
 		}
 	}
-	return nil
-}
-
-// flatLabel renders a flat row's name with its cycle tag.
-func flatLabel(r *model.FlatRow) string {
-	if r.Cycle != 0 {
-		return fmt.Sprintf("%s <cycle%d>", r.Name, r.Cycle)
-	}
-	return r.Name
+	return lw.close()
 }
 
 // IndexListing renders the alphabetical index gprof appends: each
@@ -82,23 +95,33 @@ func IndexListing(w io.Writer, m *model.Profile) error {
 		name string
 		idx  int
 	}
-	var items []item
+	items := make([]item, 0, len(m.Routines)+len(m.Cycles))
 	for i := range m.Routines {
 		r := &m.Routines[i]
 		if r.Index > 0 {
-			items = append(items, item{label(r), r.Index})
+			name := r.Name
+			if r.Cycle != 0 {
+				name = string(appendLabel(nil, r.Name, r.Cycle))
+			}
+			items = append(items, item{name, r.Index})
 		}
 	}
 	for i := range m.Cycles {
 		c := &m.Cycles[i]
 		if c.Index > 0 {
-			items = append(items, item{fmt.Sprintf("<cycle %d>", c.Number), c.Index})
+			items = append(items, item{"<cycle " + strconv.Itoa(c.Number) + ">", c.Index})
 		}
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].name < items[j].name })
-	fmt.Fprintf(w, "index by function name:\n\n")
+	slices.SortFunc(items, func(a, b item) int { return strings.Compare(a.name, b.name) })
+	lw := newLineWriter(w)
+	lw.str("index by function name:\n\n")
 	for _, it := range items {
-		fmt.Fprintf(w, "  [%d] %s\n", it.idx, it.name)
+		b := append(lw.buf, "  ["...)
+		b = strconv.AppendInt(b, int64(it.idx), 10)
+		b = append(b, "] "...)
+		b = append(b, it.name...)
+		lw.buf = append(b, '\n')
+		lw.endLine()
 	}
-	return nil
+	return lw.close()
 }

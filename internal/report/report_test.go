@@ -499,3 +499,64 @@ func TestWriteDOT(t *testing.T) {
 		t.Error("excluded node present in DOT")
 	}
 }
+
+// Every flat-profile row, including the lost-ticks row the goldens do
+// not reach, keeps the historic fmt layout.
+func TestFlatRowLayout(t *testing.T) {
+	g := figure4Graph()
+	g.LostTicks = 0.25
+	g.TotalTicks += g.LostTicks
+	m := analyze(g)
+	var buf bytes.Buffer
+	if err := Flat(&buf, m, Options{NoHeaders: true}); err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	var cum float64
+	for _, r := range m.Flat {
+		cum += r.SelfSeconds
+		selfPer, totalPer := "", ""
+		if r.Calls > 0 {
+			selfPer = fmt.Sprintf("%8.2f", r.SelfSeconds*1000/float64(r.Calls))
+			if r.Cycle == 0 {
+				totalPer = fmt.Sprintf("%8.2f", r.TotalMsPerCall)
+			}
+		}
+		name := r.Name
+		if r.Cycle != 0 {
+			name = fmt.Sprintf("%s <cycle%d>", r.Name, r.Cycle)
+		}
+		fmt.Fprintf(&want, "%5.1f %14.2f %10.2f %9d %8s %8s %s\n",
+			r.Percent, cum, r.SelfSeconds, r.Calls, selfPer, totalPer, name)
+	}
+	fmt.Fprintf(&want, "%5.1f %14.2f %10.2f %9s %8s %8s %s\n",
+		m.Percent(m.LostTicks), cum+m.Seconds(m.LostTicks), m.Seconds(m.LostTicks),
+		"", "", "", "<outside any routine>")
+	got := buf.String()
+	if !strings.HasPrefix(got, want.String()) {
+		t.Errorf("flat rows drifted\ngot:\n%s\nwant:\n%s", got, want.String())
+	}
+	for _, shape := range []string{" <cycle1>\n", "<outside any routine>\n"} {
+		if !strings.Contains(want.String(), shape) {
+			t.Errorf("fixture lost its %q row", shape)
+		}
+	}
+}
+
+// A failing destination surfaces as the renderer's error.
+func TestRenderReportsWriteError(t *testing.T) {
+	m := analyze(figure4Graph())
+	for name, render := range map[string]func() error{
+		"callgraph": func() error { return CallGraph(failWriter{}, m, Options{}) },
+		"flat":      func() error { return Flat(failWriter{}, m, Options{}) },
+		"index":     func() error { return IndexListing(failWriter{}, m) },
+	} {
+		if err := render(); err == nil {
+			t.Errorf("%s: write error not reported", name)
+		}
+	}
+}
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, fmt.Errorf("disk full") }
