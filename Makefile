@@ -110,8 +110,11 @@ query-smoke:
 # throughput floor, then run the actual gprof binary over the generated
 # image + profile pair. The listing must be identical at -jobs 1 and
 # -jobs 2 and match its pinned SHA-256, so a render drift that only
-# shows at scale fails here. Bounded by timeout so a scaling regression
-# fails fast instead of hanging CI.
+# shows at scale fails here. The full listing (headers on) must read
+# the same at -jobs 1 and -jobs 4, and so must -jobs 2 under
+# GOMAXPROCS=1, where every parallel stage clamps to one worker.
+# Bounded by timeout so a scaling regression fails fast instead of
+# hanging CI.
 SCALE_SHA256 = 91e977d085206792a9f4ef04e8894be98fcdcddfec193248b8a85bea9b61ed98
 .PHONY: scale-smoke
 scale-smoke:
@@ -123,6 +126,11 @@ scale-smoke:
 	timeout 120 ./.scale-smoke/gprof -brief -jobs 2 .scale-smoke/a.out .scale-smoke/gmon.out > .scale-smoke/report2.txt
 	cmp .scale-smoke/report.txt .scale-smoke/report2.txt
 	echo "$(SCALE_SHA256)  .scale-smoke/report.txt" | sha256sum -c -
+	timeout 120 ./.scale-smoke/gprof -jobs 1 .scale-smoke/a.out .scale-smoke/gmon.out > .scale-smoke/full1.txt
+	timeout 120 ./.scale-smoke/gprof -jobs 4 .scale-smoke/a.out .scale-smoke/gmon.out > .scale-smoke/full4.txt
+	cmp .scale-smoke/full1.txt .scale-smoke/full4.txt
+	GOMAXPROCS=1 timeout 120 ./.scale-smoke/gprof -brief -jobs 2 .scale-smoke/a.out .scale-smoke/gmon.out > .scale-smoke/clamped.txt
+	cmp .scale-smoke/report.txt .scale-smoke/clamped.txt
 	rm -rf .scale-smoke
 
 # Whole-stack pipeline smoke: collect stacks from the E8 workload,

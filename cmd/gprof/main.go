@@ -82,7 +82,7 @@ func main() {
 		exclude   = flag.String("E", "", "comma-separated routines to suppress from the listings")
 		brief     = flag.Bool("brief", false, "omit explanatory headers")
 		jobs      = flag.Int("jobs", runtime.GOMAXPROCS(0),
-			"worker-pool width for profile merging, attribution, and propagation (1 = serial)")
+			"worker-pool width for profile merging, attribution, propagation, and rendering (1 = serial)")
 		sumFile = flag.String("sum", "", "write the merged profile data to this file and exit")
 		format  = flag.Int("format", gmon.Version1, "profile data format version for -sum (1, 2, or 3)")
 	)

@@ -462,6 +462,44 @@ func (b *Reader) I64s(dst []int64) {
 // Offset reports the total bytes consumed so far.
 func (b *Reader) Offset() int64 { return b.off }
 
+// firstBatch is the batch Records starts from when it cannot check a
+// declared count against the input.
+const firstBatch = 8192
+
+// Records decodes a section of n records, each at least minSize bytes
+// of input, into dst's storage (reused when its capacity suffices). It
+// grows the result batch by batch and calls decode to fill each new
+// batch, stopping at decode's first error.
+//
+// A declared count is trusted only as far as the input bounds it. On a
+// fixed reader whose remaining bytes can hold the records, the result
+// is sized once. Otherwise batches start at firstBatch records and
+// never exceed the records already decoded, so the result at most
+// doubles per batch (linear total copying) and a header lying about n
+// allocates at most about twice what the input actually holds. Each
+// growth is to the exact length needed, so a complete section ends
+// with no spare capacity.
+func Records[T any](b *Reader, dst []T, n, minSize int, decode func([]T) error) ([]T, error) {
+	dst = dst[:0]
+	for len(dst) < n {
+		have := len(dst)
+		c := n - have
+		if !b.fixed || c*minSize > b.lim-b.pos {
+			c = min(c, max(have, firstBatch))
+		}
+		if cap(dst) < have+c {
+			grown := make([]T, have, have+c)
+			copy(grown, dst)
+			dst = grown
+		}
+		dst = dst[:have+c]
+		if err := decode(dst[have:]); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
 // Err reports the first error encountered.
 func (b *Reader) Err() error { return b.err }
 

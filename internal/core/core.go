@@ -70,9 +70,10 @@ type Options struct {
 	// Setting it without AutoBreak is rejected by Validate.
 	MaxBreakArcs int
 	// Jobs is the worker-pool width for the parallel pipeline stages
-	// (histogram attribution, time propagation). Zero or one runs the
-	// serial pipeline, whose output is byte-identical to the historic
-	// one; CLIs default their -jobs flag to GOMAXPROCS.
+	// (histogram attribution, time propagation, rendering the listing).
+	// Zero or one runs the serial pipeline, whose output is
+	// byte-identical to the historic one; CLIs default their -jobs flag
+	// to GOMAXPROCS. It overrides Report.Jobs.
 	Jobs int
 	// Cache, when non-nil, memoizes the symbol table and static call
 	// graph per image content hash so repeated analyses of the same
@@ -209,6 +210,8 @@ type Result struct {
 	RemovedArcs int
 
 	opt Options
+	// tr is the trace Run's context carried, for the render gauge.
+	tr *obs.Trace
 }
 
 // Run post-processes a profile against a source of symbols. It is the
@@ -298,7 +301,7 @@ func LoadProfiles(ctx context.Context, names []string, jobs int) (*gmon.Profile,
 
 func finish(ctx context.Context, g *callgraph.Graph, opt Options) (*Result, error) {
 	tr := obs.FromContext(ctx)
-	res := &Result{Graph: g, opt: opt}
+	res := &Result{Graph: g, opt: opt, tr: tr}
 	for _, id := range opt.RemoveArcs {
 		if g.RemoveArc(id.Caller, id.Callee) {
 			res.RemovedArcs++
@@ -340,19 +343,29 @@ func sanity(g *callgraph.Graph) error {
 	return nil
 }
 
+// reportOptions returns the rendering options with the worker width
+// set from Jobs, and publishes the effective width as the
+// render.workers gauge.
+func (r *Result) reportOptions() report.Options {
+	opt := r.opt.Report
+	opt.Jobs = r.opt.Jobs
+	r.tr.Gauge("render.workers").Set(int64(report.Width(opt.Jobs)))
+	return opt
+}
+
 // WriteFlat renders the flat profile (§5.1).
 func (r *Result) WriteFlat(w io.Writer) error {
-	return report.Flat(w, r.Model, r.opt.Report)
+	return report.Flat(w, r.Model, r.reportOptions())
 }
 
 // WriteCallGraph renders the call graph profile (§5.2).
 func (r *Result) WriteCallGraph(w io.Writer) error {
-	return report.CallGraph(w, r.Model, r.opt.Report)
+	return report.CallGraph(w, r.Model, r.reportOptions())
 }
 
 // WriteIndex renders the alphabetical routine index.
 func (r *Result) WriteIndex(w io.Writer) error {
-	return report.IndexListing(w, r.Model)
+	return report.Index(w, r.Model, r.reportOptions())
 }
 
 // WriteJSON encodes the profile model as versioned JSON

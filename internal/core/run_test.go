@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"runtime"
 	"testing"
 
 	"repro/internal/gmon"
 	"repro/internal/object"
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/symtab"
 	"repro/internal/synth"
 	"repro/internal/workloads"
@@ -227,13 +229,18 @@ func TestCacheRejectsInvalidImage(t *testing.T) {
 
 // The stage list a traced run reports is fixed by the pipeline, not by
 // the input: a 10^4-routine program, whose call chains put hundreds of
-// levels into the parallel propagation schedule, still reports a
-// one-screen -stats summary.
+// levels into the parallel propagation schedule and whose listing
+// renders in hundreds of chunks, still reports a one-screen -stats
+// summary.
 func TestTracedRunStageNamesBounded(t *testing.T) {
 	w := synth.Generate(synth.Tier(10000, 1))
 	tr := obs.New()
 	ctx := obs.NewContext(context.Background(), tr)
-	if _, err := Run(ctx, TableSource{Table: w.Table()}, w.Prof, Options{Jobs: 2}); err != nil {
+	res, err := Run(ctx, TableSource{Table: w.Table()}, w.Prof, Options{Jobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.WriteAll(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	rep := tr.Report()
@@ -246,5 +253,8 @@ func TestTracedRunStageNamesBounded(t *testing.T) {
 	}
 	if levels := rep.Gauges["propagate.levels"]; runtime.GOMAXPROCS(0) > 1 && levels < 100 {
 		t.Errorf("propagate.levels = %d; the fixture no longer exercises a deep level schedule", levels)
+	}
+	if got, want := rep.Gauges["render.workers"], int64(report.Width(2)); got != want {
+		t.Errorf("render.workers = %d, want %d", got, want)
 	}
 }

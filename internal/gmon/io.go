@@ -78,11 +78,6 @@ const (
 // drive a huge allocation.
 const maxRecords = 1 << 28
 
-// chunkRecords is the record-batch granularity for decoding: result
-// slices grow at most this many records past the data actually seen, so
-// a header lying about its counts cannot over-allocate.
-const chunkRecords = 8192
-
 // Header is everything in a profile data file except the record
 // sections: the format version, clock rate, histogram geometry, and the
 // record counts. Reader exposes it after parsing; Writer is configured
@@ -489,29 +484,29 @@ func (d *Reader) ReadCounts(dst []uint32) ([]uint32, error) {
 	if d.countsDone {
 		return nil, d.fail(fmt.Errorf("gmon: histogram counts already read"))
 	}
-	n := d.h.NumBuckets
-	dst = dst[:0]
-	for len(dst) < n {
-		c := n - len(dst)
-		if c > chunkRecords {
-			c = chunkRecords
-		}
-		start := len(dst)
-		dst = growU32(dst, c)
+	size := 1 // a uvarint
+	if d.h.Version == Version1 {
+		size = 4
+	}
+	dst, err := binio.Records(d.br, dst, d.h.NumBuckets, size, func(s []uint32) error {
 		if d.h.Version == Version1 {
-			d.br.U32s(dst[start:])
+			d.br.U32s(s)
 		} else {
-			for i := start; i < len(dst); i++ {
+			for i := range s {
 				v := d.br.Uvarint()
 				if v > math.MaxUint32 {
-					return nil, d.fail(fmt.Errorf("gmon: histogram count %d overflows uint32", v))
+					return fmt.Errorf("gmon: histogram count %d overflows uint32", v)
 				}
-				dst[i] = uint32(v)
+				s[i] = uint32(v)
 			}
 		}
 		if err := d.br.Err(); err != nil {
-			return nil, d.fail(fmt.Errorf("gmon: reading histogram: %w", eofIsTruncation(err)))
+			return fmt.Errorf("gmon: reading histogram: %w", eofIsTruncation(err))
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, d.fail(err)
 	}
 	if dst == nil {
 		dst = []uint32{}
@@ -818,75 +813,33 @@ func decodeInto(d *Reader, p *Profile) (FileStats, error) {
 		return d.Stats(), err
 	}
 	p.Hist.Counts = counts
-	arcs := p.Arcs[:0]
-	for len(arcs) < h.NumArcs {
-		c := h.NumArcs - len(arcs)
-		if c > chunkRecords {
-			c = chunkRecords
-		}
-		start := len(arcs)
-		arcs = growArcs(arcs, c)
-		n, err := d.ReadArcs(arcs[start:])
-		if err != nil {
-			return d.Stats(), err
-		}
-		arcs = arcs[:start+n]
+	arcSize := 3 // three uvarints
+	if h.Version == Version1 {
+		arcSize = 24
+	}
+	arcs, err := binio.Records(d.br, p.Arcs, h.NumArcs, arcSize, func(s []Arc) error {
+		_, err := d.ReadArcs(s)
+		return err
+	})
+	if err != nil {
+		return d.Stats(), err
 	}
 	if arcs == nil {
 		arcs = []Arc{}
 	}
 	p.Arcs = arcs
 	// Reset, don't keep: when p is a reused scratch profile, a
-	// stack-less file must not inherit the previous file's stacks.
-	stacks := p.Stacks[:0]
-	for len(stacks) < h.NumStacks {
-		c := h.NumStacks - len(stacks)
-		if c > chunkRecords {
-			c = chunkRecords
-		}
-		start := len(stacks)
-		stacks = growStacks(stacks, c)
-		n, err := d.ReadStacks(stacks[start:])
-		if err != nil {
-			return d.Stats(), err
-		}
-		stacks = stacks[:start+n]
+	// stack-less file must not inherit the previous file's stacks. A
+	// record is at least three uvarints: leaf pc, depth and count.
+	stacks, err := binio.Records(d.br, p.Stacks, h.NumStacks, 3, func(s []StackSample) error {
+		_, err := d.ReadStacks(s)
+		return err
+	})
+	if err != nil {
+		return d.Stats(), err
 	}
 	p.Stacks = stacks
 	return d.Stats(), p.Validate()
-}
-
-// growU32 extends s by c entries, reusing capacity when it can.
-func growU32(s []uint32, c int) []uint32 {
-	need := len(s) + c
-	if cap(s) >= need {
-		return s[:need]
-	}
-	ns := make([]uint32, need)
-	copy(ns, s)
-	return ns
-}
-
-// growArcs extends s by c entries, reusing capacity when it can.
-func growArcs(s []Arc, c int) []Arc {
-	need := len(s) + c
-	if cap(s) >= need {
-		return s[:need]
-	}
-	ns := make([]Arc, need)
-	copy(ns, s)
-	return ns
-}
-
-// growStacks extends s by c entries, reusing capacity when it can.
-func growStacks(s []StackSample, c int) []StackSample {
-	need := len(s) + c
-	if cap(s) >= need {
-		return s[:need]
-	}
-	ns := make([]StackSample, need)
-	copy(ns, s)
-	return ns
 }
 
 // WriteFile writes p to the named file in the default format. The block

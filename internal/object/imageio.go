@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/binio"
 )
@@ -38,10 +37,12 @@ const ImageVersion = 2
 
 const maxImageRecords = 1 << 28
 
-// chunkImageWords bounds how far past the data actually seen the text,
-// data, and record slices may grow, so a corrupt header cannot drive a
-// huge allocation.
-const chunkImageWords = 8192
+// Minimum encoded sizes, which bound a declared record count by the
+// input that remains (binio.Records).
+const (
+	minSymBytes = 4 + 8 + 8 + 4 + 4 // empty name and file, no marks
+	markBytes   = 8 + 4
+)
 
 // WriteImage encodes a linked image to w.
 func WriteImage(w io.Writer, im *Image) error {
@@ -95,8 +96,8 @@ func WriteImage(w io.Writer, im *Image) error {
 	return bw.Close()
 }
 
-// readImageString decodes a length-prefixed string, growing its buffer
-// with the data actually seen so a lying prefix cannot over-allocate.
+// readImageString decodes a length-prefixed string; binio.Records
+// keeps a lying prefix from over-allocating.
 func readImageString(br *binio.Reader) (string, error) {
 	n := br.U32()
 	if br.Err() != nil {
@@ -105,63 +106,32 @@ func readImageString(br *binio.Reader) (string, error) {
 	if n > maxImageRecords {
 		return "", fmt.Errorf("object: implausible string length %d", n)
 	}
-	if n <= chunkImageWords {
-		buf := make([]byte, n)
-		br.Full(buf)
-		if err := br.Err(); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	var sb strings.Builder
-	var chunk [chunkImageWords]byte
-	for remaining := int(n); remaining > 0; {
-		c := remaining
-		if c > len(chunk) {
-			c = len(chunk)
-		}
-		br.Full(chunk[:c])
-		if err := br.Err(); err != nil {
-			return "", err
-		}
-		sb.Write(chunk[:c])
-		remaining -= c
-	}
-	return sb.String(), nil
+	buf, err := binio.Records(br, nil, int(n), 1, func(s []byte) error {
+		br.Full(s)
+		return br.Err()
+	})
+	return string(buf), err
 }
 
-// readWords decodes n little-endian int64 words, growing the result
-// with the data actually seen.
+// readWords decodes n little-endian int64 words.
 func readWords(br *binio.Reader, n int) ([]int64, error) {
-	cap0 := n
-	if cap0 > chunkImageWords {
-		cap0 = chunkImageWords
-	}
-	out := make([]int64, 0, cap0)
-	for len(out) < n {
-		c := n - len(out)
-		if c > chunkImageWords {
-			c = chunkImageWords
-		}
-		start := len(out)
-		if cap(out) < start+c {
-			grown := make([]int64, start, start+c)
-			copy(grown, out)
-			out = grown
-		}
-		out = out[:start+c]
-		br.I64s(out[start:])
-		if err := br.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return binio.Records(br, nil, n, 8, func(s []int64) error {
+		br.I64s(s)
+		return br.Err()
+	})
 }
 
 // ReadImage decodes an executable from r.
 func ReadImage(r io.Reader) (*Image, error) {
 	br := binio.NewReader(r)
 	defer br.Close()
+	return readImage(br)
+}
+
+// readImage decodes an executable from a block reader: streaming
+// (ReadImage) or fixed over a file mapping (ReadImageFileStats), where
+// every declared count is checked against the bytes that remain.
+func readImage(br *binio.Reader) (*Image, error) {
 	var m [4]byte
 	br.Full(m[:])
 	if err := br.Err(); err != nil {
@@ -200,47 +170,16 @@ func ReadImage(r io.Reader) (*Image, error) {
 	if im.Data, err = readWords(br, int(ndata)); err != nil {
 		return nil, err
 	}
-	capF := int(nfuncs)
-	if capF > chunkImageWords {
-		capF = chunkImageWords
-	}
-	im.Funcs = make([]Sym, 0, capF)
-	for i := uint32(0); i < nfuncs; i++ {
-		var s Sym
-		if s.Name, err = readImageString(br); err != nil {
-			return nil, err
-		}
-		s.Addr = br.I64()
-		s.Size = br.I64()
-		if err := br.Err(); err != nil {
-			return nil, err
-		}
-		if s.File, err = readImageString(br); err != nil {
-			return nil, err
-		}
-		nmarks := br.U32()
-		if err := br.Err(); err != nil {
-			return nil, err
-		}
-		if nmarks > maxImageRecords {
-			return nil, fmt.Errorf("object: implausible line mark count %d", nmarks)
-		}
-		if nmarks > 0 {
-			capM := int(nmarks)
-			if capM > chunkImageWords {
-				capM = chunkImageWords
-			}
-			s.Lines = make([]LineMark, 0, capM)
-			for j := uint32(0); j < nmarks; j++ {
-				off := br.I64()
-				line := br.I32()
-				if err := br.Err(); err != nil {
-					return nil, err
-				}
-				s.Lines = append(s.Lines, LineMark{Offset: off, Line: line})
+	im.Funcs, err = binio.Records(br, nil, int(nfuncs), minSymBytes, func(syms []Sym) error {
+		for i := range syms {
+			if err := readSym(br, &syms[i]); err != nil {
+				return err
 			}
 		}
-		im.Funcs = append(im.Funcs, s)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i := uint32(0); i < nglobals; i++ {
 		name, err := readImageString(br)
@@ -254,6 +193,35 @@ func ReadImage(r io.Reader) (*Image, error) {
 		im.globals[name] = off
 	}
 	return im, nil
+}
+
+// readSym decodes one routine record into s.
+func readSym(br *binio.Reader, s *Sym) (err error) {
+	if s.Name, err = readImageString(br); err != nil {
+		return err
+	}
+	s.Addr = br.I64()
+	s.Size = br.I64()
+	if err := br.Err(); err != nil {
+		return err
+	}
+	if s.File, err = readImageString(br); err != nil {
+		return err
+	}
+	nmarks := br.U32()
+	if err := br.Err(); err != nil {
+		return err
+	}
+	if nmarks > maxImageRecords {
+		return fmt.Errorf("object: implausible line mark count %d", nmarks)
+	}
+	s.Lines, err = binio.Records(br, nil, int(nmarks), markBytes, func(marks []LineMark) error {
+		for i := range marks {
+			marks[i] = LineMark{Offset: br.I64(), Line: br.I32()}
+		}
+		return br.Err()
+	})
+	return err
 }
 
 // WriteImageFile writes an executable to the named file. The block
@@ -279,8 +247,18 @@ func ReadImageFile(name string) (*Image, error) {
 
 // ReadImageFileStats reads an executable from the named file and also
 // reports the file's size in bytes, for the observability layer's
-// object.bytes_read accounting.
+// object.bytes_read accounting. It decodes through a memory mapping
+// when the platform allows one, so the file's size bounds every
+// declared count and each section is allocated once.
 func ReadImageFileStats(name string) (*Image, int64, error) {
+	if m, err := binio.Map(name); err == nil {
+		defer m.Close()
+		im, err := readImage(m.Reader())
+		if err != nil {
+			return nil, 0, fmt.Errorf("%s: %w", name, err)
+		}
+		return im, int64(len(m.Data)), nil
+	}
 	f, err := os.Open(name)
 	if err != nil {
 		return nil, 0, err

@@ -3,15 +3,22 @@ package report
 import (
 	"io"
 	"math"
+	"runtime"
 	"strconv"
 	"sync"
 )
 
-// The listings are written line by line into one reused byte buffer
-// that is flushed to the destination whenever it fills, so rendering a
-// 10^5-routine listing never holds the whole text in memory and never
-// goes through fmt's reflection. Numbers are laid out by appendFixed,
-// which produces exactly what fmt's %W.Pf would.
+// The listings are written into reused byte buffers that are flushed
+// to the destination as they fill, so rendering a 10^5-routine listing
+// never holds the whole text in memory and never goes through fmt's
+// reflection. Numbers are laid out by appendFixed, which produces
+// exactly what fmt's %W.Pf would.
+//
+// Each section's rows are cut into fixed-size chunks that workers
+// render concurrently while the caller writes the finished chunks in
+// order (lineWriter.rows); whatever rows share — the first selected
+// call-graph entry, the flat profile's running total, the index order —
+// is worked out serially first, so the bytes never depend on the width.
 
 // flushAt is the buffered byte count at which a line writer flushes.
 const flushAt = 64 << 10
@@ -61,6 +68,92 @@ func (lw *lineWriter) close() error {
 }
 
 func (lw *lineWriter) str(s string) { lw.buf = append(lw.buf, s...) }
+
+// Rows per chunk. A chunk renders to tens of KiB: enough work to
+// outweigh handing it to a worker, and small enough that the chunks in
+// flight stay a few hundred KiB.
+const (
+	entryChunk = 64   // call-graph entries
+	lineChunk  = 1024 // flat-profile and index lines
+)
+
+// Width is the number of workers that render a listing for a jobs
+// setting: 0 or 1 renders inline, and like the analysis stages the
+// width is clamped to GOMAXPROCS, since more workers than schedulable
+// CPUs is pure overhead. Inputs under two chunks render inline at any
+// width.
+func Width(jobs int) int { return max(1, min(jobs, runtime.GOMAXPROCS(0))) }
+
+// rows renders rows [0, n) in chunks of size rows and writes them to
+// the destination in row order. newRenderer is called once per worker
+// (once in all when rendering inline) and returns the function that
+// appends rows [lo, hi) to a buffer, so per-worker scratch is never
+// shared. At most two chunks per worker are in flight, each in a
+// reused buffer; after the first write error no further chunk is
+// scheduled, and rows returns once every worker has exited.
+func (lw *lineWriter) rows(n, size, jobs int, newRenderer func() func(b []byte, lo, hi int) []byte) {
+	chunks := (n + size - 1) / size
+	workers := min(Width(jobs), chunks)
+	if workers <= 1 {
+		render := newRenderer()
+		for lo := 0; lo < n && lw.err == nil; lo += size {
+			lw.buf = render(lw.buf, lo, min(lo+size, n))
+			lw.endLine()
+		}
+		return
+	}
+	lw.flush()
+	if lw.err != nil {
+		return
+	}
+	// Chunk c renders into slot c%len(slots) and signals its done
+	// channel; the next chunk for a slot is scheduled only after its
+	// previous one was written, so a slot has one chunk at a time.
+	type slot struct {
+		bp   *[]byte
+		done chan struct{}
+	}
+	slots := make([]slot, 2*workers)
+	for i := range slots {
+		slots[i] = slot{bufPool.Get().(*[]byte), make(chan struct{}, 1)}
+	}
+	// Sized to the slots: the caller never has more chunks scheduled.
+	work := make(chan int, len(slots))
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			render := newRenderer()
+			for c := range work {
+				s := &slots[c%len(slots)]
+				lo := c * size
+				*s.bp = render((*s.bp)[:0], lo, min(lo+size, n))
+				s.done <- struct{}{}
+			}
+		}()
+	}
+	next := min(len(slots), chunks)
+	for c := 0; c < next; c++ {
+		work <- c
+	}
+	for c := 0; c < chunks; c++ {
+		s := &slots[c%len(slots)]
+		<-s.done
+		if _, lw.err = lw.w.Write(*s.bp); lw.err != nil {
+			break
+		}
+		if next < chunks {
+			work <- next
+			next++
+		}
+	}
+	close(work)
+	wg.Wait()
+	for _, s := range slots {
+		bufPool.Put(s.bp)
+	}
+}
 
 // padLeft right-aligns the bytes appended since start in a field of
 // width columns, as fmt's %Ws and %Wd do.

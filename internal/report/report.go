@@ -55,6 +55,10 @@ type Options struct {
 	Exclude []string
 	// NoHeaders omits the explanatory column headers.
 	NoHeaders bool
+	// Jobs is the number of workers that render the listing's chunks;
+	// 0 or 1 renders inline on the caller, and Width applies the
+	// GOMAXPROCS clamp. The output is the same at every width.
+	Jobs int
 }
 
 // filter is Options compiled against one profile: membership tests are
@@ -125,8 +129,6 @@ type view struct {
 	// listing holds the call-graph entries in index order: for each
 	// slot either routine is a position or cycle is non-nil.
 	listing []listEntry
-	// scratch is reused for each entry's sorted parents and children.
-	scratch []int32
 }
 
 type listEntry struct {
@@ -135,6 +137,9 @@ type listEntry struct {
 }
 
 func newView(m *model.Profile) *view {
+	// Build the model's lookup tables now, if they are not yet built:
+	// render workers read them concurrently.
+	m.RoutinePos("")
 	n := len(m.Routines)
 	v := &view{
 		m:        m,
@@ -265,6 +270,12 @@ func CallGraph(w io.Writer, m *model.Profile, opt Options) error {
 	v := newView(m)
 	f := opt.compile(v)
 	lw := newLineWriter(w)
+	want := func(e listEntry) bool {
+		if e.cycle != nil {
+			return wantCycle(v, e.cycle, opt, f)
+		}
+		return e.routine >= 0 && wantNode(v, e.routine, opt, f)
+	}
 
 	if !opt.NoHeaders {
 		lw.str("call graph profile:\ngranularity: each sample hit covers 1 word for ")
@@ -277,31 +288,32 @@ func CallGraph(w io.Writer, m *model.Profile, opt Options) error {
 			"                                  called/total       children\n\n")
 	}
 
-	printed := 0
-	for _, e := range v.listing {
-		if e.cycle != nil {
-			if !wantCycle(v, e.cycle, opt, f) {
-				continue
-			}
-			if printed > 0 {
-				lw.str(rule)
-			}
-			printCycleEntry(lw, v, e.cycle)
-			printed++
-			continue
-		}
-		if e.routine < 0 || !wantNode(v, e.routine, opt, f) {
-			continue
-		}
-		if printed > 0 {
-			lw.str(rule)
-		}
-		printNodeEntry(lw, v, e.routine)
-		printed++
-	}
-	if printed == 0 {
+	// Every selected entry after the first is preceded by a rule, so
+	// the first one is found before any chunk renders.
+	first := slices.IndexFunc(v.listing, want)
+	if first < 0 {
 		lw.str("no entries selected\n")
+		return lw.close()
 	}
+	lw.rows(len(v.listing), entryChunk, opt.Jobs, func() func([]byte, int, int) []byte {
+		var scratch []int32
+		return func(b []byte, lo, hi int) []byte {
+			for i, e := range v.listing[lo:hi] {
+				if !want(e) {
+					continue
+				}
+				if lo+i > first {
+					b = append(b, rule...)
+				}
+				if e.cycle != nil {
+					b, scratch = printCycleEntry(b, v, e.cycle, scratch)
+				} else {
+					b, scratch = printNodeEntry(b, v, e.routine, scratch)
+				}
+			}
+			return b
+		}
+	})
 	return lw.close()
 }
 
@@ -389,9 +401,8 @@ func less(b bool) int {
 // arcLine appends a parent or child line for arc k whose other end is
 // routine r: the propagated self and descendant seconds and the
 // count/total calls, or for an intra-cycle arc only the bare count.
-func arcLine(lw *lineWriter, v *view, k int32, r *model.Routine, intra bool, total int64) {
+func arcLine(b []byte, v *view, k int32, r *model.Routine, intra bool, total int64) []byte {
 	a := &v.m.Arcs[k]
-	b := lw.buf
 	if intra {
 		// Calls from within the cycle: listed, never propagated.
 		b = append(b, "                                   "...) // "%14s%8s %11s " of ""
@@ -408,8 +419,7 @@ func arcLine(lw *lineWriter, v *view, k int32, r *model.Routine, intra bool, tot
 		b = appendInt(b, total, -7)
 		b = append(b, ' ')
 	}
-	lw.buf = appendRef(b, r)
-	lw.endLine()
+	return appendRef(b, r)
 }
 
 // appendRef appends "label [index]" and ends the line.
@@ -450,12 +460,12 @@ func appendEntryHead(b []byte, v *view, index int, ticks, self, child float64, c
 	return append(b, ' ')
 }
 
-// printNodeEntry renders routine i's entry: parents, the self line,
-// then children.
-func printNodeEntry(lw *lineWriter, v *view, i int32) {
+// printNodeEntry appends routine i's entry: parents, the self line,
+// then children. scratch is reused for the sorted arcs and returned.
+func printNodeEntry(b []byte, v *view, i int32, scratch []int32) ([]byte, []int32) {
 	m := v.m
 	r := &m.Routines[i]
-	parents := v.scratch[:0]
+	parents := scratch[:0]
 	for _, k := range v.inArcs(i) {
 		if !v.self(k) {
 			parents = append(parents, k)
@@ -468,15 +478,14 @@ func printNodeEntry(lw *lineWriter, v *view, i int32) {
 	for _, k := range parents {
 		from := v.from[k]
 		if from < 0 {
-			lw.str(spontaneous)
+			b = append(b, spontaneous...)
 			continue
 		}
-		arcLine(lw, v, k, &m.Routines[from], v.intraCycle(k), totalCalls)
+		b = arcLine(b, v, k, &m.Routines[from], v.intraCycle(k), totalCalls)
 	}
 
 	// The self line: index, %time, self, descendants, called+self.
-	lw.buf = appendRef(appendEntryHead(lw.buf, v, r.Index, r.TotalTicks(), r.SelfTicks, r.ChildTicks, r.Calls, r.SelfCalls), r)
-	lw.endLine()
+	b = appendRef(appendEntryHead(b, v, r.Index, r.TotalTicks(), r.SelfTicks, r.ChildTicks, r.Calls, r.SelfCalls), r)
 
 	// Children, descending by time passed up.
 	children := parents[:0]
@@ -494,25 +503,26 @@ func printNodeEntry(lw *lineWriter, v *view, i int32) {
 		if !intra {
 			total = v.totalCalls(child)
 		}
-		arcLine(lw, v, k, child, intra, total)
+		b = arcLine(b, v, k, child, intra, total)
 	}
-	v.scratch = children
+	return b, children
 }
 
 // spontaneous is the parent line of an arc with no identifiable caller.
 var spontaneous = strings.Repeat(" ", 45) + "<spontaneous>\n"
 
-// printCycleEntry renders a cycle-as-a-whole entry: external parents,
+// printCycleEntry appends a cycle-as-a-whole entry: external parents,
 // the cycle line, then the members "listed in place of the children"
-// with their calls from within the cycle.
-func printCycleEntry(lw *lineWriter, v *view, c *model.Cycle) {
+// with their calls from within the cycle. scratch is reused for the
+// sorted arcs and returned.
+func printCycleEntry(b []byte, v *view, c *model.Cycle, scratch []int32) ([]byte, []int32) {
 	m := v.m
 	members := make([]int32, 0, len(c.Members))
 	for _, name := range c.Members {
 		i, _ := m.RoutinePos(name)
 		members = append(members, int32(i))
 	}
-	parents := v.scratch[:0]
+	parents := scratch[:0]
 	for _, i := range members {
 		for _, k := range v.inArcs(i) {
 			if !v.intraCycle(k) && !v.self(k) {
@@ -525,20 +535,18 @@ func printCycleEntry(lw *lineWriter, v *view, c *model.Cycle) {
 	for _, k := range parents {
 		from := v.from[k]
 		if from < 0 {
-			lw.str(spontaneous)
+			b = append(b, spontaneous...)
 			continue
 		}
-		arcLine(lw, v, k, &m.Routines[from], false, ext)
+		b = arcLine(b, v, k, &m.Routines[from], false, ext)
 	}
-	v.scratch = parents
 
-	b := appendEntryHead(lw.buf, v, c.Index, c.TotalTicks(), c.SelfTicks, c.ChildTicks, ext, c.InternalCalls)
+	b = appendEntryHead(b, v, c.Index, c.TotalTicks(), c.SelfTicks, c.ChildTicks, ext, c.InternalCalls)
 	b = append(b, "<cycle "...)
 	b = strconv.AppendInt(b, int64(c.Number), 10)
 	b = append(b, " as a whole> ["...)
 	b = strconv.AppendInt(b, int64(c.Index), 10)
-	lw.buf = append(b, "]\n"...)
-	lw.endLine()
+	b = append(b, "]\n"...)
 
 	// Members with their calls from within the cycle (incoming intra
 	// arcs plus self calls), in index order — the indices were assigned
@@ -555,12 +563,12 @@ func printCycleEntry(lw *lineWriter, v *view, c *model.Cycle) {
 				intra += m.Arcs[k].Count
 			}
 		}
-		b := append(lw.buf, "              "...) // %14s
+		b = append(b, "              "...) // %14s
 		b = appendFloat(b, m.Seconds(r.SelfTicks), 8, 2)
 		b = append(b, "        0.00 "...) // %11.2f of 0.0
 		b = appendCalled(b, intra, r.SelfCalls)
 		b = append(b, ' ')
-		lw.buf = appendRef(b, r)
-		lw.endLine()
+		b = appendRef(b, r)
 	}
+	return b, parents
 }
