@@ -71,11 +71,14 @@ golden:
 	go test -run 'TestGolden' -update .
 
 # Short fuzzing pass over the two binary decoders (profile data and
-# executables): corrupt input must error, never panic. FuzzFixed checks
-# the listing's number formatter against fmt on arbitrary floats.
+# executables): corrupt input must error, never panic. FuzzMerge checks
+# the profile fold against its map-fold oracle on arbitrary decoded
+# pairs; FuzzFixed checks the listing's number formatter against fmt on
+# arbitrary floats.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test -run xxx -fuzz 'FuzzRead$$' -fuzztime 20s ./internal/gmon
+	go test -run xxx -fuzz 'FuzzMerge$$' -fuzztime 20s ./internal/gmon
 	go test -run xxx -fuzz 'FuzzReadImage$$' -fuzztime 20s ./internal/object
 	go test -run xxx -fuzz 'FuzzFixed$$' -fuzztime 20s ./internal/report
 
@@ -113,6 +116,8 @@ query-smoke:
 # shows at scale fails here. The full listing (headers on) must read
 # the same at -jobs 1 and -jobs 4, and so must -jobs 2 under
 # GOMAXPROCS=1, where every parallel stage clamps to one worker.
+# Summing a v1-first mix of v1 and v2 copies of the profile (duplicate
+# arc keys included) must give the same bytes at -jobs 1 and -jobs 4.
 # Bounded by timeout so a scaling regression fails fast instead of
 # hanging CI.
 SCALE_SHA256 = 91e977d085206792a9f4ef04e8894be98fcdcddfec193248b8a85bea9b61ed98
@@ -131,6 +136,12 @@ scale-smoke:
 	cmp .scale-smoke/full1.txt .scale-smoke/full4.txt
 	GOMAXPROCS=1 timeout 120 ./.scale-smoke/gprof -brief -jobs 2 .scale-smoke/a.out .scale-smoke/gmon.out > .scale-smoke/clamped.txt
 	cmp .scale-smoke/report.txt .scale-smoke/clamped.txt
+	timeout 120 ./.scale-smoke/synthgen -nodes 100000 -seed 1 -format 2 -o .scale-smoke/gmon.v2
+	cd .scale-smoke && timeout 120 ./gprof -jobs 1 -sum sum1 -format 2 \
+		gmon.out gmon.v2 gmon.out gmon.out gmon.v2 gmon.out gmon.v2 gmon.v2
+	cd .scale-smoke && timeout 120 ./gprof -jobs 4 -sum sum4 -format 2 \
+		gmon.out gmon.v2 gmon.out gmon.out gmon.v2 gmon.out gmon.v2 gmon.v2
+	cmp .scale-smoke/sum1 .scale-smoke/sum4
 	rm -rf .scale-smoke
 
 # Whole-stack pipeline smoke: collect stacks from the E8 workload,

@@ -76,6 +76,17 @@ func (l *LRU) Add(key string, val any) any {
 	return val
 }
 
+// Remove drops the entry cached under key, if any. It counts no
+// eviction: the caller removes an entry it knows no lookup can hit.
+func (l *LRU) Remove(key string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if el, ok := l.byKey[key]; ok {
+		l.ll.Remove(el)
+		delete(l.byKey, key)
+	}
+}
+
 // Len returns the number of cached entries.
 func (l *LRU) Len() int {
 	l.mu.Lock()

@@ -34,6 +34,17 @@ func TestLRUBasics(t *testing.T) {
 	if l.Len() != 2 {
 		t.Errorf("Len = %d, want 2", l.Len())
 	}
+	l.Remove("a")
+	l.Remove("absent")
+	if l.Len() != 1 {
+		t.Errorf("Len after Remove = %d, want 1", l.Len())
+	}
+	if _, _, evictions := l.Stats(); evictions != 1 {
+		t.Errorf("Remove counted as an eviction: evictions = %d, want 1", evictions)
+	}
+	if _, ok := l.Get("a"); ok {
+		t.Error("removed entry a still cached")
+	}
 }
 
 // TestLRUAddFirstInsertWins pins the concurrent-fill contract: racing

@@ -144,3 +144,50 @@ func FuzzRead(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMerge folds one arbitrary decoded profile into another: Merge
+// must never panic, must agree with the map-fold oracle (mapMerge) on a
+// canonically ordered accumulator, and must leave its argument alone.
+// The argument takes the accumulator's histogram geometry and clock
+// rate (its counts truncated or zero-padded) so unrelated inputs fold.
+func FuzzMerge(f *testing.F) {
+	enc := func(p *Profile, version int) []byte {
+		var buf bytes.Buffer
+		if err := WriteVersion(&buf, p, version); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	dup := sample()
+	dup.Arcs = []Arc{
+		{FromPC: 0x1003, SelfPC: 0x1008, Count: 6},
+		{FromPC: 0x1002, SelfPC: 0x1008, Count: 4},
+		{FromPC: 0x1003, SelfPC: 0x1008, Count: 9},
+		{FromPC: SpontaneousPC, SelfPC: 0x100e, Count: 1},
+	}
+	empty := &Profile{Hist: Histogram{Low: 0, High: 0, Step: 1, Counts: []uint32{}}, Arcs: []Arc{}}
+	f.Add(enc(sample(), Version1), enc(sample(), Version2))
+	f.Add(enc(sampleV3(), Version3), enc(sampleV3(), Version3))
+	f.Add(enc(dup, Version1), enc(dup, Version1))
+	f.Add(enc(dup, Version2), enc(sample(), Version1))
+	f.Add(enc(empty, Version1), enc(dup, Version1))
+	f.Add(enc(sample(), Version2), enc(empty, Version1))
+
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		p, err := Read(bytes.NewReader(a))
+		if err != nil {
+			return
+		}
+		q, err := Read(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		counts := make([]uint32, len(p.Hist.Counts))
+		copy(counts, q.Hist.Counts)
+		q.Hist = p.Hist
+		q.Hist.Counts = counts
+		q.Hz = p.Hz
+		canonicalize(p)
+		checkMergeMatchesOracle(t, "fuzz", p, q)
+	})
+}

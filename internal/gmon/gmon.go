@@ -190,6 +190,34 @@ func sortArcs(arcs []Arc) {
 	})
 }
 
+// compareArcs orders arcs by (FromPC, SelfPC) — the canonical arc order
+// SortArcs, Merge and the version-2 format fix. Counts do not take
+// part: arcs with equal keys compare equal.
+func compareArcs(a, b *Arc) int {
+	switch {
+	case a.FromPC < b.FromPC:
+		return -1
+	case a.FromPC > b.FromPC:
+		return 1
+	case a.SelfPC < b.SelfPC:
+		return -1
+	case a.SelfPC > b.SelfPC:
+		return 1
+	}
+	return 0
+}
+
+// arcsSorted reports whether arcs are in canonical order, equal keys
+// allowed, without allocating.
+func arcsSorted(arcs []Arc) bool {
+	for i := 1; i < len(arcs); i++ {
+		if compareArcs(&arcs[i], &arcs[i-1]) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // compareStacks orders PC sequences lexicographically, shorter prefix
 // first — the canonical stack-table order SortStacks and the v3 writer
 // fix.
@@ -213,6 +241,18 @@ func compareStacks(a, b []int64) int {
 		return 1
 	}
 	return 0
+}
+
+func compareStackSamples(a, b *StackSample) int { return compareStacks(a.PCs, b.PCs) }
+
+// stacksSorted is arcsSorted for a stack table.
+func stacksSorted(stacks []StackSample) bool {
+	for i := 1; i < len(stacks); i++ {
+		if compareStackSamples(&stacks[i], &stacks[i-1]) < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // SortStacks orders stack samples lexicographically by PC sequence for
@@ -239,24 +279,19 @@ func (p *Profile) SumStacks() int64 {
 	return n
 }
 
-// stackKey maps a PC sequence to a comparable map key without
-// allocating beyond the string itself: the raw little-endian bytes of
-// the sequence.
-func stackKey(pcs []int64) string {
-	b := make([]byte, 8*len(pcs))
-	for i, pc := range pcs {
-		v := uint64(pc)
-		for j := 0; j < 8; j++ {
-			b[i*8+j] = byte(v >> (8 * j))
-		}
-	}
-	return string(b)
-}
-
 // Merge accumulates other into p: histogram bucket counts and arc counts
 // add element-wise. Profiles are mergeable only when their histogram
 // geometry and clock rate agree, the same restriction real gprof places
 // on summed gmon.out files.
+//
+// The arc and stack tables fold as one linear walk over both sides in
+// canonical order. p is sorted in place if it is not already (it is
+// owned); an unsorted other is folded from a sorted copy, so other is
+// never modified. Duplicate keys follow one fixed rule: a run of equal
+// keys in p keeps its entries in order and every entry of other with
+// that key adds into the run's last entry; a run in other whose key p
+// lacks collapses into one entry. When other brings no key p lacks,
+// counts add in place and Merge allocates nothing.
 func (p *Profile) Merge(other *Profile) error {
 	if err := p.checkMergeable(other); err != nil {
 		return err
@@ -264,44 +299,86 @@ func (p *Profile) Merge(other *Profile) error {
 	for i, c := range other.Hist.Counts {
 		p.Hist.Counts[i] += c
 	}
-	type key struct{ from, self int64 }
-	idx := make(map[key]int, len(p.Arcs))
-	for i, a := range p.Arcs {
-		idx[key{a.FromPC, a.SelfPC}] = i
+	if !arcsSorted(p.Arcs) {
+		sortArcs(p.Arcs)
 	}
-	for _, a := range other.Arcs {
-		if i, ok := idx[key{a.FromPC, a.SelfPC}]; ok {
-			p.Arcs[i].Count += a.Count
-		} else {
-			idx[key{a.FromPC, a.SelfPC}] = len(p.Arcs)
-			p.Arcs = append(p.Arcs, a)
-		}
+	arcs := other.Arcs
+	if !arcsSorted(arcs) {
+		arcs = append([]Arc(nil), arcs...)
+		sortArcs(arcs)
 	}
-	p.SortArcs()
+	p.Arcs = foldSorted(p.Arcs, arcs, compareArcs, func(into, from *Arc) { into.Count += from.Count })
 	if len(other.Stacks) > 0 {
-		// Stack-table-aware fold: identical PC sequences sum their
-		// counts, new sequences append. PC slices are never mutated
-		// after construction, so the merged table may alias other's.
-		sidx := make(map[string]int, len(p.Stacks))
-		for i := range p.Stacks {
-			sidx[stackKey(p.Stacks[i].PCs)] = i
+		// PC slices are never mutated after construction, so the
+		// merged table may alias other's.
+		if !stacksSorted(p.Stacks) {
+			p.SortStacks()
 		}
-		for _, s := range other.Stacks {
-			if i, ok := sidx[stackKey(s.PCs)]; ok {
-				p.Stacks[i].Count += s.Count
-			} else {
-				sidx[stackKey(s.PCs)] = len(p.Stacks)
-				p.Stacks = append(p.Stacks, s)
-			}
+		stacks := other.Stacks
+		if !stacksSorted(stacks) {
+			stacks = append([]StackSample(nil), stacks...)
+			SortStacks(stacks)
 		}
-		p.SortStacks()
+		p.Stacks = foldSorted(p.Stacks, stacks, compareStackSamples,
+			func(into, from *StackSample) { into.Count += from.Count })
 	}
 	return nil
 }
 
+// foldSorted folds src into dst, both in cmp order with equal keys
+// allowed, under Merge's duplicate rule, and returns the result. A
+// first walk counts the src keys dst lacks. With none, counts add into
+// dst in place and dst is returned; otherwise one slice of exactly the
+// merged length receives a second walk, and dst is left unmodified.
+func foldSorted[T any](dst, src []T, cmp func(a, b *T) int, add func(into, from *T)) []T {
+	fresh := 0
+	i := 0
+	for j := range src {
+		c := 1 // dst[i] vs src[j]; stays positive when dst is empty
+		for i < len(dst) {
+			if c = cmp(&dst[i], &src[j]); c >= 0 {
+				break
+			}
+			i++
+		}
+		// A src run whose key dst lacks counts once, at its head.
+		if c != 0 && (j == 0 || cmp(&src[j-1], &src[j]) != 0) {
+			fresh++
+		}
+	}
+	if fresh == 0 {
+		// Every src key is in dst, so dst[0] <= src[0] and the last dst
+		// entry <= src[j] is the last of src[j]'s run.
+		i = 0
+		for j := range src {
+			for i+1 < len(dst) && cmp(&dst[i+1], &src[j]) <= 0 {
+				i++
+			}
+			add(&dst[i], &src[j])
+		}
+		return dst
+	}
+	out := make([]T, 0, len(dst)+fresh)
+	i = 0
+	for j := range src {
+		for i < len(dst) && cmp(&dst[i], &src[j]) <= 0 {
+			out = append(out, dst[i])
+			i++
+		}
+		// out's last entry, if it has src[j]'s key, is the last of dst's
+		// run or the entry an earlier src duplicate opened.
+		if n := len(out); n > 0 && cmp(&out[n-1], &src[j]) == 0 {
+			add(&out[n-1], &src[j])
+		} else {
+			out = append(out, src[j])
+		}
+	}
+	return append(out, dst[i:]...)
+}
+
 // Clone returns a deep copy of p. Stack PC sequences are shared, not
 // copied: they are immutable after construction (Merge only ever sums
-// counts or appends whole entries), so aliasing them is safe and keeps
+// counts or copies whole entries), so aliasing them is safe and keeps
 // the copy-on-write snapshot path cheap.
 func (p *Profile) Clone() *Profile {
 	q := &Profile{Hist: p.Hist, Hz: p.Hz}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 
 	"repro/internal/binio"
 )
@@ -342,21 +341,14 @@ func WriteVersion(w io.Writer, p *Profile, version int) error {
 		return fmt.Errorf("gmon: refusing to write invalid profile: %w", err)
 	}
 	arcs := p.Arcs
-	if version >= Version2 && !sort.SliceIsSorted(arcs, func(i, j int) bool {
-		if arcs[i].FromPC != arcs[j].FromPC {
-			return arcs[i].FromPC < arcs[j].FromPC
-		}
-		return arcs[i].SelfPC < arcs[j].SelfPC
-	}) {
+	if version >= Version2 && !arcsSorted(arcs) {
 		arcs = append([]Arc(nil), arcs...)
 		sortArcs(arcs)
 	}
 	var stacks []StackSample
 	if version >= Version3 {
 		stacks = p.Stacks
-		if !sort.SliceIsSorted(stacks, func(i, j int) bool {
-			return compareStacks(stacks[i].PCs, stacks[j].PCs) < 0
-		}) {
+		if !stacksSorted(stacks) {
 			stacks = append([]StackSample(nil), stacks...)
 			SortStacks(stacks)
 		}
@@ -456,6 +448,9 @@ func newReaderBR(br *binio.Reader) (*Reader, error) {
 	}
 	if nstack > maxRecords {
 		return fail(fmt.Errorf("gmon: implausible stack count %d", nstack))
+	}
+	if h.Hz < 0 {
+		return fail(fmt.Errorf("gmon: negative clock rate %d", h.Hz))
 	}
 	if h.Step <= 0 {
 		return fail(fmt.Errorf("gmon: histogram step %d (want > 0)", h.Step))
@@ -806,7 +801,12 @@ func ReadStats(r io.Reader) (*Profile, FileStats, error) {
 
 func decodeInto(d *Reader, p *Profile) (FileStats, error) {
 	h := d.Header()
+	// Zero means DefaultHz (Profile.Hz); decoding it as such keeps a
+	// decoded profile equal to its re-encoding, which writes ClockHz.
 	p.Hz = h.Hz
+	if p.Hz == 0 {
+		p.Hz = DefaultHz
+	}
 	p.Hist.Low, p.Hist.High, p.Hist.Step = h.Low, h.High, h.Step
 	counts, err := d.ReadCounts(p.Hist.Counts)
 	if err != nil {

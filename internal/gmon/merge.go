@@ -1,9 +1,11 @@
 // Parallel fan-in merge: the paper's "sum several runs" feature (§3)
 // scaled to many gmon.out files. Profiles merge tree-wise across a
 // worker pool; because bucket and arc counts combine by integer
-// addition (commutative and associative) and Merge canonicalizes arc
-// order, the result is bit-for-bit identical to a sequential
-// left-to-right merge no matter how the tree is shaped or scheduled.
+// addition (commutative and associative), Merge canonicalizes arc
+// order, and its duplicate-key rule keeps the runs of the leftmost
+// input that has a key, the result is bit-for-bit identical to a
+// sequential left-to-right merge no matter how the tree is shaped or
+// scheduled.
 package gmon
 
 import (

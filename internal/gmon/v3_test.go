@@ -3,6 +3,7 @@ package gmon
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -82,10 +83,10 @@ func TestV3RoundTripProperty(t *testing.T) {
 			for i := range pcs {
 				pcs[i] = int64(rng.Intn(1 << 16))
 			}
-			if seen[stackKey(pcs)] {
+			if seen[fmt.Sprint(pcs)] {
 				continue
 			}
-			seen[stackKey(pcs)] = true
+			seen[fmt.Sprint(pcs)] = true
 			p.Stacks = append(p.Stacks, StackSample{PCs: pcs, Count: 1 + int64(rng.Intn(1000))})
 		}
 		p.SortStacks()

@@ -240,6 +240,9 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	if after := encodeGmon(t, snap); !bytes.Equal(before, after) {
 		t.Error("fold mutated a snapshot shared with a cached query")
 	}
+	if _, ok := sh.snaps.Get(key); ok {
+		t.Error("snapshot cache still holds the entry of the version the fold retired")
+	}
 	snap2, _, key2 := sh.snapshot(windowSel{kind: selAll}, s.cfg.Now())
 	if key2 == key {
 		t.Error("fold did not change the snapshot key")

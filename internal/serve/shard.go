@@ -147,9 +147,13 @@ func (s *shard) merge(it ingestItem) {
 	if w.shared {
 		// Copy-on-write: a cached snapshot still references prof, so the
 		// fold works on a private copy and the snapshot stays frozen at
-		// the version its cache key names.
+		// the version its cache key names. This fold retires that
+		// version, so no lookup can hit the snapshot's cache entry
+		// again: drop it rather than let it pin a whole profile until
+		// the LRU evicts it. Callers holding the snapshot keep it.
 		w.prof = w.prof.Clone()
 		w.shared = false
+		s.snaps.Remove(windowKey(it.windowStart, w.version))
 		s.tr.Counter("serve.snapshot_cow_clones").Add(1)
 	}
 	if err := w.prof.Merge(it.profile); err != nil {
@@ -335,7 +339,7 @@ func (s *shard) snapshot(sel windowSel, now time.Time) (*gmon.Profile, int, stri
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(&key, "%d:%d|", start, w.version)
+		key.WriteString(windowKey(start, w.version))
 		included = append(included, w)
 	}
 	n := len(included)
@@ -365,6 +369,12 @@ func (s *shard) snapshot(sel windowSel, now time.Time) (*gmon.Profile, int, stri
 	}
 	total = s.snaps.Add(key.String(), total).(*gmon.Profile)
 	return total, n, key.String()
+}
+
+// windowKey is one window's part of a snapshot cache key; a
+// single-window selection's key is exactly this.
+func windowKey(start, version int64) string {
+	return fmt.Sprintf("%d:%d|", start, version)
 }
 
 // windowStarts lists the retained window starts, ascending.
