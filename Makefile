@@ -3,11 +3,12 @@
 check:
 	go build ./... && go test ./...
 
-# Tier-1.5: static analysis plus the race detector over the parallel
-# pipeline stages (profile merging, histogram attribution, propagation,
-# the shared static-layer cache).
+# Tier-1.5: formatting, static analysis, and the race detector over the
+# parallel stages (profile merging, rendering the listing, the shared
+# static-layer cache). Any file gofmt would rewrite fails the target.
 .PHONY: race
 race:
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	go vet ./... && go test -race ./...
 
 .PHONY: bench

@@ -689,44 +689,6 @@ func BenchmarkMergeParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAttributeParallel measures the sharded histogram-sample
-// attribution against the serial scan.
-func BenchmarkAttributeParallel(b *testing.B) {
-	const nsyms = 2000
-	syms := make([]object.Sym, nsyms)
-	for i := range syms {
-		syms[i] = object.Sym{Name: fmt.Sprintf("f%d", i), Addr: int64(i * 64), Size: 64}
-	}
-	tab := symtab.FromSyms(syms)
-	h := &gmon.Histogram{Low: 0, High: nsyms * 64, Step: 1, Counts: make([]uint32, nsyms*64)}
-	for i := range h.Counts {
-		h.Counts[i] = uint32(i % 7)
-	}
-	for _, jobs := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tab.AttributeHistN(h, jobs)
-			}
-		})
-	}
-}
-
-// BenchmarkPropagateParallel measures the level-scheduled propagation
-// against the serial topological traversal.
-func BenchmarkPropagateParallel(b *testing.B) {
-	g := randomGraph(10000, 3, 43)
-	scc.Analyze(g)
-	for _, jobs := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := propagate.RunCtx(context.Background(), g, jobs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAnalyzeCached measures repeated analyses of one executable
 // with and without the static-layer cache (the kprof extract-repeatedly
 // pattern).

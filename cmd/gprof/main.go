@@ -8,12 +8,12 @@
 //	gprof [flags] [a.out [gmon.out ...]]
 //
 // Multiple profile data files are summed, the paper's "profile of many
-// executions"; -jobs merges them tree-wise across a worker pool and
-// parallelizes the analysis stages (-jobs 1 runs the serial pipeline,
-// byte-identical to the historic output). Flags expose the
-// retrospective's later features: -k removes arcs, -C runs the bounded
-// cycle-breaking heuristic, -s merges the static call graph scanned
-// from the executable, -m and -focus filter the output.
+// executions"; -jobs sets the worker-pool width of the tree-wise merge
+// and of the listing's render. The analysis stages between them are
+// serial, and the output is byte-identical at every width. Flags
+// expose the retrospective's later features: -k removes arcs, -C runs
+// the bounded cycle-breaking heuristic, -s merges the static call
+// graph scanned from the executable, -m and -focus filter the output.
 //
 // The profile data this tool consumes is gathered by the fast-path
 // execution engine (internal/vm's deadline-batched loop feeding
@@ -82,7 +82,7 @@ func main() {
 		exclude   = flag.String("E", "", "comma-separated routines to suppress from the listings")
 		brief     = flag.Bool("brief", false, "omit explanatory headers")
 		jobs      = flag.Int("jobs", runtime.GOMAXPROCS(0),
-			"worker-pool width for profile merging, attribution, propagation, and rendering (1 = serial)")
+			"worker-pool width for profile merging and rendering (1 = serial)")
 		sumFile = flag.String("sum", "", "write the merged profile data to this file and exit")
 		format  = flag.Int("format", gmon.Version1, "profile data format version for -sum (1, 2, or 3)")
 	)

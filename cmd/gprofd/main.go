@@ -62,7 +62,7 @@ func main() {
 		queue   = flag.Int("queue", serve.DefaultQueueDepth, "per-fingerprint ingest queue depth")
 		maxBody = flag.Int64("maxbody", serve.DefaultMaxBodyBytes, "upload body size cap in bytes")
 		shards  = flag.Int("maxshards", serve.DefaultMaxShards, "maximum registered fingerprints")
-		jobs    = flag.Int("jobs", 0, "analysis worker width for queries (0 = GOMAXPROCS)")
+		jobs    = flag.Int("jobs", 0, "render worker width for queries (0 = GOMAXPROCS)")
 		qcache  = flag.Int("querycache", serve.DefaultQueryCache, "memoized-analysis LRU entries (finished core.Run results and rendered bodies)")
 		pprofA  = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060; empty = off)")
 		selfP   = flag.Duration("selfprofile", 0, "capture gprofd's own CPU profile this often and serve it at /v1/self (0 = on demand only)")

@@ -246,8 +246,8 @@ func main() { return leaf(); }`
 	}
 }
 
-// TestConcurrentAnalyses drives the parallel pipeline stages — profile
-// merging, histogram attribution, propagation — from several goroutines
+// TestConcurrentAnalyses drives the pipeline — profile merging, the
+// analysis stages and rendering — from several goroutines
 // sharing one cache, so `go test -race` sweeps the new concurrency for
 // unsynchronized access.
 func TestConcurrentAnalyses(t *testing.T) {

@@ -421,10 +421,11 @@ func Build(tab *symtab.Table, p *gmon.Profile) (*Graph, error) {
 	return BuildCtx(context.Background(), tab, p, 1)
 }
 
-// BuildCtx is Build with cancellation and a worker-pool width for the
-// histogram attribution (see symtab.AttributeHistN); jobs <= 1 is the
-// serial Build. Arc insertion stays sequential — it is order-sensitive
-// — so the graph structure is identical at any width.
+// BuildCtx is Build with cancellation. jobs is unused: histogram
+// attribution is one address-order scan and arc insertion is
+// order-sensitive, so both run serially and the graph is identical at
+// any width. The parameter stays for callers that pass one width to
+// every stage.
 //
 // The construction is index-based end to end: nodes are added in
 // symbol-table order (so Node.ID equals the symbol index), histogram
@@ -446,7 +447,7 @@ func BuildCtx(ctx context.Context, tab *symtab.Table, p *gmon.Profile, jobs int)
 	byIndex := g.Len() == tab.Len() // false only on duplicate routine names
 	endAttr := tr.Span("attribute")
 	if byIndex {
-		ticks, lost := tab.AttributeHistIdxN(&p.Hist, jobs)
+		ticks, lost := tab.AttributeHistIdx(&p.Hist)
 		for i, t := range ticks {
 			if t != 0 {
 				g.order[i].SelfTicks = t
@@ -454,7 +455,7 @@ func BuildCtx(ctx context.Context, tab *symtab.Table, p *gmon.Profile, jobs int)
 		}
 		g.LostTicks = lost
 	} else {
-		ticks, lost := tab.AttributeHistN(&p.Hist, jobs)
+		ticks, lost := tab.AttributeHist(&p.Hist)
 		for name, t := range ticks {
 			g.MustNode(name).SelfTicks = t
 		}

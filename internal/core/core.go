@@ -21,8 +21,8 @@
 // ImageSource for executables of the simulated machine, or a
 // TableSource when the symbols come from elsewhere (e.g. the Go-native
 // collector in package profgo, which is how gprof profiles itself).
-// Options.Jobs spreads the merge-heavy stages (histogram attribution,
-// propagation) across a worker pool, and Options.Cache reuses the
+// Options.Jobs sets the worker-pool width for rendering the listing
+// (the analysis stages are serial), and Options.Cache reuses the
 // symbol table and static call graph across analyses of the same
 // executable. Run is the only analysis entry point; the deprecated
 // Analyze/AnalyzeTable wrappers are gone.
@@ -69,11 +69,12 @@ type Options struct {
 	// MaxBreakArcs bounds AutoBreak; 0 means cyclebreak's default.
 	// Setting it without AutoBreak is rejected by Validate.
 	MaxBreakArcs int
-	// Jobs is the worker-pool width for the parallel pipeline stages
-	// (histogram attribution, time propagation, rendering the listing).
-	// Zero or one runs the serial pipeline, whose output is
-	// byte-identical to the historic one; CLIs default their -jobs flag
-	// to GOMAXPROCS. It overrides Report.Jobs.
+	// Jobs is the worker-pool width for rendering the listing, the one
+	// stage of Run that runs in parallel; attribution, SCC and
+	// propagation are serial at every width. The output is
+	// byte-identical at any value. CLIs default their -jobs flag to
+	// GOMAXPROCS and pass the same width to LoadProfiles for the merge.
+	// It overrides Report.Jobs.
 	Jobs int
 	// Cache, when non-nil, memoizes the symbol table and static call
 	// graph per image content hash so repeated analyses of the same

@@ -17,7 +17,7 @@
 // propagate.RunCtx, callgraph.BuildCtx — need no signature changes.
 //
 // Spans are meant for coarse units of work (a pipeline stage, a file
-// read, a propagation level), not per-instruction events: starting an
+// read, a served request), not per-instruction events: starting an
 // enabled span resolves the goroutine id from the runtime, which costs
 // on the order of a microsecond. Counters are the hot-path instrument:
 // an *obs.Counter is a single atomic; hoist the registry lookup out of
@@ -42,8 +42,8 @@ type Event struct {
 }
 
 // shard is one lock-striped event buffer. Goroutines map onto shards by
-// id, sized to the number of Ps, so concurrent stages (merge workers,
-// propagation levels) append without contending on one lock.
+// id, sized to the number of Ps, so concurrent work (merge workers,
+// gprofd requests) appends without contending on one lock.
 type shard struct {
 	mu     sync.Mutex
 	events []Event
@@ -223,7 +223,7 @@ func (t *Trace) Counter(name string) *Counter {
 }
 
 // Gauge is a named last-value-wins measurement (e.g. "merge.workers",
-// "propagate.levels"). A nil *Gauge is a no-op.
+// "render.workers"). A nil *Gauge is a no-op.
 type Gauge struct {
 	name string
 	v    atomic.Int64

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -385,7 +384,7 @@ func TestRecurrenceEquation(t *testing.T) {
 }
 
 // randomCyclicGraph builds a graph with enough arcs that cycles and
-// shared callees appear, for cross-checking schedules.
+// shared callees appear.
 func randomCyclicGraph(n int, degree float64, seed int64) *callgraph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	g := callgraph.New()
@@ -402,90 +401,6 @@ func randomCyclicGraph(n int, degree float64, seed int64) *callgraph.Graph {
 		}
 	}
 	return g
-}
-
-// TestRunCtxMatchesSerial: the level-parallel schedule computes the
-// same ChildTicks and per-arc shares as the serial traversal, at every
-// worker count, on graphs with cycles, spontaneous arcs, and statics.
-func TestRunCtxMatchesSerial(t *testing.T) {
-	// RunCtx clamps jobs to GOMAXPROCS; raise it so the scheduled
-	// path (and its worker dispatch) is exercised even on a 1-CPU CI
-	// host. GOMAXPROCS may legally exceed the CPU count.
-	if runtime.GOMAXPROCS(0) < 4 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	}
-	for seed := int64(0); seed < 6; seed++ {
-		g := randomCyclicGraph(60, 2.5, 100+seed)
-		g.AddArc("", "f0", 3) // spontaneous
-		st := g.AddArc("f1", "f2", 0)
-		st.Static = true
-		scc.Analyze(g)
-		Run(g)
-		type snap struct{ child, cycleChild float64 }
-		want := map[string]snap{}
-		for _, n := range g.Nodes() {
-			s := snap{child: n.ChildTicks}
-			if n.Cycle != nil {
-				s.cycleChild = n.Cycle.ChildTicks
-			}
-			want[n.Name] = s
-		}
-		wantArcs := map[string][2]float64{}
-		for _, a := range g.Arcs() {
-			wantArcs[a.String()] = [2]float64{a.PropSelf, a.PropChild}
-		}
-		for _, jobs := range []int{2, 4, 16} {
-			if err := RunCtx(context.Background(), g, jobs); err != nil {
-				t.Fatalf("seed=%d jobs=%d: %v", seed, jobs, err)
-			}
-			for _, n := range g.Nodes() {
-				w := want[n.Name]
-				if math.Abs(n.ChildTicks-w.child) > 1e-6 {
-					t.Errorf("seed=%d jobs=%d: %s child = %v, want %v", seed, jobs, n.Name, n.ChildTicks, w.child)
-				}
-				if n.Cycle != nil && math.Abs(n.Cycle.ChildTicks-w.cycleChild) > 1e-6 {
-					t.Errorf("seed=%d jobs=%d: cycle of %s child = %v, want %v",
-						seed, jobs, n.Name, n.Cycle.ChildTicks, w.cycleChild)
-				}
-			}
-			for _, a := range g.Arcs() {
-				w := wantArcs[a.String()]
-				if math.Abs(a.PropSelf-w[0]) > 1e-6 || math.Abs(a.PropChild-w[1]) > 1e-6 {
-					t.Errorf("seed=%d jobs=%d: arc %s prop = %v/%v, want %v/%v",
-						seed, jobs, a, a.PropSelf, a.PropChild, w[0], w[1])
-				}
-			}
-			if got := CheckConservation(g); got > 1e-6 {
-				t.Errorf("seed=%d jobs=%d: conservation error %v", seed, jobs, got)
-			}
-		}
-	}
-}
-
-// TestRunCtxDeterministic: two parallel runs at the same width are
-// bit-identical — the schedule, not goroutine timing, decides the
-// floating-point accumulation order.
-func TestRunCtxDeterministic(t *testing.T) {
-	g := randomCyclicGraph(200, 3, 77)
-	scc.Analyze(g)
-	if err := RunCtx(context.Background(), g, 8); err != nil {
-		t.Fatal(err)
-	}
-	first := map[string]float64{}
-	for _, n := range g.Nodes() {
-		first[n.Name] = n.ChildTicks
-	}
-	for trial := 0; trial < 5; trial++ {
-		if err := RunCtx(context.Background(), g, 8); err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range g.Nodes() {
-			if n.ChildTicks != first[n.Name] {
-				t.Fatalf("trial %d: %s child %v != first run %v (nondeterministic schedule)",
-					trial, n.Name, n.ChildTicks, first[n.Name])
-			}
-		}
-	}
 }
 
 func TestRunCtxCancellation(t *testing.T) {

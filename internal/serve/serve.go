@@ -74,7 +74,8 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxShards bounds the number of registered fingerprints.
 	MaxShards int
-	// Jobs is the analysis worker width queries pass to core.Run.
+	// Jobs is the worker width queries pass to core.Run, which uses it
+	// to render the listing.
 	// Zero means GOMAXPROCS.
 	Jobs int
 	// QueryCache bounds the analysis-memoization LRU: finished

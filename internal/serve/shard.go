@@ -54,15 +54,15 @@ const snapCacheEntries = 8
 // are shared read-only with callers; copy-on-write in merge keeps a
 // concurrent fold from ever mutating one.
 type shard struct {
-	fp     string
-	im     *object.Image
-	window int64 // window width, seconds
-	retain int
-	queue  chan ingestItem
-	done   chan struct{}
-	tr     *obs.Trace
-	depth  *obs.Gauge          // high-water queue depth
-	snaps  *core.LRU           // resolved selection -> *gmon.Profile (read-only)
+	fp       string
+	im       *object.Image
+	window   int64 // window width, seconds
+	retain   int
+	queue    chan ingestItem
+	done     chan struct{}
+	tr       *obs.Trace
+	depth    *obs.Gauge          // high-water queue depth
+	snaps    *core.LRU           // resolved selection -> *gmon.Profile (read-only)
 	rec      *obs.FlightRecorder // fold spans for /debug/flightrec (nil-safe)
 	foldName string              // precomputed flight-span label
 	// /metrics histograms, shared across shards (nil when the shard is
@@ -85,15 +85,15 @@ type shard struct {
 
 func newShard(fp string, im *object.Image, cfg Config, tr *obs.Trace, m *serverMetrics, rec *obs.FlightRecorder) *shard {
 	s := &shard{
-		fp:      fp,
-		im:      im,
-		window:  int64(cfg.Window / time.Second),
-		retain:  cfg.Retain,
-		queue:   make(chan ingestItem, cfg.QueueDepth),
-		done:    make(chan struct{}),
-		tr:      tr,
-		depth:   tr.Gauge("serve.queue_high_water"),
-		snaps:   core.NewLRU(snapCacheEntries),
+		fp:       fp,
+		im:       im,
+		window:   int64(cfg.Window / time.Second),
+		retain:   cfg.Retain,
+		queue:    make(chan ingestItem, cfg.QueueDepth),
+		done:     make(chan struct{}),
+		tr:       tr,
+		depth:    tr.Gauge("serve.queue_high_water"),
+		snaps:    core.NewLRU(snapCacheEntries),
 		rec:      rec,
 		foldName: "fold " + fp,
 		windows:  make(map[int64]*window),

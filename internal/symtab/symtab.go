@@ -11,7 +11,6 @@ package symtab
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/gmon"
 	"repro/internal/object"
@@ -104,16 +103,11 @@ type SelfTicks map[string]float64
 // AttributeHist distributes the histogram's ticks across routines.
 // It returns the per-routine tick totals and the number of ticks that
 // fell outside every known routine (charged to no one, reported so the
-// flat profile can still sum to the total run time via the caller).
+// flat profile can still sum to the total run time via the caller). It
+// is the name-keyed projection of AttributeHistIdx: when two routines
+// share a name their ticks merge under it.
 func (t *Table) AttributeHist(h *gmon.Histogram) (SelfTicks, float64) {
-	return t.AttributeHistN(h, 1)
-}
-
-// AttributeHistN is AttributeHist across a worker pool; jobs <= 1 is
-// serial. It is the name-keyed projection of AttributeHistIdxN: when
-// two routines share a name their ticks merge under it.
-func (t *Table) AttributeHistN(h *gmon.Histogram, jobs int) (SelfTicks, float64) {
-	ticks, lost := t.AttributeHistIdxN(h, jobs)
+	ticks, lost := t.AttributeHistIdx(h)
 	out := make(SelfTicks, len(t.funcs))
 	for i, v := range ticks {
 		if v != 0 {
@@ -123,80 +117,15 @@ func (t *Table) AttributeHistN(h *gmon.Histogram, jobs int) (SelfTicks, float64)
 	return out, lost
 }
 
-// AttributeHistIdxN distributes the histogram's ticks across routines
+// AttributeHistIdx distributes the histogram's ticks across routines
 // into a slice indexed by table position (see FindIndex) — no map
 // operations on the hot path, so million-bucket histograms attribute
-// at memory speed. The bucket range is sharded into jobs contiguous
-// slices attributed concurrently, and the partial per-routine totals
-// reduce in shard order. jobs <= 1 is the serial scan. The result is
-// deterministic for a fixed jobs; shard-boundary reassociation may
-// differ from the serial sum by floating-point rounding only (exact
-// whenever bucket splits are exact, e.g. at one-to-one granularity or
-// routine-aligned buckets).
-func (t *Table) AttributeHistIdxN(h *gmon.Histogram, jobs int) ([]float64, float64) {
-	nb := len(h.Counts)
-	if jobs > nb {
-		jobs = nb
-	}
+// at memory speed. Buckets are scanned in address order, so every
+// routine's total is the same floating-point sum on every run.
+func (t *Table) AttributeHistIdx(h *gmon.Histogram) ([]float64, float64) {
 	out := make([]float64, len(t.funcs))
-	if jobs <= 1 {
-		return out, t.attributeBuckets(h, 0, nb, out, 0)
-	}
-	// Each shard's buckets span a contiguous PC range, so only a
-	// contiguous window of routines can receive its ticks: the partial
-	// is sized to that window, keeping total scratch ~len(funcs) across
-	// all shards instead of jobs*len(funcs). The dropped entries were
-	// exact zeros, so the shard-order reduction below computes the same
-	// floating-point sums as full-length partials would.
-	type part struct {
-		base int
-		vals []float64
-		lost float64
-	}
-	parts := make([]part, jobs)
-	per := (nb + jobs - 1) / jobs
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > nb {
-			hi = nb
-		}
-		wg.Add(1)
-		go func(p *part, lo, hi int) {
-			defer wg.Done()
-			wLo, _ := h.BucketRange(lo)
-			_, wHi := h.BucketRange(hi - 1)
-			jLo := sort.Search(len(t.funcs), func(k int) bool { return t.funcs[k].End() > wLo })
-			jHi := sort.Search(len(t.funcs), func(k int) bool { return t.funcs[k].Addr >= wHi })
-			if jHi < jLo {
-				jHi = jLo
-			}
-			p.base = jLo
-			p.vals = make([]float64, jHi-jLo)
-			p.lost = t.attributeBuckets(h, lo, hi, p.vals, jLo)
-		}(&parts[w], lo, hi)
-	}
-	wg.Wait()
 	var lost float64
-	for w := range parts {
-		p := &parts[w]
-		for i, v := range p.vals {
-			if v != 0 {
-				out[p.base+i] += v
-			}
-		}
-		lost += p.lost
-	}
-	return out, lost
-}
-
-// attributeBuckets attributes the buckets in [from, to) into out, whose
-// element 0 corresponds to table index base; out must cover every
-// routine the bucket range overlaps. It returns the lost ticks.
-func (t *Table) attributeBuckets(h *gmon.Histogram, from, to int, out []float64, base int) float64 {
-	var lost float64
-	for i := from; i < to; i++ {
-		n := h.Counts[i]
+	for i, n := range h.Counts {
 		if n == 0 {
 			continue
 		}
@@ -216,14 +145,14 @@ func (t *Table) attributeBuckets(h *gmon.Histogram, from, to int, out []float64,
 				continue
 			}
 			frac := float64(ohi-olo) / width
-			out[j-base] += float64(n) * frac
+			out[j] += float64(n) * frac
 			covered += frac
 		}
 		if covered < 1 {
 			lost += float64(n) * (1 - covered)
 		}
 	}
-	return lost
+	return out, lost
 }
 
 // Total sums all attributed ticks.

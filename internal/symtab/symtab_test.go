@@ -1,7 +1,6 @@
 package symtab
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -150,42 +149,5 @@ func TestAttributeEmptyHistogram(t *testing.T) {
 	ticks, lost := tb.AttributeHist(h)
 	if len(ticks) != 0 || lost != 0 {
 		t.Errorf("empty histogram attributed: %v, %v", ticks, lost)
-	}
-}
-
-// TestAttributeHistNMatchesSerial: sharded attribution reduces to the
-// serial result for every worker count, including shards that split a
-// routine's buckets and proportional boundary-straddling buckets.
-func TestAttributeHistNMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	var syms []object.Sym
-	addr := int64(0)
-	for i := 0; i < 40; i++ {
-		size := int64(rng.Intn(17) + 3)
-		syms = append(syms, object.Sym{Name: fmt.Sprintf("f%d", i), Addr: addr, Size: size})
-		addr += size + int64(rng.Intn(3)) // occasional gaps: lost ticks
-	}
-	tab := FromSyms(syms)
-	for _, step := range []int64{1, 4, 16} {
-		h := &gmon.Histogram{Low: 0, High: addr, Step: step}
-		h.Counts = make([]uint32, h.NumBuckets())
-		for i := range h.Counts {
-			h.Counts[i] = uint32(rng.Intn(30))
-		}
-		want, wantLost := tab.AttributeHist(h)
-		for _, jobs := range []int{1, 2, 3, 8, 1000} {
-			got, gotLost := tab.AttributeHistN(h, jobs)
-			if len(got) != len(want) {
-				t.Fatalf("step=%d jobs=%d: %d routines attributed, want %d", step, jobs, len(got), len(want))
-			}
-			for name, v := range want {
-				if d := v - got[name]; d > 1e-9 || d < -1e-9 {
-					t.Errorf("step=%d jobs=%d: %s = %v, want %v", step, jobs, name, got[name], v)
-				}
-			}
-			if d := gotLost - wantLost; d > 1e-9 || d < -1e-9 {
-				t.Errorf("step=%d jobs=%d: lost = %v, want %v", step, jobs, gotLost, wantLost)
-			}
-		}
 	}
 }

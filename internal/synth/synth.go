@@ -36,16 +36,16 @@ type Config struct {
 	Nodes int    // total routine count (>= 1)
 	Seed  uint64 // generator seed; (Config) ⇒ output, bit for bit
 
-	Layers     int   // layered-DAG depth
-	Chains     int   // deep linear call chains (recursion-like towers)
-	ChainDepth int   // routines per chain
-	CycleCount int   // dense multi-member cycles
-	CycleSize  int   // members per cycle
-	Hubs       int   // function-pointer-style fan-out callers
-	FanOut     int   // callees per hub, all from one call site
-	ExtraArcs  int   // random forward cross arcs on top of the skeleton
+	Layers       int   // layered-DAG depth
+	Chains       int   // deep linear call chains (recursion-like towers)
+	ChainDepth   int   // routines per chain
+	CycleCount   int   // dense multi-member cycles
+	CycleSize    int   // members per cycle
+	Hubs         int   // function-pointer-style fan-out callers
+	FanOut       int   // callees per hub, all from one call site
+	ExtraArcs    int   // random forward cross arcs on top of the skeleton
 	RoutineWords int64 // text words per routine (and histogram step)
-	Hz         int64 // profile clock rate
+	Hz           int64 // profile clock rate
 }
 
 // TextBase is where synthetic text begins; routine i occupies

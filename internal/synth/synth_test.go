@@ -71,33 +71,48 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJobsInvariance is the parallel pipeline's exactness contract at
-// scale: the fully analyzed model must encode to byte-identical JSON
-// whatever the worker width, cycles and recursion included.
+// TestJobsInvariance is the pipeline's exactness contract at scale: the
+// fully analyzed model must encode to byte-identical JSON whatever the
+// worker width, cycles and recursion included. The coarse leg rebuckets
+// the histogram at three words per bucket, so buckets straddle routine
+// boundaries and their ticks split fractionally: any width-dependent
+// summation order in attribution shows up as a rounding difference.
 func TestJobsInvariance(t *testing.T) {
-	// The pipeline clamps worker pools to GOMAXPROCS; raise it so the
-	// parallel paths really run even on a 1-CPU host.
+	// Worker pools clamp to GOMAXPROCS; raise it so a width-dependent
+	// path would really run even on a 1-CPU host.
 	if runtime.GOMAXPROCS(0) < 4 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	}
 	w := Generate(Tier(20000, 5))
+	coarse := *w.Prof
+	coarse.Hist = gmon.Histogram{Low: w.Prof.Hist.Low, High: w.Prof.Hist.High, Step: 3}
+	coarse.Hist.Counts = make([]uint32, coarse.Hist.NumBuckets())
+	r := rng(5)
+	for i := range coarse.Hist.Counts {
+		coarse.Hist.Counts[i] = uint32(r.intn(50))
+	}
 	src := core.TableSource{Table: w.Table()}
-	var want []byte
-	for _, jobs := range []int{1, 4, 13} {
-		res, err := core.Run(context.Background(), src, w.Prof, core.Options{Jobs: jobs})
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		var buf bytes.Buffer
-		if err := model.Encode(&buf, res.Model); err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(want, buf.Bytes()) {
-			t.Fatalf("jobs=%d model JSON differs from jobs=1", jobs)
+	for _, leg := range []struct {
+		name string
+		prof *gmon.Profile
+	}{{"step1", w.Prof}, {"step3", &coarse}} {
+		var want []byte
+		for _, jobs := range []int{1, 4, 8, 13} {
+			res, err := core.Run(context.Background(), src, leg.prof, core.Options{Jobs: jobs})
+			if err != nil {
+				t.Fatalf("%s jobs=%d: %v", leg.name, jobs, err)
+			}
+			var buf bytes.Buffer
+			if err := model.Encode(&buf, res.Model); err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = buf.Bytes()
+				continue
+			}
+			if !bytes.Equal(want, buf.Bytes()) {
+				t.Errorf("%s: jobs=%d model JSON differs from jobs=1", leg.name, jobs)
+			}
 		}
 	}
 }
