@@ -74,13 +74,16 @@ golden:
 # Short fuzzing pass over the two binary decoders (profile data and
 # executables): corrupt input must error, never panic. FuzzMerge checks
 # the profile fold against its map-fold oracle on arbitrary decoded
-# pairs; FuzzFixed checks the listing's number formatter against fmt on
-# arbitrary floats.
+# pairs; FuzzBuild checks the linear call-graph construction against
+# its map-keyed oracle on arbitrary tables and arc records; FuzzFixed
+# checks the listing's number formatter against fmt on arbitrary
+# floats.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test -run xxx -fuzz 'FuzzRead$$' -fuzztime 20s ./internal/gmon
 	go test -run xxx -fuzz 'FuzzMerge$$' -fuzztime 20s ./internal/gmon
 	go test -run xxx -fuzz 'FuzzReadImage$$' -fuzztime 20s ./internal/object
+	go test -run xxx -fuzz 'FuzzBuild$$' -fuzztime 20s ./internal/callgraph
 	go test -run xxx -fuzz 'FuzzFixed$$' -fuzztime 20s ./internal/report
 
 # End-to-end smoke of the continuous-profiling service: start gprofd,
@@ -114,7 +117,9 @@ query-smoke:
 # throughput floor, then run the actual gprof binary over the generated
 # image + profile pair. The listing must be identical at -jobs 1 and
 # -jobs 2 and match its pinned SHA-256, so a render drift that only
-# shows at scale fails here. The full listing (headers on) must read
+# shows at scale fails here; the listing of the v2 copy of the profile,
+# whose arc records arrive in sorted order rather than file order, is
+# pinned too (SCALE_V2_SHA256). The full listing (headers on) must read
 # the same at -jobs 1 and -jobs 4, and so must -jobs 2 under
 # GOMAXPROCS=1, where every parallel stage clamps to one worker.
 # Summing a v1-first mix of v1 and v2 copies of the profile (duplicate
@@ -122,6 +127,7 @@ query-smoke:
 # Bounded by timeout so a scaling regression fails fast instead of
 # hanging CI.
 SCALE_SHA256 = 91e977d085206792a9f4ef04e8894be98fcdcddfec193248b8a85bea9b61ed98
+SCALE_V2_SHA256 = b6d7c1f503ab81a787b052bc74d5775b44c5116d19b8f0dc69fe32b90bbfd91b
 .PHONY: scale-smoke
 scale-smoke:
 	rm -rf .scale-smoke && mkdir -p .scale-smoke
@@ -138,6 +144,8 @@ scale-smoke:
 	GOMAXPROCS=1 timeout 120 ./.scale-smoke/gprof -brief -jobs 2 .scale-smoke/a.out .scale-smoke/gmon.out > .scale-smoke/clamped.txt
 	cmp .scale-smoke/report.txt .scale-smoke/clamped.txt
 	timeout 120 ./.scale-smoke/synthgen -nodes 100000 -seed 1 -format 2 -o .scale-smoke/gmon.v2
+	timeout 120 ./.scale-smoke/gprof -brief -jobs 1 .scale-smoke/a.out .scale-smoke/gmon.v2 > .scale-smoke/report.v2.txt
+	echo "$(SCALE_V2_SHA256)  .scale-smoke/report.v2.txt" | sha256sum -c -
 	cd .scale-smoke && timeout 120 ./gprof -jobs 1 -sum sum1 -format 2 \
 		gmon.out gmon.v2 gmon.out gmon.out gmon.v2 gmon.out gmon.v2 gmon.v2
 	cd .scale-smoke && timeout 120 ./gprof -jobs 4 -sum sum4 -format 2 \

@@ -21,6 +21,7 @@ package callgraph
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/gmon"
@@ -204,12 +205,12 @@ func (c *Cycle) InternalCalls() int64 {
 // pointer handed out stays valid for the life of the graph.
 type arena[T any] struct {
 	blocks [][]T
-	n      int // total slots handed out
 }
 
-// arenaBlock is the default slab size; the first block of a presized
-// arena is exactly the requested capacity instead.
-const arenaBlock = 8192
+// arenaBlock is the first slab's size; later slabs double, up to 1<<17
+// slots, so a small hand-built graph stays small. A block from take is
+// exactly the requested size instead.
+const arenaBlock = 64
 
 func (ar *arena[T]) alloc() *T {
 	if len(ar.blocks) == 0 {
@@ -226,15 +227,17 @@ func (ar *arena[T]) alloc() *T {
 	}
 	cur = cur[:len(cur)+1]
 	ar.blocks[len(ar.blocks)-1] = cur
-	ar.n++
 	return &cur[len(cur)-1]
 }
 
-// reserve sizes the arena's first block for n upcoming slots.
-func (ar *arena[T]) reserve(n int) {
-	if len(ar.blocks) == 0 && n > 0 {
-		ar.blocks = append(ar.blocks, make([]T, 0, n))
+// take hands out the next n slots as one block.
+func (ar *arena[T]) take(n int) []T {
+	if n == 0 {
+		return nil
 	}
+	blk := make([]T, n)
+	ar.blocks = append(ar.blocks, blk)
+	return blk
 }
 
 // arcKey identifies an arc by its endpoint node IDs; the caller half is
@@ -251,14 +254,16 @@ func arcKeyOf(from, to *Node) arcKey {
 
 // Graph is a dynamic call graph, optionally augmented with static arcs.
 type Graph struct {
-	nodes  map[string]*Node
 	order  []*Node // creation order: address order for image-built graphs
 	Cycles []*Cycle
+	arcs   int // live distinct arcs
 
-	// arcIdx maps endpoint pairs to their arc, so merging a repeated
-	// (caller, callee) pair is O(1) instead of a scan of the callee's
-	// incoming arcs — the difference between linear and quadratic graph
-	// construction on million-arc profiles.
+	// nodes and arcIdx are the name-keyed API's indices: nodes by name,
+	// and arcs by endpoint pair so that merging a repeated pair is O(1).
+	// BuildCtx does not need them, so they are built from order and In
+	// on the first name-keyed call (see index), and a graph that is
+	// only analyzed never holds them.
+	nodes  map[string]*Node
 	arcIdx map[arcKey]*Arc
 
 	nodeArena arena[Node]
@@ -285,15 +290,34 @@ func (g *Graph) Hertz() int64 {
 	return gmon.DefaultHz
 }
 
-// Node returns the named node, if present.
+// index builds the name and endpoint-pair indices from the graph's
+// nodes and incoming arcs, once.
+func (g *Graph) index() {
+	if g.nodes != nil {
+		return
+	}
+	g.nodes = make(map[string]*Node, len(g.order))
+	g.arcIdx = make(map[arcKey]*Arc, g.arcs)
+	for _, n := range g.order {
+		g.nodes[n.Name] = n
+		for _, a := range n.In {
+			g.arcIdx[arcKeyOf(a.Caller, a.Callee)] = a
+		}
+	}
+}
+
+// Node returns the named node, if present. The first call to any
+// name-keyed method builds the indices, so even Node must not run
+// concurrently with another call on the same graph.
 func (g *Graph) Node(name string) (*Node, bool) {
+	g.index()
 	n, ok := g.nodes[name]
 	return n, ok
 }
 
 // MustNode returns the named node or panics; for tests.
 func (g *Graph) MustNode(name string) *Node {
-	n, ok := g.nodes[name]
+	n, ok := g.Node(name)
 	if !ok {
 		panic("callgraph: no node " + name)
 	}
@@ -309,11 +333,11 @@ func (g *Graph) Len() int { return len(g.order) }
 
 // NumArcs returns the number of distinct arcs (merged by endpoint
 // pair), including spontaneous and static arcs.
-func (g *Graph) NumArcs() int { return g.arcArena.n }
+func (g *Graph) NumArcs() int { return g.arcs }
 
 // AddNode creates (or returns) the node for name.
 func (g *Graph) AddNode(name string) *Node {
-	if n, ok := g.nodes[name]; ok {
+	if n, ok := g.Node(name); ok {
 		return n
 	}
 	n := g.nodeArena.alloc()
@@ -336,8 +360,7 @@ func (g *Graph) AddArc(caller, callee string, count int64) *Arc {
 	return g.addArc(from, to, count)
 }
 
-// addArc is AddArc after name resolution: the index-based fast path
-// BuildCtx uses for every profile arc record.
+// addArc is AddArc after name resolution, with the indices built.
 func (g *Graph) addArc(from, to *Node, count int64) *Arc {
 	k := arcKeyOf(from, to)
 	if a := g.arcIdx[k]; a != nil {
@@ -348,6 +371,7 @@ func (g *Graph) addArc(from, to *Node, count int64) *Arc {
 	a := g.arcArena.alloc()
 	*a = Arc{Caller: from, Callee: to, Count: count, Sites: 1}
 	g.arcIdx[k] = a
+	g.arcs++
 	to.In = append(to.In, a)
 	if from != nil {
 		from.Out = append(from.Out, a)
@@ -386,27 +410,7 @@ func arcCallerName(a *Arc) string {
 }
 
 // New creates an empty graph.
-func New() *Graph {
-	return NewSized(0, 0)
-}
-
-// NewSized creates an empty graph with storage reserved for the given
-// node and arc counts: the node and arc arenas allocate one block each
-// and the lookup indices start at their final size. Callers that know
-// the scale up front (BuildCtx knows both exactly) construct the graph
-// without rehashing or slab growth.
-func NewSized(nodes, arcs int) *Graph {
-	g := &Graph{
-		nodes:  make(map[string]*Node, nodes),
-		arcIdx: make(map[arcKey]*Arc, arcs),
-	}
-	if nodes > 0 {
-		g.order = make([]*Node, 0, nodes)
-		g.nodeArena.reserve(nodes)
-	}
-	g.arcArena.reserve(arcs)
-	return g
-}
+func New() *Graph { return &Graph{} }
 
 // Build assembles the dynamic call graph for a profile against a symbol
 // table. Every routine in the table becomes a node; histogram ticks are
@@ -422,114 +426,176 @@ func Build(tab *symtab.Table, p *gmon.Profile) (*Graph, error) {
 }
 
 // BuildCtx is Build with cancellation. jobs is unused: histogram
-// attribution is one address-order scan and arc insertion is
+// attribution is one address-order scan and arc linking is
 // order-sensitive, so both run serially and the graph is identical at
 // any width. The parameter stays for callers that pass one width to
 // every stage.
 //
-// The construction is index-based end to end: nodes are added in
-// symbol-table order (so Node.ID equals the symbol index), histogram
-// ticks come back as a slice indexed the same way, and each arc record
-// resolves its endpoint PCs to symbol indices once, so a million-arc
-// profile builds without a string lookup per record. When routine
-// names collide (two symbols share a name and collapse into one node)
-// the slower name-keyed path preserves the historic merge semantics.
+// Construction is one linear pass with no map, for every input:
+//
+//   - one node per distinct routine name, in the table's node order
+//     (symtab.Table.NodeIndex), so Node.ID is the routine's node index
+//     and, with unique names, its symbol index;
+//   - histogram ticks attributed by table index and summed per node;
+//   - each arc record resolved to a caller node (or spontaneous) and a
+//     callee node through the table's O(1) address lookup;
+//   - records grouped by caller with a stable counting sort, and
+//     repeated (caller, callee) pairs within a group merged through a
+//     per-callee marker, so counts and Sites sum as call sites merge;
+//   - arcs allocated and linked in increasing first-record index, so
+//     every In, Out and Spontaneous list is in first-occurrence record
+//     order, whatever order the records arrive in.
+//
+// The name-keyed indices (Node, AddArc, ...) are built on first use.
 func BuildCtx(ctx context.Context, tab *symtab.Table, p *gmon.Profile, jobs int) (*Graph, error) {
 	tr := obs.FromContext(ctx)
-	g := NewSized(tab.Len(), len(p.Arcs))
-	g.Hz = p.ClockHz()
-	for _, s := range tab.Syms() {
-		g.AddNode(s.Name)
+	g := &Graph{Hz: p.ClockHz()}
+	nn := tab.NumNodes()
+	nodes := g.nodeArena.take(nn)
+	g.order = make([]*Node, nn)
+	for i, s := range tab.Syms() {
+		if k := tab.NodeIndex(i); g.order[k] == nil {
+			nodes[k] = Node{Name: s.Name, ID: k}
+			g.order[k] = &nodes[k]
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	byIndex := g.Len() == tab.Len() // false only on duplicate routine names
 	endAttr := tr.Span("attribute")
-	if byIndex {
-		ticks, lost := tab.AttributeHistIdx(&p.Hist)
-		for i, t := range ticks {
-			if t != 0 {
-				g.order[i].SelfTicks = t
-			}
+	ticks, lost := tab.AttributeHistIdx(&p.Hist)
+	for i, t := range ticks {
+		if t != 0 {
+			nodes[tab.NodeIndex(i)].SelfTicks += t
 		}
-		g.LostTicks = lost
-	} else {
-		ticks, lost := tab.AttributeHist(&p.Hist)
-		for name, t := range ticks {
-			g.MustNode(name).SelfTicks = t
-		}
-		g.LostTicks = lost
 	}
+	g.LostTicks = lost
 	endAttr()
 	g.TotalTicks = float64(p.Hist.TotalTicks())
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	tr.Counter("graph.arc_records").Add(int64(len(p.Arcs)))
-	if byIndex {
-		// Resolve every record to table indices first, then size each
-		// node's adjacency exactly before linking: one allocation per
-		// node side instead of an append-doubling chain per node,
-		// which at millions of arcs is the difference between
-		// memory-speed linking and GC churn. Merged duplicate records
-		// make the counts an upper bound; that only over-reserves.
-		type endpoints struct{ from, to int32 }
-		res := make([]endpoints, len(p.Arcs))
-		inDeg := make([]int32, g.Len())
-		outDeg := make([]int32, g.Len())
-		spont := 0
-		for i, rec := range p.Arcs {
-			calleeIdx, ok := tab.FindIndex(rec.SelfPC)
-			if !ok {
-				return nil, fmt.Errorf("callgraph: arc callee pc %#x is not in any routine", rec.SelfPC)
-			}
-			fi := int32(-1)
-			if rec.FromPC >= 0 {
-				if ci, ok := tab.FindIndex(rec.FromPC); ok {
-					fi = int32(ci)
-					outDeg[ci]++
-				}
-			}
-			if fi < 0 {
-				spont++
-			}
-			res[i] = endpoints{from: fi, to: int32(calleeIdx)}
-			inDeg[calleeIdx]++
-		}
-		for i, n := range g.order {
-			if inDeg[i] > 0 {
-				n.In = make([]*Arc, 0, inDeg[i])
-			}
-			if outDeg[i] > 0 {
-				n.Out = make([]*Arc, 0, outDeg[i])
-			}
-		}
-		if spont > 0 && g.Spontaneous == nil {
-			g.Spontaneous = make([]*Arc, 0, spont)
-		}
-		for i, rec := range p.Arcs {
-			var from *Node
-			if res[i].from >= 0 {
-				from = g.order[res[i].from]
-			}
-			g.addArc(from, g.order[res[i].to], rec.Count)
-		}
-		return g, nil
+
+	// Resolve every record to (caller node + 1, callee node); 0 marks a
+	// spontaneous caller.
+	recs := p.Arcs
+	if len(recs) > math.MaxInt32/2 {
+		return nil, fmt.Errorf("callgraph: %d arc records, more than %d", len(recs), math.MaxInt32/2)
 	}
-	for _, rec := range p.Arcs {
-		calleeIdx, ok := tab.FindIndex(rec.SelfPC)
+	from := make([]int32, len(recs))
+	to := make([]int32, len(recs))
+	head := make([]int32, nn+2)
+	for r := range recs {
+		ci, ok := tab.FindIndex(recs[r].SelfPC)
 		if !ok {
-			return nil, fmt.Errorf("callgraph: arc callee pc %#x is not in any routine", rec.SelfPC)
+			return nil, fmt.Errorf("callgraph: arc callee pc %#x is not in any routine", recs[r].SelfPC)
 		}
-		var from *Node
-		if rec.FromPC >= 0 {
-			if ci, ok := tab.FindIndex(rec.FromPC); ok {
-				from = g.MustNode(tab.Syms()[ci].Name)
+		to[r] = int32(tab.NodeIndex(ci))
+		if pc := recs[r].FromPC; pc >= 0 {
+			if fi, ok := tab.FindIndex(pc); ok {
+				from[r] = int32(tab.NodeIndex(fi)) + 1
 			}
 		}
-		g.addArc(from, g.MustNode(tab.Syms()[calleeIdx].Name), rec.Count)
+		head[from[r]+1]++
 	}
+
+	// Stable counting sort of record indices by caller.
+	for k := 1; k < len(head); k++ {
+		head[k] += head[k-1]
+	}
+	byCaller := make([]int32, len(recs))
+	for r, f := range from {
+		byCaller[head[f]] = int32(r)
+		head[f]++
+	}
+
+	// Merge repeated (caller, callee) pairs. Within a caller's group
+	// records visit in increasing index, so a pair's first visit is its
+	// first record, the leader. mark[t] holds one plus the group
+	// position of the latest leader into callee t; a position before
+	// the group's start is another caller's, so marks never need
+	// clearing. A follower's from becomes -(leader+1).
+	inDeg, outDeg := make([]int32, nn), head[:nn]
+	clear(outDeg)
+	mark := make([]int32, nn)
+	numArcs, spont := 0, 0
+	caller, start := int32(-1), int32(0)
+	for j, r := range byCaller {
+		f, t := from[r], to[r]
+		if f != caller {
+			caller, start = f, int32(j)
+		}
+		if m := mark[t] - 1; m >= start {
+			from[r] = -byCaller[m] - 1
+			continue
+		}
+		mark[t] = int32(j) + 1
+		numArcs++
+		inDeg[t]++
+		if f == 0 {
+			spont++
+		} else {
+			outDeg[f-1]++
+		}
+	}
+
+	// Lay every node's In and then Out list out back to back in one
+	// slab, sized exactly; inDeg and outDeg become each list's write
+	// cursor. Then allocate and link the arcs in increasing leader
+	// index: a follower's leader comes before it, so its arc already
+	// exists, and rank (reusing byCaller) maps a leader to its arc.
+	// Linking writes through the cursors and never touches a Node.
+	slab := make([]*Arc, 2*numArcs-spont)
+	off := int32(0)
+	for i := range nodes {
+		in := inDeg[i]
+		inDeg[i] = off
+		off += in
+		out := outDeg[i]
+		outDeg[i] = off
+		off += out
+	}
+	if spont > 0 {
+		g.Spontaneous = make([]*Arc, 0, spont)
+	}
+	arcs := g.arcArena.take(numArcs)
+	rank := byCaller
+	k := int32(0)
+	for r, f := range from {
+		if f < 0 {
+			a := &arcs[rank[-f-1]]
+			a.Count += recs[r].Count
+			a.Sites++
+			continue
+		}
+		rank[r] = k
+		a := &arcs[k]
+		k++
+		t := to[r]
+		*a = Arc{Callee: &nodes[t], Count: recs[r].Count, Sites: 1}
+		slab[inDeg[t]] = a
+		inDeg[t]++
+		if f == 0 {
+			g.Spontaneous = append(g.Spontaneous, a)
+		} else {
+			a.Caller = &nodes[f-1]
+			slab[outDeg[f-1]] = a
+			outDeg[f-1]++
+		}
+	}
+	off = 0
+	for i := range nodes {
+		n := &nodes[i]
+		if in := inDeg[i]; in > off {
+			n.In = slab[off:in:in]
+		}
+		if out := outDeg[i]; out > inDeg[i] {
+			n.Out = slab[inDeg[i]:out:out]
+		}
+		off = outDeg[i]
+	}
+	g.arcs = numArcs
 	return g, nil
 }
 
@@ -565,6 +631,7 @@ func (g *Graph) RemoveArc(caller, callee string) bool {
 		return false
 	}
 	delete(g.arcIdx, arcKeyOf(from, to))
+	g.arcs--
 	to.In = removeArc(to.In, a)
 	from.Out = removeArc(from.Out, a)
 	return true

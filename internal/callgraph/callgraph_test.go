@@ -101,6 +101,41 @@ func TestRemoveArc(t *testing.T) {
 	}
 }
 
+// TestNumArcsAfterRemove checks that NumArcs counts live arcs: removing
+// one, as -k and the cycle-breaking heuristic do, lowers it by one.
+func TestNumArcsAfterRemove(t *testing.T) {
+	tab, p := buildTestProfile()
+	g, err := Build(tab, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.nodes != nil || g.arcIdx != nil {
+		t.Error("Build built the name-keyed indices")
+	}
+	if g.NumArcs() != 2 {
+		t.Fatalf("NumArcs = %d, want 2", g.NumArcs())
+	}
+	if !g.RemoveArc("main", "leaf") {
+		t.Fatal("RemoveArc failed")
+	}
+	if g.NumArcs() != 1 {
+		t.Errorf("NumArcs after removal = %d, want 1", g.NumArcs())
+	}
+	h := New()
+	h.AddArc("a", "b", 1)
+	h.AddArc("a", "c", 1)
+	h.AddArc("a", "b", 1)
+	h.RemoveArc("a", "c")
+	h.RemoveArc("a", "c")
+	if h.NumArcs() != 1 {
+		t.Errorf("hand-built NumArcs = %d, want 1", h.NumArcs())
+	}
+	h.AddArc("a", "c", 1)
+	if h.NumArcs() != 2 || len(h.Arcs()) != 2 {
+		t.Errorf("after re-adding: NumArcs = %d, Arcs = %d, want 2", h.NumArcs(), len(h.Arcs()))
+	}
+}
+
 func buildTestProfile() (*symtab.Table, *gmon.Profile) {
 	tab := symtab.FromSyms([]object.Sym{
 		{Name: "main", Addr: 100, Size: 10},

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cputime"
 	"repro/internal/model"
 	"repro/internal/report"
 	"repro/internal/synth"
@@ -68,7 +69,7 @@ func timeRender(t *testing.T, m *model.Profile) time.Duration {
 	runtime.GC()
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
-	start := threadCPU()
+	start := cputime.Thread()
 	if err := report.CallGraph(io.Discard, m, report.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -78,5 +79,5 @@ func timeRender(t *testing.T, m *model.Profile) time.Duration {
 	if err := report.IndexListing(io.Discard, m); err != nil {
 		t.Fatal(err)
 	}
-	return threadCPU() - start
+	return cputime.Thread() - start
 }
