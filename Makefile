@@ -25,28 +25,13 @@ bench-parallel:
 bench-smoke:
 	go test -run xxx -bench . -benchtime=1x ./...
 
-# Regenerate the committed performance snapshot (BENCH_$(LABEL).json):
-# the workload suite via the parallel driver, the scale and gprofd
-# query suites, plus the engine-facing go-bench micro-benchmarks
-# parsed into the same file. Schema in docs/FORMATS.md.
-LABEL ?= PR10
-.PHONY: bench-json
-bench-json:
-	go test -run xxx -bench 'Dispatch|McountFastPath|McountSteady|Snapshot|VMExecution|Overhead|GmonRead|GmonWrite|MergeAll|ImageIO|ModelBuild|ModelJSON|ObsSpan|ObsCounter|StackCollect|GmonV3ReadWrite|FoldedRender|HistogramObserve|HistogramMerge|Exposition|FlightSpan' \
-		-benchmem . ./internal/mon ./internal/obs > bench-raw.out && \
-	go run ./cmd/benchjson -label $(LABEL) -scale -query -parse bench-raw.out -o BENCH_$(LABEL).json && \
-	rm -f bench-raw.out
-
-# Compare two committed performance snapshots, worst regression first;
-# -threshold (percent) makes it a gate. The per-stage span
-# sub-measurements (analysis_stages) are single-digit microseconds and
-# jitter close to 10x across runs on a shared host, so they are
-# reported but ungated; the whole-run metrics they sum into
-# (analysis_ns, profiles_analyzed_per_sec, warm_flat_ns, go_bench
-# ns/op) stay under the gate and hold within tens of percent.
-.PHONY: bench-diff
-bench-diff:
-	go run ./cmd/benchdiff -threshold 200 -ungated analysis_stages BENCH_PR9.json BENCH_$(LABEL).json
+# The benchmark of record (bench/, run by bash bench/run.sh) is its own
+# Go module, so the root go build/go test never compile it. Vet and
+# short-test it here, so an internal API change that breaks the
+# benchmark pipeline fails CI too.
+.PHONY: bench-module
+bench-module:
+	cd bench && go vet ./... && go test -short ./...
 
 # Self-observability smoke: a profiled run and an analysis under
 # -stats/-tracefile/-runreport, with both artifacts validated by
@@ -121,7 +106,10 @@ query-smoke:
 # whose arc records arrive in sorted order rather than file order, is
 # pinned too (SCALE_V2_SHA256). The full listing (headers on) must read
 # the same at -jobs 1 and -jobs 4, and so must -jobs 2 under
-# GOMAXPROCS=1, where every parallel stage clamps to one worker.
+# GOMAXPROCS=1, where the renderer clamps its pool to one worker.
+# Render is the only stage that clamps to GOMAXPROCS; the profile
+# merge starts up to -jobs workers, capped by the number of files, and
+# with one file it starts none.
 # Summing a v1-first mix of v1 and v2 copies of the profile (duplicate
 # arc keys included) must give the same bytes at -jobs 1 and -jobs 4.
 # Bounded by timeout so a scaling regression fails fast instead of

@@ -19,7 +19,6 @@ import (
 	"repro/internal/callgraph"
 	"repro/internal/core"
 	"repro/internal/cyclebreak"
-	"repro/internal/experiments"
 	"repro/internal/gmon"
 	"repro/internal/lang"
 	"repro/internal/model"
@@ -767,32 +766,6 @@ func BenchmarkDispatch(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkWorkloadSuite times the parallel bench driver end to end —
-// the exact code path cmd/benchjson uses to produce BENCH_*.json — and
-// republishes its headline domain metrics.
-func BenchmarkWorkloadSuite(b *testing.B) {
-	var rows []experiments.WorkloadBench
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.BenchSuite(experiments.BenchConfig{Iters: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	var over, hit, probes float64
-	for _, r := range rows {
-		over += r.OverheadPct
-		hit += r.CacheHitRate
-		probes += r.ProbesPerCall
-	}
-	n := float64(len(rows))
-	b.ReportMetric(over/n, "avg-overhead-%")
-	b.ReportMetric(hit/n, "avg-cache-hit-rate")
-	b.ReportMetric(probes/n, "avg-probes/call")
 }
 
 // --- PR9: whole-stack sampling as a first-class sample kind -----------

@@ -11,8 +11,8 @@
 //
 // The experiments run on the production (fast) interpreter loop; the
 // differential tests guarantee the reference loop would reproduce the
-// same profiles bit for bit. Host-level performance is snapshotted
-// separately by cmd/benchjson into the BENCH_*.json trajectory.
+// same profiles bit for bit. Host-level performance is measured
+// separately, by the benchmark in bench/ (bash bench/run.sh).
 //
 // -stats, -tracefile, and -runreport observe the analyses behind the
 // experiments themselves (stage spans across every core.Run the run

@@ -6,12 +6,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/cputime"
 	"repro/internal/gmon"
@@ -310,50 +307,23 @@ func fuzzInput(data []byte) (*symtab.Table, *gmon.Profile) {
 // TestBuildScalesLinearly is the graph layer's scaling gate: building
 // the call graph of a synthetic program with 2n routines must cost at
 // most 3x that of n routines. Linear cost reads 2x; anything quadratic
-// reads 4x. As in the render gate (internal/report), each build is
-// timed by its thread's CPU clock, the sizes run in back-to-back pairs
-// alternating which goes first, and the gate reads the median of the
-// pairs' ratios. The collector is off while the pairs run, and each
-// build starts from a heap collected and returned to the OS, so a
-// collection cycle or a run of fresh-page faults cannot land in the
-// larger build alone.
+// reads 4x. The builds are timed in pairs by cputime.PairRatio, and
+// the gate reads the median pair's ratio.
 func TestBuildScalesLinearly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate")
 	}
-	const n, pairs = 50000, 11
-	type input struct {
-		tab *symtab.Table
-		p   *gmon.Profile
-	}
-	gen := func(nodes int) input {
+	const n = 50000
+	build := func(nodes int) func() {
 		w := synth.Generate(synth.Tier(nodes, 1))
-		return input{w.Table(), w.Prof}
-	}
-	small, large := gen(n), gen(2*n)
-	timeBuild := func(in input) time.Duration {
-		debug.FreeOSMemory()
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-		start := cputime.Thread()
-		if _, err := BuildCtx(context.Background(), in.tab, in.p, 1); err != nil {
-			t.Fatal(err)
+		tab, p := w.Table(), w.Prof
+		return func() {
+			if _, err := BuildCtx(context.Background(), tab, p, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return cputime.Thread() - start
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	ratios := make([]float64, pairs)
-	for i := range ratios {
-		var ts, tl time.Duration
-		if i%2 == 0 {
-			ts, tl = timeBuild(small), timeBuild(large)
-		} else {
-			tl, ts = timeBuild(large), timeBuild(small)
-		}
-		ratios[i] = float64(tl) / float64(ts)
-	}
-	slices.Sort(ratios)
-	ratio := ratios[pairs/2]
+	ratio, ratios := cputime.PairRatio(build(n), build(2*n))
 	t.Logf("build: n=%d, pair ratios t(2n)/t(n) %.2f, median %.2f", n, ratios, ratio)
 	if ratio > 3 {
 		t.Errorf("building %d routines took a median %.2fx the time for %d, more than 3x", 2*n, ratio, n)

@@ -3,16 +3,16 @@ package gmon
 import (
 	"path/filepath"
 	"testing"
-	"time"
+
+	"repro/internal/cputime"
 )
 
 // TestReadFileScalesLinearly is the decode layer's scaling gate:
 // reading a profile data file with 2n histogram buckets and arc
 // records must cost at most 3x reading one with n. Linear cost reads
 // 2x; growing the result by a fixed batch at a time copies O(n^2)
-// bytes and reads near 4x at this size. The two files are read
-// alternately and each keeps its best time, so a descheduled run or a
-// busy spell of the host cannot fail the gate.
+// bytes and reads near 4x at this size. The reads are timed in pairs
+// by cputime.PairRatio, and the gate reads the median pair's ratio.
 func TestReadFileScalesLinearly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate")
@@ -25,14 +25,17 @@ func TestReadFileScalesLinearly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts, tl := time.Duration(1<<63-1), time.Duration(1<<63-1)
-	for i := 0; i < 7; i++ {
-		ts = min(ts, timeReadFile(t, small))
-		tl = min(tl, timeReadFile(t, large))
+	read := func(name string) func() {
+		return func() {
+			if _, err := ReadFile(name); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	t.Logf("ReadFile: n=%d %v, 2n %v (ratio %.2f)", n, ts, tl, float64(tl)/float64(ts))
-	if tl > 3*ts {
-		t.Errorf("reading %d records took %v, more than 3x the %v for %d", 2*n, tl, ts, n)
+	ratio, ratios := cputime.PairRatio(read(small), read(large))
+	t.Logf("ReadFile: n=%d, pair ratios t(2n)/t(n) %.2f, median %.2f", n, ratios, ratio)
+	if ratio > 3 {
+		t.Errorf("reading %d records took a median %.2fx the time for %d, more than 3x", 2*n, ratio, n)
 	}
 }
 
@@ -45,13 +48,4 @@ func scaleProfile(n int) *Profile {
 		p.Hist.Counts[i] = uint32(i % 5)
 	}
 	return p
-}
-
-func timeReadFile(t *testing.T, name string) time.Duration {
-	t.Helper()
-	start := time.Now()
-	if _, err := ReadFile(name); err != nil {
-		t.Fatal(err)
-	}
-	return time.Since(start)
 }

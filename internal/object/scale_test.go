@@ -3,8 +3,8 @@ package object
 import (
 	"path/filepath"
 	"testing"
-	"time"
 
+	"repro/internal/cputime"
 	"repro/internal/isa"
 )
 
@@ -12,9 +12,8 @@ import (
 // gate: reading an executable with 2n text words and routines must
 // cost at most 3x reading one with n. Linear cost reads 2x; growing
 // the text by a fixed batch at a time copies O(n^2) bytes and reads
-// near 4x at this size. The two files are read alternately and each
-// keeps its best time, so a descheduled run or a busy spell of the
-// host cannot fail the gate.
+// near 4x at this size. The reads are timed in pairs by
+// cputime.PairRatio, and the gate reads the median pair's ratio.
 func TestReadImageFileScalesLinearly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate")
@@ -27,14 +26,17 @@ func TestReadImageFileScalesLinearly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts, tl := time.Duration(1<<63-1), time.Duration(1<<63-1)
-	for i := 0; i < 7; i++ {
-		ts = min(ts, timeReadImageFile(t, small))
-		tl = min(tl, timeReadImageFile(t, large))
+	read := func(name string) func() {
+		return func() {
+			if _, err := ReadImageFile(name); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	t.Logf("ReadImageFile: n=%d %v, 2n %v (ratio %.2f)", n, ts, tl, float64(tl)/float64(ts))
-	if tl > 3*ts {
-		t.Errorf("reading %d words took %v, more than 3x the %v for %d", 2*n, tl, ts, n)
+	ratio, ratios := cputime.PairRatio(read(small), read(large))
+	t.Logf("ReadImageFile: n=%d, pair ratios t(2n)/t(n) %.2f, median %.2f", n, ratios, ratio)
+	if ratio > 3 {
+		t.Errorf("reading %d words took a median %.2fx the time for %d, more than 3x", 2*n, ratio, n)
 	}
 }
 
@@ -49,13 +51,4 @@ func scaleImage(n int) *Image {
 		im.Funcs = append(im.Funcs, Sym{Name: "f" + string(rune('a'+a%26)), Addr: int64(a), Size: 16})
 	}
 	return im
-}
-
-func timeReadImageFile(t *testing.T, name string) time.Duration {
-	t.Helper()
-	start := time.Now()
-	if _, err := ReadImageFile(name); err != nil {
-		t.Fatal(err)
-	}
-	return time.Since(start)
 }

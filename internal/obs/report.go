@@ -34,12 +34,12 @@ type HistogramStats struct {
 }
 
 // RunReport is the machine-readable summary of one traced run
-// (docs/FORMATS.md, schema gprof.runreport.v1). cmd/benchjson embeds it
-// per workload so BENCH_*.json rows carry stage timings; gprof
-// -runreport writes it standalone. Complete is false when the run was
-// aborted (Fail was called, e.g. on ctx cancellation): the stages
+// (docs/FORMATS.md, schema gprof.runreport.v1), which -runreport
+// writes and cmd/tracecheck validates. Complete is false when the run
+// was aborted (Fail was called, e.g. on ctx cancellation): the stages
 // recorded up to that point are still present, so a canceled run stays
-// diagnosable.
+// diagnosable. WriteSummary renders the same report as the -stats
+// table.
 type RunReport struct {
 	Schema   string           `json:"schema"`
 	Complete bool             `json:"complete"`

@@ -3,10 +3,7 @@ package report_test
 import (
 	"context"
 	"io"
-	"runtime"
-	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/cputime"
@@ -20,31 +17,16 @@ import (
 // program with 2n routines must cost at most 3x that of n routines.
 // Linear cost reads 2x; the slack absorbs timer noise and the step in
 // per-routine cost where the listing's working set outgrows a core's
-// cache, and anything quadratic reads 4x. Each render is timed by its
-// thread's CPU clock after a full collection, and the two sizes render
-// in back-to-back pairs, alternating which goes first; the gate reads
-// the median of the pairs' ratios, so one disturbed pair cannot fail
-// it. Wall-clock best times, compared size against size, read above 3x
-// for linear code on a 2-CPU host busy with other test binaries: the
-// short listing catches a quiet moment that the long one rarely does.
+// cache, and anything quadratic reads 4x. The renders are timed in
+// pairs by cputime.PairRatio, and the gate reads the median pair's
+// ratio.
 func TestRenderScalesLinearly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate")
 	}
-	const n, pairs = 10000, 11
+	const n = 10000
 	small, large := synthModel(t, n), synthModel(t, 2*n)
-	ratios := make([]float64, pairs)
-	for i := range ratios {
-		var ts, tl time.Duration
-		if i%2 == 0 {
-			ts, tl = timeRender(t, small), timeRender(t, large)
-		} else {
-			tl, ts = timeRender(t, large), timeRender(t, small)
-		}
-		ratios[i] = float64(tl) / float64(ts)
-	}
-	slices.Sort(ratios)
-	ratio := ratios[pairs/2]
+	ratio, ratios := cputime.PairRatio(func() { render(t, small) }, func() { render(t, large) })
 	t.Logf("render: n=%d, pair ratios t(2n)/t(n) %.2f, median %.2f", n, ratios, ratio)
 	if ratio > 3 {
 		t.Errorf("rendering %d routines took a median %.2fx the time for %d, more than 3x", 2*n, ratio, n)
@@ -61,15 +43,10 @@ func synthModel(t *testing.T, nodes int) *model.Profile {
 	return res.Model
 }
 
-// timeRender returns the CPU time of one full listing of m, rendered
-// inline on the locked calling thread and starting from a collected
-// heap, so that no pair's halves differ by where a GC cycle fell.
-func timeRender(t *testing.T, m *model.Profile) time.Duration {
+// render writes one full listing of m, inline on the calling
+// goroutine.
+func render(t *testing.T, m *model.Profile) {
 	t.Helper()
-	runtime.GC()
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	start := cputime.Thread()
 	if err := report.CallGraph(io.Discard, m, report.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -79,5 +56,4 @@ func timeRender(t *testing.T, m *model.Profile) time.Duration {
 	if err := report.IndexListing(io.Discard, m); err != nil {
 		t.Fatal(err)
 	}
-	return cputime.Thread() - start
 }
