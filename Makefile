@@ -165,7 +165,9 @@ pprof-smoke:
 # replay and metricscheck them — per-file structural validation plus
 # cross-dump counter/histogram monotonicity. Finally fetch /v1/self as
 # pprof and round-trip it through pprofcheck, and /debug/flightrec
-# through tracecheck.
+# through tracecheck. A second gprofd runs traced (-stats, -tracefile,
+# -runreport) under a replay and is stopped with SIGINT, the signal that
+# lets it write its summary and files; tracecheck validates both files.
 .PHONY: metrics-smoke
 metrics-smoke:
 	rm -rf .metrics-smoke && mkdir -p .metrics-smoke
@@ -181,6 +183,12 @@ metrics-smoke:
 	./.metrics-smoke/pprofcheck .metrics-smoke/self.pb.gz > /dev/null || rc=$$?; \
 	curl -sf http://127.0.0.1:7427/debug/flightrec > .metrics-smoke/flight.json || rc=$$?; \
 	./.metrics-smoke/tracecheck .metrics-smoke/flight.json || rc=$$?; \
+	./.metrics-smoke/gprofd -addr 127.0.0.1:7428 -stats -tracefile .metrics-smoke/traced.json \
+		-runreport .metrics-smoke/traced-report.json 2> .metrics-smoke/traced.log & tpid=$$!; \
+	./.metrics-smoke/gprofload -addr http://127.0.0.1:7428 -agents 4 -uploads 25 -readers 2 -verify || rc=$$?; \
+	kill -INT $$tpid; wait $$tpid || rc=$$?; \
+	grep -q 'http /v1/ingest' .metrics-smoke/traced.log || rc=1; \
+	./.metrics-smoke/tracecheck .metrics-smoke/traced.json .metrics-smoke/traced-report.json || rc=$$?; \
 	kill `cat .metrics-smoke/pid` 2>/dev/null; rm -rf .metrics-smoke; exit $$rc
 
 .PHONY: figures

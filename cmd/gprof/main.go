@@ -17,12 +17,13 @@
 //
 // The profile data this tool consumes is gathered by the fast-path
 // execution engine (internal/vm's deadline-batched loop feeding
-// internal/mon's arena arc table); the gathering cost itself is tracked
-// in the committed BENCH_*.json snapshots (docs/FORMATS.md).
+// internal/mon's arena arc table); the gathering cost itself is measured
+// by the root package's BenchmarkOverhead and BenchmarkMcountFastPath.
 //
 // The profiler profiles itself: -stats prints a per-stage timing and
 // counter summary to stderr, -tracefile writes a Chrome trace-event
-// JSON of the run (one track per worker goroutine; open in Perfetto),
+// JSON of the run (concurrent spans laid on nesting tracks; open in
+// Perfetto),
 // and -runreport writes the machine-readable gprof.runreport.v1
 // document. None of the three touch stdout.
 package main
@@ -138,9 +139,9 @@ func main() {
 		}
 		return
 	}
-	endImage := tr.Span("load.image")
+	imageSpan := tr.Span("load.image")
 	im, imBytes, err := object.ReadImageFileStats(exe)
-	endImage()
+	imageSpan.End()
 	if err != nil {
 		fail(err)
 	}
@@ -182,7 +183,7 @@ func main() {
 	// One buffered writer, flushed with the error checked: a full disk
 	// must fail loudly, not truncate the listing silently.
 	w := bufio.NewWriter(os.Stdout)
-	endRender := tr.Span("render")
+	renderSpan := tr.Span("render")
 	switch {
 	case *lines:
 		err = report.LineProfile(w, im, p, nil)
@@ -202,7 +203,7 @@ func main() {
 	if err == nil {
 		err = w.Flush()
 	}
-	endRender()
+	renderSpan.End()
 	if err != nil {
 		fail(err)
 	}

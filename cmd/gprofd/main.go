@@ -20,11 +20,13 @@
 // cmd/gprofload replays the built-in workload corpus against a running
 // gprofd for load and correctness testing (`make gprofd-smoke`).
 //
-// -stats prints the ingest/merge/query observability summary to stderr
-// on shutdown; -tracefile and -runreport write the machine-readable
-// forms. Tracing records per-event spans and so grows with traffic —
-// leave it off for long-running deployments and read /v1/stats, whose
-// counters are always on and never grow.
+// -stats prints the request and fold span summary to stderr on a
+// SIGINT shutdown; -tracefile and -runreport write the machine-readable
+// forms. With any of the three set, the server's one span recorder
+// keeps every span instead of the bounded ring /debug/flightrec dumps,
+// so it grows with traffic — leave them off for long-running
+// deployments and read /v1/stats and /metrics, which are always on and
+// never grow.
 //
 // -pprof <addr> serves Go's net/http/pprof on a separate listener (the
 // ingest surface never exposes it), for CPU/heap profiling of a live

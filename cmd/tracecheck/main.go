@@ -1,8 +1,11 @@
 // Command tracecheck validates the profiler's own observability
 // artifacts: Chrome trace-event JSON files written by -tracefile and
 // run reports (schema gprof.runreport.v1) written by -runreport. The
-// stats-smoke make target runs it in CI so a malformed trace fails the
-// build before a human ever loads it into Perfetto.
+// stats-smoke and metrics-smoke make targets run it in CI so a
+// malformed trace fails the build before a human ever loads it into
+// Perfetto. Besides per-event fields it checks that the complete events
+// on each track nest: two spans on one tid are disjoint or one encloses
+// the other, which is how trace viewers draw a track.
 //
 // Usage:
 //
@@ -18,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"repro/internal/obs"
 )
@@ -105,6 +109,7 @@ func checkChromeTrace(data []byte) error {
 	if f.DisplayTimeUnit != "ms" && f.DisplayTimeUnit != "ns" {
 		return fmt.Errorf("displayTimeUnit %q (want ms or ns)", f.DisplayTimeUnit)
 	}
+	tracks := make(map[int64][]span)
 	for i, e := range f.TraceEvents {
 		where := fmt.Sprintf("traceEvents[%d] (%s %q)", i, e.Ph, e.Name)
 		if e.Name == "" {
@@ -121,6 +126,7 @@ func checkChromeTrace(data []byte) error {
 			if e.Dur == nil || *e.Dur < 0 {
 				return fmt.Errorf("%s: complete event missing or negative dur", where)
 			}
+			tracks[*e.Tid] = append(tracks[*e.Tid], span{where, *e.Ts, *e.Ts + *e.Dur})
 		case "M":
 			if e.Name != "process_name" && e.Name != "thread_name" {
 				return fmt.Errorf("%s: unexpected metadata name", where)
@@ -138,6 +144,48 @@ func checkChromeTrace(data []byte) error {
 		default:
 			return fmt.Errorf("%s: unknown phase", where)
 		}
+	}
+	for tid, spans := range tracks {
+		if err := checkNesting(spans); err != nil {
+			return fmt.Errorf("tid %d: %w", tid, err)
+		}
+	}
+	return nil
+}
+
+// span is one complete event's extent, in microseconds.
+type span struct {
+	where      string
+	start, end float64
+}
+
+// nestSlack absorbs the float rounding of ts+dur: a microsecond
+// timestamp carries nanosecond precision, and its ulp stays far below
+// this for any trace shorter than days.
+const nestSlack = 1e-4
+
+// checkNesting reports the first pair of spans that partially overlap:
+// sorted by start, longest first, each span must fit inside the
+// innermost span still open at its start.
+func checkNesting(spans []span) error {
+	sort.Slice(spans, func(i, j int) bool {
+		if spans[i].start != spans[j].start {
+			return spans[i].start < spans[j].start
+		}
+		return spans[i].end > spans[j].end
+	})
+	var open []span
+	for _, s := range spans {
+		for len(open) > 0 && open[len(open)-1].end <= s.start+nestSlack {
+			open = open[:len(open)-1]
+		}
+		if len(open) > 0 {
+			if top := open[len(open)-1]; s.end > top.end+nestSlack {
+				return fmt.Errorf("%s [%g, %g] partially overlaps %s [%g, %g] on one track",
+					s.where, s.start, s.end, top.where, top.start, top.end)
+			}
+		}
+		open = append(open, s)
 	}
 	return nil
 }

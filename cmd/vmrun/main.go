@@ -63,16 +63,16 @@ func main() {
 		fatal(err)
 	}
 
-	endBuild := tr.Span("build")
+	buildSpan := tr.Span("build")
 	im, err := buildImage(*workload, flag.Args(), *profile, *entry)
-	endBuild()
+	buildSpan.End()
 	if err != nil {
 		fail(err)
 	}
 	if *saveExe != "" {
-		endSave := tr.Span("save.image")
+		saveSpan := tr.Span("save.image")
 		err := object.WriteImageFile(*saveExe, im)
-		endSave()
+		saveSpan.End()
 		if err != nil {
 			fail(err)
 		}
@@ -93,18 +93,18 @@ func main() {
 		cfg.Monitor = collector
 	}
 	m := vm.New(im, cfg)
-	endRun := tr.Span("run")
+	runSpan := tr.Span("run")
 	res, err := m.Run()
-	endRun()
+	runSpan.End()
 	recordVMStats(tr, m, res, collector)
 	if err != nil {
 		fail(err)
 	}
 	if collector != nil {
-		endWrite := tr.Span("write.profile")
+		writeSpan := tr.Span("write.profile")
 		snap := collector.Snapshot()
 		err := gmon.WriteFile(*gmonOut, snap)
-		endWrite()
+		writeSpan.End()
 		if err != nil {
 			fail(err)
 		}

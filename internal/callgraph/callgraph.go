@@ -462,7 +462,7 @@ func BuildCtx(ctx context.Context, tab *symtab.Table, p *gmon.Profile, jobs int)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	endAttr := tr.Span("attribute")
+	attrSpan := tr.Span("attribute")
 	ticks, lost := tab.AttributeHistIdx(&p.Hist)
 	for i, t := range ticks {
 		if t != 0 {
@@ -470,7 +470,7 @@ func BuildCtx(ctx context.Context, tab *symtab.Table, p *gmon.Profile, jobs int)
 		}
 	}
 	g.LostTicks = lost
-	endAttr()
+	attrSpan.End()
 	g.TotalTicks = float64(p.Hist.TotalTicks())
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -247,9 +247,9 @@ func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Re
 	if opt.Static && !src.supportsStatic() {
 		return nil, fmt.Errorf("%w: Static requires an image-backed source", ErrBadOptions)
 	}
-	endLoad := tr.Span("load")
+	loadSpan := tr.Span("load")
 	tab, static, err := src.load(opt.Cache, opt.Static)
-	endLoad()
+	loadSpan.End()
 	if err != nil {
 		return nil, err
 	}
@@ -258,9 +258,9 @@ func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Re
 		tr.Gauge("cache.static_hits").Set(int64(hits))
 		tr.Gauge("cache.static_misses").Set(int64(misses))
 	}
-	endGraph := tr.Span("graph")
+	graphSpan := tr.Span("graph")
 	g, err := callgraph.BuildCtx(ctx, tab, p, opt.jobs())
-	endGraph()
+	graphSpan.End()
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +277,7 @@ func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Re
 		// built from the same symbol table; its presence moves the model
 		// to the v2 schema. Stack-less profiles skip this entirely, so
 		// their JSON stays byte-identical to the v1 goldens.
-		endStacks := tr.Span("stacks-build")
+		stacksSpan := tr.Span("stacks-build")
 		res.Model.Stacks = model.BuildStacks(p.Stacks, func(pc int64) (string, bool) {
 			fn, ok := tab.Find(pc)
 			if !ok {
@@ -286,7 +286,7 @@ func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Re
 			return fn.Name, true
 		}, mon.DefaultStackDepth)
 		res.Model.Schema = model.SchemaV2
-		endStacks()
+		stacksSpan.End()
 	}
 	return res, nil
 }
@@ -308,29 +308,29 @@ func finish(ctx context.Context, g *callgraph.Graph, opt Options) (*Result, erro
 			res.RemovedArcs++
 		}
 	}
-	endSCC := tr.Span("scc")
+	sCCSpan := tr.Span("scc")
 	scc.Analyze(g)
-	endSCC()
+	sCCSpan.End()
 	tr.Gauge("graph.cycles").Set(int64(len(g.Cycles)))
 	if opt.AutoBreak {
-		endBreak := tr.Span("cyclebreak")
+		breakSpan := tr.Span("cyclebreak")
 		sug := cyclebreak.Suggest(g, cyclebreak.Options{MaxArcs: opt.MaxBreakArcs})
 		res.Suggestion = &sug
 		res.RemovedArcs += cyclebreak.Apply(g, sug.Arcs)
-		endBreak()
+		breakSpan.End()
 	}
-	endProp := tr.Span("propagate")
+	propSpan := tr.Span("propagate")
 	err := propagate.RunCtx(ctx, g, opt.jobs())
-	endProp()
+	propSpan.End()
 	if err != nil {
 		return nil, err
 	}
 	if err := sanity(g); err != nil {
 		return nil, err
 	}
-	endModel := tr.Span("model-build")
+	modelSpan := tr.Span("model-build")
 	res.Model = model.Build(g)
-	endModel()
+	modelSpan.End()
 	return res, nil
 }
 

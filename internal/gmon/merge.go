@@ -173,7 +173,7 @@ func readFileInto(name string, p *Profile) (int64, error) {
 // timings survive.
 func MergeAllStreaming(ctx context.Context, names []string, jobs int) (p *Profile, err error) {
 	tr := obs.FromContext(ctx)
-	defer tr.Span("merge")()
+	defer tr.Span("merge").End()
 	defer func() {
 		if err != nil {
 			tr.Fail(err)
@@ -187,10 +187,10 @@ func MergeAllStreaming(ctx context.Context, names []string, jobs int) (p *Profil
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	endFirst := tr.Span("gmon.read_file")
+	firstSpan := tr.Span("gmon.read_file")
 	total := &Profile{}
 	n, err := readFileInto(names[0], total)
-	endFirst()
+	firstSpan.End()
 	bytesC.Add(n)
 	if err != nil {
 		return nil, err
@@ -209,9 +209,9 @@ func MergeAllStreaming(ctx context.Context, names []string, jobs int) (p *Profil
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			endRead := tr.Span("gmon.read_file")
+			readSpan := tr.Span("gmon.read_file")
 			n, err := readFileInto(name, scratch)
-			endRead()
+			readSpan.End()
 			bytesC.Add(n)
 			if err != nil {
 				return nil, err
@@ -243,9 +243,9 @@ func MergeAllStreaming(ctx context.Context, names []string, jobs int) (p *Profil
 					continue
 				}
 				name := rest[i]
-				endRead := tr.Span("gmon.read_file")
+				readSpan := tr.Span("gmon.read_file")
 				n, err := readFileInto(name, scratch)
-				endRead()
+				readSpan.End()
 				bytesC.Add(n)
 				if err != nil {
 					errs[w] = err

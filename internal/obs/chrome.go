@@ -9,12 +9,12 @@ import (
 
 // Chrome trace-event export: the -tracefile format and the flight
 // recorder dump. The output is the JSON object form of the trace-event
-// specification — a "traceEvents" array of complete ("X") events, one
-// track (tid) per goroutine that recorded spans, preceded by "M"
-// metadata events naming the process and each track, and followed by
-// one "C" counter event per registered counter and gauge. Perfetto and
-// chrome://tracing load it directly. Timestamps are microseconds since
-// trace start (the spec's unit).
+// specification — a "traceEvents" array of complete ("X") events laid
+// out on tracks (tids) where they nest, preceded by "M" metadata events
+// naming the process and each track, and followed by one "C" counter
+// event per registered counter and gauge. Perfetto and chrome://tracing
+// load it directly. Timestamps are microseconds since trace start (the
+// spec's unit).
 
 // chromeEvent is one trace-event record. Field names are the spec's.
 type chromeEvent struct {
@@ -53,28 +53,19 @@ func writeChromeEvents(w io.Writer, processName string, events []Event,
 		Name: "process_name", Ph: "M", Pid: chromePid, Tid: 0,
 		Args: map[string]any{"name": processName},
 	})
-	// One named track per goroutine that recorded spans, in id order.
-	tids := make(map[int64]bool)
-	for _, e := range events {
-		tids[e.Goid] = true
-	}
-	order := make([]int64, 0, len(tids))
-	for id := range tids {
-		order = append(order, id)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, id := range order {
+	tids, tracks := layoutTracks(events)
+	for tid := int64(1); tid <= tracks; tid++ {
 		f.TraceEvents = append(f.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: chromePid, Tid: id,
-			Args: map[string]any{"name": "goroutine " + strconv.FormatInt(id, 10)},
+			Name: "thread_name", Ph: "M", Pid: chromePid, Tid: tid,
+			Args: map[string]any{"name": "track " + strconv.FormatInt(tid, 10)},
 		})
 	}
-	for _, e := range events {
+	for i, e := range events {
 		dur := float64(e.Dur) / 1e3
 		f.TraceEvents = append(f.TraceEvents, chromeEvent{
 			Name: e.Name, Cat: "stage", Ph: "X",
 			Ts: float64(e.Start) / 1e3, Dur: &dur,
-			Pid: chromePid, Tid: e.Goid,
+			Pid: chromePid, Tid: tids[i],
 		})
 	}
 	// Final counter samples so the counter tracks render.
@@ -93,6 +84,37 @@ func writeChromeEvents(w io.Writer, processName string, events []Event,
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&f)
+}
+
+// layoutTracks assigns each event (sorted by sortEvents) a track id
+// from 1 so that the spans on one track nest properly: any two are
+// disjoint or one encloses the other. Each track keeps the stack of its
+// still-open spans' ends; an event goes on the first track whose
+// innermost open span, after popping the spans that ended by its start,
+// is absent or encloses it.
+func layoutTracks(events []Event) (tids []int64, tracks int64) {
+	tids = make([]int64, len(events))
+	var open [][]int64 // per track: ends of the open spans, outermost first
+	for i, e := range events {
+		end := e.Start + e.Dur
+		k := 0
+		for ; k < len(open); k++ {
+			st := open[k]
+			for len(st) > 0 && st[len(st)-1] <= e.Start {
+				st = st[:len(st)-1]
+			}
+			open[k] = st
+			if len(st) == 0 || st[len(st)-1] >= end {
+				break
+			}
+		}
+		if k == len(open) {
+			open = append(open, nil)
+		}
+		open[k] = append(open[k], end)
+		tids[i] = int64(k + 1)
+	}
+	return tids, int64(len(open))
 }
 
 // WriteChromeTrace exports every recorded span as Chrome trace-event

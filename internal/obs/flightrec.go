@@ -8,40 +8,39 @@ import (
 	"time"
 )
 
-// FlightRecorder keeps the last few thousand spans of a long-running
-// process in fixed memory — the black box you read after an incident,
-// not a trace you collect on purpose. Where a Trace grows for the life
-// of one run, the recorder overwrites: each track is a fixed ring, so
-// recording costs one mutex on a striped lock plus a slot write no
-// matter how long the process has been up, and memory is bounded by
-// tracks x capacity. It is meant to be always on; internal/serve dumps
-// it at /debug/flightrec as Chrome trace-event JSON for after-the-fact
-// forensics.
+// FlightRecorder is the package's one span store. Spans stripe
+// round-robin across one track per P (rounded up to a power of two),
+// so concurrent recorders — merge workers, gprofd requests — rarely
+// share a lock, and recording a span costs two clock reads, one atomic
+// add and one striped mutex (BenchmarkFlightSpan). A track is a
+// capacity shard, not a goroutine: finding a goroutine's id would cost
+// a microsecond per span. Every view that needs more structure derives
+// it from the events' (start, duration): Report's workers column is the
+// peak number of concurrently open spans, and the Chrome export lays
+// spans onto tracks where they nest.
 //
-// Unlike a Trace, spans are not attributed to their goroutine —
-// finding a goroutine's id costs a microsecond (see goid), which is
-// too much for an instrument that sits on every HTTP request. Spans
-// instead stripe round-robin across the tracks, so a lane in the dump
-// is a capacity shard, not a goroutine. A span start+end pair costs
-// two clock reads, one atomic add, and one striped mutex — tens of
-// nanoseconds (BenchmarkFlightSpan).
+// A recorder made by NewFlightRecorder is a black box for a
+// long-running process: each track is a fixed ring that overwrites its
+// oldest event, so memory is bounded by tracks x capacity no matter how
+// long the process has been up; internal/serve dumps it at
+// /debug/flightrec. A Trace holds a recorder whose tracks grow
+// instead, so one run keeps every span.
 //
 // A nil *FlightRecorder no-ops everywhere, like the rest of the
 // package.
 type FlightRecorder struct {
 	start  time.Time
 	mask   uint64
+	limit  int // events per track; 0 means tracks grow
 	next   atomic.Uint64
 	tracks []flightTrack
 }
 
-// flightTrack is one ring of recorded events. Spans stripe onto tracks
-// round-robin; next wraps when the ring fills and the oldest events
-// are overwritten.
+// flightTrack is one track's events. Once a bounded track is full,
+// next is the slot the following event overwrites (the oldest).
 type flightTrack struct {
 	mu   sync.Mutex
 	next int
-	full bool
 	buf  []Event
 	_    [40]byte // keep neighboring tracks off one cache line
 }
@@ -50,9 +49,12 @@ type flightTrack struct {
 // ring per P (rounded up to a power of two) of perTrack events each.
 // perTrack values below 16 are raised to 16.
 func NewFlightRecorder(perTrack int) *FlightRecorder {
-	if perTrack < 16 {
-		perTrack = 16
-	}
+	return newRecorder(max(perTrack, 16))
+}
+
+// newRecorder creates a recorder with limit events per track, or
+// growing tracks when limit is 0.
+func newRecorder(limit int) *FlightRecorder {
 	n := 1
 	for n < runtime.GOMAXPROCS(0) {
 		n <<= 1
@@ -60,68 +62,60 @@ func NewFlightRecorder(perTrack int) *FlightRecorder {
 	f := &FlightRecorder{
 		start:  time.Now(),
 		mask:   uint64(n - 1),
+		limit:  limit,
 		tracks: make([]flightTrack, n),
 	}
 	for i := range f.tracks {
-		f.tracks[i].buf = make([]Event, perTrack)
+		f.tracks[i].buf = make([]Event, 0, limit)
 	}
 	return f
 }
 
-// FlightSpan is an in-progress span. End records it; a zero FlightSpan
-// (from a nil recorder) is a no-op. FlightSpan is a value, not a
-// closure, so starting a span allocates nothing.
-type FlightSpan struct {
+// Span is an in-progress span. End records it; a zero Span (from a nil
+// Trace or recorder) is a no-op. Span is a value, not a closure, so
+// starting one allocates nothing.
+type Span struct {
 	f     *FlightRecorder
 	name  string
 	start int64
 }
 
 // Start opens a span.
-func (f *FlightRecorder) Start(name string) FlightSpan {
+func (f *FlightRecorder) Start(name string) Span {
 	if f == nil {
-		return FlightSpan{}
+		return Span{}
 	}
-	return FlightSpan{f: f, name: name, start: int64(time.Since(f.start))}
+	return Span{f: f, name: name, start: int64(time.Since(f.start))}
 }
 
-// End records the span into the next track's ring, overwriting the
-// oldest entry when full.
-func (s FlightSpan) End() {
+// End records the span onto the next track and returns its duration in
+// nanoseconds, so a caller that also feeds a latency histogram reads
+// the clock once (0 for a zero Span).
+func (s Span) End() int64 {
 	if s.f == nil {
-		return
+		return 0
 	}
-	s.f.record(Event{
-		Name:  s.name,
-		Start: s.start,
-		Dur:   int64(time.Since(s.f.start)) - s.start,
-	})
-}
-
-// Event records an instantaneous marker (zero-duration span).
-func (f *FlightRecorder) Event(name string) {
-	if f == nil {
-		return
-	}
-	f.record(Event{Name: name, Start: int64(time.Since(f.start))})
+	dur := int64(time.Since(s.f.start)) - s.start
+	s.f.record(Event{Name: s.name, Start: s.start, Dur: dur})
+	return dur
 }
 
 func (f *FlightRecorder) record(e Event) {
-	lane := f.next.Add(1) & f.mask
-	e.Goid = int64(lane) + 1 // the dump's lane id, not a goroutine
-	t := &f.tracks[lane]
+	t := &f.tracks[f.next.Add(1)&f.mask]
 	t.mu.Lock()
-	t.buf[t.next] = e
-	t.next++
-	if t.next == len(t.buf) {
-		t.next = 0
-		t.full = true
+	if f.limit == 0 || len(t.buf) < f.limit {
+		t.buf = append(t.buf, e)
+	} else {
+		t.buf[t.next] = e
+		if t.next++; t.next == f.limit {
+			t.next = 0
+		}
 	}
 	t.mu.Unlock()
 }
 
-// Events returns a copy of everything currently in the rings, ordered
-// by start time. Recording continues.
+// Events returns a copy of every retained event, ordered by start time
+// (see sortEvents). Recording continues.
 func (f *FlightRecorder) Events() []Event {
 	if f == nil {
 		return nil
@@ -130,11 +124,7 @@ func (f *FlightRecorder) Events() []Event {
 	for i := range f.tracks {
 		t := &f.tracks[i]
 		t.mu.Lock()
-		if t.full {
-			out = append(out, t.buf...)
-		} else {
-			out = append(out, t.buf[:t.next]...)
-		}
+		out = append(out, t.buf...)
 		t.mu.Unlock()
 	}
 	sortEvents(out)
@@ -149,7 +139,7 @@ func (f *FlightRecorder) Wall() time.Duration {
 	return time.Since(f.start)
 }
 
-// WriteChromeTrace dumps the rings as Chrome trace-event JSON — the
+// WriteChromeTrace dumps the recorder as Chrome trace-event JSON — the
 // same format as Trace.WriteChromeTrace, loadable in Perfetto and
 // checkable by cmd/tracecheck. A nil recorder writes an empty but valid
 // trace.

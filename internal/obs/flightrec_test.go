@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -52,9 +53,6 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				s := f.Start("work")
-				if i%100 == 0 {
-					f.Event("marker")
-				}
 				s.End()
 			}
 		}()
@@ -102,7 +100,6 @@ func TestFlightRecorderNil(t *testing.T) {
 	var f *FlightRecorder
 	s := f.Start("x")
 	s.End()
-	f.Event("y")
 	if f.Events() != nil || f.Wall() != 0 {
 		t.Error("nil recorder not a no-op")
 	}
@@ -130,5 +127,82 @@ func TestFlightSpanDuration(t *testing.T) {
 	}
 	if ev[0].Dur < int64(time.Millisecond) {
 		t.Errorf("span duration %dns, want >= 1ms", ev[0].Dur)
+	}
+}
+
+// TestChromeTracksNest exports spans that all partially overlap one
+// another — each starts after and ends after the one before — and
+// checks that no track holds two spans that partially overlap, which is
+// what Perfetto and cmd/tracecheck require of one tid.
+func TestChromeTracksNest(t *testing.T) {
+	f := NewFlightRecorder(256)
+	for i := int64(0); i < 64; i++ {
+		f.record(Event{Name: "req", Start: i * 10, Dur: 1000})
+		f.record(Event{Name: "inner", Start: i*10 + 1, Dur: 5})
+	}
+	// Concurrent spans recorded live, released together so they overlap.
+	var wg, opened sync.WaitGroup
+	opened.Add(8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				s := f.Start("live")
+				if i == 0 {
+					opened.Done()
+					opened.Wait()
+				}
+				s.End()
+			}
+		}()
+	}
+	wg.Wait()
+	var buf bytes.Buffer
+	if err := f.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			Ts   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+			Tid  int64   `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	type span struct{ start, end float64 }
+	byTid := map[int64][]span{}
+	n := 0
+	for _, e := range file.TraceEvents {
+		if e.Ph == "X" {
+			byTid[e.Tid] = append(byTid[e.Tid], span{e.Ts, e.Ts + e.Dur})
+			n++
+		}
+	}
+	if n != 2*64+8*20 {
+		t.Fatalf("exported %d spans, want %d", n, 2*64+8*20)
+	}
+	const eps = 1e-6 // µs; float rounding of ts+dur
+	for tid, spans := range byTid {
+		sort.Slice(spans, func(i, j int) bool {
+			if spans[i].start != spans[j].start {
+				return spans[i].start < spans[j].start
+			}
+			return spans[i].end > spans[j].end
+		})
+		var stack []float64
+		for _, s := range spans {
+			for len(stack) > 0 && stack[len(stack)-1] <= s.start+eps {
+				stack = stack[:len(stack)-1]
+			}
+			if len(stack) > 0 && s.end > stack[len(stack)-1]+eps {
+				t.Fatalf("tid %d: span [%v,%v) partially overlaps one ending at %v", tid, s.start, s.end, stack[len(stack)-1])
+			}
+			stack = append(stack, s.end)
+		}
 	}
 }

@@ -19,8 +19,8 @@ import (
 // geometry is fixed and shared by every Histogram, which is what makes
 // Merge a plain bucket-wise add with no resampling.
 //
-// A nil *Histogram — what a nil Trace or Registry hands out — is a
-// no-op, matching Counter and Gauge.
+// A nil *Histogram — what a nil Registry hands out — is a no-op,
+// matching Counter and Gauge.
 type Histogram struct {
 	name    string
 	sum     atomic.Int64
@@ -179,21 +179,4 @@ func (h *Histogram) Snapshot() (buckets []HistogramBucket, bucketTotal, sum int6
 		}
 	}
 	return buckets, bucketTotal, h.sum.Load()
-}
-
-// Histogram returns the named histogram from the trace registry,
-// registering it on first use. Returns nil (a valid no-op histogram) on
-// a nil Trace. Like Counter, hoist the lookup out of hot loops.
-func (t *Trace) Histogram(name string) *Histogram {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	h, ok := t.histograms[name]
-	if !ok {
-		h = &Histogram{name: name}
-		t.histograms[name] = h
-	}
-	return h
 }

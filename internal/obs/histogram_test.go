@@ -209,31 +209,3 @@ func TestHistogramNil(t *testing.T) {
 		t.Error("nil Snapshot not empty")
 	}
 }
-
-// TestTraceHistogramRegistry covers Trace.Histogram registration and
-// the report/summary rows.
-func TestTraceHistogramRegistry(t *testing.T) {
-	var nilT *Trace
-	if nilT.Histogram("x") != nil {
-		t.Fatal("nil trace returned non-nil histogram")
-	}
-	tr := New()
-	h := tr.Histogram("fold_ns")
-	if h2 := tr.Histogram("fold_ns"); h2 != h {
-		t.Fatal("re-registration returned a different histogram")
-	}
-	for i := int64(1); i <= 100; i++ {
-		h.Observe(i)
-	}
-	r := tr.Report()
-	hs, ok := r.Histograms["fold_ns"]
-	if !ok {
-		t.Fatal("report missing histogram row")
-	}
-	if hs.Count != 100 || hs.Sum != 5050 {
-		t.Errorf("report row = %+v, want count 100 sum 5050", hs)
-	}
-	if hs.P50 < 50 || hs.P50 > 57 {
-		t.Errorf("p50 = %d, want ~50 within bucket bound", hs.P50)
-	}
-}

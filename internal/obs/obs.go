@@ -1,12 +1,15 @@
 // Package obs is the profiler's self-observability layer: the paper's
 // thesis — you cannot tune what you cannot measure (§2-§4) — applied to
-// our own analysis pipeline. It records named spans (monotonic start +
-// duration + goroutine id) into sharded buffers and typed counters and
-// gauges into a registry, and exports them three ways: a human stage
+// our own analysis pipeline. It has one span store, the
+// FlightRecorder's per-track buffers, and two ways to hold it: a Trace
+// keeps one recorder whose tracks grow for the life of one run, plus
+// typed counters and gauges and a fail latch; a bare FlightRecorder
+// keeps fixed rings for a long-running process. Every view is derived
+// from the recorded (name, start, duration) events: a human stage
 // summary (WriteSummary, for -stats), Chrome trace-event JSON
-// (WriteChromeTrace, for -tracefile, viewable in Perfetto or
-// chrome://tracing), and a machine-readable run report (Report /
-// WriteReport, schema gprof.runreport.v1, embedded in BENCH_*.json).
+// (WriteChromeTrace, for -tracefile and /debug/flightrec, viewable in
+// Perfetto or chrome://tracing), and a machine-readable run report
+// (Report / WriteReport, schema gprof.runreport.v1, for -runreport).
 //
 // The disabled state is the default and near-free: every method is
 // nil-safe, so a nil *Trace threaded through the pipeline costs a
@@ -16,101 +19,77 @@
 // stages that already take a ctx — core.Run, gmon.MergeAllStreaming,
 // propagate.RunCtx, callgraph.BuildCtx — need no signature changes.
 //
-// Spans are meant for coarse units of work (a pipeline stage, a file
-// read, a served request), not per-instruction events: starting an
-// enabled span resolves the goroutine id from the runtime, which costs
-// on the order of a microsecond. Counters are the hot-path instrument:
-// an *obs.Counter is a single atomic; hoist the registry lookup out of
-// the loop and Add in place.
+// An enabled span is a value, not a closure: starting and ending one
+// costs two clock reads, one atomic add and one striped mutex, with no
+// allocation beyond a track's amortized growth (BenchmarkObsSpanEnabled).
+// Spans are still meant for coarse units of work (a pipeline stage, a
+// file read, a served request), not per-instruction events. Counters
+// are the hot-path instrument: an *obs.Counter is a single atomic;
+// hoist the registry lookup out of the loop and Add in place.
 package obs
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Event is one recorded span: a named interval on one goroutine.
-// Times are monotonic nanoseconds since the Trace was created.
+// Event is one recorded span: a named interval. Times are monotonic
+// nanoseconds since the recorder was created.
 type Event struct {
 	Name  string
-	Start int64 // ns since trace start
+	Start int64 // ns since recorder start
 	Dur   int64 // ns
-	Goid  int64 // goroutine that recorded the span
-}
-
-// shard is one lock-striped event buffer. Goroutines map onto shards by
-// id, sized to the number of Ps, so concurrent work (merge workers,
-// gprofd requests) appends without contending on one lock.
-type shard struct {
-	mu     sync.Mutex
-	events []Event
-	_      [40]byte // keep neighboring shards off one cache line
 }
 
 // Trace accumulates spans, counters, and gauges for one run. The zero
 // value is not usable; create with New. A nil *Trace is the disabled
 // layer: every method no-ops. A Trace is safe for concurrent use.
 type Trace struct {
-	start  time.Time
-	mask   uint64
-	shards []shard
+	rec *FlightRecorder // tracks grow: a run keeps every span
 
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
 
 	failed atomic.Pointer[error]
 }
 
 // New creates an enabled trace whose clock starts now.
 func New() *Trace {
-	n := 1
-	for n < runtime.GOMAXPROCS(0) {
-		n <<= 1
-	}
 	return &Trace{
-		start:      time.Now(),
-		mask:       uint64(n - 1),
-		shards:     make([]shard, n),
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
+		rec:      newRecorder(0),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
 	}
 }
 
 // Enabled reports whether the trace records anything.
 func (t *Trace) Enabled() bool { return t != nil }
 
-// nop is the shared stop function disabled spans return: calling it
-// does nothing, and returning it allocates nothing.
-var nop = func() {}
-
-// Span starts a named span on the calling goroutine and returns the
-// function that ends it; idiomatic use is
-//
-//	defer t.Span("propagate")()
-//
-// or an explicit end() call for stages that do not align with a
-// function body. On a nil Trace both start and stop are no-ops with no
-// allocation. The end function must be called exactly once, from any
-// goroutine (the span stays attributed to the starting one).
-func (t *Trace) Span(name string) func() {
+// Recorder returns the trace's span store (nil for a nil Trace), for a
+// component that records spans itself — gprofd records its request and
+// fold spans here when a trace is attached.
+func (t *Trace) Recorder() *FlightRecorder {
 	if t == nil {
-		return nop
+		return nil
 	}
-	g := goid()
-	start := int64(time.Since(t.start))
-	return func() {
-		dur := int64(time.Since(t.start)) - start
-		s := &t.shards[uint64(g)&t.mask]
-		s.mu.Lock()
-		s.events = append(s.events, Event{Name: name, Start: start, Dur: dur, Goid: g})
-		s.mu.Unlock()
+	return t.rec
+}
+
+// Span starts a named span; idiomatic use is
+//
+//	defer t.Span("propagate").End()
+//
+// or an explicit End call for stages that do not align with a function
+// body. On a nil Trace both start and end are no-ops with no
+// allocation. End must be called at most once, from any goroutine.
+func (t *Trace) Span(name string) Span {
+	if t == nil {
+		return Span{}
 	}
+	return t.rec.Start(name)
 }
 
 // Fail marks the run as aborted; Report carries the error and flips
@@ -135,40 +114,22 @@ func (t *Trace) Err() error {
 }
 
 // Wall returns the time elapsed since the trace was created.
-func (t *Trace) Wall() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.start)
-}
+func (t *Trace) Wall() time.Duration { return t.Recorder().Wall() }
 
 // Events returns every recorded span, ordered by start time. The slice
 // is a copy; the trace keeps recording.
-func (t *Trace) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	var out []Event
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		out = append(out, s.events...)
-		s.mu.Unlock()
-	}
-	sortEvents(out)
-	return out
-}
+func (t *Trace) Events() []Event { return t.Recorder().Events() }
 
-// sortEvents orders by (Start, Goid, Name) so exports are deterministic
-// when spans share a timestamp.
+// sortEvents orders by start, then longest first, then name, so exports
+// are deterministic and a span sorts ahead of the spans it encloses.
 func sortEvents(ev []Event) {
 	sort.Slice(ev, func(i, j int) bool {
 		a, b := ev[i], ev[j]
 		if a.Start != b.Start {
 			return a.Start < b.Start
 		}
-		if a.Goid != b.Goid {
-			return a.Goid < b.Goid
+		if a.Dur != b.Dur {
+			return a.Dur > b.Dur
 		}
 		return a.Name < b.Name
 	})
@@ -244,19 +205,6 @@ func (g *Gauge) Add(n int64) {
 	}
 }
 
-// Max raises the gauge to v if v is larger (for high-water marks).
-func (g *Gauge) Max(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Value returns the last recorded value.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -306,46 +254,4 @@ func (t *Trace) counterValues() (counters, gauges map[string]int64) {
 		}
 	}
 	return counters, gauges
-}
-
-// histogramSnapshots snapshots the histogram registry as summary rows.
-func (t *Trace) histogramSnapshots() map[string]HistogramStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.histograms) == 0 {
-		return nil
-	}
-	out := make(map[string]HistogramStats, len(t.histograms))
-	for name, h := range t.histograms {
-		out[name] = HistogramStats{
-			Count: h.Count(),
-			Sum:   h.Sum(),
-			P50:   h.Quantile(0.50),
-			P90:   h.Quantile(0.90),
-			P99:   h.Quantile(0.99),
-		}
-	}
-	return out
-}
-
-// goid parses the calling goroutine's id from the runtime's stack
-// header ("goroutine N [running]: ..."). It costs about a microsecond,
-// which is why spans are for coarse work units; there is no cheaper
-// portable way to identify a goroutine.
-func goid() int64 {
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	s := buf[:n]
-	const prefix = "goroutine "
-	if len(s) < len(prefix) {
-		return 0
-	}
-	var id int64
-	for _, b := range s[len(prefix):] {
-		if b < '0' || b > '9' {
-			break
-		}
-		id = id*10 + int64(b-'0')
-	}
-	return id
 }

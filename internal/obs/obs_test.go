@@ -13,9 +13,9 @@ import (
 
 func TestSpanRecordsEvent(t *testing.T) {
 	tr := New()
-	end := tr.Span("load")
+	sp := tr.Span("load")
 	time.Sleep(time.Millisecond)
-	end()
+	sp.End()
 	events := tr.Events()
 	if len(events) != 1 {
 		t.Fatalf("got %d events, want 1", len(events))
@@ -27,28 +27,32 @@ func TestSpanRecordsEvent(t *testing.T) {
 	if e.Dur <= 0 {
 		t.Errorf("duration %d not positive", e.Dur)
 	}
-	if e.Goid <= 0 {
-		t.Errorf("goid %d not positive", e.Goid)
-	}
 }
 
-// TestConcurrentSpans hammers the sharded buffers and the registries
-// from many goroutines; run under -race this is the data-race proof.
+// TestConcurrentSpans hammers the recorder and the registries from
+// many goroutines; run under -race this is the data-race proof. Every
+// goroutine opens its first span before any closes one, so at least
+// two "work" spans overlap and Workers, the peak overlap, is >= 2.
 func TestConcurrentSpans(t *testing.T) {
 	tr := New()
 	const workers, per = 16, 50
 	c := tr.Counter("work.items")
-	var wg sync.WaitGroup
+	var wg, opened sync.WaitGroup
+	opened.Add(workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			g := tr.Gauge("work.high_water")
+			g := tr.Gauge("work.level")
 			for i := 0; i < per; i++ {
-				end := tr.Span("work")
+				sp := tr.Span("work")
+				if i == 0 {
+					opened.Done()
+					opened.Wait()
+				}
 				c.Add(1)
-				g.Max(int64(i))
-				end()
+				g.Add(1)
+				sp.End()
 			}
 		}(w)
 	}
@@ -59,15 +63,50 @@ func TestConcurrentSpans(t *testing.T) {
 	if got := c.Value(); got != workers*per {
 		t.Errorf("counter = %d, want %d", got, workers*per)
 	}
-	if got := tr.Gauge("work.high_water").Value(); got != per-1 {
-		t.Errorf("gauge = %d, want %d", got, per-1)
+	if got := tr.Gauge("work.level").Value(); got != workers*per {
+		t.Errorf("gauge = %d, want %d", got, workers*per)
 	}
 	rep := tr.Report()
 	if len(rep.Stages) != 1 || rep.Stages[0].Count != workers*per {
 		t.Errorf("report stages = %+v", rep.Stages)
 	}
 	if rep.Stages[0].Workers < 2 {
-		t.Errorf("expected multiple worker goroutines, got %d", rep.Stages[0].Workers)
+		t.Errorf("expected overlapping spans, got peak %d", rep.Stages[0].Workers)
+	}
+}
+
+// TestReportWorkersPeakOverlap pins the workers column on synthetic
+// events: it is the peak number of spans of one name open at once,
+// whatever goroutine recorded them.
+func TestReportWorkersPeakOverlap(t *testing.T) {
+	cases := []struct {
+		name   string
+		events []Event
+		want   int
+	}{
+		{"sequential", []Event{{"s", 0, 10}, {"s", 20, 10}, {"s", 40, 10}}, 1},
+		{"touching", []Event{{"s", 0, 10}, {"s", 10, 10}, {"s", 20, 10}}, 1},
+		{"three overlapping", []Event{{"s", 0, 100}, {"s", 10, 100}, {"s", 20, 100}, {"s", 300, 5}}, 3},
+		{"nested", []Event{{"s", 0, 100}, {"s", 10, 20}, {"s", 50, 20}}, 2},
+		{"equal starts", []Event{{"s", 5, 10}, {"s", 5, 30}}, 2},
+		{"zero duration", []Event{{"s", 5, 0}, {"s", 5, 0}}, 1},
+		{"other names ignored", []Event{{"s", 0, 100}, {"t", 10, 20}, {"t", 15, 20}}, 1},
+	}
+	for _, tc := range cases {
+		tr := New()
+		for _, e := range tc.events {
+			tr.rec.record(e)
+		}
+		var got *StageTiming
+		rep := tr.Report()
+		for i := range rep.Stages {
+			if rep.Stages[i].Name == "s" {
+				got = &rep.Stages[i]
+			}
+		}
+		if got == nil || got.Workers != tc.want {
+			t.Errorf("%s: stage s = %+v, want workers %d", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -78,10 +117,10 @@ func TestDisabledZeroAlloc(t *testing.T) {
 	c := tr.Counter("x")
 	g := tr.Gauge("y")
 	allocs := testing.AllocsPerRun(1000, func() {
-		end := tr.Span("stage")
+		sp := tr.Span("stage")
 		c.Add(1)
 		g.Set(7)
-		end()
+		sp.End()
 	})
 	if allocs != 0 {
 		t.Errorf("disabled path allocates %v per op, want 0", allocs)
@@ -90,7 +129,7 @@ func TestDisabledZeroAlloc(t *testing.T) {
 
 func TestNilTraceIsInert(t *testing.T) {
 	var tr *Trace
-	tr.Span("x")()
+	tr.Span("x").End()
 	tr.Fail(errors.New("boom"))
 	if tr.Err() != nil || tr.Enabled() || tr.Events() != nil || tr.Wall() != 0 {
 		t.Error("nil trace leaked state")
@@ -116,12 +155,12 @@ func TestNilTraceIsInert(t *testing.T) {
 
 // TestChromeTraceValid checks the exported JSON against the trace-event
 // schema: a traceEvents array whose records carry name/ph/ts/pid/tid,
-// complete events carry dur, and every goroutine has a thread_name
+// complete events carry dur, and every track has a thread_name
 // metadata record.
 func TestChromeTraceValid(t *testing.T) {
 	tr := New()
-	tr.Span("load")()
-	tr.Span("propagate")()
+	tr.Span("load").End()
+	tr.Span("propagate").End()
 	tr.Counter("gmon.bytes_read").Add(123)
 	tr.Gauge("merge.workers").Set(4)
 
@@ -183,9 +222,9 @@ func TestChromeTraceValid(t *testing.T) {
 func TestReportAggregatesByName(t *testing.T) {
 	tr := New()
 	for i := 0; i < 3; i++ {
-		tr.Span("gmon.read_file")()
+		tr.Span("gmon.read_file").End()
 	}
-	tr.Span("scc")()
+	tr.Span("scc").End()
 	rep := tr.Report()
 	if !rep.Complete || rep.Schema != RunReportSchema {
 		t.Fatalf("report header: %+v", rep)
@@ -211,7 +250,7 @@ func TestReportAggregatesByName(t *testing.T) {
 
 func TestFailMarksPartial(t *testing.T) {
 	tr := New()
-	tr.Span("merge")()
+	tr.Span("merge").End()
 	tr.Fail(context.Canceled)
 	tr.Fail(errors.New("later error loses")) // first Fail wins
 	rep := tr.Report()
@@ -249,7 +288,7 @@ func TestContextCarrier(t *testing.T) {
 
 func TestWriteReportJSON(t *testing.T) {
 	tr := New()
-	tr.Span("load")()
+	tr.Span("load").End()
 	tr.Counter("object.bytes_read").Add(42)
 	var buf bytes.Buffer
 	if err := tr.WriteReport(&buf); err != nil {

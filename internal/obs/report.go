@@ -20,17 +20,7 @@ type StageTiming struct {
 	StartNs int64  `json:"start_ns"` // earliest start, ns since trace start
 	TotalNs int64  `json:"total_ns"` // summed span durations
 	MaxNs   int64  `json:"max_ns"`   // longest single span
-	Workers int    `json:"workers"`  // distinct goroutines that recorded the name
-}
-
-// HistogramStats is the run-report summary of one registered histogram:
-// exact count and sum plus bucket-estimated quantiles.
-type HistogramStats struct {
-	Count int64 `json:"count"`
-	Sum   int64 `json:"sum"`
-	P50   int64 `json:"p50"`
-	P90   int64 `json:"p90"`
-	P99   int64 `json:"p99"`
+	Workers int    `json:"workers"`  // peak spans of this name open at once
 }
 
 // RunReport is the machine-readable summary of one traced run
@@ -48,9 +38,6 @@ type RunReport struct {
 	Stages   []StageTiming    `json:"stages"`
 	Counters map[string]int64 `json:"counters,omitempty"`
 	Gauges   map[string]int64 `json:"gauges,omitempty"`
-	// Histograms is additive to the v1 schema: absent when no
-	// histograms were registered, so existing readers are unaffected.
-	Histograms map[string]HistogramStats `json:"histograms,omitempty"`
 }
 
 // Report aggregates the trace into a RunReport. Stages are ordered by
@@ -67,26 +54,20 @@ func (t *Trace) Report() RunReport {
 	}
 	r.WallNs = t.Wall().Nanoseconds()
 	byName := make(map[string]*StageTiming)
-	goids := make(map[string]map[int64]bool)
+	open := make(map[string][]int64) // per name: ends of the spans still open
 	for _, e := range t.Events() {
 		st, ok := byName[e.Name]
 		if !ok {
 			st = &StageTiming{Name: e.Name, StartNs: e.Start}
 			byName[e.Name] = st
-			goids[e.Name] = make(map[int64]bool)
 		}
 		st.Count++
 		st.TotalNs += e.Dur
-		if e.Dur > st.MaxNs {
-			st.MaxNs = e.Dur
-		}
-		if e.Start < st.StartNs {
-			st.StartNs = e.Start
-		}
-		goids[e.Name][e.Goid] = true
+		st.MaxNs = max(st.MaxNs, e.Dur)
+		open[e.Name] = openAt(open[e.Name], e)
+		st.Workers = max(st.Workers, len(open[e.Name]))
 	}
-	for name, st := range byName {
-		st.Workers = len(goids[name])
+	for _, st := range byName {
 		r.Stages = append(r.Stages, *st)
 	}
 	sort.Slice(r.Stages, func(i, j int) bool {
@@ -96,8 +77,21 @@ func (t *Trace) Report() RunReport {
 		return r.Stages[i].Name < r.Stages[j].Name
 	})
 	r.Counters, r.Gauges = t.counterValues()
-	r.Histograms = t.histogramSnapshots()
 	return r
+}
+
+// openAt advances one name's set of open spans to e's start, events
+// arriving in start order: it drops the spans that ended by then and
+// adds e. Its length is the number of spans of the name open at once.
+func openAt(ends []int64, e Event) []int64 {
+	k := 0
+	for _, end := range ends {
+		if end > e.Start {
+			ends[k] = end
+			k++
+		}
+	}
+	return append(ends[:k], e.Start+e.Dur)
 }
 
 // WriteReport encodes the run report as indented JSON.
@@ -149,18 +143,5 @@ func (t *Trace) WriteSummary(w io.Writer) error {
 	}
 	writeKV("counters", r.Counters)
 	writeKV("gauges", r.Gauges)
-	if len(r.Histograms) > 0 {
-		fmt.Fprintf(w, "  histograms:\n")
-		names := make([]string, 0, len(r.Histograms))
-		for name := range r.Histograms {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			h := r.Histograms[name]
-			fmt.Fprintf(w, "    %-28s n=%d sum=%d p50=%d p90=%d p99=%d\n",
-				name, h.Count, h.Sum, h.P50, h.P90, h.P99)
-		}
-	}
 	return nil
 }

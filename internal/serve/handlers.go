@@ -38,9 +38,9 @@ func (s *Server) routes() {
 
 // handle registers a route and records its path so the metrics
 // middleware can label known endpoints exactly and collapse everything
-// else into "other".
+// else into "other", and name their request spans without allocating.
 func (s *Server) handle(path string, fn http.HandlerFunc) {
-	s.endpoints[path] = struct{}{}
+	s.endpoints[path] = "http " + path
 	s.mux.HandleFunc(path, fn)
 }
 
@@ -51,7 +51,7 @@ type apiError struct {
 
 func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
 	if code >= 400 && code < 500 && code != http.StatusTooManyRequests {
-		s.stats.badRequest.Add(1)
+		s.metrics.badRequests.Add(1)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -104,12 +104,12 @@ func (s *Server) handleExe(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, "fingerprinting image: %v", err)
 		return
 	}
-	sh, err := s.register(fp, newShard(fp, im, s.cfg, s.tr, s.metrics, s.rec))
+	sh, err := s.register(fp, newShard(fp, im, s.cfg, s.metrics, s.rec))
 	if err != nil {
 		s.fail(w, http.StatusInsufficientStorage, "registering %s: %v", fp, err)
 		return
 	}
-	s.stats.exeRegistered.Add(1)
+	s.metrics.executables.Add(1)
 	writeJSON(w, http.StatusOK, struct {
 		Fingerprint string `json:"fingerprint"`
 		Routines    int    `json:"routines"`
@@ -121,8 +121,6 @@ func (s *Server) handleExe(w http.ResponseWriter, r *http.Request) {
 // Content-Encoding negotiation needed), keyed by fingerprint. Malformed
 // bodies are 4xx; a full shard queue is 429 with Retry-After.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	end := s.tr.Span("serve.ingest")
-	defer end()
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, "POST profile data to /v1/ingest")
 		return
@@ -159,8 +157,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err := sh.enqueue(p, now); err != nil {
 		switch {
 		case errors.Is(err, errQueueFull):
-			s.stats.backpressure.Add(1)
-			s.tr.Counter("serve.http_429").Add(1)
 			w.Header().Set("Retry-After", "1")
 			s.fail(w, http.StatusTooManyRequests, "shard %s queue full; retry", fp)
 		default:
@@ -168,13 +164,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.stats.accepted.Add(1)
-	s.stats.bytes.Add(body.n)
-	s.stats.rate.add(now.Unix())
+	s.rate.add(now.Unix())
 	s.metrics.profiles.Add(1)
 	s.metrics.profileBytes.Add(body.n)
-	s.tr.Counter("serve.profiles_ingested").Add(1)
-	s.tr.Counter("serve.bytes_ingested").Add(body.n)
 	writeJSON(w, http.StatusAccepted, struct {
 		Fingerprint string `json:"fingerprint"`
 		WindowStart int64  `json:"window_start"`
@@ -183,7 +175,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // queryShard parses the fp and window parameters shared by every query
 // endpoint, honoring ?sync=1 (wait for the shard's queue to drain so
-// the snapshot covers every accepted upload).
+// the snapshot covers every accepted upload), and counts the query once
+// it is admitted.
 func (s *Server) queryShard(w http.ResponseWriter, r *http.Request) (*shard, windowSel, bool) {
 	if r.Method != http.MethodGet {
 		s.fail(w, http.StatusMethodNotAllowed, "query endpoints are GET")
@@ -210,6 +203,7 @@ func (s *Server) queryShard(w http.ResponseWriter, r *http.Request) (*shard, win
 			return nil, windowSel{}, false
 		}
 	}
+	s.metrics.queries.Add(1)
 	return sh, sel, true
 }
 
@@ -221,13 +215,10 @@ var errNoData = fmt.Errorf("no profile data in the selected window(s)")
 // the rendered bytes, all invalidated by the shard's fold version.
 func (s *Server) queryText(endpoint string, render func(*core.Result, io.Writer) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		end := s.tr.Span("serve.query")
-		defer end()
 		sh, sel, ok := s.queryShard(w, r)
 		if !ok {
 			return
 		}
-		s.stats.queries.Add(1)
 		e, err := s.analyzed(r.Context(), sh, sel)
 		if err != nil {
 			s.queryFail(w, sh, err)
@@ -246,13 +237,10 @@ func (s *Server) queryText(endpoint string, render func(*core.Result, io.Writer)
 // handleProfile serves the merged windows as an analyzed
 // gprof.profile.v1 JSON document — the same bytes gprof -json writes.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	end := s.tr.Span("serve.query")
-	defer end()
 	sh, sel, ok := s.queryShard(w, r)
 	if !ok {
 		return
 	}
-	s.stats.queries.Add(1)
 	e, err := s.analyzed(r.Context(), sh, sel)
 	if err != nil {
 		s.queryFail(w, sh, err)
@@ -283,13 +271,10 @@ const DiffSchema = "gprofd.diff.v1"
 // handleDiff compares two window selections (?old=, ?new=; default
 // prev vs current) and returns model.Diff's per-routine deltas.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	end := s.tr.Span("serve.query")
-	defer end()
 	sh, _, ok := s.queryShard(w, r)
 	if !ok {
 		return
 	}
-	s.stats.queries.Add(1)
 	oldParam := r.URL.Query().Get("old")
 	if oldParam == "" {
 		oldParam = "prev"
@@ -331,13 +316,10 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 // pprof protobuf — what a flame-graph UI or go tool pprof would fetch.
 // 404 when the uploads carried no stack samples (pre-v3 collectors).
 func (s *Server) handlePprof(w http.ResponseWriter, r *http.Request) {
-	end := s.tr.Span("serve.query")
-	defer end()
 	sh, sel, ok := s.queryShard(w, r)
 	if !ok {
 		return
 	}
-	s.stats.queries.Add(1)
 	e, err := s.analyzed(r.Context(), sh, sel)
 	if err != nil {
 		s.queryFail(w, sh, err)
@@ -357,13 +339,10 @@ func (s *Server) handlePprof(w http.ResponseWriter, r *http.Request) {
 // the bytes an offline gmon.MergeAll over the same uploads would
 // produce, which is what `make gprofd-smoke` asserts.
 func (s *Server) handleGmon(w http.ResponseWriter, r *http.Request) {
-	end := s.tr.Span("serve.query")
-	defer end()
 	sh, sel, ok := s.queryShard(w, r)
 	if !ok {
 		return
 	}
-	s.stats.queries.Add(1)
 	version := gmon.Version1
 	switch r.URL.Query().Get("v") {
 	case "2":

@@ -124,7 +124,7 @@ func TestOversizedUploads(t *testing.T) {
 	profile := encodeProfile(t, sortProfile(t, 1), gmon.Version1, false)
 	s, ts := newTestServer(t, Config{MaxBodyBytes: int64(len(profile) - 1)})
 	const fp = "test-oversize-fp"
-	if _, err := s.register(fp, newShard(fp, im, s.cfg, s.tr, s.metrics, s.rec)); err != nil {
+	if _, err := s.register(fp, newShard(fp, im, s.cfg, s.metrics, s.rec)); err != nil {
 		t.Fatal(err)
 	}
 	mustStatus(t, ingest(t, ts, fp, profile), http.StatusRequestEntityTooLarge)

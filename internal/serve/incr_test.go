@@ -98,8 +98,8 @@ func TestIncrementalWarmHit(t *testing.T) {
 	if len(st.Shards) != 1 || st.Shards[0].Version != 1 {
 		t.Fatalf("shard version: %+v", st.Shards)
 	}
-	if st.Counters["serve.analysis_cache_hit"] < 2 || st.Counters["serve.snapshot_cache_hit"] < 2 {
-		t.Errorf("obs cache counters missing: %+v", st.Counters)
+	if st.Queries != 3 || st.CoalescedQueries != 0 {
+		t.Errorf("queries=%d coalesced=%d, want 3/0", st.Queries, st.CoalescedQueries)
 	}
 
 	// A fold invalidates: the next query misses and serves the new merge.
@@ -250,7 +250,7 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	if want := offlineMerge(t, []*gmon.Profile{p1, p1}); !bytes.Equal(encodeGmon(t, snap2), want) {
 		t.Error("post-fold snapshot differs from offline MergeAll")
 	}
-	if got := s.Snapshot().Counters["serve.snapshot_cow_clones"]; got != 1 {
+	if got := s.Snapshot().SnapshotCOWClones; got != 1 {
 		t.Errorf("cow clones = %d, want 1", got)
 	}
 }

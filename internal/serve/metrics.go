@@ -5,17 +5,16 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
 
 // Production metrics for gprofd (schema gprofd.metrics.v1, documented
 // in docs/FORMATS.md): an always-on obs.Registry the HTTP middleware,
-// shards, and self-profiler record into, exposed in Prometheus text
-// format at GET /metrics. Unlike the optional Config.Trace — which
-// accumulates per-event spans and is meant for one bounded run — the
-// registry holds a fixed set of counters, gauges, and mergeable
+// handlers, shards, and self-profiler record into, exposed in
+// Prometheus text format at GET /metrics. It is the server's one count
+// source — /v1/stats reads its series rather than keeping counters of
+// its own — and holds a fixed set of counters, gauges, and mergeable
 // histograms, so a gprofd that runs for months pays a few atomic adds
 // per request and constant memory.
 
@@ -30,6 +29,12 @@ type serverMetrics struct {
 	queueDepth   *obs.Histogram
 	profiles     *obs.Counter
 	profileBytes *obs.Counter
+	backpressure *obs.Counter // the /v1/ingest 429 requests series
+	badRequests  *obs.Counter
+	executables  *obs.Counter
+	queries      *obs.Counter
+	coalesced    *obs.Counter
+	cowClones    *obs.Counter
 	selfCaptures *obs.Counter
 	selfEmpty    *obs.Counter
 	selfErrors   *obs.Counter
@@ -41,10 +46,9 @@ type serverMetrics struct {
 	shards     *obs.Gauge
 	ready      *obs.Gauge
 
-	mu       bySeriesMu
-	series   map[seriesKey]*endpointSeries
-	byEp     map[string]*endpointBytes
-	flightNm map[string]string // endpoint -> precomputed flight-span name
+	mu     bySeriesMu
+	series map[seriesKey]*endpointSeries
+	byEp   map[string]*endpointBytes
 }
 
 type bySeriesMu = sync.Mutex
@@ -84,6 +88,16 @@ func newServerMetrics() *serverMetrics {
 			"profile uploads accepted into a shard queue"),
 		profileBytes: reg.Counter("gprofd_profile_bytes_ingested_total",
 			"upload bytes consumed by the profile decoder"),
+		badRequests: reg.Counter("gprofd_bad_requests_total",
+			"requests rejected as malformed, unknown, oversized or conflicting (4xx other than 429)"),
+		executables: reg.Counter("gprofd_executables_registered_total",
+			"executable registrations accepted, re-registrations included"),
+		queries: reg.Counter("gprofd_queries_total",
+			"query requests admitted against a registered fingerprint"),
+		coalesced: reg.Counter("gprofd_coalesced_queries_total",
+			"cold queries that joined another request's analysis"),
+		cowClones: reg.Counter("gprofd_snapshot_cow_clones_total",
+			"folds that cloned a window aggregate shared with a cached snapshot"),
 		selfCaptures: reg.Counter("gprofd_selfprofile_captures_total",
 			"self-profile captures attempted"),
 		selfEmpty: reg.Counter("gprofd_selfprofile_empty_total",
@@ -100,11 +114,11 @@ func newServerMetrics() *serverMetrics {
 			"registered fingerprint shards"),
 		ready: reg.Gauge("gprofd_ready",
 			"1 while serving, 0 once draining has begun"),
-		series:   make(map[seriesKey]*endpointSeries),
-		byEp:     make(map[string]*endpointBytes),
-		flightNm: make(map[string]string),
+		series: make(map[seriesKey]*endpointSeries),
+		byEp:   make(map[string]*endpointBytes),
 	}
 	m.ready.Set(1)
+	m.backpressure = m.endpointSeries("/v1/ingest", http.StatusTooManyRequests).requests
 	return m
 }
 
@@ -193,14 +207,14 @@ func itoaCode(code int) string {
 	return string(buf[:])
 }
 
-// endpointLabel maps a request path to its metric label. Unknown paths
-// collapse into "other" so a scanner probing random URLs cannot grow
-// the series set without bound.
-func (s *Server) endpointLabel(path string) string {
-	if _, ok := s.endpoints[path]; ok {
-		return path
+// endpointLabel maps a request path to its metric label and request
+// span name. Unknown paths collapse into "other" so a scanner probing
+// random URLs cannot grow the series set without bound.
+func (s *Server) endpointLabel(path string) (label, span string) {
+	if span, ok := s.endpoints[path]; ok {
+		return path, span
 	}
-	return "other"
+	return "other", "http other"
 }
 
 // statusWriter observes the status code and body size of a response.
@@ -242,23 +256,21 @@ func (b *countingBody) Close() error { return b.rc.Close() }
 
 // instrument is the HTTP middleware: per-endpoint × per-status request
 // counts and latency histograms, per-endpoint body-size histograms, the
-// in-flight gauge, and a flight-recorder span per request. It wraps the
-// whole mux, so every endpoint — including /metrics itself — is
-// measured.
+// in-flight gauge, and one span per request, whose duration is the
+// latency the histogram observes. It wraps the whole mux, so every
+// endpoint — including /metrics itself — is measured.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	m := s.metrics
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ep := s.endpointLabel(r.URL.Path)
-		fs := s.rec.Start(s.flightName(ep))
+		ep, name := s.endpointLabel(r.URL.Path)
+		sp := s.rec.Start(name)
 		m.inFlight.Add(1)
 		body := &countingBody{rc: r.Body}
 		r.Body = body
 		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
 		next.ServeHTTP(sw, r)
-		dur := time.Since(start).Nanoseconds()
 		m.inFlight.Add(-1)
-		fs.End()
+		dur := sp.End()
 		code := sw.status
 		if code == 0 {
 			code = http.StatusOK
@@ -270,19 +282,6 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		eb.reqBytes.Observe(body.n)
 		eb.respBytes.Observe(sw.bytes)
 	})
-}
-
-// flightName returns the cached "http <endpoint>" flight-span label.
-func (s *Server) flightName(ep string) string {
-	m := s.metrics
-	m.mu.Lock()
-	name, ok := m.flightNm[ep]
-	if !ok {
-		name = "http " + ep
-		m.flightNm[ep] = name
-	}
-	m.mu.Unlock()
-	return name
 }
 
 // handleMetrics serves the registry in Prometheus text exposition
@@ -327,10 +326,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("draining\n"))
 }
 
-// handleFlightRec dumps the flight recorder as Chrome trace-event JSON
-// — the last few thousand request and fold spans, always available, for
-// after-the-fact incident forensics (load in Perfetto or validate with
-// cmd/tracecheck).
+// handleFlightRec dumps the span recorder as Chrome trace-event JSON
+// — the last few thousand request and fold spans (every one, when a
+// trace is attached), always available, for after-the-fact incident
+// forensics (load in Perfetto or validate with cmd/tracecheck).
 func (s *Server) handleFlightRec(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.fail(w, http.StatusMethodNotAllowed, "GET /debug/flightrec")

@@ -137,12 +137,8 @@ func (s *Server) analyzed(ctx context.Context, sh *shard, sel windowSel) (*analy
 	}
 	key := "run|" + sh.fp + "|" + snapKey + "|" + s.optKey
 	if v, ok := s.queries.Get(key); ok {
-		s.stats.analysisHits.Add(1)
-		s.tr.Counter("serve.analysis_cache_hit").Add(1)
 		return v.(*analysisEntry), nil
 	}
-	s.stats.analysisMisses.Add(1)
-	s.tr.Counter("serve.analysis_cache_miss").Add(1)
 	e, err, coalesced := s.flights.do(ctx, key, func() (*analysisEntry, error) {
 		// Detached context: the shared run serves every waiter (and the
 		// cache), so no single request's cancellation may abort it.
@@ -155,8 +151,7 @@ func (s *Server) analyzed(ctx context.Context, sh *shard, sel windowSel) (*analy
 		return ent, nil
 	})
 	if coalesced {
-		s.stats.coalesced.Add(1)
-		s.tr.Counter("serve.coalesced_queries").Add(1)
+		s.metrics.coalesced.Add(1)
 	}
 	return e, err
 }
@@ -171,12 +166,8 @@ func (s *Server) gmonBytes(sh *shard, sel windowSel, version int) ([]byte, error
 	}
 	key := fmt.Sprintf("gmon|%d|%s|%s", version, sh.fp, snapKey)
 	if v, ok := s.queries.Get(key); ok {
-		s.stats.analysisHits.Add(1)
-		s.tr.Counter("serve.analysis_cache_hit").Add(1)
 		return v.([]byte), nil
 	}
-	s.stats.analysisMisses.Add(1)
-	s.tr.Counter("serve.analysis_cache_miss").Add(1)
 	var buf bytes.Buffer
 	if err := gmon.WriteVersion(&buf, p, version); err != nil {
 		return nil, err

@@ -28,11 +28,12 @@
 // gmon.MergeAll over the same uploads — the property the gprofd-smoke
 // target asserts.
 //
-// The server keeps its own always-on atomic counters for /v1/stats and
-// additionally records obs spans (serve.ingest, serve.merge,
-// serve.query) and queue-depth gauges when Config.Trace is set; spans
-// accumulate per-event memory, so long-running deployments leave the
-// trace nil and rely on the stats counters.
+// Every event is counted once, in the always-on /metrics registry (or,
+// for the caches, in their own core.LRU counters); /v1/stats projects
+// those sources into typed fields. Each request and each fold records
+// one span into one recorder: a bounded flight-recorder ring by
+// default, or Config.Trace's growing recorder when a CLI trace is
+// attached.
 package serve
 
 import (
@@ -86,9 +87,9 @@ type Config struct {
 	QueryCache int
 	// Now is the clock, injectable for tests. Nil means time.Now.
 	Now func() time.Time
-	// Trace, when set, records ingest/merge/query spans and
-	// queue-depth gauges; counters for /v1/stats are kept
-	// independently and are always on.
+	// Trace, when set, is the span recorder: request and fold spans
+	// go to its growing recorder instead of the bounded ring that
+	// /debug/flightrec dumps.
 	Trace *obs.Trace
 	// SelfProfile, when positive, starts the dogfood loop: the server
 	// captures its own Go runtime CPU profile this often and serves the
@@ -98,10 +99,11 @@ type Config struct {
 	// SelfCapture is the duration of each self-profile capture window.
 	// Zero means one second, clamped to half the SelfProfile interval.
 	SelfCapture time.Duration
-	// FlightRecorder sizes the per-track span ring (spans kept per
-	// goroutine stripe for /debug/flightrec). Zero means 1024.
-	FlightRecorder int
 }
+
+// flightTrackSpans is how many spans each track of the default
+// flight-recorder ring keeps.
+const flightTrackSpans = 1024
 
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
@@ -131,9 +133,6 @@ func (c Config) withDefaults() Config {
 	if c.Now == nil {
 		c.Now = time.Now
 	}
-	if c.FlightRecorder <= 0 {
-		c.FlightRecorder = 1024
-	}
 	return c
 }
 
@@ -142,7 +141,6 @@ func (c Config) withDefaults() Config {
 // New, expose Handler, and Close when done.
 type Server struct {
 	cfg     Config
-	tr      *obs.Trace
 	mux     *http.ServeMux
 	cache   *core.Cache // static layers (symbol table, static arcs) per image
 	queries *core.LRU   // finished analyses + rendered bodies per data version
@@ -151,9 +149,9 @@ type Server struct {
 	start   time.Time
 
 	metrics   *serverMetrics      // always-on /metrics registry
-	rec       *obs.FlightRecorder // always-on span ring for /debug/flightrec
+	rec       *obs.FlightRecorder // the one span recorder, dumped at /debug/flightrec
 	self      *selfProfiler       // dogfood loop behind /v1/self
-	endpoints map[string]struct{} // registered paths, for bounded metric labels
+	endpoints map[string]string   // registered path -> its request span name
 	handler   http.Handler        // mux wrapped in the metrics middleware
 	draining  atomic.Bool         // flips /readyz to 503
 
@@ -161,7 +159,7 @@ type Server struct {
 	shards map[string]*shard
 	closed bool
 
-	stats serverStats
+	rate rateTracker // recent_profiles_per_second
 }
 
 // New creates a Server with the given configuration.
@@ -169,7 +167,6 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:    cfg,
-		tr:     cfg.Trace,
 		cache:  core.NewCache(0),
 		start:  cfg.Now(),
 		shards: make(map[string]*shard),
@@ -177,10 +174,13 @@ func New(cfg Config) *Server {
 	s.queries = core.NewLRU(cfg.QueryCache)
 	s.optKey = s.runOptions().CacheKey()
 	s.metrics = newServerMetrics()
-	s.rec = obs.NewFlightRecorder(cfg.FlightRecorder)
+	s.rec = cfg.Trace.Recorder()
+	if s.rec == nil {
+		s.rec = obs.NewFlightRecorder(flightTrackSpans)
+	}
 	s.self = newSelfProfiler(s, cfg.SelfProfile, cfg.SelfCapture)
 	s.mux = http.NewServeMux()
-	s.endpoints = make(map[string]struct{})
+	s.endpoints = make(map[string]string)
 	s.routes()
 	s.handler = s.instrument(s.mux)
 	s.self.startLoop()
@@ -252,7 +252,6 @@ func (s *Server) register(fp string, sh *shard) (*shard, error) {
 	}
 	s.shards[fp] = sh
 	sh.start()
-	s.tr.Gauge("serve.shards").Set(int64(len(s.shards)))
 	return sh, nil
 }
 

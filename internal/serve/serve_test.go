@@ -342,7 +342,7 @@ func TestBackpressure(t *testing.T) {
 	im, _ := sortImage(t)
 	s, ts := newTestServer(t, Config{QueueDepth: 1})
 	const fp = "test-backpressure-fp"
-	sh := newShard(fp, im, s.cfg, s.tr, s.metrics, s.rec)
+	sh := newShard(fp, im, s.cfg, s.metrics, s.rec)
 	s.mu.Lock()
 	s.shards[fp] = sh // worker deliberately not started: queue never drains
 	s.mu.Unlock()
@@ -433,8 +433,8 @@ func TestMaxShards(t *testing.T) {
 	mustStatus(t, resp, http.StatusOK)
 }
 
-// TestStats checks the always-on counters and that an attached obs
-// trace surfaces its counters in the payload.
+// TestStats checks the always-on counters, with an obs trace attached
+// as gprofd -stats attaches one.
 func TestStats(t *testing.T) {
 	tr := obs.New()
 	_, imageBytes := sortImage(t)
@@ -460,8 +460,9 @@ func TestStats(t *testing.T) {
 	if len(st.Shards) != 1 || st.Shards[0].Fingerprint != fp {
 		t.Errorf("shards: %+v", st.Shards)
 	}
-	if st.Counters["serve.profiles_ingested"] != 1 {
-		t.Errorf("obs counters missing from stats: %+v", st.Counters)
+	if st.AnalysisCacheMisses != 1 || st.RejectedBadRequest != 0 || st.RejectedBackpressure != 0 {
+		t.Errorf("analysis misses=%d bad=%d 429=%d, want 1/0/0",
+			st.AnalysisCacheMisses, st.RejectedBadRequest, st.RejectedBackpressure)
 	}
 	if st.HeapAllocBytes == 0 || st.NumGoroutine == 0 {
 		t.Error("runtime stats missing")

@@ -60,15 +60,13 @@ type shard struct {
 	retain   int
 	queue    chan ingestItem
 	done     chan struct{}
-	tr       *obs.Trace
-	depth    *obs.Gauge          // high-water queue depth
 	snaps    *core.LRU           // resolved selection -> *gmon.Profile (read-only)
-	rec      *obs.FlightRecorder // fold spans for /debug/flightrec (nil-safe)
-	foldName string              // precomputed flight-span label
-	// /metrics histograms, shared across shards (nil when the shard is
-	// built outside a Server, e.g. directly in tests).
+	rec      *obs.FlightRecorder // the server's span recorder, one span per fold
+	foldName string              // precomputed span label
+	// /metrics series, shared across shards.
 	foldDur    *obs.Histogram
 	queueDepth *obs.Histogram
+	cowClones  *obs.Counter
 
 	mu       sync.Mutex
 	closed   bool
@@ -83,26 +81,22 @@ type shard struct {
 	lastErr  string
 }
 
-func newShard(fp string, im *object.Image, cfg Config, tr *obs.Trace, m *serverMetrics, rec *obs.FlightRecorder) *shard {
-	s := &shard{
-		fp:       fp,
-		im:       im,
-		window:   int64(cfg.Window / time.Second),
-		retain:   cfg.Retain,
-		queue:    make(chan ingestItem, cfg.QueueDepth),
-		done:     make(chan struct{}),
-		tr:       tr,
-		depth:    tr.Gauge("serve.queue_high_water"),
-		snaps:    core.NewLRU(snapCacheEntries),
-		rec:      rec,
-		foldName: "fold " + fp,
-		windows:  make(map[int64]*window),
+func newShard(fp string, im *object.Image, cfg Config, m *serverMetrics, rec *obs.FlightRecorder) *shard {
+	return &shard{
+		fp:         fp,
+		im:         im,
+		window:     int64(cfg.Window / time.Second),
+		retain:     cfg.Retain,
+		queue:      make(chan ingestItem, cfg.QueueDepth),
+		done:       make(chan struct{}),
+		snaps:      core.NewLRU(snapCacheEntries),
+		rec:        rec,
+		foldName:   "fold " + fp,
+		foldDur:    m.foldDur,
+		queueDepth: m.queueDepth,
+		cowClones:  m.cowClones,
+		windows:    make(map[int64]*window),
 	}
-	if m != nil {
-		s.foldDur = m.foldDur
-		s.queueDepth = m.queueDepth
-	}
-	return s
 }
 
 func (s *shard) start() { go s.run() }
@@ -116,13 +110,9 @@ func (s *shard) run() {
 			close(it.ack)
 			continue
 		}
-		end := s.tr.Span("serve.merge")
-		fs := s.rec.Start(s.foldName)
-		foldStart := time.Now()
+		sp := s.rec.Start(s.foldName)
 		s.merge(it)
-		s.foldDur.Observe(time.Since(foldStart).Nanoseconds())
-		fs.End()
-		end()
+		s.foldDur.Observe(sp.End())
 	}
 }
 
@@ -154,7 +144,7 @@ func (s *shard) merge(it ingestItem) {
 		w.prof = w.prof.Clone()
 		w.shared = false
 		s.snaps.Remove(windowKey(it.windowStart, w.version))
-		s.tr.Counter("serve.snapshot_cow_clones").Add(1)
+		s.cowClones.Add(1)
 	}
 	if err := w.prof.Merge(it.profile); err != nil {
 		// The handler pre-checks geometry, so this is a race between
@@ -211,9 +201,7 @@ func (s *shard) enqueue(p *gmon.Profile, now time.Time) error {
 	select {
 	case s.queue <- it:
 		s.accepted++
-		depth := int64(len(s.queue))
-		s.depth.Max(depth)
-		s.queueDepth.Observe(depth)
+		s.queueDepth.Observe(int64(len(s.queue)))
 		return nil
 	default:
 		return errQueueFull
@@ -347,10 +335,8 @@ func (s *shard) snapshot(sel windowSel, now time.Time) (*gmon.Profile, int, stri
 		return nil, 0, ""
 	}
 	if v, ok := s.snaps.Get(key.String()); ok {
-		s.tr.Counter("serve.snapshot_cache_hit").Add(1)
 		return v.(*gmon.Profile), n, key.String()
 	}
-	s.tr.Counter("serve.snapshot_cache_miss").Add(1)
 	var total *gmon.Profile
 	if n == 1 {
 		// Zero-copy: serve the aggregate itself and mark it shared; the

@@ -4,28 +4,10 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // StatsSchema tags every /v1/stats response.
 const StatsSchema = "gprofd.stats.v1"
-
-// serverStats is the always-on accounting behind /v1/stats; unlike the
-// optional obs trace it costs a few atomics per request and never
-// grows, so a long-running gprofd can leave tracing off and still be
-// observable.
-type serverStats struct {
-	accepted       atomic.Int64 // uploads admitted to a shard queue
-	bytes          atomic.Int64 // upload bytes consumed by the decoder
-	badRequest     atomic.Int64 // 4xx rejections (malformed, unknown, oversized)
-	backpressure   atomic.Int64 // 429 rejections (shard queue full)
-	exeRegistered  atomic.Int64
-	queries        atomic.Int64
-	analysisHits   atomic.Int64 // queries served from the analysis LRU
-	analysisMisses atomic.Int64
-	coalesced      atomic.Int64 // cold queries that joined another's core.Run
-	rate           rateTracker
-}
 
 // rateWindow is how many whole seconds the recent-rate estimate
 // averages over.
@@ -79,8 +61,9 @@ type ShardStats struct {
 // Stats is the /v1/stats payload (schema gprofd.stats.v1): ingest
 // accounting, the profiles/sec headline both lifetime and over the
 // last few seconds, the Go heap (the soak test's bounded-RSS check
-// reads it), and per-shard queue depths. When the server carries an
-// obs trace its counter and gauge registries ride along.
+// reads it), and per-shard queue depths. Every count is a projection
+// of one source — a /metrics series or a cache's own LRU counters —
+// so the two surfaces cannot disagree.
 type Stats struct {
 	Schema        string  `json:"schema"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
@@ -105,6 +88,7 @@ type Stats struct {
 	AnalysisCacheMisses    int64 `json:"analysis_cache_misses"`
 	AnalysisCacheEvictions int64 `json:"analysis_cache_evictions"`
 	CoalescedQueries       int64 `json:"coalesced_queries"`
+	SnapshotCOWClones      int64 `json:"snapshot_cow_clones"`
 
 	// The dogfood loop's accounting (additive in gprofd.stats.v1; see
 	// /v1/self and the gprofd.metrics.v1 selfprofile counters).
@@ -117,34 +101,33 @@ type Stats struct {
 	NumGoroutine   int    `json:"num_goroutine"`
 
 	Shards []ShardStats `json:"shards"`
-
-	Counters map[string]int64 `json:"counters,omitempty"`
-	Gauges   map[string]int64 `json:"gauges,omitempty"`
 }
 
 // Snapshot assembles the current stats payload.
 func (s *Server) Snapshot() Stats {
 	now := s.cfg.Now()
 	uptime := now.Sub(s.start).Seconds()
+	m := s.metrics
+	aHits, aMisses, aEvict := s.queries.Stats()
 	st := Stats{
 		Schema:                  StatsSchema,
 		UptimeSeconds:           uptime,
-		ProfilesAccepted:        s.stats.accepted.Load(),
-		BytesIngested:           s.stats.bytes.Load(),
-		RejectedBadRequest:      s.stats.badRequest.Load(),
-		RejectedBackpressure:    s.stats.backpressure.Load(),
-		ExecutablesRegistered:   s.stats.exeRegistered.Load(),
-		Queries:                 s.stats.queries.Load(),
-		RecentProfilesPerSecond: s.stats.rate.recent(now.Unix()),
-		AnalysisCacheHits:       s.stats.analysisHits.Load(),
-		AnalysisCacheMisses:     s.stats.analysisMisses.Load(),
-		CoalescedQueries:        s.stats.coalesced.Load(),
-		SelfProfileCaptures:     s.metrics.selfCaptures.Value(),
-		SelfProfileEmpty:        s.metrics.selfEmpty.Value(),
-		SelfProfileErrors:       s.metrics.selfErrors.Value(),
+		ProfilesAccepted:        m.profiles.Value(),
+		BytesIngested:           m.profileBytes.Value(),
+		RejectedBadRequest:      m.badRequests.Value(),
+		RejectedBackpressure:    m.backpressure.Value(),
+		ExecutablesRegistered:   m.executables.Value(),
+		Queries:                 m.queries.Value(),
+		RecentProfilesPerSecond: s.rate.recent(now.Unix()),
+		AnalysisCacheHits:       int64(aHits),
+		AnalysisCacheMisses:     int64(aMisses),
+		AnalysisCacheEvictions:  int64(aEvict),
+		CoalescedQueries:        m.coalesced.Value(),
+		SnapshotCOWClones:       m.cowClones.Value(),
+		SelfProfileCaptures:     m.selfCaptures.Value(),
+		SelfProfileEmpty:        m.selfEmpty.Value(),
+		SelfProfileErrors:       m.selfErrors.Value(),
 	}
-	_, _, qEvict := s.queries.Stats()
-	st.AnalysisCacheEvictions = int64(qEvict)
 	if uptime > 0 {
 		st.ProfilesPerSecond = float64(st.ProfilesAccepted) / uptime
 	}
@@ -172,10 +155,6 @@ func (s *Server) Snapshot() Stats {
 		st.SnapshotCacheHits += int64(hits)
 		st.SnapshotCacheMisses += int64(misses)
 		st.SnapshotCacheEvictions += int64(evictions)
-	}
-	if s.tr.Enabled() {
-		report := s.tr.Report()
-		st.Counters, st.Gauges = report.Counters, report.Gauges
 	}
 	return st
 }
