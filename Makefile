@@ -4,8 +4,9 @@ check:
 	go build ./... && go test ./...
 
 # Tier-1.5: formatting, static analysis, and the race detector over the
-# parallel stages (profile merging, rendering the listing, the shared
-# static-layer cache). Any file gofmt would rewrite fails the target.
+# parallel stages (profile merging, rendering the listing, symbol tables
+# shared by concurrent analyses). Any file gofmt would rewrite fails the
+# target.
 .PHONY: race
 race:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
@@ -18,7 +19,7 @@ bench:
 # Parallel-stage benchmarks only: the -jobs scaling story.
 .PHONY: bench-parallel
 bench-parallel:
-	go test -run xxx -bench 'Parallel|AnalyzeCached' .
+	go test -run xxx -bench 'Parallel' .
 
 # Quick bench sanity pass for CI: every benchmark runs exactly once.
 .PHONY: bench-smoke

@@ -688,36 +688,6 @@ func BenchmarkMergeParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeCached measures repeated analyses of one executable
-// with and without the static-layer cache (the kprof extract-repeatedly
-// pattern).
-func BenchmarkAnalyzeCached(b *testing.B) {
-	im, err := workloads.Build("sort", true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, _, _, err := workloads.Run(im, workloads.RunConfig{TickCycles: 300, MaxCycles: 1 << 32})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := core.ImageSource{Image: im}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(context.Background(), src, p, core.Options{Static: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		cache := core.NewCache(0)
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(context.Background(), src, p, core.Options{Static: true, Cache: cache}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // --- fast-path execution engine ----------------------------------------
 
 // BenchmarkDispatch compares the two interpreter loops over the whole

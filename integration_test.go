@@ -5,6 +5,7 @@ package repro
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -247,18 +248,21 @@ func main() { return leaf(); }`
 }
 
 // TestConcurrentAnalyses drives the pipeline — profile merging, the
-// analysis stages and rendering — from several goroutines
-// sharing one cache, so `go test -race` sweeps the new concurrency for
-// unsynchronized access.
+// analysis stages and rendering — from several goroutines that share
+// one symbol table per image through TableSource, the way gprofd's
+// queries share a registered executable's table, so `go test -race`
+// sweeps the concurrency for unsynchronized access. Every goroutine's
+// listing must equal a serial run's bytes.
 func TestConcurrentAnalyses(t *testing.T) {
-	images := map[string]*object.Image{}
+	tables := map[string]*symtab.Table{}
 	profiles := map[string][]*gmon.Profile{}
+	want := map[string][]byte{}
 	for _, name := range []string{"sort", "parser", "service"} {
 		im, err := workloads.Build(name, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		images[name] = im
+		tables[name] = symtab.New(im)
 		for seed := uint64(1); seed <= 4; seed++ {
 			p, _, _, err := workloads.Run(im, workloads.RunConfig{Seed: seed, TickCycles: 500, MaxCycles: 1 << 30})
 			if err != nil {
@@ -266,12 +270,24 @@ func TestConcurrentAnalyses(t *testing.T) {
 			}
 			profiles[name] = append(profiles[name], p)
 		}
+		merged, err := gmon.MergeAll(context.Background(), profiles[name], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Run(context.Background(), core.ImageSource{Image: im}, merged, core.Options{Jobs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.WriteAll(&buf); err != nil {
+			t.Fatal(err)
+		}
+		want[name] = buf.Bytes()
 	}
-	cache := core.NewCache(2) // smaller than the working set: eviction under contention
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for round := 0; round < 3; round++ {
-		for name := range images {
+		for name := range tables {
 			wg.Add(1)
 			go func(name string) {
 				defer wg.Done()
@@ -280,8 +296,8 @@ func TestConcurrentAnalyses(t *testing.T) {
 					errs <- err
 					return
 				}
-				res, err := core.Run(context.Background(), core.ImageSource{Image: images[name]}, merged,
-					core.Options{Static: true, Jobs: 4, Cache: cache})
+				res, err := core.Run(context.Background(), core.TableSource{Table: tables[name]}, merged,
+					core.Options{Jobs: 4})
 				if err != nil {
 					errs <- err
 					return
@@ -289,6 +305,10 @@ func TestConcurrentAnalyses(t *testing.T) {
 				var buf bytes.Buffer
 				if err := res.WriteAll(&buf); err != nil {
 					errs <- err
+					return
+				}
+				if !bytes.Equal(buf.Bytes(), want[name]) {
+					errs <- fmt.Errorf("%s: concurrent listing differs from the serial run", name)
 				}
 			}(name)
 		}
@@ -297,9 +317,5 @@ func TestConcurrentAnalyses(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-	hits, misses := cache.Stats()
-	if hits+misses == 0 {
-		t.Error("cache never consulted")
 	}
 }

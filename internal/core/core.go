@@ -22,10 +22,10 @@
 // TableSource when the symbols come from elsewhere (e.g. the Go-native
 // collector in package profgo, which is how gprof profiles itself).
 // Options.Jobs sets the worker-pool width for rendering the listing
-// (the analysis stages are serial), and Options.Cache reuses the
-// symbol table and static call graph across analyses of the same
-// executable. Run is the only analysis entry point; the deprecated
-// Analyze/AnalyzeTable wrappers are gone.
+// (the analysis stages are serial). A caller that analyzes one
+// executable again and again builds its symbol table once and passes
+// it as a TableSource, as gprofd does. Run is the only analysis entry
+// point; the deprecated Analyze/AnalyzeTable wrappers are gone.
 package core
 
 import (
@@ -76,21 +76,16 @@ type Options struct {
 	// GOMAXPROCS and pass the same width to LoadProfiles for the merge.
 	// It overrides Report.Jobs.
 	Jobs int
-	// Cache, when non-nil, memoizes the symbol table and static call
-	// graph per image content hash so repeated analyses of the same
-	// executable skip re-indexing. Ignored by a TableSource.
-	Cache *Cache
 	// Report controls rendering (thresholds, focus, headers).
 	Report report.Options
 }
 
 // CacheKey returns a normalized fingerprint of every option that can
 // change Run's output — the analysis switches (Static, RemoveArcs,
-// AutoBreak, MaxBreakArcs) and the rendering options. Jobs and Cache
-// are deliberately excluded: worker-pool width never changes the
-// result (the jobs-invariance tests pin byte-identical output), and
-// the cache is a lookup accelerator, not an input. Two Options values
-// with equal CacheKeys therefore produce byte-identical reports for
+// AutoBreak, MaxBreakArcs) and the rendering options. Jobs is
+// deliberately excluded: worker-pool width never changes the result
+// (the jobs-invariance tests pin byte-identical output). Two Options
+// values with equal CacheKeys therefore produce byte-identical reports for
 // the same source and profile, which is what lets a serving layer
 // memoize finished analyses per (fingerprint, data version, CacheKey).
 func (o Options) CacheKey() string {
@@ -146,8 +141,8 @@ func (o Options) jobs() int {
 // two implementations.
 type Source interface {
 	// load returns the validated symbol table and, when wantStatic and
-	// the source supports it, the static arcs. cache may be nil.
-	load(cache *Cache, wantStatic bool) (*symtab.Table, []object.StaticArc, error)
+	// the source supports it, the static arcs.
+	load(wantStatic bool) (*symtab.Table, []object.StaticArc, error)
 	// supportsStatic reports whether the source can produce a static
 	// call graph.
 	supportsStatic() bool
@@ -160,12 +155,9 @@ type ImageSource struct {
 
 func (s ImageSource) supportsStatic() bool { return true }
 
-func (s ImageSource) load(cache *Cache, wantStatic bool) (*symtab.Table, []object.StaticArc, error) {
+func (s ImageSource) load(wantStatic bool) (*symtab.Table, []object.StaticArc, error) {
 	if s.Image == nil {
 		return nil, nil, errors.New("core: ImageSource has a nil Image")
-	}
-	if cache != nil {
-		return cache.load(s.Image, wantStatic)
 	}
 	tab := symtab.New(s.Image)
 	if err := tab.Validate(); err != nil {
@@ -179,14 +171,15 @@ func (s ImageSource) load(cache *Cache, wantStatic bool) (*symtab.Table, []objec
 }
 
 // TableSource analyzes against an explicit symbol table (no image, so
-// no static arcs).
+// no static arcs). The table is only read, so one table may back any
+// number of concurrent analyses.
 type TableSource struct {
 	Table *symtab.Table
 }
 
 func (s TableSource) supportsStatic() bool { return false }
 
-func (s TableSource) load(*Cache, bool) (*symtab.Table, []object.StaticArc, error) {
+func (s TableSource) load(bool) (*symtab.Table, []object.StaticArc, error) {
 	if s.Table == nil {
 		return nil, nil, errors.New("core: TableSource has a nil Table")
 	}
@@ -217,14 +210,12 @@ type Result struct {
 
 // Run post-processes a profile against a source of symbols. It is the
 // single entry point behind every tool: ctx cancels the long stages
-// (attribution, propagation) between pipeline steps, opt.Jobs sets the
-// worker-pool width (0 or 1 reproduces the serial pipeline exactly),
-// and opt.Cache reuses static layers across calls.
+// (attribution, propagation) between pipeline steps, and opt.Jobs sets
+// the worker-pool width (0 or 1 reproduces the serial pipeline exactly).
 //
 // When ctx carries an obs.Trace (obs.NewContext), every pipeline stage
 // records a span — load, graph (with its attribute sub-span), scc,
-// cyclebreak, propagate, model-build — and the static-layer cache
-// publishes its hit/miss gauges, so a run's internal schedule is
+// cyclebreak, propagate, model-build — so a run's internal schedule is
 // inspectable with -stats or -tracefile. On cancellation the spans
 // recorded so far survive in the trace: Run marks it failed and the
 // partial run report stays diagnosable.
@@ -248,15 +239,10 @@ func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Re
 		return nil, fmt.Errorf("%w: Static requires an image-backed source", ErrBadOptions)
 	}
 	loadSpan := tr.Span("load")
-	tab, static, err := src.load(opt.Cache, opt.Static)
+	tab, static, err := src.load(opt.Static)
 	loadSpan.End()
 	if err != nil {
 		return nil, err
-	}
-	if opt.Cache != nil {
-		hits, misses := opt.Cache.Stats()
-		tr.Gauge("cache.static_hits").Set(int64(hits))
-		tr.Gauge("cache.static_misses").Set(int64(misses))
 	}
 	graphSpan := tr.Span("graph")
 	g, err := callgraph.BuildCtx(ctx, tab, p, opt.jobs())

@@ -6,16 +6,12 @@ import (
 )
 
 // LRU is a mutex-guarded, string-keyed least-recently-used cache with
-// hit/miss/eviction accounting. It is the mechanism shared by the
-// static-layer Cache (symbol tables and static call graphs per image
-// fingerprint) and the serving layer's query caches (merged-window
-// snapshots and finished analyses per shard version) — every layer of
-// the incremental query path evicts the same way and reports the same
-// counters.
+// hit/miss/eviction accounting. The serving layer memoizes finished
+// analyses and raw-merge encodings in one, keyed by the shard's window
+// versions.
 //
 // Values are stored as any; a cached value may be handed to many
-// concurrent readers, so consumers must treat it as immutable (or do
-// their own copy-on-write, as the serve shards do).
+// concurrent readers, so consumers must treat it as immutable.
 type LRU struct {
 	mu    sync.Mutex
 	cap   int
@@ -31,11 +27,8 @@ type lruEntry struct {
 }
 
 // NewLRU creates a cache holding up to capacity entries; capacity <= 0
-// means DefaultCacheEntries.
+// caches nothing (every Add is evicted at once).
 func NewLRU(capacity int) *LRU {
-	if capacity <= 0 {
-		capacity = DefaultCacheEntries
-	}
 	return &LRU{cap: capacity, ll: list.New(), byKey: make(map[string]*list.Element)}
 }
 
@@ -74,24 +67,6 @@ func (l *LRU) Add(key string, val any) any {
 		l.evictions++
 	}
 	return val
-}
-
-// Remove drops the entry cached under key, if any. It counts no
-// eviction: the caller removes an entry it knows no lookup can hit.
-func (l *LRU) Remove(key string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if el, ok := l.byKey[key]; ok {
-		l.ll.Remove(el)
-		delete(l.byKey, key)
-	}
-}
-
-// Len returns the number of cached entries.
-func (l *LRU) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.byKey)
 }
 
 // Stats returns the lookup and eviction counters.

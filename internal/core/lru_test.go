@@ -31,20 +31,6 @@ func TestLRUBasics(t *testing.T) {
 	if hits != 2 || misses != 2 || evictions != 1 {
 		t.Errorf("stats = %d/%d/%d, want hits=2 misses=2 evictions=1", hits, misses, evictions)
 	}
-	if l.Len() != 2 {
-		t.Errorf("Len = %d, want 2", l.Len())
-	}
-	l.Remove("a")
-	l.Remove("absent")
-	if l.Len() != 1 {
-		t.Errorf("Len after Remove = %d, want 1", l.Len())
-	}
-	if _, _, evictions := l.Stats(); evictions != 1 {
-		t.Errorf("Remove counted as an eviction: evictions = %d, want 1", evictions)
-	}
-	if _, ok := l.Get("a"); ok {
-		t.Error("removed entry a still cached")
-	}
 }
 
 // TestLRUAddFirstInsertWins pins the concurrent-fill contract: racing
@@ -84,8 +70,7 @@ func TestLRUConcurrent(t *testing.T) {
 
 // TestOptionsCacheKey pins what the analysis-memoization key must and
 // must not depend on: output-affecting options change it, worker-pool
-// width and the cache pointer do not, and RemoveArcs order is
-// normalized away.
+// width does not, and RemoveArcs order is normalized away.
 func TestOptionsCacheKey(t *testing.T) {
 	base := Options{}
 	if base.CacheKey() != (Options{}).CacheKey() {
@@ -93,8 +78,7 @@ func TestOptionsCacheKey(t *testing.T) {
 	}
 	same := []Options{
 		{Jobs: 7},
-		{Cache: NewCache(0)},
-		{Jobs: 13, Cache: NewCache(2)},
+		{Jobs: 13},
 	}
 	for _, o := range same {
 		if o.CacheKey() != base.CacheKey() {

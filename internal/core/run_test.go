@@ -84,10 +84,9 @@ func TestRunNilArguments(t *testing.T) {
 	}
 }
 
-// TestRunParallelMatchesSerial: the parallel cached pipeline renders
-// the same bytes as the serial uncached run.
+// TestRunParallelMatchesSerial: the parallel pipeline renders the same
+// bytes as the serial run.
 func TestRunParallelMatchesSerial(t *testing.T) {
-	cache := NewCache(4)
 	for _, name := range []string{"parser", "service"} {
 		w := buildAndRun(t, name)
 		opt := Options{Static: true}
@@ -100,7 +99,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, jobs := range []int{1, 4} {
-			opt := Options{Static: true, Jobs: jobs, Cache: cache}
+			opt := Options{Static: true, Jobs: jobs}
 			res, err := Run(context.Background(), ImageSource{Image: w.im}, w.p, opt)
 			if err != nil {
 				t.Fatalf("%s jobs=%d: Run: %v", name, jobs, err)
@@ -140,89 +139,17 @@ func TestRunRejectsContradictoryOptions(t *testing.T) {
 	}
 }
 
-func TestCacheHitsAndSharing(t *testing.T) {
-	w := buildAndRun(t, "sort")
-	c := NewCache(4)
-	tab1, _, err := c.load(w.im, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab2, _, err := c.load(w.im, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab1 != tab2 {
-		t.Error("repeated load of the same image built a second table")
-	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
-		t.Errorf("stats = %d hits / %d misses, want 1/1", hits, misses)
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
-	}
-}
-
-func TestCacheLazyStaticScan(t *testing.T) {
-	w := buildAndRun(t, "sort")
-	c := NewCache(4)
-	// First load without static: no scan happens.
-	if _, static, err := c.load(w.im, false); err != nil || static != nil {
-		t.Fatalf("load without static: arcs=%v err=%v", static, err)
-	}
-	// Asking later memoizes the scan on the existing entry.
-	_, static, err := c.load(w.im, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(static) == 0 {
-		t.Fatal("static scan empty on a hit")
-	}
-	_, again, err := c.load(w.im, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &static[0] != &again[0] {
-		t.Error("static arcs re-scanned instead of memoized")
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
-	}
-}
-
-func TestCacheEviction(t *testing.T) {
-	a := buildAndRun(t, "sort")
-	b := buildAndRun(t, "parser")
-	c := NewCache(1)
-	if _, _, err := c.load(a.im, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.load(b.im, false); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 after eviction", c.Len())
-	}
-	// a was evicted: loading it again misses.
-	if _, _, err := c.load(a.im, false); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := c.Stats(); hits != 0 || misses != 3 {
-		t.Errorf("stats = %d hits / %d misses, want 0/3", hits, misses)
-	}
-}
-
-func TestCacheRejectsInvalidImage(t *testing.T) {
-	// Overlapping symbols fail table validation and must not be cached.
+// TestRunRejectsInvalidImage: an image whose symbols overlap fails
+// table validation, so Run refuses it rather than attributing through
+// an ambiguous address map.
+func TestRunRejectsInvalidImage(t *testing.T) {
 	im := &object.Image{Funcs: []object.Sym{
 		{Name: "a", Addr: 0, Size: 10},
 		{Name: "b", Addr: 5, Size: 10},
 	}}
-	c := NewCache(4)
-	if _, _, err := c.load(im, false); err == nil {
+	p := &gmon.Profile{Hist: gmon.Histogram{Low: 0, High: 16, Step: 1, Counts: make([]uint32, 16)}, Hz: 60}
+	if _, err := Run(context.Background(), ImageSource{Image: im}, p, Options{}); err == nil {
 		t.Fatal("invalid image accepted")
-	}
-	if c.Len() != 0 {
-		t.Errorf("invalid image cached: Len = %d", c.Len())
 	}
 }
 

@@ -48,12 +48,9 @@ type Result struct {
 	Detail  string // full output for the curious
 }
 
-// jobs is the worker-pool width analyses run at; cache shares symbol
-// tables and static scans across the experiments that re-analyze the
-// same workload image.
+// jobs is the worker-pool width analyses run at.
 var (
 	jobs  = 1
-	cache = core.NewCache(0)
 	trace *obs.Trace
 )
 
@@ -77,11 +74,9 @@ func runCtx() context.Context {
 	return obs.NewContext(context.Background(), trace)
 }
 
-// analyze runs the post-processor with the package's jobs width and
-// shared static-layer cache.
+// analyze runs the post-processor with the package's jobs width.
 func analyze(im *object.Image, p *gmon.Profile, opt core.Options) (*core.Result, error) {
 	opt.Jobs = jobs
-	opt.Cache = cache
 	return core.Run(runCtx(), core.ImageSource{Image: im}, p, opt)
 }
 

@@ -13,8 +13,8 @@
 // is reproducible. Backpressure (429) is honored with a short backoff
 // and the upload retried. Options.Readers adds concurrent query agents
 // hitting /v1/flat and /v1/profile while ingest runs — mixed traffic
-// that exercises the server's incremental query path (snapshot reuse,
-// analysis memoization, single-flight) under live invalidation.
+// that exercises the server's incremental query path (analysis
+// memoization, single-flight) under live invalidation.
 //
 // Verify fetches each fingerprint's merged profile back
 // (/v1/gmon?sync=1) and byte-compares it against an offline

@@ -94,7 +94,7 @@ func TestReplayAndVerify(t *testing.T) {
 // TestMixedReaders runs uploaders and reader agents together: every
 // reader response must be a schema-valid 200 (404 only before first
 // data), the server merge must still verify byte-identical, and the
-// reads must land in the server's analysis/snapshot cache accounting.
+// reads must land in the server's analysis cache accounting.
 func TestMixedReaders(t *testing.T) {
 	corpus := testCorpus(t)
 	_, client := startServer(t, serve.Config{})
@@ -127,9 +127,6 @@ func TestMixedReaders(t *testing.T) {
 	}
 	if st.AnalysisCacheHits+st.AnalysisCacheMisses == 0 {
 		t.Error("reads did not touch the analysis cache accounting")
-	}
-	if st.SnapshotCacheHits+st.SnapshotCacheMisses == 0 {
-		t.Error("reads did not touch the snapshot cache accounting")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/gmon"
 	"repro/internal/model"
 	"repro/internal/object"
+	"repro/internal/symtab"
 )
 
 // FingerprintHeader carries the executable fingerprint on ingest
@@ -81,8 +82,11 @@ func (c *countReader) Read(p []byte) (int, error) {
 
 // handleExe registers an executable: the body is the linked image in
 // the repo's a.out encoding, and the response carries the content
-// fingerprint subsequent uploads and queries are keyed by.
-// Re-registering the same image is idempotent.
+// fingerprint subsequent uploads and queries are keyed by. A new
+// fingerprint's symbol table is built and validated here, once, and
+// the shard keeps it for every query; an image whose symbols overlap
+// or are empty is rejected. Re-registering the same image is
+// idempotent and builds nothing.
 func (s *Server) handleExe(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, "POST an executable image to /v1/exe")
@@ -104,16 +108,23 @@ func (s *Server) handleExe(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, "fingerprinting image: %v", err)
 		return
 	}
-	sh, err := s.register(fp, newShard(fp, im, s.cfg, s.metrics, s.rec))
-	if err != nil {
-		s.fail(w, http.StatusInsufficientStorage, "registering %s: %v", fp, err)
-		return
+	sh, ok := s.shardFor(fp)
+	if !ok {
+		tab := symtab.New(im)
+		if err := tab.Validate(); err != nil {
+			s.fail(w, http.StatusBadRequest, "bad executable image: %v", err)
+			return
+		}
+		if sh, err = s.register(fp, newShard(fp, tab, s.cfg, s.metrics, s.rec)); err != nil {
+			s.fail(w, http.StatusInsufficientStorage, "registering %s: %v", fp, err)
+			return
+		}
 	}
 	s.metrics.executables.Add(1)
 	writeJSON(w, http.StatusOK, struct {
 		Fingerprint string `json:"fingerprint"`
 		Routines    int    `json:"routines"`
-	}{Fingerprint: sh.fp, Routines: len(im.Funcs)})
+	}{Fingerprint: sh.fp, Routines: sh.tab.Len()})
 }
 
 // handleIngest accepts one gmon.out upload: either format version,
@@ -211,8 +222,8 @@ var errNoData = fmt.Errorf("no profile data in the selected window(s)")
 
 // queryText builds a handler serving one of the Result text reports
 // (the flat profile or the call graph profile) through the incremental
-// path: snapshot reuse, analysis memoization, and a per-entry memo of
-// the rendered bytes, all invalidated by the shard's fold version.
+// path: analysis memoization and a per-entry memo of the rendered
+// bytes, both invalidated by the shard's fold version.
 func (s *Server) queryText(endpoint string, render func(*core.Result, io.Writer) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		sh, sel, ok := s.queryShard(w, r)
@@ -390,7 +401,7 @@ func (s *Server) handleFingerprints(w http.ResponseWriter, r *http.Request) {
 		accepted, merged, dropped, lastErr := sh.counts()
 		rows = append(rows, row{
 			Fingerprint: sh.fp,
-			Routines:    len(sh.im.Funcs),
+			Routines:    sh.tab.Len(),
 			Uploads:     accepted,
 			Merged:      merged,
 			Dropped:     dropped,

@@ -9,11 +9,14 @@ package serve
 import (
 	"bytes"
 	"compress/gzip"
+	"io"
 	"net/http"
 	"runtime"
 	"testing"
 
 	"repro/internal/gmon"
+	"repro/internal/object"
+	"repro/internal/symtab"
 )
 
 // lyingCountBody is a well-formed v1 header declaring 2^27 histogram
@@ -105,6 +108,47 @@ func TestHostileUploads(t *testing.T) {
 	}
 }
 
+// TestInvalidImageRejectedAtRegistration registers executables whose
+// symbol tables fail validation — overlapping routines, an empty
+// routine — and checks each is a 400 that takes no shard slot: with
+// room for one shard, a valid image still registers afterwards.
+func TestInvalidImageRejectedAtRegistration(t *testing.T) {
+	im, imageBytes := sortImage(t)
+	s, ts := newTestServer(t, Config{MaxShards: 1})
+	corrupt := func(edit func(fs []object.Sym)) []byte {
+		bad := *im
+		bad.Funcs = append([]object.Sym(nil), im.Funcs...)
+		edit(bad.Funcs)
+		var buf bytes.Buffer
+		if err := object.WriteImage(&buf, &bad); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	cases := []struct {
+		name string
+		body []byte
+	}{
+		{"overlapping routines", corrupt(func(fs []object.Sym) { fs[0].Size = fs[1].Addr - fs[0].Addr + 1 })},
+		{"empty routine", corrupt(func(fs []object.Sym) { fs[0].Size = 0 })},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(ts.URL+"/v1/exe", "application/octet-stream", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %s, want 400: %s", tc.name, resp.Status, body)
+		}
+	}
+	if n := len(s.allShards()); n != 0 {
+		t.Fatalf("%d shards registered from invalid images, want 0", n)
+	}
+	registerExe(t, ts, imageBytes)
+}
+
 // TestOversizedUploads checks the body cap turns into 413 for both
 // profile data and executables.
 func TestOversizedUploads(t *testing.T) {
@@ -124,7 +168,7 @@ func TestOversizedUploads(t *testing.T) {
 	profile := encodeProfile(t, sortProfile(t, 1), gmon.Version1, false)
 	s, ts := newTestServer(t, Config{MaxBodyBytes: int64(len(profile) - 1)})
 	const fp = "test-oversize-fp"
-	if _, err := s.register(fp, newShard(fp, im, s.cfg, s.metrics, s.rec)); err != nil {
+	if _, err := s.register(fp, newShard(fp, symtab.New(im), s.cfg, s.metrics, s.rec)); err != nil {
 		t.Fatal(err)
 	}
 	mustStatus(t, ingest(t, ts, fp, profile), http.StatusRequestEntityTooLarge)

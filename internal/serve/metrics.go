@@ -97,7 +97,7 @@ func newServerMetrics() *serverMetrics {
 		coalesced: reg.Counter("gprofd_coalesced_queries_total",
 			"cold queries that joined another request's analysis"),
 		cowClones: reg.Counter("gprofd_snapshot_cow_clones_total",
-			"folds that cloned a window aggregate shared with a cached snapshot"),
+			"folds that cloned a window aggregate a query held zero-copy"),
 		selfCaptures: reg.Counter("gprofd_selfprofile_captures_total",
 			"self-profile captures attempted"),
 		selfEmpty: reg.Counter("gprofd_selfprofile_empty_total",

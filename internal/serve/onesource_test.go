@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gmon"
 	"repro/internal/obs"
+	"repro/internal/symtab"
 )
 
 // TestStatsOneSource drives a scripted request mix — a 400, an unknown
@@ -29,7 +30,7 @@ func TestStatsOneSource(t *testing.T) {
 	// A shard whose worker never runs: the second upload finds its
 	// depth-1 queue full.
 	const stuck = "test-stuck-fp"
-	sh := newShard(stuck, im, s.cfg, s.metrics, s.rec)
+	sh := newShard(stuck, symtab.New(im), s.cfg, s.metrics, s.rec)
 	s.mu.Lock()
 	s.shards[stuck] = sh
 	s.mu.Unlock()
@@ -37,8 +38,8 @@ func TestStatsOneSource(t *testing.T) {
 	mustStatus(t, ingest(t, ts, stuck, body), http.StatusAccepted)
 	mustStatus(t, ingest(t, ts, stuck, body), http.StatusTooManyRequests)
 
-	// The gmon query caches the one-window snapshot, so the next fold
-	// into that window clones it.
+	// The gmon query holds the one-window aggregate zero-copy, so the
+	// next fold into that window clones it.
 	mustStatus(t, ingest(t, ts, fp, body), http.StatusAccepted)
 	mustStatus(t, get(t, ts, "/v1/gmon?sync=1&fp="+fp), http.StatusOK)
 	mustStatus(t, ingest(t, ts, fp, body), http.StatusAccepted)
@@ -50,12 +51,12 @@ func TestStatsOneSource(t *testing.T) {
 	// A cold flat query that finds the analysis of its key already in
 	// flight joins it: the flight is planted, finished, before the
 	// query arrives, so the join is deterministic.
-	p, _, snapKey := live.snapshot(windowSel{kind: selAll}, s.cfg.Now())
-	res, err := core.Run(context.Background(), core.ImageSource{Image: im}, p, s.runOptions())
+	p, selKey := live.snapshot(windowSel{kind: selAll}, s.cfg.Now())
+	res, err := core.Run(context.Background(), core.TableSource{Table: live.tab}, p, s.runOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := "run|" + fp + "|" + snapKey + "|" + s.optKey
+	key := s.runKey(fp, selKey)
 	f := &flight{done: make(chan struct{}), val: &analysisEntry{res: res}}
 	close(f.done)
 	s.flights.mu.Lock()
@@ -82,12 +83,6 @@ func TestStatsOneSource(t *testing.T) {
 		return int64(v)
 	}
 	aHits, aMisses, aEvict := s.queries.Stats()
-	var sHits, sMisses, sEvict uint64
-	for _, sh := range s.allShards() {
-		h, m, e := sh.snaps.Stats()
-		sHits, sMisses, sEvict = sHits+h, sMisses+m, sEvict+e
-	}
-	const unchecked = -1
 	for _, c := range []struct {
 		field            string
 		stats, src, want int64
@@ -104,14 +99,11 @@ func TestStatsOneSource(t *testing.T) {
 		{"analysis_cache_hits", st.AnalysisCacheHits, int64(aHits), 1},
 		{"analysis_cache_misses", st.AnalysisCacheMisses, int64(aMisses), 3},
 		{"analysis_cache_evictions", st.AnalysisCacheEvictions, int64(aEvict), 0},
-		{"snapshot_cache_hits", st.SnapshotCacheHits, int64(sHits), unchecked},
-		{"snapshot_cache_misses", st.SnapshotCacheMisses, int64(sMisses), unchecked},
-		{"snapshot_cache_evictions", st.SnapshotCacheEvictions, int64(sEvict), unchecked},
 	} {
 		if c.stats != c.src {
 			t.Errorf("%s = %d, but its source reads %d", c.field, c.stats, c.src)
 		}
-		if c.want != unchecked && c.stats != c.want {
+		if c.stats != c.want {
 			t.Errorf("%s = %d, want %d", c.field, c.stats, c.want)
 		}
 	}

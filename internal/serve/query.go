@@ -11,23 +11,25 @@ import (
 	"repro/internal/gmon"
 )
 
-// The incremental read path. A query resolves in three amortized
+// The incremental read path. A query resolves in two amortized
 // layers, each keyed by the shard's fold versions so correctness is
 // never traded for speed:
 //
-//  1. snapshot reuse (shard.snapshot): the merged-windows profile is
-//     cached per resolved (window start, version) selection;
-//  2. analysis memoization (Server.analyzed): the finished core.Run —
+//  1. analysis memoization (Server.analyzed): the finished core.Run —
 //     the model plus lazily rendered flat/callgraph/JSON bytes — is
-//     cached per (fingerprint, selection key, normalized options);
-//  3. single-flight coalescing (flightGroup): concurrent identical
-//     cold queries share one core.Run instead of N duplicates.
+//     cached per (fingerprint, selection key, normalized options). The
+//     selection key (shard.selectionKey) names each included window's
+//     start and fold version and is resolved before any merge, so a
+//     hit merges nothing;
+//  2. single-flight coalescing (flightGroup): concurrent identical
+//     cold queries share one merge and one core.Run instead of N
+//     duplicates.
 //
-// An unchanged shard therefore serves repeat queries with two LRU
-// lookups and a buffer write; any fold bumps the shard version and the
-// whole stack rebuilds on the next query, so served bytes are always
-// what an offline gmon.MergeAll + core.Run over the same uploads would
-// produce (the invariant the incremental tests byte-compare at every
+// An unchanged shard therefore serves repeat queries with one LRU
+// lookup and a buffer write; any fold bumps the shard version and the
+// next query misses and rebuilds, so served bytes are always what an
+// offline gmon.MergeAll + core.Run over the same uploads would produce
+// (the invariant the incremental tests byte-compare at every
 // interleaving).
 
 // analysisEntry is one finished analysis: the core.Run result and the
@@ -122,33 +124,44 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (*analysisEn
 // runOptions is the server's fixed analysis configuration; its
 // CacheKey is precomputed in New.
 func (s *Server) runOptions() core.Options {
-	return core.Options{Jobs: s.cfg.Jobs, Cache: s.cache}
+	return core.Options{Jobs: s.cfg.Jobs}
+}
+
+// runKey is the analysis LRU key of a selection of fp's windows.
+func (s *Server) runKey(fp, selKey string) string {
+	return "run|" + fp + "|" + selKey + "|" + s.optKey
 }
 
 // analyzed returns the (possibly cached) analysis of the selected
-// windows. The cache key is fingerprint + the snapshot's resolved
-// (start, version) selection + the normalized options, so any fold
-// into a selected window changes the key and the next query reanalyzes;
-// an unchanged shard hits the LRU. Cold misses are single-flighted.
+// windows. The cache key is fingerprint + the selection key + the
+// normalized options, so any fold into a selected window changes the
+// key and the next query reanalyzes; an unchanged shard hits the LRU
+// without merging. Cold misses merge and analyze in a single flight.
 func (s *Server) analyzed(ctx context.Context, sh *shard, sel windowSel) (*analysisEntry, error) {
-	p, n, snapKey := sh.snapshot(sel, s.cfg.Now())
-	if n == 0 {
+	now := s.cfg.Now()
+	selKey := sh.selectionKey(sel, now)
+	if selKey == "" {
 		return nil, errNoData
 	}
-	key := "run|" + sh.fp + "|" + snapKey + "|" + s.optKey
+	key := s.runKey(sh.fp, selKey)
 	if v, ok := s.queries.Get(key); ok {
 		return v.(*analysisEntry), nil
 	}
 	e, err, coalesced := s.flights.do(ctx, key, func() (*analysisEntry, error) {
+		// A fold since the lookup gives the merge a newer key; the
+		// analysis is of that data and is cached under the key that
+		// names it.
+		p, selKey := sh.snapshot(sel, now)
+		if p == nil {
+			return nil, errNoData
+		}
 		// Detached context: the shared run serves every waiter (and the
 		// cache), so no single request's cancellation may abort it.
-		res, err := core.Run(context.Background(), core.ImageSource{Image: sh.im}, p, s.runOptions())
+		res, err := core.Run(context.Background(), core.TableSource{Table: sh.tab}, p, s.runOptions())
 		if err != nil {
 			return nil, err
 		}
-		ent := &analysisEntry{res: res}
-		s.queries.Add(key, ent)
-		return ent, nil
+		return s.queries.Add(s.runKey(sh.fp, selKey), &analysisEntry{res: res}).(*analysisEntry), nil
 	})
 	if coalesced {
 		s.metrics.coalesced.Add(1)
@@ -157,20 +170,30 @@ func (s *Server) analyzed(ctx context.Context, sh *shard, sel windowSel) (*analy
 }
 
 // gmonBytes returns the (possibly cached) raw encoding of the selected
-// windows' merge in the given format version. The rendered bytes share
-// the analysis LRU under their own key family.
+// windows' merge in the given format version. The encodings share the
+// analysis LRU under their own key family and, like analyses, merge
+// only on a miss.
 func (s *Server) gmonBytes(sh *shard, sel windowSel, version int) ([]byte, error) {
-	p, n, snapKey := sh.snapshot(sel, s.cfg.Now())
-	if n == 0 {
+	now := s.cfg.Now()
+	selKey := sh.selectionKey(sel, now)
+	if selKey == "" {
 		return nil, errNoData
 	}
-	key := fmt.Sprintf("gmon|%d|%s|%s", version, sh.fp, snapKey)
-	if v, ok := s.queries.Get(key); ok {
+	if v, ok := s.queries.Get(gmonKey(version, sh.fp, selKey)); ok {
 		return v.([]byte), nil
+	}
+	p, selKey := sh.snapshot(sel, now)
+	if p == nil {
+		return nil, errNoData
 	}
 	var buf bytes.Buffer
 	if err := gmon.WriteVersion(&buf, p, version); err != nil {
 		return nil, err
 	}
-	return s.queries.Add(key, buf.Bytes()).([]byte), nil
+	return s.queries.Add(gmonKey(version, sh.fp, selKey), buf.Bytes()).([]byte), nil
+}
+
+// gmonKey is the analysis LRU key of a raw encoding of a selection.
+func gmonKey(version int, fp, selKey string) string {
+	return fmt.Sprintf("gmon|%d|%s|%s", version, fp, selKey)
 }

@@ -29,7 +29,7 @@
 // target asserts.
 //
 // Every event is counted once, in the always-on /metrics registry (or,
-// for the caches, in their own core.LRU counters); /v1/stats projects
+// for the analysis cache, in its own core.LRU counters); /v1/stats projects
 // those sources into typed fields. Each request and each fold records
 // one span into one recorder: a bounded flight-recorder ring by
 // default, or Config.Trace's growing recorder when a CLI trace is
@@ -142,7 +142,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
-	cache   *core.Cache // static layers (symbol table, static arcs) per image
 	queries *core.LRU   // finished analyses + rendered bodies per data version
 	flights flightGroup // single-flight coalescing of cold analyses
 	optKey  string      // CacheKey of the server's fixed core.Options
@@ -167,7 +166,6 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:    cfg,
-		cache:  core.NewCache(0),
 		start:  cfg.Now(),
 		shards: make(map[string]*shard),
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/gmon"
 	"repro/internal/object"
 	"repro/internal/obs"
+	"repro/internal/symtab"
 	"repro/internal/workloads"
 )
 
@@ -342,7 +343,7 @@ func TestBackpressure(t *testing.T) {
 	im, _ := sortImage(t)
 	s, ts := newTestServer(t, Config{QueueDepth: 1})
 	const fp = "test-backpressure-fp"
-	sh := newShard(fp, im, s.cfg, s.metrics, s.rec)
+	sh := newShard(fp, symtab.New(im), s.cfg, s.metrics, s.rec)
 	s.mu.Lock()
 	s.shards[fp] = sh // worker deliberately not started: queue never drains
 	s.mu.Unlock()

@@ -8,10 +8,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/gmon"
-	"repro/internal/object"
 	"repro/internal/obs"
+	"repro/internal/symtab"
 )
 
 // ingestItem is one unit of shard work: a decoded upload stamped with
@@ -24,21 +23,15 @@ type ingestItem struct {
 }
 
 // window is one time bin's aggregate plus the bookkeeping the
-// incremental query path needs: a fold version (so snapshot cache keys
+// incremental query path needs: a fold version (so selection keys
 // change exactly when the data does) and a shared flag implementing
-// copy-on-write (a cached snapshot may reference prof directly; the
+// copy-on-write (a single-window query may hold prof directly; the
 // next fold into the window must clone before mutating).
 type window struct {
 	prof    *gmon.Profile
 	version int64 // shard version at the last fold into this window
-	shared  bool  // prof is referenced by a cached snapshot
+	shared  bool  // prof is referenced by a query's snapshot
 }
-
-// snapCacheEntries bounds each shard's merged-snapshot cache. Live keys
-// are one per distinct window selection of the current data version —
-// a handful — and every fold retires a generation, so a small LRU
-// holds the working set while old generations fall off the tail.
-const snapCacheEntries = 8
 
 // shard is the merge pipeline for one executable fingerprint: a
 // bounded queue feeding a single worker goroutine that folds uploads
@@ -46,21 +39,20 @@ const snapCacheEntries = 8
 // serializes merging (Profile.Merge is not concurrency-safe) while
 // distinct fingerprints merge in parallel.
 //
-// The query side is incremental: every fold bumps the shard version
-// and stamps it on the folded window, and merged-window snapshots are
-// cached per resolved (window start, version) selection, so a query
-// against an unchanged shard reuses the previous merge instead of
-// re-cloning and re-folding every retained window. Cached snapshots
-// are shared read-only with callers; copy-on-write in merge keeps a
-// concurrent fold from ever mutating one.
+// The shard owns the executable's symbol table, built and validated
+// once when the fingerprint registered; every query analyzes against
+// it. The query side is incremental: every fold bumps the shard
+// version and stamps it on the folded window, so a selection's key —
+// each included window's start and version — names its exact content,
+// and the server's analysis LRU answers a repeat query against an
+// unchanged shard without merging anything.
 type shard struct {
 	fp       string
-	im       *object.Image
-	window   int64 // window width, seconds
+	tab      *symtab.Table // validated; read-only, shared by every analysis
+	window   int64         // window width, seconds
 	retain   int
 	queue    chan ingestItem
 	done     chan struct{}
-	snaps    *core.LRU           // resolved selection -> *gmon.Profile (read-only)
 	rec      *obs.FlightRecorder // the server's span recorder, one span per fold
 	foldName string              // precomputed span label
 	// /metrics series, shared across shards.
@@ -70,7 +62,7 @@ type shard struct {
 
 	mu       sync.Mutex
 	closed   bool
-	version  int64             // bumps on every fold; stamps windows and cache keys
+	version  int64             // bumps on every fold; stamps windows and selection keys
 	windows  map[int64]*window // window start -> aggregate
 	geom     gmon.Histogram    // geometry of the first accepted upload (Counts nil)
 	hz       int64
@@ -81,15 +73,14 @@ type shard struct {
 	lastErr  string
 }
 
-func newShard(fp string, im *object.Image, cfg Config, m *serverMetrics, rec *obs.FlightRecorder) *shard {
+func newShard(fp string, tab *symtab.Table, cfg Config, m *serverMetrics, rec *obs.FlightRecorder) *shard {
 	return &shard{
 		fp:         fp,
-		im:         im,
+		tab:        tab,
 		window:     int64(cfg.Window / time.Second),
 		retain:     cfg.Retain,
 		queue:      make(chan ingestItem, cfg.QueueDepth),
 		done:       make(chan struct{}),
-		snaps:      core.NewLRU(snapCacheEntries),
 		rec:        rec,
 		foldName:   "fold " + fp,
 		foldDur:    m.foldDur,
@@ -118,8 +109,8 @@ func (s *shard) run() {
 
 // merge folds one upload into its window, opening the window or
 // evicting the oldest as needed. Every successful fold bumps the shard
-// version and stamps it on the window, invalidating cached snapshots
-// that included the window's previous state.
+// version and stamps it on the window, changing the key of every
+// selection that includes it.
 func (s *shard) merge(it ingestItem) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -135,15 +126,11 @@ func (s *shard) merge(it ingestItem) {
 		return
 	}
 	if w.shared {
-		// Copy-on-write: a cached snapshot still references prof, so the
-		// fold works on a private copy and the snapshot stays frozen at
-		// the version its cache key names. This fold retires that
-		// version, so no lookup can hit the snapshot's cache entry
-		// again: drop it rather than let it pin a whole profile until
-		// the LRU evicts it. Callers holding the snapshot keep it.
+		// Copy-on-write: a query's snapshot may still reference prof,
+		// so the fold works on a private copy and the snapshot stays
+		// frozen at the version its selection key names.
 		w.prof = w.prof.Clone()
 		w.shared = false
-		s.snaps.Remove(windowKey(it.windowStart, w.version))
 		s.cowClones.Add(1)
 	}
 	if err := w.prof.Merge(it.profile); err != nil {
@@ -160,10 +147,10 @@ func (s *shard) merge(it ingestItem) {
 }
 
 // evictLocked drops the oldest windows beyond the retention bound.
-// Snapshot-cache entries that included an evicted window become
+// Analysis-cache entries that included an evicted window become
 // unreachable (their key can never resolve again — shard versions are
 // monotonic, so a reopened window start gets a fresh version) and age
-// off the snapshot LRU.
+// off the LRU.
 func (s *shard) evictLocked() {
 	for len(s.windows) > s.retain {
 		oldest := int64(0)
@@ -290,22 +277,12 @@ func parseWindow(s string) (windowSel, error) {
 	return windowSel{kind: selAt, start: start}, nil
 }
 
-// snapshot merges the selected windows into one profile, folding
-// clones in ascending window order — the same fold gmon.MergeAll
-// performs, so the result is byte-identical to an offline merge of the
-// uploads. It reports the number of windows merged (zero means no
-// matching data) and the resolved selection key — every included
-// window's (start, fold version), which names the snapshot's exact
-// content and is what the analysis cache keys on.
-//
-// Snapshots are cached per key: an unchanged shard answers repeat
-// queries with the previous merge — for a single-window selection the
-// window aggregate itself, zero copies, protected by copy-on-write in
-// merge. The returned profile is shared and must be treated read-only
-// (gmon.Write and core.Run never mutate their input profile).
-func (s *shard) snapshot(sel windowSel, now time.Time) (*gmon.Profile, int, string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// includedLocked resolves a selection to the retained windows it
+// covers, in ascending window order, and the key naming their content:
+// every included window's start and fold version. No key repeats once
+// the data moves on, because shard versions are monotonic. The caller
+// holds s.mu.
+func (s *shard) includedLocked(sel windowSel, now time.Time) ([]*window, string) {
 	var starts []int64
 	switch sel.kind {
 	case selAll:
@@ -327,40 +304,53 @@ func (s *shard) snapshot(sel windowSel, now time.Time) (*gmon.Profile, int, stri
 		if !ok {
 			continue
 		}
-		key.WriteString(windowKey(start, w.version))
+		fmt.Fprintf(&key, "%d:%d|", start, w.version)
 		included = append(included, w)
 	}
-	n := len(included)
-	if n == 0 {
-		return nil, 0, ""
-	}
-	if v, ok := s.snaps.Get(key.String()); ok {
-		return v.(*gmon.Profile), n, key.String()
-	}
-	var total *gmon.Profile
-	if n == 1 {
-		// Zero-copy: serve the aggregate itself and mark it shared; the
-		// next fold into this window clones first (copy-on-write). The
-		// bytes equal an offline MergeAll of the window's uploads, which
-		// for one window is exactly the aggregate.
-		included[0].shared = true
-		total = included[0].prof
-	} else {
-		total = included[0].prof.Clone()
-		for _, w := range included[1:] {
-			if err := total.Merge(w.prof); err != nil {
-				continue // unreachable: geometry is enforced per shard
-			}
-		}
-	}
-	total = s.snaps.Add(key.String(), total).(*gmon.Profile)
-	return total, n, key.String()
+	return included, key.String()
 }
 
-// windowKey is one window's part of a snapshot cache key; a
-// single-window selection's key is exactly this.
-func windowKey(start, version int64) string {
-	return fmt.Sprintf("%d:%d|", start, version)
+// selectionKey resolves sel to its key without merging anything; the
+// key is empty when no selected window holds data. Queries look it up
+// in the analysis LRU and merge only on a miss.
+func (s *shard) selectionKey(sel windowSel, now time.Time) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, key := s.includedLocked(sel, now)
+	return key
+}
+
+// snapshot merges the selected windows into one profile, folding
+// clones in ascending window order — the same fold gmon.MergeAll
+// performs, so the result is byte-identical to an offline merge of the
+// uploads. It returns the profile and the selection key naming its
+// content; both are empty when no selected window holds data. The key
+// differs from an earlier selectionKey when a fold landed in between.
+//
+// A single-window selection is served zero-copy: the window aggregate
+// itself, protected by copy-on-write in merge. The returned profile
+// must be treated read-only (gmon.Write and core.Run never mutate
+// their input profile).
+func (s *shard) snapshot(sel windowSel, now time.Time) (*gmon.Profile, string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	included, key := s.includedLocked(sel, now)
+	switch len(included) {
+	case 0:
+		return nil, ""
+	case 1:
+		// The bytes equal an offline MergeAll of the window's uploads,
+		// which for one window is exactly the aggregate.
+		included[0].shared = true
+		return included[0].prof, key
+	}
+	total := included[0].prof.Clone()
+	for _, w := range included[1:] {
+		if err := total.Merge(w.prof); err != nil {
+			continue // unreachable: geometry is enforced per shard
+		}
+	}
+	return total, key
 }
 
 // windowStarts lists the retained window starts, ascending.

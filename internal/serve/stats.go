@@ -62,8 +62,8 @@ type ShardStats struct {
 // accounting, the profiles/sec headline both lifetime and over the
 // last few seconds, the Go heap (the soak test's bounded-RSS check
 // reads it), and per-shard queue depths. Every count is a projection
-// of one source — a /metrics series or a cache's own LRU counters —
-// so the two surfaces cannot disagree.
+// of one source — a /metrics series or the analysis cache's own LRU
+// counters — so the two surfaces cannot disagree.
 type Stats struct {
 	Schema        string  `json:"schema"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
@@ -77,13 +77,11 @@ type Stats struct {
 	ProfilesPerSecond       float64 `json:"profiles_per_second"`
 	RecentProfilesPerSecond float64 `json:"recent_profiles_per_second"`
 
-	// The incremental query path's accounting: the snapshot layer
-	// (merged-window reuse, summed over shards) and the analysis layer
-	// (memoized core.Run results and rendered bodies), plus how many
-	// cold queries were coalesced into another request's analysis.
-	SnapshotCacheHits      int64 `json:"snapshot_cache_hits"`
-	SnapshotCacheMisses    int64 `json:"snapshot_cache_misses"`
-	SnapshotCacheEvictions int64 `json:"snapshot_cache_evictions"`
+	// The incremental query path's accounting: the analysis layer
+	// (memoized core.Run results, rendered bodies and raw-merge
+	// encodings), how many cold queries were coalesced into another
+	// request's analysis, and how many folds cloned a window a query
+	// held.
 	AnalysisCacheHits      int64 `json:"analysis_cache_hits"`
 	AnalysisCacheMisses    int64 `json:"analysis_cache_misses"`
 	AnalysisCacheEvictions int64 `json:"analysis_cache_evictions"`
@@ -151,10 +149,6 @@ func (s *Server) Snapshot() Stats {
 			Windows:     sh.windowStarts(),
 			LastError:   lastErr,
 		})
-		hits, misses, evictions := sh.snaps.Stats()
-		st.SnapshotCacheHits += int64(hits)
-		st.SnapshotCacheMisses += int64(misses)
-		st.SnapshotCacheEvictions += int64(evictions)
 	}
 	return st
 }
