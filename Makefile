@@ -105,9 +105,11 @@ query-smoke:
 # -jobs 2 and match its pinned SHA-256, so a render drift that only
 # shows at scale fails here; the listing of the v2 copy of the profile,
 # whose arc records arrive in sorted order rather than file order, is
-# pinned too (SCALE_V2_SHA256). The full listing (headers on) must read
-# the same at -jobs 1 and -jobs 4, and so must -jobs 2 under
-# GOMAXPROCS=1, where the renderer clamps its pool to one worker.
+# pinned too (SCALE_V2_SHA256), and so is the JSON profile of the v1
+# pair (SCALE_JSON_SHA256), whose arcs name their endpoints only at
+# encode. The full listing (headers on) must read the same at -jobs 1
+# and -jobs 4, and so must -jobs 2 under GOMAXPROCS=1, where the
+# renderer clamps its pool to one worker.
 # Render is the only stage that clamps to GOMAXPROCS; the profile
 # merge starts up to -jobs workers, capped by the number of files, and
 # with one file it starts none.
@@ -117,6 +119,7 @@ query-smoke:
 # hanging CI.
 SCALE_SHA256 = 91e977d085206792a9f4ef04e8894be98fcdcddfec193248b8a85bea9b61ed98
 SCALE_V2_SHA256 = b6d7c1f503ab81a787b052bc74d5775b44c5116d19b8f0dc69fe32b90bbfd91b
+SCALE_JSON_SHA256 = 3483543a6af7690222d616d11755b68b04f29720ffdc94cbfd2ca3b1c402c0da
 .PHONY: scale-smoke
 scale-smoke:
 	rm -rf .scale-smoke && mkdir -p .scale-smoke
@@ -127,6 +130,8 @@ scale-smoke:
 	timeout 120 ./.scale-smoke/gprof -brief -jobs 2 .scale-smoke/a.out .scale-smoke/gmon.out > .scale-smoke/report2.txt
 	cmp .scale-smoke/report.txt .scale-smoke/report2.txt
 	echo "$(SCALE_SHA256)  .scale-smoke/report.txt" | sha256sum -c -
+	timeout 120 ./.scale-smoke/gprof -json -jobs 1 .scale-smoke/a.out .scale-smoke/gmon.out > .scale-smoke/profile.json
+	echo "$(SCALE_JSON_SHA256)  .scale-smoke/profile.json" | sha256sum -c -
 	timeout 120 ./.scale-smoke/gprof -jobs 1 .scale-smoke/a.out .scale-smoke/gmon.out > .scale-smoke/full1.txt
 	timeout 120 ./.scale-smoke/gprof -jobs 4 .scale-smoke/a.out .scale-smoke/gmon.out > .scale-smoke/full4.txt
 	cmp .scale-smoke/full1.txt .scale-smoke/full4.txt

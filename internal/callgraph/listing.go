@@ -1,93 +1,85 @@
 package callgraph
 
 import (
-	"fmt"
+	"cmp"
 	"slices"
+	"strconv"
 	"strings"
 )
 
-// ListEntry is one unit of the call-graph profile listing: either a
-// plain node (including cycle members, which get entries of their own)
-// or a cycle-as-a-whole. Exactly one field is non-nil.
-type ListEntry struct {
-	Node  *Node
-	Cycle *Cycle
-}
-
 // AssignIndexes orders profile entries by decreasing total time and
-// numbers them (paper §5.2: entries "sorted by total time"). Cycle
-// members receive indices immediately after their cycle's entry,
-// ordered by decreasing self time. It returns the entry list in listing
-// order and records each entry's number in Node.Index / Cycle.Index.
-// Presentation layers build on the result via model.Build.
-func AssignIndexes(g *Graph) []ListEntry {
-	entries := sortedUnits(g)
+// numbers them (paper §5.2: entries "sorted by total time"), recording
+// each entry's number in Node.Index / Cycle.Index. Cycle members
+// receive indices immediately after their cycle's entry, ordered by
+// decreasing self time. Presentation layers build on the result via
+// model.Build.
+func AssignIndexes(g *Graph) {
 	idx := 1
-	out := make([]ListEntry, 0, g.Len()+len(g.Cycles))
-	for _, e := range entries {
-		if e.cycle != nil {
-			e.cycle.Index = idx
+	for _, u := range sortedUnits(g) {
+		if int(u.pos) < len(g.order) {
+			g.order[u.pos].Index = idx
 			idx++
-			out = append(out, ListEntry{Cycle: e.cycle})
-			members := append([]*Node(nil), e.cycle.Members...)
-			slices.SortStableFunc(members, func(a, b *Node) int {
-				switch {
-				case a.SelfTicks > b.SelfTicks:
-					return -1
-				case a.SelfTicks < b.SelfTicks:
-					return 1
-				}
-				return 0
-			})
-			for _, m := range members {
-				m.Index = idx
-				idx++
-				out = append(out, ListEntry{Node: m})
-			}
 			continue
 		}
-		e.node.Index = idx
+		c := g.Cycles[int(u.pos)-len(g.order)]
+		c.Index = idx
 		idx++
-		out = append(out, ListEntry{Node: e.node})
+		members := append([]*Node(nil), c.Members...)
+		slices.SortStableFunc(members, func(a, b *Node) int {
+			switch {
+			case a.SelfTicks > b.SelfTicks:
+				return -1
+			case a.SelfTicks < b.SelfTicks:
+				return 1
+			}
+			return 0
+		})
+		for _, m := range members {
+			m.Index = idx
+			idx++
+		}
 	}
-	return out
 }
 
-// unit is a sortable listing unit: a free node or a whole cycle, with
-// its sort keys computed once — the comparator runs O(n log n) times,
-// so it must not re-sum cycle members or format names per call.
+// unit is the sort key of a listing unit: a free node, at pos in the
+// node order, or a whole cycle, at pos-len(order) in Cycles. The keys
+// are computed once, since the comparator runs O(n log n) times.
 type unit struct {
-	node  *Node
-	cycle *Cycle
 	total float64
 	name  string
+	pos   int32
 }
 
-// sortedUnits collects units (plain nodes and cycles) sorted by
-// decreasing total time, ties broken by name for determinism.
+// compareUnits orders units by decreasing total time, then by name,
+// then by position. Position makes the order total, so an unstable
+// sort gives exactly the permutation a stable sort by time and name
+// would: free nodes in node order, then cycles in discovery order.
+func compareUnits(a, b unit) int {
+	if a.total != b.total {
+		if a.total > b.total {
+			return -1
+		}
+		return 1
+	}
+	if c := strings.Compare(a.name, b.name); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pos, b.pos)
+}
+
+// sortedUnits collects the listing units (free nodes and cycles) in
+// listing order.
 func sortedUnits(g *Graph) []unit {
-	entries := make([]unit, 0, len(g.order)+len(g.Cycles))
-	for _, n := range g.order {
-		if n.InCycle() {
-			continue
+	units := make([]unit, 0, len(g.order)+len(g.Cycles))
+	for i, n := range g.order {
+		if !n.InCycle() {
+			units = append(units, unit{n.TotalTicks(), n.Name, int32(i)})
 		}
-		entries = append(entries, unit{node: n, total: n.TotalTicks(), name: n.Name})
 	}
-	for _, c := range g.Cycles {
-		entries = append(entries, unit{
-			cycle: c,
-			total: c.TotalTicks(),
-			name:  fmt.Sprintf("<cycle %d as a whole>", c.Number),
-		})
+	for i, c := range g.Cycles {
+		name := "<cycle " + strconv.Itoa(c.Number) + " as a whole>"
+		units = append(units, unit{c.TotalTicks(), name, int32(len(g.order) + i)})
 	}
-	slices.SortStableFunc(entries, func(a, b unit) int {
-		if a.total != b.total {
-			if a.total > b.total {
-				return -1
-			}
-			return 1
-		}
-		return strings.Compare(a.name, b.name)
-	})
-	return entries
+	slices.SortFunc(units, compareUnits)
+	return units
 }

@@ -1,8 +1,8 @@
 package model
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/callgraph"
@@ -21,7 +21,9 @@ import (
 //   - Arcs grouped by callee in routine order, each callee's incoming
 //     arcs in insertion order (the order the pointer-based renderers
 //     walked n.In, which the listing's stable sorts tie-break on);
-//   - Flat rows pre-sorted in presentation order.
+//   - Flat rows pre-sorted in presentation order;
+//   - Links: the arcs' in and out adjacency and the cycles' members,
+//     by routine position.
 //
 // Build runs in O(nodes + arcs): call counts and per-cycle totals are
 // computed in one pass each rather than through the graph's
@@ -100,7 +102,8 @@ func Build(g *callgraph.Graph) *Profile {
 	for _, n := range nodes {
 		for _, a := range n.In {
 			row := Arc{
-				To:             a.Callee.Name,
+				From:           -1,
+				To:             int32(n.ID),
 				Count:          a.Count,
 				Sites:          a.Sites,
 				Static:         a.Static,
@@ -108,79 +111,89 @@ func Build(g *callgraph.Graph) *Profile {
 				PropChildTicks: a.PropChild,
 			}
 			if a.Caller != nil {
-				row.From = a.Caller.Name
+				row.From = int32(a.Caller.ID)
 			}
 			// The calls/total denominator: calls into the callee, or
 			// into its whole cycle when it is a member.
-			if a.Callee.InCycle() {
-				row.TotalCalls = extCalls[a.Callee.Cycle.Number]
+			if n.InCycle() {
+				row.TotalCalls = extCalls[n.Cycle.Number]
 			} else {
-				row.TotalCalls = callsOf[a.Callee.ID].calls
+				row.TotalCalls = callsOf[n.ID].calls
 			}
 			p.Arcs = append(p.Arcs, row)
 		}
 	}
-
-	p.buildFlat(nodes, func(n *callgraph.Node) int64 {
-		c := callsOf[n.ID]
-		return c.calls + c.selfCalls
-	})
-	p.Reindex()
+	p.links = newLinks(p, func(c, j int) int32 { return int32(g.Cycles[c].Members[j].ID) })
+	p.buildFlat()
 	return p
 }
 
-// buildFlat computes the flat profile rows (§5.1) and the never-called
-// list from the graph nodes, using exactly the historic sort.
-func (p *Profile) buildFlat(nodes []*callgraph.Node, callsOf func(*callgraph.Node) int64) {
-	type row struct {
-		n     *callgraph.Node
-		calls int64
+// flatKey is a flat-profile row's sort key: decreasing self ticks,
+// then decreasing calls, then name, then routine position. The last
+// key makes the order total, so an unstable sort over these compact
+// keys gives exactly the permutation a stable sort by the first three
+// would.
+type flatKey struct {
+	self  float64
+	calls int64
+	name  string
+	pos   int32
+}
+
+// compareFlat orders flat-profile rows.
+func compareFlat(a, b flatKey) int {
+	if a.self != b.self {
+		if a.self > b.self {
+			return -1
+		}
+		return 1
 	}
-	rows := make([]row, 0, len(nodes))
-	for _, n := range nodes {
-		calls := callsOf(n)
-		if calls == 0 && n.SelfTicks == 0 {
-			p.NeverCalled = append(p.NeverCalled, n.Name)
+	if a.calls != b.calls {
+		if a.calls > b.calls {
+			return -1
+		}
+		return 1
+	}
+	if c := strings.Compare(a.name, b.name); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pos, b.pos)
+}
+
+// buildFlat computes the flat profile rows (§5.1) and the never-called
+// list from the routines.
+func (p *Profile) buildFlat() {
+	keys := make([]flatKey, 0, len(p.Routines))
+	for i := range p.Routines {
+		r := &p.Routines[i]
+		calls := r.Calls + r.SelfCalls
+		if calls == 0 && r.SelfTicks == 0 {
+			p.NeverCalled = append(p.NeverCalled, r.Name)
 			continue
 		}
-		rows = append(rows, row{n, calls})
+		keys = append(keys, flatKey{r.SelfTicks, calls, r.Name, int32(i)})
 	}
-	slices.SortStableFunc(rows, func(a, b row) int {
-		if a.n.SelfTicks != b.n.SelfTicks {
-			if a.n.SelfTicks > b.n.SelfTicks {
-				return -1
-			}
-			return 1
-		}
-		if a.calls != b.calls {
-			if a.calls > b.calls {
-				return -1
-			}
-			return 1
-		}
-		return strings.Compare(a.n.Name, b.n.Name)
-	})
-	sort.Strings(p.NeverCalled)
+	slices.SortFunc(keys, compareFlat)
+	slices.Sort(p.NeverCalled)
 
-	p.Flat = make([]FlatRow, 0, len(rows))
+	p.Flat = make([]FlatRow, 0, len(keys))
 	var cum float64
-	for _, r := range rows {
-		selfSecs := p.Seconds(r.n.SelfTicks)
+	for _, k := range keys {
+		r := &p.Routines[k.pos]
+		selfSecs := p.Seconds(r.SelfTicks)
 		cum += selfSecs
 		fr := FlatRow{
-			Name:              r.n.Name,
-			Percent:           p.Percent(r.n.SelfTicks),
+			Name:              r.Name,
+			Cycle:             r.Cycle,
+			Percent:           p.Percent(r.SelfTicks),
 			CumulativeSeconds: cum,
 			SelfSeconds:       selfSecs,
-			Calls:             r.calls,
+			Calls:             k.calls,
 		}
-		if r.n.InCycle() {
-			fr.Cycle = r.n.Cycle.Number
-		}
-		if r.calls > 0 {
-			fr.SelfMsPerCall = selfSecs * 1000 / float64(r.calls)
-			if !r.n.InCycle() {
-				fr.TotalMsPerCall = p.Seconds(r.n.TotalTicks()) * 1000 / float64(r.calls)
+		if k.calls > 0 {
+			fr.SelfMsPerCall = selfSecs * 1000 / float64(k.calls)
+			if r.Cycle == 0 {
+				fr.TotalMsPerCall = p.Seconds(r.TotalTicks()) * 1000 / float64(k.calls)
 			}
 		}
 		p.Flat = append(p.Flat, fr)

@@ -19,6 +19,8 @@
 // graph, which is what keeps text output byte-identical.
 package model
 
+import "sync"
+
 // Schema identifies the JSON encoding of a Profile. Consumers must
 // reject other values; producers bump the suffix when the shape
 // changes incompatibly.
@@ -28,51 +30,65 @@ const Schema = "gprof.profile.v1"
 // or diff. All slices are in deterministic orders fixed by Build (see
 // each field); two analyses of the same data produce identical
 // Profiles.
+//
+// The model is index-keyed: an arc names its endpoints by position in
+// Routines, and Links lays the arcs and cycles out by position, so
+// nothing between Build and the renderers resolves a name. Names are
+// written only by Encode and resolved once by Decode. A Profile is
+// read-only once built or decoded; any number of goroutines may render
+// it at once.
 type Profile struct {
 	// Schema is the encoding version tag, always the package constant
 	// Schema for profiles produced by this code.
-	Schema string `json:"schema"`
+	Schema string
 	// Hz is the effective clock rate: seconds = ticks / Hz.
-	Hz int64 `json:"hz"`
+	Hz int64
 	// TotalTicks is the histogram's total tick count, including ticks
 	// that fell outside every routine.
-	TotalTicks float64 `json:"total_ticks"`
+	TotalTicks float64
 	// LostTicks is the portion of TotalTicks not attributable to any
 	// routine (rendered as "<outside any routine>").
-	LostTicks float64 `json:"lost_ticks,omitempty"`
+	LostTicks float64
 	// TotalSeconds is TotalTicks / Hz.
-	TotalSeconds float64 `json:"total_seconds"`
+	TotalSeconds float64
 
 	// Routines lists every routine (including never-called ones), in
 	// the graph's node order: address order for image-built graphs.
-	Routines []Routine `json:"routines"`
+	Routines []Routine
 	// Cycles lists the multi-member strongly-connected components in
 	// discovery order.
-	Cycles []Cycle `json:"cycles,omitempty"`
+	Cycles []Cycle
 	// Arcs lists every call-graph arc exactly once, grouped by callee
 	// in routine order with each callee's incoming arcs in insertion
 	// order. Renderers rely on this order: it reproduces the listing's
 	// tie-breaking exactly.
-	Arcs []Arc `json:"arcs,omitempty"`
+	Arcs []Arc
 
 	// Flat is the flat profile (§5.1): one row per exercised routine,
 	// sorted by decreasing self time.
-	Flat []FlatRow `json:"flat,omitempty"`
+	Flat []FlatRow
 	// NeverCalled lists routines with no calls and no samples,
 	// alphabetically — §5.1's "to verify that nothing important is
 	// omitted by this execution".
-	NeverCalled []string `json:"never_called,omitempty"`
+	NeverCalled []string
 
 	// Stacks is the context-sensitive view built from whole-stack
 	// samples (BuildStacks), present only when the profile data carried
 	// stacks. A profile with this view encodes under SchemaV2; without
 	// it the encoding is byte-identical to the v1 schema.
-	Stacks *StackView `json:"stacks,omitempty"`
+	Stacks *StackView
 
-	// Derived lookup tables; see Reindex. byName maps a routine name to
-	// its position in Routines.
-	byName   map[string]int
-	byNumber map[int]*Cycle
+	// links is the index layout of Arcs and Cycles; Build and Decode
+	// set it, and Links lays it out for a profile assembled by hand.
+	links     *Links
+	linksOnce sync.Once
+	// byName maps a routine name to its position in Routines and
+	// byNumber a cycle number to its position in Cycles. They are built
+	// at the first lookup, under lookupOnce, because a cached profile is
+	// rendered by many goroutines at once.
+	byName     map[string]int32
+	byNumber   map[int]int32
+	lookupOnce sync.Once
 }
 
 // Routine is one routine's analyzed numbers.
@@ -129,33 +145,33 @@ type Cycle struct {
 func (c *Cycle) TotalTicks() float64 { return c.SelfTicks + c.ChildTicks }
 
 // Arc is one caller→callee edge with its traversal count and the time
-// it propagates.
+// it propagates. Its JSON form (wireArc) names the endpoints.
 type Arc struct {
-	// From is the caller name; empty marks a spontaneous arc (caller
+	// From and To are the caller's and callee's positions in
+	// Profile.Routines; From is -1 for a spontaneous arc (caller
 	// unidentifiable, §3.1).
-	From string `json:"from,omitempty"`
-	To   string `json:"to"`
+	From, To int32
 	// Count is the traversal count; TotalCalls the denominator the
 	// listing shows in its calls/total column: all calls into the
 	// callee (or into the callee's whole cycle).
-	Count      int64 `json:"count"`
-	TotalCalls int64 `json:"total_calls,omitempty"`
+	Count      int64
+	TotalCalls int64
 	// Sites is the number of distinct call sites merged into this arc.
-	Sites int `json:"sites,omitempty"`
+	Sites int
 	// Static marks arcs found only in the static call graph; their
 	// Count is zero and they propagate no time (§4).
-	Static bool `json:"static,omitempty"`
+	Static bool
 	// PropSelfTicks and PropChildTicks are the portions of the callee's
 	// self and descendant time propagated along this arc to the caller.
-	PropSelfTicks  float64 `json:"prop_self_ticks"`
-	PropChildTicks float64 `json:"prop_child_ticks"`
+	PropSelfTicks  float64
+	PropChildTicks float64
 }
 
 // Spontaneous reports whether the arc's caller is unidentifiable.
-func (a *Arc) Spontaneous() bool { return a.From == "" }
+func (a *Arc) Spontaneous() bool { return a.From < 0 }
 
 // Self reports whether the arc is self-recursive.
-func (a *Arc) Self() bool { return a.From != "" && a.From == a.To }
+func (a *Arc) Self() bool { return a.From == a.To }
 
 // FlatRow is one row of the flat profile, in presentation order
 // (decreasing self time; ties by calls, then name).
@@ -188,9 +204,7 @@ func (p *Profile) Percent(ticks float64) float64 {
 	return 100 * ticks / p.TotalTicks
 }
 
-// Routine returns the named routine, if present. The lookup map is
-// built lazily by Build and Decode; a Profile assembled by hand can
-// call Reindex to (re)build it.
+// Routine returns the named routine, if present.
 func (p *Profile) Routine(name string) (*Routine, bool) {
 	i, ok := p.RoutinePos(name)
 	if !ok {
@@ -200,36 +214,127 @@ func (p *Profile) Routine(name string) (*Routine, bool) {
 }
 
 // RoutinePos returns the named routine's position in Routines, if
-// present. Renderers resolve names once and then index by position.
+// present. The name table is built at the first lookup: the renderers
+// never look a name up, so only callers that start from a name pay for
+// it.
 func (p *Profile) RoutinePos(name string) (int, bool) {
-	if p.byName == nil {
-		p.Reindex()
-	}
+	p.lookupOnce.Do(p.index)
 	i, ok := p.byName[name]
-	return i, ok
+	return int(i), ok
 }
 
 // CycleByNumber returns the numbered cycle, if present.
 func (p *Profile) CycleByNumber(n int) (*Cycle, bool) {
-	if n == 0 {
+	p.lookupOnce.Do(p.index)
+	i, ok := p.byNumber[n]
+	if !ok {
 		return nil, false
 	}
-	if p.byNumber == nil {
-		p.Reindex()
-	}
-	c, ok := p.byNumber[n]
-	return c, ok
+	return &p.Cycles[i], true
 }
 
-// Reindex rebuilds the derived lookup tables after direct mutation of
-// Routines or Cycles.
-func (p *Profile) Reindex() {
-	p.byName = make(map[string]int, len(p.Routines))
+// index builds the name and cycle-number tables.
+func (p *Profile) index() {
+	p.byName = make(map[string]int32, len(p.Routines))
 	for i := range p.Routines {
-		p.byName[p.Routines[i].Name] = i
+		p.byName[p.Routines[i].Name] = int32(i)
 	}
-	p.byNumber = make(map[int]*Cycle, len(p.Cycles))
+	p.byNumber = make(map[int]int32, len(p.Cycles))
 	for i := range p.Cycles {
-		p.byNumber[p.Cycles[i].Number] = &p.Cycles[i]
+		p.byNumber[p.Cycles[i].Number] = int32(i)
 	}
+}
+
+// Links returns the profile's index layout. Build and Decode lay it
+// out; a profile assembled by hand gets it at the first call, with its
+// cycle members resolved by name.
+func (p *Profile) Links() *Links {
+	p.linksOnce.Do(func() {
+		if p.links == nil {
+			p.links = newLinks(p, func(c, j int) int32 {
+				i, _ := p.RoutinePos(p.Cycles[c].Members[j])
+				return int32(i)
+			})
+		}
+	})
+	return p.links
+}
+
+// Links is a profile's arcs and cycles laid out by routine position:
+// compressed-row in and out adjacency over Profile.Arcs, and each
+// cycle's member positions. The renderers walk it instead of resolving
+// names. Self arcs are left out of both directions, since every
+// listing loop skips them, and each routine's arcs keep the order of
+// Profile.Arcs, on which the listing's tie-breaking depends.
+type Links struct {
+	// Routine i's incoming arcs are in[inStart[i]:inStart[i+1]] and its
+	// outgoing arcs out[outStart[i]:outStart[i+1]], as positions in
+	// Profile.Arcs.
+	in, out           []int32
+	inStart, outStart []int32
+	// Cycle c's members, as positions in Routines in discovery order,
+	// are members[memberStart[c]:memberStart[c+1]].
+	members, memberStart []int32
+}
+
+// In returns the positions in Profile.Arcs of routine i's incoming
+// arcs, self arcs left out.
+func (l *Links) In(i int32) []int32 { return l.in[l.inStart[i]:l.inStart[i+1]] }
+
+// Out returns the positions in Profile.Arcs of routine i's outgoing
+// arcs, self arcs left out.
+func (l *Links) Out(i int32) []int32 { return l.out[l.outStart[i]:l.outStart[i+1]] }
+
+// Members returns the routine positions of the members of Cycles[c],
+// in discovery order.
+func (l *Links) Members(c int) []int32 { return l.members[l.memberStart[c]:l.memberStart[c+1]] }
+
+// newLinks lays out p's arcs by a counting sort on each endpoint, which
+// keeps every routine's arcs in model order, and records each cycle's
+// members; member(c, j) is the position of the j-th member of
+// p.Cycles[c].
+func newLinks(p *Profile, member func(c, j int) int32) *Links {
+	n := len(p.Routines)
+	l := &Links{
+		inStart:     make([]int32, n+1),
+		outStart:    make([]int32, n+1),
+		memberStart: make([]int32, len(p.Cycles)+1),
+	}
+	for k := range p.Arcs {
+		a := &p.Arcs[k]
+		if a.Self() {
+			continue
+		}
+		l.inStart[a.To+1]++
+		if a.From >= 0 {
+			l.outStart[a.From+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		l.inStart[i+1] += l.inStart[i]
+		l.outStart[i+1] += l.outStart[i]
+	}
+	l.in = make([]int32, l.inStart[n])
+	l.out = make([]int32, l.outStart[n])
+	inFill := append([]int32(nil), l.inStart[:n]...)
+	outFill := append([]int32(nil), l.outStart[:n]...)
+	for k := range p.Arcs {
+		a := &p.Arcs[k]
+		if a.Self() {
+			continue
+		}
+		l.in[inFill[a.To]] = int32(k)
+		inFill[a.To]++
+		if a.From >= 0 {
+			l.out[outFill[a.From]] = int32(k)
+			outFill[a.From]++
+		}
+	}
+	for c := range p.Cycles {
+		for j := range p.Cycles[c].Members {
+			l.members = append(l.members, member(c, j))
+		}
+		l.memberStart[c+1] = int32(len(l.members))
+	}
+	return l
 }

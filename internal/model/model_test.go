@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -122,6 +123,58 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if buf2.String() != first {
 		t.Error("encode -> decode -> encode is not byte-identical")
+	}
+}
+
+// TestJSONMarshalerMatchesEncode pins that a Profile handed to any
+// JSON encoder (gprofd's /v1/self?view=json, for one) writes the
+// versioned schema Encode writes, and that json.Unmarshal reads it back
+// through Decode's checks.
+func TestJSONMarshalerMatchesEncode(t *testing.T) {
+	p := build(t)
+	var enc bytes.Buffer
+	if err := Encode(&enc, p); err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	raw, err := json.MarshalIndent(p, "", "  ")
+	if err != nil {
+		t.Fatalf("json.MarshalIndent: %v", err)
+	}
+	if string(raw)+"\n" != enc.String() {
+		t.Errorf("json.Marshal of a Profile differs from Encode:\n%s\nwant:\n%s", raw, enc.String())
+	}
+	var q Profile
+	if err := json.Unmarshal(raw, &q); err != nil {
+		t.Fatalf("json.Unmarshal: %v", err)
+	}
+	var again bytes.Buffer
+	if err := Encode(&again, &q); err != nil {
+		t.Fatalf("re-Encode: %v", err)
+	}
+	if again.String() != enc.String() {
+		t.Error("json.Unmarshal -> Encode is not byte-identical")
+	}
+	if r, ok := q.Routine("main"); !ok || r.Calls == 0 {
+		t.Errorf("unmarshaled profile lookup main = %+v, %v", r, ok)
+	}
+	bad := `{"schema":"` + Schema + `","hz":1,"total_ticks":0,"total_seconds":0,"routines":[],"arcs":[{"to":"gone","count":1,"prop_self_ticks":0,"prop_child_ticks":0}]}`
+	if err := json.Unmarshal([]byte(bad), &q); err == nil {
+		t.Error("json.Unmarshal accepted an arc to no routine")
+	}
+}
+
+// TestValidateChecksArcPositions pins Validate's range check on a
+// profile assembled by hand.
+func TestValidateChecksArcPositions(t *testing.T) {
+	p := build(t)
+	if err := p.Validate(); err != nil {
+		t.Fatalf("built profile invalid: %v", err)
+	}
+	for _, a := range []Arc{{From: -1, To: int32(len(p.Routines))}, {From: -2, To: 0}, {From: 0, To: -1}} {
+		q := &Profile{Schema: Schema, Hz: 1, Routines: p.Routines, Arcs: []Arc{a}}
+		if err := q.Validate(); err == nil {
+			t.Errorf("Validate accepted arc %d -> %d", a.From, a.To)
+		}
 	}
 }
 

@@ -1,0 +1,38 @@
+package model_test
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/cputime"
+	"repro/internal/model"
+	"repro/internal/synth"
+)
+
+// TestModelBuildScalesLinearly is the model layer's scaling gate:
+// condensing the analyzed call graph of a synthetic program with 2n
+// routines into a profile must cost at most 3x that of n routines.
+// Linear cost reads 2x, and the two sorts' n log n a little more;
+// anything quadratic reads 4x. The builds are timed in pairs by
+// cputime.PairRatio, and the gate reads the median pair's ratio.
+func TestModelBuildScalesLinearly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing gate")
+	}
+	const n = 50000
+	build := func(nodes int) func() {
+		w := synth.Generate(synth.Tier(nodes, 1))
+		res, err := core.Run(context.Background(), core.TableSource{Table: w.Table()}, w.Prof, core.Options{Jobs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := res.Graph
+		return func() { model.Build(g) }
+	}
+	ratio, ratios := cputime.PairRatio(build(n), build(2*n))
+	t.Logf("model.Build: n=%d, pair ratios t(2n)/t(n) %.2f, median %.2f", n, ratios, ratio)
+	if ratio > 3 {
+		t.Errorf("building the model of %d routines took a median %.2fx the time for %d, more than 3x", 2*n, ratio, n)
+	}
+}

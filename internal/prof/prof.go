@@ -108,7 +108,6 @@ func Model(tab *symtab.Table, p *gmon.Profile) *model.Profile {
 			SelfMsPerCall:     r.MsPerCall,
 		})
 	}
-	m.Reindex()
 	return m
 }
 

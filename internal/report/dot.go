@@ -3,7 +3,7 @@ package report
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/model"
@@ -21,69 +21,61 @@ import (
 // (never-traversed) arcs are dashed; intra-cycle arcs are drawn inside a
 // cluster per cycle. Options' Focus/MinPercent/Exclude filters apply.
 func WriteDOT(w io.Writer, m *model.Profile, opt Options) error {
-	v := newView(m)
-	f := opt.compile(v)
+	links := m.Links()
+	f := opt.compile(m)
 
 	fmt.Fprintln(w, "digraph callgraph {")
 	fmt.Fprintln(w, `  rankdir=TB;`)
 	fmt.Fprintln(w, `  node [shape=box, style=filled, fontname="monospace"];`)
 
-	// Stable node order.
-	names := make([]string, 0, len(m.Routines))
-	kept := make(map[string]bool)
+	// Stable node order: by name.
+	byName := make([]int32, len(m.Routines))
+	kept := make([]bool, len(m.Routines))
 	for i := range m.Routines {
-		r := &m.Routines[i]
-		names = append(names, r.Name)
-		if wantNode(v, int32(i), opt, f) {
-			kept[r.Name] = true
-		}
+		byName[i] = int32(i)
+		kept[i] = wantNode(m, int32(i), opt, f)
 	}
-	sort.Strings(names)
+	name := func(i int32) string { return m.Routines[i].Name }
+	slices.SortFunc(byName, func(i, j int32) int { return strings.Compare(name(i), name(j)) })
 
 	// Cycle clusters first, then free nodes.
-	emitted := make(map[string]bool)
-	for i := range m.Cycles {
-		c := &m.Cycles[i]
-		any := false
-		for _, name := range c.Members {
-			if kept[name] {
-				any = true
-			}
-		}
-		if !any {
+	emitted := make([]bool, len(m.Routines))
+	for c := range m.Cycles {
+		members := links.Members(c)
+		if !slices.ContainsFunc(members, func(i int32) bool { return kept[i] }) {
 			continue
 		}
-		fmt.Fprintf(w, "  subgraph cluster_%d {\n", c.Number)
-		fmt.Fprintf(w, "    label=\"cycle %d\";\n    style=dashed;\n", c.Number)
-		for _, name := range c.Members {
-			if kept[name] {
-				emitNode(w, m, name, "    ")
-				emitted[name] = true
+		n := m.Cycles[c].Number
+		fmt.Fprintf(w, "  subgraph cluster_%d {\n", n)
+		fmt.Fprintf(w, "    label=\"cycle %d\";\n    style=dashed;\n", n)
+		for _, i := range members {
+			if kept[i] {
+				emitNode(w, m, &m.Routines[i], "    ")
+				emitted[i] = true
 			}
 		}
 		fmt.Fprintln(w, "  }")
 	}
-	for _, name := range names {
-		if kept[name] && !emitted[name] {
-			emitNode(w, m, name, "  ")
+	for _, i := range byName {
+		if kept[i] && !emitted[i] {
+			emitNode(w, m, &m.Routines[i], "  ")
 		}
 	}
 
 	// Edges between kept nodes, in (caller, callee) order.
-	arcs := make([]*model.Arc, 0, len(m.Arcs))
-	for i := range m.Arcs {
-		arcs = append(arcs, &m.Arcs[i])
-	}
-	sort.Slice(arcs, func(i, j int) bool {
-		if arcs[i].From != arcs[j].From {
-			return arcs[i].From < arcs[j].From
+	var arcs []*model.Arc
+	for k := range m.Arcs {
+		if a := &m.Arcs[k]; !a.Spontaneous() && kept[a.From] && kept[a.To] {
+			arcs = append(arcs, a)
 		}
-		return arcs[i].To < arcs[j].To
+	}
+	slices.SortFunc(arcs, func(a, b *model.Arc) int {
+		if c := strings.Compare(name(a.From), name(b.From)); c != 0 {
+			return c
+		}
+		return strings.Compare(name(a.To), name(b.To))
 	})
 	for _, a := range arcs {
-		if a.Spontaneous() || !kept[a.To] || !kept[a.From] {
-			continue
-		}
 		attrs := []string{fmt.Sprintf("label=\"%d\"", a.Count)}
 		switch {
 		case a.Static:
@@ -95,14 +87,13 @@ func WriteDOT(w io.Writer, m *model.Profile, opt Options) error {
 			width := 1 + 4*m.Percent(a.PropSelfTicks+a.PropChildTicks)/100
 			attrs = append(attrs, fmt.Sprintf("penwidth=%.2f", width))
 		}
-		fmt.Fprintf(w, "  %q -> %q [%s];\n", a.From, a.To, strings.Join(attrs, ", "))
+		fmt.Fprintf(w, "  %q -> %q [%s];\n", name(a.From), name(a.To), strings.Join(attrs, ", "))
 	}
 	fmt.Fprintln(w, "}")
 	return nil
 }
 
-func emitNode(w io.Writer, m *model.Profile, name, indent string) {
-	r, _ := m.Routine(name)
+func emitNode(w io.Writer, m *model.Profile, r *model.Routine, indent string) {
 	pct := m.Percent(r.TotalTicks())
 	// White through a warm tone as the node gets hotter.
 	shade := int(255 - 1.6*pct)

@@ -85,24 +85,26 @@ func (o *Options) compileExclude() map[string]bool {
 	return exclude
 }
 
-// compile precomputes the option sets against a profile view.
-func (o *Options) compile(v *view) filter {
+// compile precomputes the option sets against a profile. Only a focus
+// looks names up.
+func (o *Options) compile(m *model.Profile) filter {
 	f := filter{exclude: o.compileExclude()}
 	if len(o.Focus) > 0 {
-		f.focus = make([]bool, len(v.m.Routines))
+		links := m.Links()
+		f.focus = make([]bool, len(m.Routines))
 		for _, name := range o.Focus {
-			i, ok := v.m.RoutinePos(name)
+			i, ok := m.RoutinePos(name)
 			if !ok {
 				continue
 			}
 			f.focus[i] = true
-			for _, k := range v.inArcs(int32(i)) {
-				if from := v.from[k]; from >= 0 {
+			for _, k := range links.In(int32(i)) {
+				if from := m.Arcs[k].From; from >= 0 {
 					f.focus[from] = true
 				}
 			}
-			for _, k := range v.outArcs(int32(i)) {
-				f.focus[v.to[k]] = true
+			for _, k := range links.Out(int32(i)) {
+				f.focus[m.Arcs[k].To] = true
 			}
 		}
 	}
@@ -112,83 +114,28 @@ func (o *Options) compile(v *view) filter {
 // excluded reports whether a routine is display-suppressed.
 func (f *filter) excluded(name string) bool { return f.exclude[name] }
 
-// view is the per-render index over a profile. Arc endpoints are
-// resolved to routine positions (indexes into m.Routines) once, so the
-// walk compares integers instead of looking names up.
+// view is the per-render state of a call graph profile over the
+// model's index layout: the entries in listing order and every
+// routine's reference bytes.
 type view struct {
-	m *model.Profile
-	// from and to are each arc's endpoint positions, parallel to
-	// m.Arcs; from is -1 for a spontaneous arc.
-	from, to []int32
-	// The incoming arcs of routine i are in[inStart[i]:inStart[i+1]]
-	// and its outgoing arcs out[outStart[i]:outStart[i+1]], as indexes
-	// into m.Arcs in the model's arc order, which the cycle entries'
-	// tie-breaking depends on.
-	in, out           []int32
-	inStart, outStart []int32
-	// listing holds the call-graph entries in index order: for each
-	// slot either routine is a position or cycle is non-nil.
+	m     *model.Profile
+	links *model.Links
+	// listing holds the call-graph entries in index order: each slot
+	// is a routine position or a cycle position, the other -1.
 	listing []listEntry
+	// refs holds each routine's "label [index]\n" bytes, rendered once
+	// in routine order: routine i's are refs[refAt[i]:refAt[i+1]].
+	refs  []byte
+	refAt []int
 }
 
 type listEntry struct {
 	routine int32 // position in m.Routines, or -1
-	cycle   *model.Cycle
+	cycle   int32 // position in m.Cycles, or -1
 }
 
 func newView(m *model.Profile) *view {
-	// Build the model's lookup tables now, if they are not yet built:
-	// render workers read them concurrently.
-	m.RoutinePos("")
-	n := len(m.Routines)
-	v := &view{
-		m:        m,
-		from:     make([]int32, len(m.Arcs)),
-		to:       make([]int32, len(m.Arcs)),
-		inStart:  make([]int32, n+1),
-		outStart: make([]int32, n+1),
-	}
-	// Resolve endpoints and count degrees. The model guarantees that
-	// endpoints resolve (model.Validate); an arc that does not is
-	// marked with to = -1 and left out of the listing.
-	for k := range m.Arcs {
-		a := &m.Arcs[k]
-		v.from[k], v.to[k] = -1, -1
-		to, ok := m.RoutinePos(a.To)
-		if !ok {
-			continue
-		}
-		from := -1
-		if a.From != "" {
-			if from, ok = m.RoutinePos(a.From); !ok {
-				continue
-			}
-			v.outStart[from+1]++
-		}
-		v.from[k], v.to[k] = int32(from), int32(to)
-		v.inStart[to+1]++
-	}
-	for i := 0; i < n; i++ {
-		v.inStart[i+1] += v.inStart[i]
-		v.outStart[i+1] += v.outStart[i]
-	}
-	// Counting-sort placement keeps each routine's arcs in model order.
-	v.in = make([]int32, v.inStart[n])
-	v.out = make([]int32, v.outStart[n])
-	inFill := append([]int32(nil), v.inStart[:n]...)
-	outFill := append([]int32(nil), v.outStart[:n]...)
-	for k, to := range v.to {
-		if to < 0 {
-			continue
-		}
-		v.in[inFill[to]] = int32(k)
-		inFill[to]++
-		if from := v.from[k]; from >= 0 {
-			v.out[outFill[from]] = int32(k)
-			outFill[from]++
-		}
-	}
-
+	v := &view{m: m, links: m.Links()}
 	max := 0
 	for i := range m.Routines {
 		if m.Routines[i].Index > max {
@@ -202,7 +149,7 @@ func newView(m *model.Profile) *view {
 	}
 	v.listing = make([]listEntry, max)
 	for i := range v.listing {
-		v.listing[i].routine = -1
+		v.listing[i] = listEntry{-1, -1}
 	}
 	for i := range m.Routines {
 		if idx := m.Routines[i].Index; idx > 0 {
@@ -211,46 +158,54 @@ func newView(m *model.Profile) *view {
 	}
 	for i := range m.Cycles {
 		if idx := m.Cycles[i].Index; idx > 0 {
-			v.listing[idx-1].cycle = &m.Cycles[i]
+			v.listing[idx-1].cycle = int32(i)
 		}
+	}
+
+	size := 0
+	for i := range m.Routines {
+		size += len(m.Routines[i].Name) + 24 // room for the tag and index
+	}
+	v.refs = make([]byte, 0, size)
+	v.refAt = make([]int, len(m.Routines)+1)
+	for i := range m.Routines {
+		r := &m.Routines[i]
+		v.refs = appendLabel(v.refs, r.Name, r.Cycle)
+		v.refs = append(v.refs, " ["...)
+		v.refs = strconv.AppendInt(v.refs, int64(r.Index), 10)
+		v.refs = append(v.refs, "]\n"...)
+		v.refAt[i+1] = len(v.refs)
 	}
 	return v
 }
 
-// inArcs and outArcs return routine i's incoming and outgoing arcs.
-func (v *view) inArcs(i int32) []int32  { return v.in[v.inStart[i]:v.inStart[i+1]] }
-func (v *view) outArcs(i int32) []int32 { return v.out[v.outStart[i]:v.outStart[i+1]] }
+// ref returns routine i's "label [index]" bytes, newline included.
+func (v *view) ref(i int32) []byte { return v.refs[v.refAt[i]:v.refAt[i+1]] }
 
-// self reports whether arc k is self-recursive.
-func (v *view) self(k int32) bool { return v.from[k] >= 0 && v.from[k] == v.to[k] }
+// name returns the name of the routine at position i, or "" for the
+// missing caller of a spontaneous arc.
+func (v *view) name(i int32) string {
+	if i < 0 {
+		return ""
+	}
+	return v.m.Routines[i].Name
+}
 
-// intraCycle reports whether both endpoints of arc k are members of
+// intraCycle reports whether both endpoints of arc a are members of
 // the same multi-routine cycle. Such arcs are listed in the profile but
 // "do not propagate any time" (§4).
-func (v *view) intraCycle(k int32) bool {
-	from := v.from[k]
-	if from < 0 {
+func (v *view) intraCycle(a *model.Arc) bool {
+	if a.From < 0 {
 		return false
 	}
-	c := v.m.Routines[from].Cycle
-	return c != 0 && c == v.m.Routines[v.to[k]].Cycle
+	c := v.m.Routines[a.From].Cycle
+	return c != 0 && c == v.m.Routines[a.To].Cycle
 }
 
 // ticks is the time arc k passes up to its caller.
 func (v *view) ticks(k int32) float64 {
 	a := &v.m.Arcs[k]
 	return a.PropSelfTicks + a.PropChildTicks
-}
-
-// totalCalls is the calls/total denominator for a routine: calls into
-// it, or into its whole cycle when it is a member.
-func (v *view) totalCalls(r *model.Routine) int64 {
-	if r.Cycle != 0 {
-		if c, ok := v.m.CycleByNumber(r.Cycle); ok {
-			return c.ExternalCalls
-		}
-	}
-	return r.Calls
 }
 
 // appendLabel appends a routine name with its cycle tag, e.g.
@@ -268,13 +223,13 @@ func appendLabel(b []byte, name string, cycle int) []byte {
 // CallGraph renders the call graph profile from the model.
 func CallGraph(w io.Writer, m *model.Profile, opt Options) error {
 	v := newView(m)
-	f := opt.compile(v)
+	f := opt.compile(m)
 	lw := newLineWriter(w)
 	want := func(e listEntry) bool {
-		if e.cycle != nil {
+		if e.cycle >= 0 {
 			return wantCycle(v, e.cycle, opt, f)
 		}
-		return e.routine >= 0 && wantNode(v, e.routine, opt, f)
+		return e.routine >= 0 && wantNode(m, e.routine, opt, f)
 	}
 
 	if !opt.NoHeaders {
@@ -296,7 +251,7 @@ func CallGraph(w io.Writer, m *model.Profile, opt Options) error {
 		return lw.close()
 	}
 	lw.rows(len(v.listing), entryChunk, opt.Jobs, func() func([]byte, int, int) []byte {
-		var scratch []int32
+		var scratch, members []int32
 		return func(b []byte, lo, hi int) []byte {
 			for i, e := range v.listing[lo:hi] {
 				if !want(e) {
@@ -305,8 +260,8 @@ func CallGraph(w io.Writer, m *model.Profile, opt Options) error {
 				if lo+i > first {
 					b = append(b, rule...)
 				}
-				if e.cycle != nil {
-					b, scratch = printCycleEntry(b, v, e.cycle, scratch)
+				if e.cycle >= 0 {
+					b, scratch, members = printCycleEntry(b, v, e.cycle, scratch, members)
 				} else {
 					b, scratch = printNodeEntry(b, v, e.routine, scratch)
 				}
@@ -328,8 +283,8 @@ func percentPerTick(m *model.Profile) float64 {
 }
 
 // wantNode reports whether routine i gets a call-graph entry.
-func wantNode(v *view, i int32, opt Options, f filter) bool {
-	r := &v.m.Routines[i]
+func wantNode(m *model.Profile, i int32, opt Options, f filter) bool {
+	r := &m.Routines[i]
 	if r.TotalTicks() == 0 && r.Calls == 0 && r.SelfCalls == 0 {
 		return false // never touched; lives in the flat profile's never-called list
 	}
@@ -339,26 +294,18 @@ func wantNode(v *view, i int32, opt Options, f filter) bool {
 	if f.focus != nil && !f.focus[i] {
 		return false
 	}
-	if opt.MinPercent > 0 && v.m.Percent(r.TotalTicks()) < opt.MinPercent {
+	if opt.MinPercent > 0 && m.Percent(r.TotalTicks()) < opt.MinPercent {
 		return false
 	}
 	return true
 }
 
-func wantCycle(v *view, c *model.Cycle, opt Options, f filter) bool {
-	if f.focus != nil {
-		any := false
-		for _, name := range c.Members {
-			if i, ok := v.m.RoutinePos(name); ok && f.focus[i] {
-				any = true
-				break
-			}
-		}
-		if !any {
-			return false
-		}
+// wantCycle reports whether cycle c gets a call-graph entry.
+func wantCycle(v *view, c int32, opt Options, f filter) bool {
+	if f.focus != nil && !slices.ContainsFunc(v.links.Members(int(c)), func(i int32) bool { return f.focus[i] }) {
+		return false
 	}
-	if opt.MinPercent > 0 && v.m.Percent(c.TotalTicks()) < opt.MinPercent {
+	if opt.MinPercent > 0 && v.m.Percent(v.m.Cycles[c].TotalTicks()) < opt.MinPercent {
 		return false
 	}
 	return true
@@ -373,7 +320,7 @@ func (v *view) sortParents(parents []int32) {
 		if ti, tj := v.ticks(i), v.ticks(j); ti != tj {
 			return less(ti < tj)
 		}
-		return strings.Compare(v.m.Arcs[i].From, v.m.Arcs[j].From)
+		return strings.Compare(v.name(v.m.Arcs[i].From), v.name(v.m.Arcs[j].From))
 	})
 }
 
@@ -384,7 +331,7 @@ func (v *view) sortChildren(children []int32) {
 		if ti, tj := v.ticks(i), v.ticks(j); ti != tj {
 			return less(ti > tj)
 		}
-		return strings.Compare(v.m.Arcs[i].To, v.m.Arcs[j].To)
+		return strings.Compare(v.name(v.m.Arcs[i].To), v.name(v.m.Arcs[j].To))
 	})
 }
 
@@ -398,11 +345,11 @@ func less(b bool) int {
 	return 1
 }
 
-// arcLine appends a parent or child line for arc k whose other end is
-// routine r: the propagated self and descendant seconds and the
-// count/total calls, or for an intra-cycle arc only the bare count.
-func arcLine(b []byte, v *view, k int32, r *model.Routine, intra bool, total int64) []byte {
-	a := &v.m.Arcs[k]
+// arcLine appends a parent or child line for arc a whose other end is
+// routine other: the propagated self and descendant seconds and the
+// count over the arc's calls/total denominator, or for an intra-cycle
+// arc only the bare count.
+func arcLine(b []byte, v *view, a *model.Arc, other int32, intra bool) []byte {
 	if intra {
 		// Calls from within the cycle: listed, never propagated.
 		b = append(b, "                                   "...) // "%14s%8s %11s " of ""
@@ -416,18 +363,10 @@ func arcLine(b []byte, v *view, k int32, r *model.Routine, intra bool, total int
 		b = append(b, ' ')
 		b = appendInt(b, a.Count, 7)
 		b = append(b, '/')
-		b = appendInt(b, total, -7)
+		b = appendInt(b, a.TotalCalls, -7)
 		b = append(b, ' ')
 	}
-	return appendRef(b, r)
-}
-
-// appendRef appends "label [index]" and ends the line.
-func appendRef(b []byte, r *model.Routine) []byte {
-	b = appendLabel(b, r.Name, r.Cycle)
-	b = append(b, " ["...)
-	b = strconv.AppendInt(b, int64(r.Index), 10)
-	return append(b, "]\n"...)
+	return append(b, v.ref(other)...)
 }
 
 // appendCalled appends the called+self column, right-aligned in 15.
@@ -465,45 +404,27 @@ func appendEntryHead(b []byte, v *view, index int, ticks, self, child float64, c
 func printNodeEntry(b []byte, v *view, i int32, scratch []int32) ([]byte, []int32) {
 	m := v.m
 	r := &m.Routines[i]
-	parents := scratch[:0]
-	for _, k := range v.inArcs(i) {
-		if !v.self(k) {
-			parents = append(parents, k)
-		}
-	}
+	parents := append(scratch[:0], v.links.In(i)...)
 	v.sortParents(parents)
-	// Total calls for the x/y column: calls into this routine, or into
-	// the whole cycle when the routine is a member.
-	totalCalls := v.totalCalls(r)
 	for _, k := range parents {
-		from := v.from[k]
-		if from < 0 {
+		a := &m.Arcs[k]
+		if a.From < 0 {
 			b = append(b, spontaneous...)
 			continue
 		}
-		b = arcLine(b, v, k, &m.Routines[from], v.intraCycle(k), totalCalls)
+		b = arcLine(b, v, a, a.From, v.intraCycle(a))
 	}
 
 	// The self line: index, %time, self, descendants, called+self.
-	b = appendRef(appendEntryHead(b, v, r.Index, r.TotalTicks(), r.SelfTicks, r.ChildTicks, r.Calls, r.SelfCalls), r)
+	b = appendEntryHead(b, v, r.Index, r.TotalTicks(), r.SelfTicks, r.ChildTicks, r.Calls, r.SelfCalls)
+	b = append(b, v.ref(i)...)
 
 	// Children, descending by time passed up.
-	children := parents[:0]
-	for _, k := range v.outArcs(i) {
-		if !v.self(k) {
-			children = append(children, k)
-		}
-	}
+	children := append(parents[:0], v.links.Out(i)...)
 	v.sortChildren(children)
 	for _, k := range children {
-		// Denominator: calls into the child (or its whole cycle).
-		child := &m.Routines[v.to[k]]
-		intra := v.intraCycle(k)
-		var total int64
-		if !intra {
-			total = v.totalCalls(child)
-		}
-		b = arcLine(b, v, k, child, intra, total)
+		a := &m.Arcs[k]
+		b = arcLine(b, v, a, a.To, v.intraCycle(a))
 	}
 	return b, children
 }
@@ -511,41 +432,37 @@ func printNodeEntry(b []byte, v *view, i int32, scratch []int32) ([]byte, []int3
 // spontaneous is the parent line of an arc with no identifiable caller.
 var spontaneous = strings.Repeat(" ", 45) + "<spontaneous>\n"
 
-// printCycleEntry appends a cycle-as-a-whole entry: external parents,
-// the cycle line, then the members "listed in place of the children"
-// with their calls from within the cycle. scratch is reused for the
-// sorted arcs and returned.
-func printCycleEntry(b []byte, v *view, c *model.Cycle, scratch []int32) ([]byte, []int32) {
+// printCycleEntry appends the entry of cycle c as a whole: external
+// parents, the cycle line, then the members "listed in place of the
+// children" with their calls from within the cycle. scratch and
+// members are reused for the sorted arcs and members and returned.
+func printCycleEntry(b []byte, v *view, c int32, scratch, members []int32) ([]byte, []int32, []int32) {
 	m := v.m
-	members := make([]int32, 0, len(c.Members))
-	for _, name := range c.Members {
-		i, _ := m.RoutinePos(name)
-		members = append(members, int32(i))
-	}
+	cy := &m.Cycles[c]
+	members = append(members[:0], v.links.Members(int(c))...)
 	parents := scratch[:0]
 	for _, i := range members {
-		for _, k := range v.inArcs(i) {
-			if !v.intraCycle(k) && !v.self(k) {
+		for _, k := range v.links.In(i) {
+			if !v.intraCycle(&m.Arcs[k]) {
 				parents = append(parents, k)
 			}
 		}
 	}
 	v.sortParents(parents)
-	ext := c.ExternalCalls
 	for _, k := range parents {
-		from := v.from[k]
-		if from < 0 {
+		a := &m.Arcs[k]
+		if a.From < 0 {
 			b = append(b, spontaneous...)
 			continue
 		}
-		b = arcLine(b, v, k, &m.Routines[from], false, ext)
+		b = arcLine(b, v, a, a.From, false)
 	}
 
-	b = appendEntryHead(b, v, c.Index, c.TotalTicks(), c.SelfTicks, c.ChildTicks, ext, c.InternalCalls)
+	b = appendEntryHead(b, v, cy.Index, cy.TotalTicks(), cy.SelfTicks, cy.ChildTicks, cy.ExternalCalls, cy.InternalCalls)
 	b = append(b, "<cycle "...)
-	b = strconv.AppendInt(b, int64(c.Number), 10)
+	b = strconv.AppendInt(b, int64(cy.Number), 10)
 	b = append(b, " as a whole> ["...)
-	b = strconv.AppendInt(b, int64(c.Index), 10)
+	b = strconv.AppendInt(b, int64(cy.Index), 10)
 	b = append(b, "]\n"...)
 
 	// Members with their calls from within the cycle (incoming intra
@@ -558,9 +475,9 @@ func printCycleEntry(b []byte, v *view, c *model.Cycle, scratch []int32) ([]byte
 	for _, i := range members {
 		r := &m.Routines[i]
 		var intra int64
-		for _, k := range v.inArcs(i) {
-			if v.intraCycle(k) && !v.self(k) {
-				intra += m.Arcs[k].Count
+		for _, k := range v.links.In(i) {
+			if a := &m.Arcs[k]; v.intraCycle(a) {
+				intra += a.Count
 			}
 		}
 		b = append(b, "              "...) // %14s
@@ -568,7 +485,7 @@ func printCycleEntry(b []byte, v *view, c *model.Cycle, scratch []int32) ([]byte
 		b = append(b, "        0.00 "...) // %11.2f of 0.0
 		b = appendCalled(b, intra, r.SelfCalls)
 		b = append(b, ' ')
-		b = appendRef(b, r)
+		b = append(b, v.ref(i)...)
 	}
-	return b, parents
+	return b, parents, members
 }

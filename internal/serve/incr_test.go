@@ -207,10 +207,11 @@ func TestIncrementalInterleavedInvalidation(t *testing.T) {
 	verify("fold into newest window")
 }
 
-// TestSnapshotCopyOnWrite holds the zero-copy snapshot of a
-// single-window selection, folds more data into its window, and checks
-// the held snapshot is frozen (the fold cloned) while the next
-// snapshot sees the new merge under a new key.
+// TestSnapshotCopyOnWrite checks that a fold clones nothing once the
+// queries that read its window have finished: a single-window query is
+// served zero-copy and released when it returns, so the next fold
+// merges in place, and the next snapshot sees the new merge under a new
+// key.
 func TestSnapshotCopyOnWrite(t *testing.T) {
 	tr := obs.New()
 	_, imageBytes := sortImage(t)
@@ -220,32 +221,84 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	body := encodeProfile(t, p1, gmon.Version1, false)
 
 	mustStatus(t, ingest(t, ts, fp, body), http.StatusAccepted)
-	mustStatus(t, get(t, ts, "/v1/gmon?sync=1&fp="+fp), http.StatusOK)
+	if got := mustStatus(t, get(t, ts, "/v1/gmon?sync=1&fp="+fp), http.StatusOK); !bytes.Equal(got, offlineMerge(t, []*gmon.Profile{p1})) {
+		t.Error("single-window gmon differs from offline MergeAll")
+	}
 	sh, ok := s.shardFor(fp)
 	if !ok {
 		t.Fatal("no shard after register+ingest")
 	}
-	snap, key := sh.snapshot(windowSel{kind: selAll}, s.cfg.Now())
-	if snap == nil || key == "" {
-		t.Fatalf("snapshot: %v, key %q", snap, key)
-	}
-	before := encodeGmon(t, snap)
+	key := sh.selectionKey(windowSel{kind: selAll}, s.cfg.Now())
 
 	mustStatus(t, ingest(t, ts, fp, body), http.StatusAccepted)
-	mustStatus(t, get(t, ts, "/v1/gmon?sync=1&fp="+fp), http.StatusOK)
-
-	if after := encodeGmon(t, snap); !bytes.Equal(before, after) {
-		t.Error("fold mutated a snapshot shared with a cached query")
+	if err := sh.sync(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	snap2, key2 := sh.snapshot(windowSel{kind: selAll}, s.cfg.Now())
+	snap, key2, release := sh.snapshot(windowSel{kind: selAll}, s.cfg.Now())
+	defer release()
 	if key2 == key {
 		t.Error("fold did not change the snapshot key")
 	}
-	if want := offlineMerge(t, []*gmon.Profile{p1, p1}); !bytes.Equal(encodeGmon(t, snap2), want) {
+	if want := offlineMerge(t, []*gmon.Profile{p1, p1}); !bytes.Equal(encodeGmon(t, snap), want) {
 		t.Error("post-fold snapshot differs from offline MergeAll")
 	}
+	if got := s.Snapshot().SnapshotCOWClones; got != 0 {
+		t.Errorf("cow clones = %d, want 0: no query was reading the window", got)
+	}
+}
+
+// TestSnapshotHeldAcrossFold holds a reader of a single-window
+// snapshot across a fold into its window: the fold clones exactly once,
+// the held snapshot stays frozen and analyzes to the offline MergeAll +
+// core.Run of the uploads it names, and the window goes on to serve the
+// merge of every upload. Releasing the stale reader does not count
+// against the window's new aggregate, so a later query-then-fold clones
+// nothing.
+func TestSnapshotHeldAcrossFold(t *testing.T) {
+	im, imageBytes := sortImage(t)
+	s, ts := newTestServer(t, Config{})
+	fp := registerExe(t, ts, imageBytes)
+	p1, p2 := sortProfile(t, 1), sortProfile(t, 2)
+	mustStatus(t, ingest(t, ts, fp, encodeProfile(t, p1, gmon.Version1, false)), http.StatusAccepted)
+	sh, _ := s.shardFor(fp)
+	if err := sh.sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	held, _, release := sh.snapshot(windowSel{kind: selAll}, s.cfg.Now())
+	before := encodeGmon(t, held)
+
+	mustStatus(t, ingest(t, ts, fp, encodeProfile(t, p2, gmon.Version1, false)), http.StatusAccepted)
+	if err := sh.sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if got := s.Snapshot().SnapshotCOWClones; got != 1 {
-		t.Errorf("cow clones = %d, want 1", got)
+		t.Errorf("cow clones = %d, want 1 for the fold under a running reader", got)
+	}
+	if !bytes.Equal(encodeGmon(t, held), before) {
+		t.Error("fold mutated a snapshot a query was reading")
+	}
+	res, err := core.Run(context.Background(), core.TableSource{Table: sh.tab}, held, s.runOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flat bytes.Buffer
+	if err := res.WriteFlat(&flat); err != nil {
+		t.Fatal(err)
+	}
+	if want := offlineFlat(t, im, []*gmon.Profile{p1}); !bytes.Equal(flat.Bytes(), want) {
+		t.Error("held snapshot's analysis differs from offline MergeAll + core.Run")
+	}
+	release()
+
+	if want := offlineFlat(t, im, []*gmon.Profile{p1, p2}); !bytes.Equal(mustStatus(t, get(t, ts, "/v1/flat?sync=1&fp="+fp), http.StatusOK), want) {
+		t.Error("post-fold flat differs from offline MergeAll + core.Run")
+	}
+	mustStatus(t, ingest(t, ts, fp, encodeProfile(t, p1, gmon.Version1, false)), http.StatusAccepted)
+	if want := offlineFlat(t, im, []*gmon.Profile{p1, p2, p1}); !bytes.Equal(mustStatus(t, get(t, ts, "/v1/flat?sync=1&fp="+fp), http.StatusOK), want) {
+		t.Error("second post-fold flat differs from offline MergeAll + core.Run")
+	}
+	if got := s.Snapshot().SnapshotCOWClones; got != 1 {
+		t.Errorf("cow clones = %d after a released reader, want still 1", got)
 	}
 }
 

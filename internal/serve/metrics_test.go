@@ -231,13 +231,24 @@ func TestSelfProfileEndpoint(t *testing.T) {
 	if total != 10 {
 		t.Errorf("pprof round-trip total = %d, want 10", total)
 	}
-	var jsonProf model.Profile
 	jb := mustStatus(t, get(t, ts, "/v1/self?view=json"), http.StatusOK)
-	if err := json.Unmarshal(jb, &jsonProf); err != nil {
+	jsonProf, err := model.Decode(bytes.NewReader(jb))
+	if err != nil {
 		t.Fatalf("self json: %v", err)
 	}
 	if jsonProf.Schema != model.SchemaV2 || jsonProf.Stacks == nil || jsonProf.Stacks.Samples != 10 {
 		t.Errorf("self json = schema %q, stacks %+v", jsonProf.Schema, jsonProf.Stacks)
+	}
+	// The body is the versioned schema, key for key, not the Go field
+	// names a tag-free struct would produce.
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(jb, &keys); err != nil {
+		t.Fatalf("self json object: %v", err)
+	}
+	for _, k := range []string{"schema", "hz", "total_ticks", "total_seconds", "stacks"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("self json lacks key %q", k)
+		}
 	}
 	mustStatus(t, get(t, ts, "/v1/self?view=bogus"), http.StatusBadRequest)
 

@@ -14,10 +14,10 @@ import (
 )
 
 // TestStatsOneSource drives a scripted request mix — a 400, an unknown
-// fingerprint, a 429 from a depth-1 queue, a copy-on-write fold and a
-// coalesced cold query — and checks that every /v1/stats count equals
-// the /metrics series or LRU counter it projects, and the script's
-// expected value.
+// fingerprint, a 429 from a depth-1 queue, a fold after a finished
+// query (which clones nothing) and a coalesced cold query — and checks
+// that every /v1/stats count equals the /metrics series or LRU counter
+// it projects, and the script's expected value.
 func TestStatsOneSource(t *testing.T) {
 	im, imageBytes := sortImage(t)
 	s, ts := newTestServer(t, Config{QueueDepth: 1})
@@ -38,8 +38,9 @@ func TestStatsOneSource(t *testing.T) {
 	mustStatus(t, ingest(t, ts, stuck, body), http.StatusAccepted)
 	mustStatus(t, ingest(t, ts, stuck, body), http.StatusTooManyRequests)
 
-	// The gmon query holds the one-window aggregate zero-copy, so the
-	// next fold into that window clones it.
+	// The gmon query reads the one-window aggregate zero-copy and has
+	// finished before the next fold into that window, which therefore
+	// clones nothing.
 	mustStatus(t, ingest(t, ts, fp, body), http.StatusAccepted)
 	mustStatus(t, get(t, ts, "/v1/gmon?sync=1&fp="+fp), http.StatusOK)
 	mustStatus(t, ingest(t, ts, fp, body), http.StatusAccepted)
@@ -51,8 +52,9 @@ func TestStatsOneSource(t *testing.T) {
 	// A cold flat query that finds the analysis of its key already in
 	// flight joins it: the flight is planted, finished, before the
 	// query arrives, so the join is deterministic.
-	p, selKey := live.snapshot(windowSel{kind: selAll}, s.cfg.Now())
+	p, selKey, release := live.snapshot(windowSel{kind: selAll}, s.cfg.Now())
 	res, err := core.Run(context.Background(), core.TableSource{Table: live.tab}, p, s.runOptions())
+	release()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestStatsOneSource(t *testing.T) {
 		{"executables_registered", st.ExecutablesRegistered, series("gprofd_executables_registered_total"), 1},
 		{"queries", st.Queries, series("gprofd_queries_total"), 4},
 		{"coalesced_queries", st.CoalescedQueries, series("gprofd_coalesced_queries_total"), 1},
-		{"snapshot_cow_clones", st.SnapshotCOWClones, series("gprofd_snapshot_cow_clones_total"), 1},
+		{"snapshot_cow_clones", st.SnapshotCOWClones, series("gprofd_snapshot_cow_clones_total"), 0},
 		{"analysis_cache_hits", st.AnalysisCacheHits, int64(aHits), 1},
 		{"analysis_cache_misses", st.AnalysisCacheMisses, int64(aMisses), 3},
 		{"analysis_cache_evictions", st.AnalysisCacheEvictions, int64(aEvict), 0},

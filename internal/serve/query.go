@@ -151,13 +151,14 @@ func (s *Server) analyzed(ctx context.Context, sh *shard, sel windowSel) (*analy
 		// A fold since the lookup gives the merge a newer key; the
 		// analysis is of that data and is cached under the key that
 		// names it.
-		p, selKey := sh.snapshot(sel, now)
+		p, selKey, release := sh.snapshot(sel, now)
 		if p == nil {
 			return nil, errNoData
 		}
 		// Detached context: the shared run serves every waiter (and the
 		// cache), so no single request's cancellation may abort it.
 		res, err := core.Run(context.Background(), core.TableSource{Table: sh.tab}, p, s.runOptions())
+		release() // the Result keeps nothing of p
 		if err != nil {
 			return nil, err
 		}
@@ -182,12 +183,14 @@ func (s *Server) gmonBytes(sh *shard, sel windowSel, version int) ([]byte, error
 	if v, ok := s.queries.Get(gmonKey(version, sh.fp, selKey)); ok {
 		return v.([]byte), nil
 	}
-	p, selKey := sh.snapshot(sel, now)
+	p, selKey, release := sh.snapshot(sel, now)
 	if p == nil {
 		return nil, errNoData
 	}
 	var buf bytes.Buffer
-	if err := gmon.WriteVersion(&buf, p, version); err != nil {
+	err := gmon.WriteVersion(&buf, p, version)
+	release()
+	if err != nil {
 		return nil, err
 	}
 	return s.queries.Add(gmonKey(version, sh.fp, selKey), buf.Bytes()).([]byte), nil

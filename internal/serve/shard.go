@@ -24,13 +24,13 @@ type ingestItem struct {
 
 // window is one time bin's aggregate plus the bookkeeping the
 // incremental query path needs: a fold version (so selection keys
-// change exactly when the data does) and a shared flag implementing
-// copy-on-write (a single-window query may hold prof directly; the
-// next fold into the window must clone before mutating).
+// change exactly when the data does) and a count of running readers
+// implementing copy-on-write (a single-window query reads prof
+// directly; a fold while it runs must clone before mutating).
 type window struct {
 	prof    *gmon.Profile
 	version int64 // shard version at the last fold into this window
-	shared  bool  // prof is referenced by a query's snapshot
+	readers int   // queries reading prof right now; guarded by shard.mu
 }
 
 // shard is the merge pipeline for one executable fingerprint: a
@@ -125,12 +125,13 @@ func (s *shard) merge(it ingestItem) {
 		s.evictLocked()
 		return
 	}
-	if w.shared {
-		// Copy-on-write: a query's snapshot may still reference prof,
-		// so the fold works on a private copy and the snapshot stays
-		// frozen at the version its selection key names.
+	if w.readers > 0 {
+		// Copy-on-write: a running query reads prof, so the fold works
+		// on a private copy and the query's snapshot stays frozen at
+		// the version its selection key names. The readers hold the
+		// old aggregate; the window's new one has none.
 		w.prof = w.prof.Clone()
-		w.shared = false
+		w.readers = 0
 		s.cowClones.Add(1)
 	}
 	if err := w.prof.Merge(it.profile); err != nil {
@@ -328,21 +329,34 @@ func (s *shard) selectionKey(sel windowSel, now time.Time) string {
 // differs from an earlier selectionKey when a fold landed in between.
 //
 // A single-window selection is served zero-copy: the window aggregate
-// itself, protected by copy-on-write in merge. The returned profile
+// itself, counted as read until the caller calls release, and
+// protected by copy-on-write in merge while it is. The returned profile
 // must be treated read-only (gmon.Write and core.Run never mutate
-// their input profile).
-func (s *shard) snapshot(sel windowSel, now time.Time) (*gmon.Profile, string) {
+// their input profile), and release must be called once the caller is
+// done reading it: neither an analysis nor an encoding keeps the
+// profile. release is never nil.
+func (s *shard) snapshot(sel windowSel, now time.Time) (p *gmon.Profile, key string, release func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	included, key := s.includedLocked(sel, now)
 	switch len(included) {
 	case 0:
-		return nil, ""
+		return nil, "", func() {}
 	case 1:
 		// The bytes equal an offline MergeAll of the window's uploads,
 		// which for one window is exactly the aggregate.
-		included[0].shared = true
-		return included[0].prof, key
+		w := included[0]
+		w.readers++
+		prof := w.prof
+		return prof, key, func() {
+			s.mu.Lock()
+			// A fold that cloned the aggregate has already let the
+			// readers of the old one go.
+			if w.prof == prof {
+				w.readers--
+			}
+			s.mu.Unlock()
+		}
 	}
 	total := included[0].prof.Clone()
 	for _, w := range included[1:] {
@@ -350,7 +364,7 @@ func (s *shard) snapshot(sel windowSel, now time.Time) (*gmon.Profile, string) {
 			continue // unreachable: geometry is enforced per shard
 		}
 	}
-	return total, key
+	return total, key, func() {}
 }
 
 // windowStarts lists the retained window starts, ascending.

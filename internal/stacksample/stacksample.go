@@ -190,7 +190,6 @@ func (s *Sampler) Model() *model.Profile {
 			ChildSeconds: child,
 		})
 	}
-	m.Reindex()
 	return m
 }
 
