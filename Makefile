@@ -89,7 +89,8 @@ gprofd-smoke:
 # reader agents hit /v1/flat and /v1/profile while uploads invalidate
 # underneath them. gprofload exits nonzero on any reader failure, a
 # verify mismatch, or (with -readers) a server whose incremental
-# caches served no hits.
+# caches served no hits or evicted an entry: the corpus asks one query
+# shape per fingerprint, far fewer than the default -querycache slots.
 .PHONY: query-smoke
 query-smoke:
 	rm -rf .query-smoke && mkdir -p .query-smoke

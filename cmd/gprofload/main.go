@@ -18,7 +18,10 @@
 // schema-valid bodies — mixed read/write traffic against the server's
 // incremental query path. Any reader failure exits nonzero, and so
 // does a run whose completed reads left the server's analysis cache
-// without a hit.
+// without a hit, or that made the cache evict: the readers ask one
+// query shape per fingerprint, far fewer than the server's default
+// -querycache slots, and a fold replaces its shape's slot in place, so
+// an eviction means uploads, not queries, are growing the memo.
 //
 // With -metrics, an observability prober runs alongside the agents:
 // every ~100ms it scrapes /metrics (the body must parse and validate as
@@ -137,8 +140,8 @@ func run(addr string, agents, uploads, readers int, duration time.Duration, name
 			fmt.Printf("server: %d accepted, %.1f MB heap, %d shards\n",
 				stats.ProfilesAccepted, float64(stats.HeapAllocBytes)/(1<<20), len(stats.Shards))
 			if readers > 0 {
-				fmt.Printf("server cache: %d/%d analysis hits/misses, %d coalesced\n",
-					stats.AnalysisCacheHits, stats.AnalysisCacheMisses, stats.CoalescedQueries)
+				fmt.Printf("server cache: %d/%d analysis hits/misses, %d evictions, %d coalesced\n",
+					stats.AnalysisCacheHits, stats.AnalysisCacheMisses, stats.AnalysisCacheEvictions, stats.CoalescedQueries)
 			}
 		}
 	}
@@ -161,6 +164,10 @@ func run(addr string, agents, uploads, readers int, duration time.Duration, name
 	// query-path regression (the make query-smoke gate).
 	if readers > 0 && res.Reads > 0 && statsErr == nil && stats.AnalysisCacheHits == 0 {
 		return fmt.Errorf("%d reads but the server reports zero analysis cache hits", res.Reads)
+	}
+	// Nor may they have made it evict (see the package comment).
+	if readers > 0 && statsErr == nil && stats.AnalysisCacheEvictions > 0 {
+		return fmt.Errorf("the server's analysis cache evicted %d entries; the readers ask at most %d query shapes", stats.AnalysisCacheEvictions, len(corpus.Items))
 	}
 	if res.Uploads == 0 {
 		return fmt.Errorf("no uploads were accepted")

@@ -89,7 +89,7 @@ func main() {
 	elapsed := time.Since(start)
 	rate := float64(w.Cfg.Nodes) / elapsed.Seconds()
 	fmt.Printf("analyze: %d nodes, %d graph arcs, %d cycles in %v (jobs %d) = %.0f nodes/sec\n",
-		res.Graph.Len(), res.Graph.NumArcs(), len(res.Graph.Cycles), elapsed.Round(time.Millisecond), *jobs, rate)
+		len(res.Model.Routines), len(res.Model.Arcs), len(res.Model.Cycles), elapsed.Round(time.Millisecond), *jobs, rate)
 	if *minRate > 0 && rate < *minRate {
 		fail(fmt.Errorf("analysis rate %.0f nodes/sec below floor %.0f", rate, *minRate))
 	}

@@ -128,8 +128,11 @@ func profileVersion(name, src string) (float64, float64) {
 	}
 	fmt.Println()
 
-	lookup := result.Graph.MustNode("lookup")
-	return lookup.TotalTicks() / result.Graph.TotalTicks, float64(res.Cycles)
+	lookup, ok := result.Model.Routine("lookup")
+	if !ok {
+		log.Fatal("no routine lookup in the profile")
+	}
+	return lookup.TotalTicks() / result.Model.TotalTicks, float64(res.Cycles)
 }
 
 func main() {

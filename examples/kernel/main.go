@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("before cycle breaking: %d cycle(s) in the graph\n", len(before.Graph.Cycles))
+	fmt.Printf("before cycle breaking: %d cycle(s) in the graph\n", len(before.Model.Cycles))
 	if err := before.WriteCallGraph(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func main() {
 	for i, a := range after.Suggestion.Arcs {
 		fmt.Printf("  removed %s, losing only %d traversals\n", a, after.Suggestion.Counts[i])
 	}
-	fmt.Printf("cycles now: %d\n", len(after.Graph.Cycles))
+	fmt.Printf("cycles now: %d\n", len(after.Model.Cycles))
 	if err := after.WriteCallGraph(os.Stdout); err != nil {
 		log.Fatal(err)
 	}

@@ -175,10 +175,10 @@ func TestGranularitySweep(t *testing.T) {
 			t.Fatalf("granularity %d: %v", gran, err)
 		}
 		var selfSum float64
-		for _, n := range res.Graph.Nodes() {
-			selfSum += n.SelfTicks
+		for _, r := range res.Model.Routines {
+			selfSum += r.SelfTicks
 		}
-		diff := selfSum + res.Graph.LostTicks - res.Graph.TotalTicks
+		diff := selfSum + res.Model.LostTicks - res.Model.TotalTicks
 		if diff > 1e-6 || diff < -1e-6 {
 			t.Errorf("granularity %d: conservation off by %v", gran, diff)
 		}
@@ -235,7 +235,7 @@ func main() { return leaf(); }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Graph.MustNode("leaf").Calls() != 1 {
+	if leaf, ok := res.Model.Routine("leaf"); !ok || leaf.Calls != 1 {
 		t.Error("call counts lost without histogram samples")
 	}
 	var buf bytes.Buffer

@@ -24,8 +24,13 @@
 // Options.Jobs sets the worker-pool width for rendering the listing
 // (the analysis stages are serial). A caller that analyzes one
 // executable again and again builds its symbol table once and passes
-// it as a TableSource, as gprofd does. Run is the only analysis entry
-// point; the deprecated Analyze/AnalyzeTable wrappers are gone.
+// it as a TableSource, as gprofd does.
+//
+// A Result keeps only the model it renders from: the pointer call
+// graph is unreachable once model.Build returns, so a memoized Result
+// costs the model and nothing more. The few callers that inspect the
+// graph itself (arc walks, conservation checks) call RunGraph, the
+// one stage list Run is built on.
 package core
 
 import (
@@ -191,8 +196,7 @@ func (s TableSource) load(bool) (*symtab.Table, []object.StaticArc, error) {
 
 // Result is an analyzed profile ready for rendering or inspection.
 type Result struct {
-	Graph *callgraph.Graph
-	// Model is the serializable profile built from Graph after
+	// Model is the serializable profile built from the call graph after
 	// propagation (model.Build); every Write* renderer consumes it, and
 	// WriteJSON encodes it under the versioned schema.
 	Model *model.Profile
@@ -209,7 +213,7 @@ type Result struct {
 }
 
 // Run post-processes a profile against a source of symbols. It is the
-// single entry point behind every tool: ctx cancels the long stages
+// entry point behind every tool: ctx cancels the long stages
 // (attribution, propagation) between pipeline steps, and opt.Jobs sets
 // the worker-pool width (0 or 1 reproduces the serial pipeline exactly).
 //
@@ -219,7 +223,15 @@ type Result struct {
 // inspectable with -stats or -tracefile. On cancellation the spans
 // recorded so far survive in the trace: Run marks it failed and the
 // partial run report stays diagnosable.
-func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Result, err error) {
+func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (*Result, error) {
+	res, _, err := RunGraph(ctx, src, p, opt)
+	return res, err
+}
+
+// RunGraph is Run that also returns the propagated call graph the
+// model was built from, for callers that walk the graph itself. Run
+// drops the graph, so nothing it returns keeps it reachable.
+func RunGraph(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Result, g *callgraph.Graph, err error) {
 	tr := obs.FromContext(ctx)
 	defer func() {
 		if err != nil {
@@ -227,28 +239,28 @@ func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Re
 		}
 	}()
 	if src == nil {
-		return nil, errors.New("core: nil Source")
+		return nil, nil, errors.New("core: nil Source")
 	}
 	if p == nil {
-		return nil, errors.New("core: nil profile")
+		return nil, nil, errors.New("core: nil profile")
 	}
 	if err := opt.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if opt.Static && !src.supportsStatic() {
-		return nil, fmt.Errorf("%w: Static requires an image-backed source", ErrBadOptions)
+		return nil, nil, fmt.Errorf("%w: Static requires an image-backed source", ErrBadOptions)
 	}
 	loadSpan := tr.Span("load")
 	tab, static, err := src.load(opt.Static)
 	loadSpan.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	graphSpan := tr.Span("graph")
-	g, err := callgraph.BuildCtx(ctx, tab, p, opt.jobs())
+	g, err = callgraph.BuildCtx(ctx, tab, p, opt.jobs())
 	graphSpan.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if opt.Static {
 		g.AddStatic(static)
@@ -256,7 +268,7 @@ func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Re
 	tr.Gauge("graph.nodes").Set(int64(g.Len()))
 	res, err = finish(ctx, g, opt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(p.Stacks) > 0 {
 		// The context-sensitive view rides alongside the arc-based one,
@@ -274,7 +286,7 @@ func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Re
 		res.Model.Schema = model.SchemaV2
 		stacksSpan.End()
 	}
-	return res, nil
+	return res, g, nil
 }
 
 // LoadProfiles reads one or more profile data files and sums them into
@@ -288,7 +300,7 @@ func LoadProfiles(ctx context.Context, names []string, jobs int) (*gmon.Profile,
 
 func finish(ctx context.Context, g *callgraph.Graph, opt Options) (*Result, error) {
 	tr := obs.FromContext(ctx)
-	res := &Result{Graph: g, opt: opt, tr: tr}
+	res := &Result{opt: opt, tr: tr}
 	for _, id := range opt.RemoveArcs {
 		if g.RemoveArc(id.Caller, id.Callee) {
 			res.RemovedArcs++

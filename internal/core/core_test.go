@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/gmon"
+	"repro/internal/model"
 	"repro/internal/object"
 	"repro/internal/symtab"
 
@@ -36,6 +37,16 @@ func analyzeWorkload(t *testing.T, name string, opt Options) (*Result, string) {
 	return res, buf.String()
 }
 
+// routine returns the named routine of an analysis or fails the test.
+func routine(t *testing.T, res *Result, name string) *model.Routine {
+	t.Helper()
+	r, ok := res.Model.Routine(name)
+	if !ok {
+		t.Fatalf("no routine %s in the profile", name)
+	}
+	return r
+}
+
 func TestEndToEndSort(t *testing.T) {
 	res, out := analyzeWorkload(t, "sort", Options{})
 	// The ordering abstraction's routines all appear.
@@ -45,22 +56,22 @@ func TestEndToEndSort(t *testing.T) {
 		}
 	}
 	// qsort is self-recursive: its entry shows called+self.
-	q := res.Graph.MustNode("qsort")
-	if q.SelfCalls() == 0 {
+	q := routine(t, res, "qsort")
+	if q.SelfCalls == 0 {
 		t.Error("qsort has no self-recursive calls")
 	}
 	if q.InCycle() {
 		t.Error("self-recursion must not create a collapsed cycle")
 	}
 	// partition inherits less/swap time: its total exceeds its self.
-	p := res.Graph.MustNode("partition")
+	p := routine(t, res, "partition")
 	if p.ChildTicks <= 0 {
 		t.Error("partition received no descendant time")
 	}
 	// main's total is (nearly) the whole run: everything hangs below it.
-	m := res.Graph.MustNode("main")
-	if m.TotalTicks() < 0.9*res.Graph.TotalTicks {
-		t.Errorf("main total %.0f < 90%% of run %.0f", m.TotalTicks(), res.Graph.TotalTicks)
+	m := routine(t, res, "main")
+	if m.TotalTicks() < 0.9*res.Model.TotalTicks {
+		t.Errorf("main total %.0f < 90%% of run %.0f", m.TotalTicks(), res.Model.TotalTicks)
 	}
 	if !strings.Contains(out, "flat profile") || !strings.Contains(out, "index by function name") {
 		t.Error("missing report sections")
@@ -70,12 +81,12 @@ func TestEndToEndSort(t *testing.T) {
 func TestEndToEndParserCycle(t *testing.T) {
 	// §6: recursive descent parsers collapse into one monolithic cycle.
 	res, out := analyzeWorkload(t, "parser", Options{})
-	if len(res.Graph.Cycles) == 0 {
+	if len(res.Model.Cycles) == 0 {
 		t.Fatal("parser produced no cycle")
 	}
 	members := map[string]bool{}
-	for _, m := range res.Graph.Cycles[0].Members {
-		members[m.Name] = true
+	for _, m := range res.Model.Cycles[0].Members {
+		members[m] = true
 	}
 	for _, fn := range []string{"expr", "term", "factor"} {
 		if !members[fn] {
@@ -105,22 +116,22 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := Run(context.Background(), ImageSource{Image: im}, p, Options{})
+	_, dyn, err := RunGraph(context.Background(), ImageSource{Image: im}, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := dyn.Graph.MustNode("rarely"); n.Calls() != 0 {
+	if n := dyn.MustNode("rarely"); n.Calls() != 0 {
 		t.Errorf("rarely called %d times dynamically", n.Calls())
 	}
-	if len(dyn.Graph.MustNode("rarely").Out) != 0 {
+	if len(dyn.MustNode("rarely").Out) != 0 {
 		t.Error("dynamic graph has arcs out of never-run rarely")
 	}
-	st, err := Run(context.Background(), ImageSource{Image: im}, p, Options{Static: true})
+	_, st, err := RunGraph(context.Background(), ImageSource{Image: im}, p, Options{Static: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var found *bool
-	for _, a := range st.Graph.MustNode("rarely").Out {
+	for _, a := range st.MustNode("rarely").Out {
 		if a.Callee.Name == "used" {
 			ok := a.Static && a.Count == 0
 			found = &ok
@@ -144,7 +155,7 @@ func TestRemoveArcsOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(base.Graph.Cycles) == 0 {
+	if len(base.Model.Cycles) == 0 {
 		t.Fatal("service has no dispatch<->retry cycle")
 	}
 	res, err := Run(context.Background(), ImageSource{Image: im}, p, Options{
@@ -156,7 +167,7 @@ func TestRemoveArcsOption(t *testing.T) {
 	if res.RemovedArcs != 1 {
 		t.Errorf("removed %d arcs, want 1", res.RemovedArcs)
 	}
-	if len(res.Graph.Cycles) != 0 {
+	if len(res.Model.Cycles) != 0 {
 		t.Error("cycle survives explicit arc removal")
 	}
 }
@@ -177,7 +188,7 @@ func TestAutoBreak(t *testing.T) {
 	if res.Suggestion == nil || !res.Suggestion.Complete {
 		t.Fatalf("suggestion = %+v, want complete", res.Suggestion)
 	}
-	if len(res.Graph.Cycles) != 0 {
+	if len(res.Model.Cycles) != 0 {
 		t.Error("cycles remain after AutoBreak")
 	}
 	var buf bytes.Buffer
@@ -208,11 +219,14 @@ func TestReportOptionsPassThrough(t *testing.T) {
 func TestFunctionPointerArcs(t *testing.T) {
 	// Arcs through function values exist dynamically but not statically.
 	res, _ := analyzeWorkload(t, "fptr", Options{Static: true})
-	apply := res.Graph.MustNode("apply")
+	apply, ok := res.Model.RoutinePos("apply")
+	if !ok {
+		t.Fatal("no routine apply in the profile")
+	}
 	targets := map[string]bool{}
-	for _, a := range apply.Out {
-		if a.Count > 0 {
-			targets[a.Callee.Name] = true
+	for _, a := range res.Model.Arcs {
+		if int(a.From) == apply && a.Count > 0 {
+			targets[res.Model.Routines[a.To].Name] = true
 		}
 	}
 	for _, fn := range []string{"opAdd", "opMul", "opXor"} {
@@ -225,11 +239,11 @@ func TestFunctionPointerArcs(t *testing.T) {
 func TestFlatProfileSumsToTotal(t *testing.T) {
 	res, _ := analyzeWorkload(t, "matrix", Options{})
 	var selfSum float64
-	for _, n := range res.Graph.Nodes() {
-		selfSum += n.SelfTicks
+	for _, r := range res.Model.Routines {
+		selfSum += r.SelfTicks
 	}
-	if got := selfSum + res.Graph.LostTicks; got != res.Graph.TotalTicks {
-		t.Errorf("self sum %v + lost %v != total %v", selfSum, res.Graph.LostTicks, res.Graph.TotalTicks)
+	if got := selfSum + res.Model.LostTicks; got != res.Model.TotalTicks {
+		t.Errorf("self sum %v + lost %v != total %v", selfSum, res.Model.LostTicks, res.Model.TotalTicks)
 	}
 }
 
@@ -248,8 +262,8 @@ func TestRunTableSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Graph.MustNode("top").ChildTicks != 30 {
-		t.Errorf("top child = %v, want 30", res.Graph.MustNode("top").ChildTicks)
+	if top := routine(t, res, "top"); top.ChildTicks != 30 {
+		t.Errorf("top child = %v, want 30", top.ChildTicks)
 	}
 	var buf bytes.Buffer
 	if err := res.WriteAll(&buf); err != nil {

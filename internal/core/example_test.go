@@ -44,9 +44,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	work := res.Graph.MustNode("work")
-	main := res.Graph.MustNode("main")
-	fmt.Printf("work called %d times\n", work.Calls())
+	work, _ := res.Model.Routine("work")
+	main, _ := res.Model.Routine("main")
+	fmt.Printf("work called %d times\n", work.Calls)
 	fmt.Printf("main inherits work's time: %v\n", main.ChildTicks >= work.SelfTicks)
 	var out strings.Builder
 	if err := res.WriteFlat(&out); err != nil {

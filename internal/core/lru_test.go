@@ -11,20 +11,20 @@ import (
 
 func TestLRUBasics(t *testing.T) {
 	l := NewLRU(2)
-	if _, ok := l.Get("a"); ok {
+	if _, ok := l.Get("a", "v1"); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	l.Add("a", 1)
-	l.Add("b", 2)
-	if v, ok := l.Get("a"); !ok || v.(int) != 1 {
+	l.Put("a", "v1", 1)
+	l.Put("b", "v1", 2)
+	if v, ok := l.Get("a", "v1"); !ok || v.(int) != 1 {
 		t.Fatalf("Get(a) = %v, %v", v, ok)
 	}
 	// "b" is now least recently used; adding "c" must evict it.
-	l.Add("c", 3)
-	if _, ok := l.Get("b"); ok {
+	l.Put("c", "v1", 3)
+	if _, ok := l.Get("b", "v1"); ok {
 		t.Error("LRU entry b survived eviction")
 	}
-	if v, ok := l.Get("a"); !ok || v.(int) != 1 {
+	if v, ok := l.Get("a", "v1"); !ok || v.(int) != 1 {
 		t.Errorf("recently used entry a evicted: %v, %v", v, ok)
 	}
 	hits, misses, evictions := l.Stats()
@@ -33,15 +33,43 @@ func TestLRUBasics(t *testing.T) {
 	}
 }
 
-// TestLRUAddFirstInsertWins pins the concurrent-fill contract: racing
-// Adds of one key converge on the first inserted value, so every
-// caller shares one cached object.
-func TestLRUAddFirstInsertWins(t *testing.T) {
+// TestLRUVersionedSlot pins the slot contract: a lookup of another
+// version misses, a new version overwrites its slot in place without
+// evicting anything, and the old version is gone.
+func TestLRUVersionedSlot(t *testing.T) {
+	l := NewLRU(2)
+	l.Put("a", "v1", 1)
+	l.Put("b", "v1", 2)
+	if _, ok := l.Get("a", "v2"); ok {
+		t.Error("a lookup of version v2 hit the slot holding v1")
+	}
+	if got := l.Put("a", "v2", 3); got != 3 {
+		t.Errorf("Put of a new version returned %v, want the new value 3", got)
+	}
+	if v, ok := l.Get("a", "v2"); !ok || v.(int) != 3 {
+		t.Errorf("Get(a, v2) = %v, %v, want 3", v, ok)
+	}
+	if _, ok := l.Get("a", "v1"); ok {
+		t.Error("the replaced version v1 still hits")
+	}
+	if v, ok := l.Get("b", "v1"); !ok || v.(int) != 2 {
+		t.Errorf("replacing a's version disturbed b: %v, %v", v, ok)
+	}
+	hits, misses, evictions := l.Stats()
+	if hits != 2 || misses != 2 || evictions != 0 {
+		t.Errorf("stats = %d/%d/%d, want hits=2 misses=2 evictions=0", hits, misses, evictions)
+	}
+}
+
+// TestLRUPutFirstInsertWins pins the concurrent-fill contract: racing
+// Puts of one slot and version converge on the first inserted value,
+// so every caller shares one cached object.
+func TestLRUPutFirstInsertWins(t *testing.T) {
 	l := NewLRU(4)
-	first := l.Add("k", "one")
-	second := l.Add("k", "two")
+	first := l.Put("k", "v", "one")
+	second := l.Put("k", "v", "two")
 	if first != "one" || second != "one" {
-		t.Errorf("Add returned %v then %v, want both \"one\"", first, second)
+		t.Errorf("Put returned %v then %v, want both \"one\"", first, second)
 	}
 }
 
@@ -53,15 +81,15 @@ func TestLRUConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				key := fmt.Sprintf("k%d", i%16)
-				if v, ok := l.Get(key); ok {
-					if v.(string) != key {
-						t.Errorf("Get(%s) = %v", key, v)
+				slot, version := fmt.Sprintf("k%d", i%16), fmt.Sprintf("v%d", i%3)
+				if v, ok := l.Get(slot, version); ok {
+					if v.(string) != slot+version {
+						t.Errorf("Get(%s, %s) = %v", slot, version, v)
 						return
 					}
 					continue
 				}
-				l.Add(key, key)
+				l.Put(slot, version, slot+version)
 			}
 		}(g)
 	}

@@ -57,7 +57,11 @@ func TestUnifiedStackPipelineE8(t *testing.T) {
 	}
 	// The arc view still underestimates — that contrast is the point of
 	// carrying both views in one profile.
-	est := res.Graph.MustNode("pricey").TotalTicks() / res.Graph.TotalTicks
+	pricey, ok := res.Model.Routine("pricey")
+	if !ok {
+		t.Fatal("no routine pricey in the profile")
+	}
+	est := pricey.TotalTicks() / res.Model.TotalTicks
 	if est > 0.5 {
 		t.Errorf("arc-view estimate = %.2f; expected the equal-cost flaw to underestimate (< 0.5)", est)
 	}

@@ -80,6 +80,16 @@ func analyze(im *object.Image, p *gmon.Profile, opt core.Options) (*core.Result,
 	return core.Run(runCtx(), core.ImageSource{Image: im}, p, opt)
 }
 
+// calls returns the named routine's non-recursive call count, or -1
+// when the profile has no such routine.
+func calls(res *core.Result, name string) int64 {
+	r, ok := res.Model.Routine(name)
+	if !ok {
+		return -1
+	}
+	return r.Calls
+}
+
 // All runs every experiment in order.
 func All() []Result {
 	return []Result{
@@ -351,11 +361,11 @@ func FlatConservation() Result {
 		return failed("E2", err)
 	}
 	var selfSum float64
-	for _, n := range res.Graph.Nodes() {
-		selfSum += n.SelfTicks
+	for _, r := range res.Model.Routines {
+		selfSum += r.SelfTicks
 	}
-	total := res.Graph.TotalTicks
-	diff := selfSum + res.Graph.LostTicks - total
+	total := res.Model.TotalTicks
+	diff := selfSum + res.Model.LostTicks - total
 	var flat strings.Builder
 	_ = res.WriteFlat(&flat)
 	return Result{
@@ -396,20 +406,22 @@ func main() {
 	if err != nil {
 		return failed("E3", err)
 	}
-	st, err := analyze(im, p, core.Options{Static: true})
+	// The propagated graph itself, for the arc walk and the
+	// conservation check.
+	_, st, err := core.RunGraph(runCtx(), core.ImageSource{Image: im}, p, core.Options{Static: true, Jobs: jobs})
 	if err != nil {
 		return failed("E3", err)
 	}
-	dynCycles, stCycles := len(dyn.Graph.Cycles), len(st.Graph.Cycles)
+	dynCycles, stCycles := len(dyn.Model.Cycles), len(st.Cycles)
 	// The pong->ping arc is never traversed, so only the static graph
 	// closes the ping<->pong cycle.
 	zeroProp := true
-	for _, a := range st.Graph.Arcs() {
+	for _, a := range st.Arcs() {
 		if a.Static && (a.PropSelf != 0 || a.PropChild != 0) {
 			zeroProp = false
 		}
 	}
-	conserve := propagate.CheckConservation(st.Graph) < 1e-6
+	conserve := propagate.CheckConservation(st) < 1e-6
 	return Result{
 		ID:    "E3",
 		Title: "Static call graph arcs (§4)",
@@ -465,7 +477,7 @@ func SelfProfile() Result {
 	}
 	pass := true
 	for _, fn := range []string{"build", "run", "analyze", "render"} {
-		if _, ok := selfRes.Graph.Node(fn); !ok {
+		if _, ok := selfRes.Model.Routine(fn); !ok {
 			pass = false
 		}
 	}
@@ -534,17 +546,18 @@ func MonolithicCycle() Result {
 	if err != nil {
 		return failed("E6", err)
 	}
-	if len(res.Graph.Cycles) != 1 {
+	if len(res.Model.Cycles) != 1 {
 		return Result{ID: "E6", Pass: false,
-			Measure: fmt.Sprintf("expected 1 cycle, got %d", len(res.Graph.Cycles))}
+			Measure: fmt.Sprintf("expected 1 cycle, got %d", len(res.Model.Cycles))}
 	}
-	c := res.Graph.Cycles[0]
-	members := memberNames(c)
+	c := &res.Model.Cycles[0]
+	members := append([]string(nil), c.Members...)
+	sort.Strings(members)
 	need := map[string]bool{"expr": true, "term": true, "factor": true}
 	for _, m := range members {
 		delete(need, m)
 	}
-	share := c.TotalTicks() / res.Graph.TotalTicks
+	share := c.TotalTicks() / res.Model.TotalTicks
 	return Result{
 		ID:      "E6",
 		Title:   "Recursive descent collapses into one cycle (§6)",
@@ -582,13 +595,13 @@ func CycleBreak() Result {
 		}
 	}
 	var totalCalls int64
-	for _, a := range before.Graph.Arcs() {
+	for _, a := range before.Model.Arcs {
 		if !a.Spontaneous() {
 			totalCalls += a.Count
 		}
 	}
 	frac := float64(removedCount) / float64(totalCalls)
-	pass := len(before.Graph.Cycles) >= 1 && len(after.Graph.Cycles) == 0 &&
+	pass := len(before.Model.Cycles) >= 1 && len(after.Model.Cycles) == 0 &&
 		after.Suggestion.Complete && frac < 0.05
 	return Result{
 		ID:    "E7",
@@ -596,7 +609,7 @@ func CycleBreak() Result {
 		Claim: "cycles closed by few low-count arcs; information lost is small",
 		Measure: fmt.Sprintf("removed %v (%d of %d traversals = %.2f%%); cycles %d -> %d",
 			ids, removedCount, totalCalls, frac*100,
-			len(before.Graph.Cycles), len(after.Graph.Cycles)),
+			len(before.Model.Cycles), len(after.Model.Cycles)),
 		Pass: pass,
 	}
 }
@@ -631,7 +644,11 @@ func StackSampling() Result {
 	if err != nil {
 		return failed("E8", err)
 	}
-	est := res.Graph.MustNode("pricey").TotalTicks() / res.Graph.TotalTicks
+	pricey, ok := res.Model.Routine("pricey")
+	if !ok {
+		return failed("E8", fmt.Errorf("no routine pricey in the profile"))
+	}
+	est := pricey.TotalTicks() / res.Model.TotalTicks
 	gprofErr := est - truth
 	return Result{
 		ID:    "E8",
@@ -725,8 +742,8 @@ func main() {
 	if err != nil {
 		return failed("E11", err)
 	}
-	formatCallsPlain := aPlain.Graph.MustNode("format").Calls()
-	formatCallsIn := aIn.Graph.MustNode("format").Calls()
+	formatCallsPlain := calls(aPlain, "format")
+	formatCallsIn := calls(aIn, "format")
 	saved := 100 * float64(resPlain.Cycles-resIn.Cycles) / float64(resPlain.Cycles)
 	pass := resIn.Cycles < resPlain.Cycles &&
 		formatCallsPlain == 400 && formatCallsIn == 0

@@ -152,11 +152,11 @@ func analyzed(g *callgraph.Graph) *callgraph.Graph {
 func TestListingOrderMatchesStableReference(t *testing.T) {
 	for _, n := range []int{200, 3000, 20000} {
 		w := synth.Generate(synth.Tier(n, 7))
-		res, err := core.Run(context.Background(), core.TableSource{Table: w.Table()}, w.Prof, core.Options{Jobs: 1})
+		_, g, err := core.RunGraph(context.Background(), core.TableSource{Table: w.Table()}, w.Prof, core.Options{Jobs: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkOrder(t, fmt.Sprintf("synth %d", n), res.Graph)
+		checkOrder(t, fmt.Sprintf("synth %d", n), g)
 	}
 
 	// Equal total ticks: four leaves called once each with the same

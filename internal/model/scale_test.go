@@ -23,11 +23,10 @@ func TestModelBuildScalesLinearly(t *testing.T) {
 	const n = 50000
 	build := func(nodes int) func() {
 		w := synth.Generate(synth.Tier(nodes, 1))
-		res, err := core.Run(context.Background(), core.TableSource{Table: w.Table()}, w.Prof, core.Options{Jobs: 1})
+		_, g, err := core.RunGraph(context.Background(), core.TableSource{Table: w.Table()}, w.Prof, core.Options{Jobs: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := res.Graph
 		return func() { model.Build(g) }
 	}
 	ratio, ratios := cputime.PairRatio(build(n), build(2*n))

@@ -144,9 +144,9 @@ func TestSelfProfilingPipeline(t *testing.T) {
 			t.Errorf("self-profile output missing %q", want)
 		}
 	}
-	rec := res.Graph.MustNode("record")
-	if rec.Calls() != 100 {
-		t.Errorf("record called %d times, want 100", rec.Calls())
+	rec, ok := res.Model.Routine("record")
+	if !ok || rec.Calls != 100 {
+		t.Errorf("record = %+v, want 100 calls", rec)
 	}
 }
 

@@ -302,6 +302,100 @@ func TestSnapshotHeldAcrossFold(t *testing.T) {
 	}
 }
 
+// TestStaleFlightKeepsNewerEntry holds a cold analysis across a fold
+// into its window, lets a query of the new version fill the slot, and
+// only then finishes the stale analysis the way a flight does: through
+// keep, after the snapshot was released. The stale result is served to
+// its own caller but must not displace the newer entry: the slot keeps
+// serving the merge of both uploads, with no eviction, and a repeat
+// query hits it.
+func TestStaleFlightKeepsNewerEntry(t *testing.T) {
+	im, imageBytes := sortImage(t)
+	s, ts := newTestServer(t, Config{})
+	fp := registerExe(t, ts, imageBytes)
+	p1, p2 := sortProfile(t, 1), sortProfile(t, 2)
+	mustStatus(t, ingest(t, ts, fp, encodeProfile(t, p1, gmon.Version1, false)), http.StatusAccepted)
+	sh, _ := s.shardFor(fp)
+	if err := sh.sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	all := windowSel{kind: selAll}
+	slot := s.runSlot(fp, all)
+
+	// The cold analysis of version 1 starts: snapshot, then core.Run.
+	held, staleKey, release := sh.snapshot(all, s.cfg.Now())
+	res, err := core.Run(context.Background(), core.TableSource{Table: sh.tab}, held, s.runOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+
+	mustStatus(t, ingest(t, ts, fp, encodeProfile(t, p2, gmon.Version1, false)), http.StatusAccepted)
+	want := offlineFlat(t, im, []*gmon.Profile{p1, p2})
+	if got := mustStatus(t, get(t, ts, "/v1/flat?sync=1&fp="+fp), http.StatusOK); !bytes.Equal(got, want) {
+		t.Fatal("post-fold flat differs from offline MergeAll + core.Run")
+	}
+	newKey := sh.selectionKey(all, s.cfg.Now())
+	if newKey == staleKey {
+		t.Fatal("fold did not change the selection key")
+	}
+
+	stale := &analysisEntry{res: res}
+	if got := s.keep(sh, all, slot, staleKey, stale); got != stale {
+		t.Error("keep of a stale version did not hand back its own result")
+	}
+	if _, ok := s.queries.Get(slot, staleKey); ok {
+		t.Error("the stale version landed in the slot")
+	}
+	hits0, _, _ := s.queries.Stats()
+	if got := mustStatus(t, get(t, ts, "/v1/flat?fp="+fp), http.StatusOK); !bytes.Equal(got, want) {
+		t.Error("after the stale flight finished, the slot no longer serves the merge of both uploads")
+	}
+	hits, _, evictions := s.queries.Stats()
+	if hits != hits0+1 || evictions != 0 {
+		t.Errorf("repeat query: %d hits, %d evictions, want 1/0", hits-hits0, evictions)
+	}
+}
+
+// TestMemoBoundedAcrossUploads is the memo's bound: with room for two
+// slots, a dozen upload-then-query cycles of two query shapes (a
+// quiesced flat profile and a v3 encoding) evict nothing, because
+// each cycle's answers replace the previous cycle's in place, so the
+// memo never holds more than the two shapes' current answers; no fold
+// clones, because no query overlaps one; and every answer equals an
+// offline MergeAll + core.Run of the uploads so far.
+func TestMemoBoundedAcrossUploads(t *testing.T) {
+	im, imageBytes := sortImage(t)
+	clock := newFakeClock()
+	s, ts := newTestServer(t, Config{QueryCache: 2, Now: clock.Now})
+	fp := registerExe(t, ts, imageBytes)
+	const cycles = 12
+	var uploaded []*gmon.Profile
+	for i := 0; i < cycles; i++ {
+		p := sortProfile(t, uint64(i+1))
+		uploaded = append(uploaded, p)
+		mustStatus(t, ingest(t, ts, fp, encodeProfile(t, p, gmon.Version2, false)), http.StatusAccepted)
+		if got := mustStatus(t, get(t, ts, "/v1/flat?sync=1&fp="+fp), http.StatusOK); !bytes.Equal(got, offlineFlat(t, im, uploaded)) {
+			t.Errorf("cycle %d: flat differs from offline MergeAll + core.Run", i+1)
+		}
+		merged, err := gmon.MergeAll(context.Background(), uploaded, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := gmon.WriteVersion(&want, merged, gmon.Version3); err != nil {
+			t.Fatal(err)
+		}
+		if got := mustStatus(t, get(t, ts, "/v1/gmon?v=3&fp="+fp), http.StatusOK); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("cycle %d: v3 gmon differs from offline MergeAll", i+1)
+		}
+		st := s.Snapshot()
+		if st.AnalysisCacheEvictions != 0 || st.SnapshotCOWClones != 0 {
+			t.Fatalf("cycle %d: %d evictions, %d cow clones, want 0/0", i+1, st.AnalysisCacheEvictions, st.SnapshotCOWClones)
+		}
+	}
+}
+
 // TestMultiWindowWarmHit checks that a repeat query over a two-window
 // selection is answered by the analysis LRU from the selection key
 // alone: the same entry, one hit and no miss per query, no read of any

@@ -58,7 +58,7 @@ func TestStatsOneSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := s.runKey(fp, selKey)
+	key := flightKey(s.runSlot(fp, windowSel{kind: selAll}), selKey)
 	f := &flight{done: make(chan struct{}), val: &analysisEntry{res: res}}
 	close(f.done)
 	s.flights.mu.Lock()

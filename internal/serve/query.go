@@ -3,8 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
+	"strconv"
 	"sync"
 
 	"repro/internal/core"
@@ -17,20 +17,26 @@ import (
 //
 //  1. analysis memoization (Server.analyzed): the finished core.Run —
 //     the model plus lazily rendered flat/callgraph/JSON bytes — is
-//     cached per (fingerprint, selection key, normalized options). The
-//     selection key (shard.selectionKey) names each included window's
-//     start and fold version and is resolved before any merge, so a
-//     hit merges nothing;
+//     kept in one memo slot per query shape: fingerprint, window
+//     selection and normalized options. The slot also stores the
+//     selection key the analysis was computed from (shard.selectionKey:
+//     each included window's start and fold version), which is
+//     resolved before any merge; a lookup hits only when the stored
+//     key equals the current one, so a hit merges nothing. A finished
+//     analysis overwrites its slot in place, and only while its key is
+//     still current, so the memo holds at most one analysis per shape
+//     and never one that no query can hit again;
 //  2. single-flight coalescing (flightGroup): concurrent identical
-//     cold queries share one merge and one core.Run instead of N
-//     duplicates.
+//     cold queries — same slot, same selection key — share one merge
+//     and one core.Run instead of N duplicates.
 //
-// An unchanged shard therefore serves repeat queries with one LRU
-// lookup and a buffer write; any fold bumps the shard version and the
-// next query misses and rebuilds, so served bytes are always what an
-// offline gmon.MergeAll + core.Run over the same uploads would produce
-// (the invariant the incremental tests byte-compare at every
-// interleaving).
+// The /v1/gmon encodings use the same slots, one per (format version,
+// fingerprint, selection). An unchanged shard therefore serves repeat
+// queries with one LRU lookup and a buffer write; any fold bumps the
+// shard version and the next query misses and rebuilds, so served
+// bytes are always what an offline gmon.MergeAll + core.Run over the
+// same uploads would produce (the invariant the incremental tests
+// byte-compare at every interleaving).
 
 // analysisEntry is one finished analysis: the core.Run result and the
 // rendered response bodies, memoized per endpoint on first demand so a
@@ -106,8 +112,9 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (*analysisEn
 		f.val, f.err = fn()
 		// Retire the flight before announcing the result: a request
 		// arriving after the delete misses the flight but hits the
-		// cache fn filled (fn caches before returning), so nothing
-		// recomputes and nothing waits on a completed flight.
+		// cache fn filled (fn caches before returning, unless a fold
+		// has already made its version stale), so nothing recomputes
+		// and nothing waits on a completed flight.
 		g.mu.Lock()
 		delete(g.m, key)
 		g.mu.Unlock()
@@ -127,29 +134,52 @@ func (s *Server) runOptions() core.Options {
 	return core.Options{Jobs: s.cfg.Jobs}
 }
 
-// runKey is the analysis LRU key of a selection of fp's windows.
-func (s *Server) runKey(fp, selKey string) string {
-	return "run|" + fp + "|" + selKey + "|" + s.optKey
+// runSlot names the memo slot of an analysis of fp's windows under
+// sel: the query shape, with no data version in it.
+func (s *Server) runSlot(fp string, sel windowSel) string {
+	return "run|" + fp + "|" + sel.key() + "|" + s.optKey
+}
+
+// gmonSlot names the memo slot of a raw encoding of fp's windows
+// under sel in one format version.
+func gmonSlot(version int, fp string, sel windowSel) string {
+	return "gmon|" + strconv.Itoa(version) + "|" + fp + "|" + sel.key()
+}
+
+// flightKey names one cold computation: a slot at one selection key.
+func flightKey(slot, selKey string) string { return slot + "@" + selKey }
+
+// keep stores val in slot for the selection key selKey and returns
+// the value to serve: val, or the slot's incumbent when it already
+// holds selKey. It stores only while selKey is still sel's current
+// key, checked under the shard lock so that no fold lands between the
+// check and the store: a slow computation of an older version never
+// displaces a newer one, and is served to its own callers uncached.
+func (s *Server) keep(sh *shard, sel windowSel, slot, selKey string, val any) any {
+	kept := val
+	sh.whileCurrent(sel, s.cfg.Now(), selKey, func() { kept = s.queries.Put(slot, selKey, val) })
+	return kept
 }
 
 // analyzed returns the (possibly cached) analysis of the selected
-// windows. The cache key is fingerprint + the selection key + the
-// normalized options, so any fold into a selected window changes the
-// key and the next query reanalyzes; an unchanged shard hits the LRU
-// without merging. Cold misses merge and analyze in a single flight.
+// windows. The slot is the query shape and the stored version the
+// selection key, so any fold into a selected window makes the next
+// query miss and reanalyze, and its analysis replaces the old one in
+// the same slot; an unchanged shard hits without merging. Cold misses
+// merge and analyze in a single flight.
 func (s *Server) analyzed(ctx context.Context, sh *shard, sel windowSel) (*analysisEntry, error) {
 	now := s.cfg.Now()
 	selKey := sh.selectionKey(sel, now)
 	if selKey == "" {
 		return nil, errNoData
 	}
-	key := s.runKey(sh.fp, selKey)
-	if v, ok := s.queries.Get(key); ok {
+	slot := s.runSlot(sh.fp, sel)
+	if v, ok := s.queries.Get(slot, selKey); ok {
 		return v.(*analysisEntry), nil
 	}
-	e, err, coalesced := s.flights.do(ctx, key, func() (*analysisEntry, error) {
+	e, err, coalesced := s.flights.do(ctx, flightKey(slot, selKey), func() (*analysisEntry, error) {
 		// A fold since the lookup gives the merge a newer key; the
-		// analysis is of that data and is cached under the key that
+		// analysis is of that data and is kept under the key that
 		// names it.
 		p, selKey, release := sh.snapshot(sel, now)
 		if p == nil {
@@ -162,7 +192,7 @@ func (s *Server) analyzed(ctx context.Context, sh *shard, sel windowSel) (*analy
 		if err != nil {
 			return nil, err
 		}
-		return s.queries.Add(s.runKey(sh.fp, selKey), &analysisEntry{res: res}).(*analysisEntry), nil
+		return s.keep(sh, sel, slot, selKey, &analysisEntry{res: res}).(*analysisEntry), nil
 	})
 	if coalesced {
 		s.metrics.coalesced.Add(1)
@@ -172,15 +202,16 @@ func (s *Server) analyzed(ctx context.Context, sh *shard, sel windowSel) (*analy
 
 // gmonBytes returns the (possibly cached) raw encoding of the selected
 // windows' merge in the given format version. The encodings share the
-// analysis LRU under their own key family and, like analyses, merge
-// only on a miss.
+// analysis LRU in slots of their own and, like analyses, merge only on
+// a miss.
 func (s *Server) gmonBytes(sh *shard, sel windowSel, version int) ([]byte, error) {
 	now := s.cfg.Now()
 	selKey := sh.selectionKey(sel, now)
 	if selKey == "" {
 		return nil, errNoData
 	}
-	if v, ok := s.queries.Get(gmonKey(version, sh.fp, selKey)); ok {
+	slot := gmonSlot(version, sh.fp, sel)
+	if v, ok := s.queries.Get(slot, selKey); ok {
 		return v.([]byte), nil
 	}
 	p, selKey, release := sh.snapshot(sel, now)
@@ -193,10 +224,5 @@ func (s *Server) gmonBytes(sh *shard, sel windowSel, version int) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	return s.queries.Add(gmonKey(version, sh.fp, selKey), buf.Bytes()).([]byte), nil
-}
-
-// gmonKey is the analysis LRU key of a raw encoding of a selection.
-func gmonKey(version int, fp, selKey string) string {
-	return fmt.Sprintf("gmon|%d|%s|%s", version, fp, selKey)
+	return s.keep(sh, sel, slot, selKey, buf.Bytes()).([]byte), nil
 }

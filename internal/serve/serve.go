@@ -79,10 +79,14 @@ type Config struct {
 	// to render the listing.
 	// Zero means GOMAXPROCS.
 	Jobs int
-	// QueryCache bounds the analysis-memoization LRU: finished
-	// core.Run results (with their rendered flat/callgraph/JSON
-	// bodies) and raw-merge encodings, keyed by (fingerprint, window
-	// versions, normalized options). Non-positive means
+	// QueryCache bounds the analysis-memoization LRU, in query
+	// shapes: one slot per (fingerprint, window selection, normalized
+	// options) for finished core.Run results with their rendered
+	// flat/callgraph/JSON bodies, and one per (format version,
+	// fingerprint, window selection) for raw-merge encodings. A slot
+	// holds only the answer for the selection's current window
+	// versions; a fold makes the next query replace it in place, so
+	// uploads alone never grow the memo. Non-positive means
 	// DefaultQueryCache.
 	QueryCache int
 	// Now is the clock, injectable for tests. Nil means time.Now.
@@ -142,7 +146,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
-	queries *core.LRU   // finished analyses + rendered bodies per data version
+	queries *core.LRU   // finished analyses + rendered bodies, one slot per query shape
 	flights flightGroup // single-flight coalescing of cold analyses
 	optKey  string      // CacheKey of the server's fixed core.Options
 	start   time.Time

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -148,10 +149,12 @@ func (s *shard) merge(it ingestItem) {
 }
 
 // evictLocked drops the oldest windows beyond the retention bound.
-// Analysis-cache entries that included an evicted window become
-// unreachable (their key can never resolve again — shard versions are
-// monotonic, so a reopened window start gets a fresh version) and age
-// off the LRU.
+// The memo needs no notice: its slots are keyed by query shape and
+// each stores the selection key it was computed from, which names
+// every included window's start and version. A selection that
+// included an evicted window now resolves to another key (shard
+// versions are monotonic, so a reopened window start gets a fresh
+// version), so its next query misses and overwrites the slot.
 func (s *shard) evictLocked() {
 	for len(s.windows) > s.retain {
 		oldest := int64(0)
@@ -252,6 +255,12 @@ type windowSel struct {
 	start int64 // selAt only
 }
 
+// key names the selection itself, not the data it resolves to: the
+// window-selection part of a memo slot.
+func (sel windowSel) key() string {
+	return strconv.Itoa(sel.kind) + ":" + strconv.FormatInt(sel.start, 10)
+}
+
 const (
 	selAll = iota
 	selCurrent
@@ -312,13 +321,23 @@ func (s *shard) includedLocked(sel windowSel, now time.Time) ([]*window, string)
 }
 
 // selectionKey resolves sel to its key without merging anything; the
-// key is empty when no selected window holds data. Queries look it up
-// in the analysis LRU and merge only on a miss.
+// key is empty when no selected window holds data. A query compares it
+// with the key its memo slot stores and merges only when they differ.
 func (s *shard) selectionKey(sel windowSel, now time.Time) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, key := s.includedLocked(sel, now)
 	return key
+}
+
+// whileCurrent runs fn if key is still sel's key at now, holding the
+// shard lock so no fold lands while fn runs; fn must not take it.
+func (s *shard) whileCurrent(sel windowSel, now time.Time, key string, fn func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, cur := s.includedLocked(sel, now); cur == key {
+		fn()
+	}
 }
 
 // snapshot merges the selected windows into one profile, folding

@@ -128,15 +128,15 @@ func TestDesignedShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(res.Graph.Cycles), w.Cfg.CycleCount; got != want {
+	if got, want := len(res.Model.Cycles), w.Cfg.CycleCount; got != want {
 		t.Fatalf("SCC found %d cycles, generator designed %d", got, want)
 	}
-	for i, c := range res.Graph.Cycles {
+	for i, c := range res.Model.Cycles {
 		if len(c.Members) != w.Cfg.CycleSize {
 			t.Fatalf("cycle %d has %d members, want %d", i+1, len(c.Members), w.Cfg.CycleSize)
 		}
 	}
-	if res.Graph.Len() != cfg.Nodes {
-		t.Fatalf("graph has %d nodes, want %d", res.Graph.Len(), cfg.Nodes)
+	if len(res.Model.Routines) != cfg.Nodes {
+		t.Fatalf("profile has %d routines, want %d", len(res.Model.Routines), cfg.Nodes)
 	}
 }
