@@ -29,6 +29,7 @@ import (
 	"repro/internal/scc"
 	"repro/internal/stacksample"
 	"repro/internal/symtab"
+	"repro/internal/synth"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -180,23 +181,19 @@ func BenchmarkAnalyzePipeline(b *testing.B) {
 
 // --- F4: rendering the call graph profile ----------------------------
 
+// BenchmarkReportCallGraph renders the call graph profile of a
+// 10^4-routine synthetic program inline on one worker: about 5 MB of
+// listing, enough for the gathered render's chunk batches, sorts and
+// formatter to dominate.
 func BenchmarkReportCallGraph(b *testing.B) {
-	im, err := workloads.Build("sort", true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, _, _, err := workloads.Run(im, workloads.RunConfig{TickCycles: 300, MaxCycles: 1 << 32})
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := core.Run(context.Background(), core.ImageSource{Image: im}, p, core.Options{})
+	w := synth.Generate(synth.Tier(10000, 1))
+	res, err := core.Run(context.Background(), core.TableSource{Table: w.Table()}, w.Prof, core.Options{Jobs: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := res.WriteCallGraph(&buf); err != nil {
+		if err := res.WriteCallGraph(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -363,6 +363,7 @@ func TestCommandStatsNoDrift(t *testing.T) {
 	for _, stage := range []string{
 		`"merge"`, `"gmon.read_file"`, `"load.image"`, `"load"`, `"graph"`,
 		`"attribute"`, `"scc"`, `"propagate"`, `"model-build"`, `"render"`,
+		`"render.callgraph"`, `"render.flat"`, `"render.index"`,
 	} {
 		if !strings.Contains(string(data), stage) {
 			t.Errorf("run report missing stage %s", stage)

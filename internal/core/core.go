@@ -388,7 +388,9 @@ func (r *Result) WritePprof(w io.Writer) error {
 }
 
 // WriteAll renders the full gprof output: call graph profile, flat
-// profile, then the index.
+// profile, then the index. Each section is timed as its own span
+// (render.callgraph, render.flat, render.index), so a trace says where
+// the render time goes.
 func (r *Result) WriteAll(w io.Writer) error {
 	if r.Suggestion != nil && len(r.Suggestion.Arcs) > 0 {
 		fmt.Fprintf(w, "cycle-breaking heuristic removed %d arc(s):\n", len(r.Suggestion.Arcs))
@@ -400,13 +402,20 @@ func (r *Result) WriteAll(w io.Writer) error {
 		}
 		fmt.Fprintln(w)
 	}
-	if err := r.WriteCallGraph(w); err != nil {
+	span := r.tr.Span("render.callgraph")
+	err := r.WriteCallGraph(w)
+	span.End()
+	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w)
-	if err := r.WriteFlat(w); err != nil {
+	span = r.tr.Span("render.flat")
+	err = r.WriteFlat(w)
+	span.End()
+	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w)
+	defer r.tr.Span("render.index").End()
 	return r.WriteIndex(w)
 }

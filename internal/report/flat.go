@@ -1,6 +1,8 @@
 package report
 
 import (
+	"cmp"
+	"encoding/binary"
 	"io"
 	"slices"
 	"strconv"
@@ -66,7 +68,7 @@ func Flat(w io.Writer, m *model.Profile, opt Options) error {
 	}
 	if !opt.NoHeaders {
 		lw.str("\ntotal: ")
-		lw.buf = appendFixed(lw.buf, m.Seconds(m.TotalTicks), 2)
+		lw.buf = appendFloat(lw.buf, m.Seconds(m.TotalTicks), 0, 2)
 		lw.str(" seconds\n")
 	}
 
@@ -115,39 +117,71 @@ func IndexListing(w io.Writer, m *model.Profile) error {
 	return Index(w, m, Options{})
 }
 
-// Index is IndexListing with options; only Jobs applies.
+// Index is IndexListing with options; only Jobs applies. Entries are
+// listed by label and, where labels tie (a routine named like a cycle's
+// "<cycle N>" entry), by entry index, so the order is total.
 func Index(w io.Writer, m *model.Profile, opt Options) error {
+	// An item is a 16-byte sort key: its label's first 8 bytes,
+	// big-endian and zero-padded, so that a smaller prefix means a
+	// smaller label and most compares read no label; where the label
+	// is; and the entry index.
 	type item struct {
-		name string
-		idx  int
+		prefix uint64
+		at     int32 // a routine position, whose name is the label, or ^i for tagged[i]
+		idx    int32
 	}
+	// tagged holds the labels that are not a routine's name: those of
+	// cycle members and of cycles as a whole.
+	var tagged []string
 	items := make([]item, 0, len(m.Routines)+len(m.Cycles))
+	add := func(label string, at int32, idx int) {
+		var p [8]byte
+		copy(p[:], label)
+		items = append(items, item{binary.BigEndian.Uint64(p[:]), at, int32(idx)})
+	}
+	addTagged := func(label string, idx int) {
+		tagged = append(tagged, label)
+		add(label, ^int32(len(tagged)-1), idx)
+	}
 	for i := range m.Routines {
-		r := &m.Routines[i]
-		if r.Index > 0 {
-			name := r.Name
-			if r.Cycle != 0 {
-				name = string(appendLabel(nil, r.Name, r.Cycle))
-			}
-			items = append(items, item{name, r.Index})
+		switch r := &m.Routines[i]; {
+		case r.Index <= 0:
+		case r.Cycle != 0:
+			addTagged(string(appendLabel(nil, r.Name, r.Cycle)), r.Index)
+		default:
+			add(r.Name, int32(i), r.Index)
 		}
 	}
 	for i := range m.Cycles {
-		c := &m.Cycles[i]
-		if c.Index > 0 {
-			items = append(items, item{"<cycle " + strconv.Itoa(c.Number) + ">", c.Index})
+		if c := &m.Cycles[i]; c.Index > 0 {
+			addTagged("<cycle "+strconv.Itoa(c.Number)+">", c.Index)
 		}
 	}
-	slices.SortFunc(items, func(a, b item) int { return strings.Compare(a.name, b.name) })
+	label := func(it *item) string {
+		if it.at >= 0 {
+			return m.Routines[it.at].Name
+		}
+		return tagged[^it.at]
+	}
+	slices.SortFunc(items, func(a, b item) int {
+		if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
+			return c
+		}
+		if c := strings.Compare(label(&a), label(&b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
 	lw := newLineWriter(w)
 	lw.str("index by function name:\n\n")
 	lw.rows(len(items), lineChunk, opt.Jobs, func() func([]byte, int, int) []byte {
 		return func(b []byte, lo, hi int) []byte {
-			for _, it := range items[lo:hi] {
+			for i := range items[lo:hi] {
+				it := &items[lo+i]
 				b = append(b, "  ["...)
 				b = strconv.AppendInt(b, int64(it.idx), 10)
 				b = append(b, "] "...)
-				b = append(b, it.name...)
+				b = append(b, label(it)...)
 				b = append(b, '\n')
 			}
 			return b

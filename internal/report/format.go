@@ -11,8 +11,8 @@ import (
 // The listings are written into reused byte buffers that are flushed
 // to the destination as they fill, so rendering a 10^5-routine listing
 // never holds the whole text in memory and never goes through fmt's
-// reflection. Numbers are laid out by appendFixed, which produces
-// exactly what fmt's %W.Pf would.
+// reflection. Numbers are laid out by appendFloat and appendInt, which
+// produce exactly what fmt's %W.Pf and %Wd would.
 //
 // Each section's rows are cut into fixed-size chunks that workers
 // render concurrently while the caller writes the finished chunks in
@@ -183,157 +183,124 @@ func padRight(b []byte, start, width int) []byte {
 
 // appendInt appends v as fmt's %Wd (width > 0) or %-Wd (width < 0).
 func appendInt(b []byte, v int64, width int) []byte {
-	start := len(b)
-	b = strconv.AppendInt(b, v, 10)
+	u := uint64(v)
+	if v < 0 {
+		u = -u
+	}
+	n := digits(u)
+	if v < 0 {
+		n++
+	}
 	if width < 0 {
-		return padRight(b, start, -width)
+		b = putDigits(b, u, n, v < 0)
+		return padRight(b, len(b)-n, -width)
 	}
-	return padLeft(b, start, width)
+	for ; width > n; width-- {
+		b = append(b, ' ')
+	}
+	return putDigits(b, u, n, v < 0)
 }
 
-// appendFloat appends x exactly as fmt's %W.Pf with W = width and
-// P = prec.
-func appendFloat(b []byte, x float64, width, prec int) []byte {
-	start := len(b)
-	b = appendFixed(b, x, prec)
-	return padLeft(b, start, width)
+// digits returns the number of decimal digits in u.
+func digits(u uint64) int {
+	n := 1
+	for ; n < len(pow10) && u >= pow10[n]; n++ {
+	}
+	return n
 }
 
-// pow10 holds the powers of ten up to fixedMax; every one is exactly
-// representable, so comparing against them is exact.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+// pow10[i] is 10^i, up to the largest power below 2^64.
+var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
 
-// roundsUp[p] is the double nearest 0.5·10^-p. Both lie just above the
-// real half, which no double equals, so a value of at least roundsUp[p]
-// is exactly one that %.{p}f rounds up to 10^-p.
-var roundsUp = [...]float64{1: 0.05, 2: 0.005}
-
-// fixedMax bounds the fast path: below it a %.2f needs at most 17
-// significant digits, inside strconv's Ryu fixed-precision range.
-const fixedMax = 1e15
-
-// appendFixed appends x as fmt's %.Pf would, which is strconv's 'f'
-// with precision prec, NaN and infinities included.
-//
-// strconv's 'f' with an explicit precision always takes the
-// arbitrary-precision slow path. Its 'e' format with at most 18 digits
-// takes the exact Ryu fixed-precision path instead, and rounds to the
-// same decimal place when asked for the right number of significant
-// digits: a value whose leading digit sits at 10^e needs e+1+prec of
-// them. The digits are then laid out as 'f' would. Values below
-// 10^-prec, zero among them, need no significant digit: they print as
-// a signed zero or one unit in the last place. Whatever this cannot do
-// exactly falls back to 'f': NaN and infinities, magnitudes of fixedMax
-// and above, precisions above 2, and roundings that carry into a new
-// leading digit (where the 'e' exponent differs from e).
-func appendFixed(b []byte, x float64, prec int) []byte {
-	ax := math.Abs(x)
-	if !(ax < fixedMax) || prec < 0 || prec > 2 {
-		return strconv.AppendFloat(b, x, 'f', prec, 64)
+// putDigits appends u in n bytes, written right to left: a leading
+// '-' when neg, then u's decimal digits.
+func putDigits(b []byte, u uint64, n int, neg bool) []byte {
+	b = append(b, make([]byte, n)...)
+	for i := len(b) - 1; ; i-- {
+		b[i] = byte('0' + u%10)
+		if u /= 10; u == 0 {
+			break
+		}
 	}
-	e := decExp(ax)
-	digits := e + 1 + prec
-	if digits <= 0 {
-		// Below 10^-prec: the value rounds to a signed zero or to one
-		// unit in the last place.
-		if digits == 0 && prec == 0 {
-			return strconv.AppendFloat(b, x, 'f', prec, 64)
-		}
-		if math.Signbit(x) {
-			b = append(b, '-')
-		}
-		if prec == 0 {
-			return append(b, '0')
-		}
-		b = append(b, "0."...)
-		for i := 1; i < prec; i++ {
-			b = append(b, '0')
-		}
-		if digits == 0 && ax >= roundsUp[prec] {
-			return append(b, '1')
-		}
-		return append(b, '0')
-	}
-	// s is "d.ddde±XX", or "de±XX" for a single digit.
-	var tmp [32]byte
-	s := strconv.AppendFloat(tmp[:0], ax, 'e', digits-1, 64)
-	ePos := 1
-	if digits > 1 {
-		ePos = 1 + digits
-	}
-	if exp, ok := parseExp(s[ePos:]); !ok || exp != e {
-		return strconv.AppendFloat(b, x, 'f', prec, 64)
-	}
-	if x < 0 {
-		b = append(b, '-')
-	}
-	// digit returns the i'th significant digit, skipping the point.
-	digit := func(i int) byte {
-		if i == 0 {
-			return s[0]
-		}
-		return s[1+i]
-	}
-	if e < 0 {
-		// 0 < ax < 1: "0.", then -e-1 zeros, then every digit.
-		b = append(b, '0', '.')
-		for i := 0; i < -e-1; i++ {
-			b = append(b, '0')
-		}
-		for i := 0; i < digits; i++ {
-			b = append(b, digit(i))
-		}
-		return b
-	}
-	for i := 0; i <= e; i++ {
-		b = append(b, digit(i))
-	}
-	if prec > 0 {
-		b = append(b, '.')
-		for i := e + 1; i < digits; i++ {
-			b = append(b, digit(i))
-		}
+	if neg {
+		b[len(b)-n] = '-'
 	}
 	return b
 }
 
-// decExp returns floor(log10(ax)) for 10^-3 <= ax < fixedMax, and -4
-// for anything smaller, zero included.
-func decExp(ax float64) int {
-	if ax >= 1 {
-		e := 0
-		for e+1 < len(pow10) && ax >= pow10[e+1] {
-			e++
-		}
-		return e
-	}
-	// The doubles nearest 0.1, 0.01 and 0.001 all lie just above the
-	// real powers, so these comparisons are exact too.
-	switch {
-	case ax >= 0.1:
-		return -1
-	case ax >= 0.01:
-		return -2
-	case ax >= 0.001:
-		return -3
-	}
-	return -4
-}
+// fastMax bounds appendFloat's integer path: below it x·10^prec is
+// under 2^52 for every prec it takes, so each half unit q±½ is a
+// double and an FMA residual against it has the sign of the exact
+// difference.
+const fastMax = 1 << 52 / 100.0
 
-// parseExp parses an 'e' exponent suffix such as "e+01" or "e-05".
-func parseExp(s []byte) (int, bool) {
-	if len(s) < 3 || s[0] != 'e' {
-		return 0, false
+// scale[p] is 10^p for the precisions the integer path takes.
+var scale = [...]float64{1, 10, 100}
+
+// appendFloat appends x exactly as fmt's %W.Pf with W = width and
+// P = prec; width 0 is the unpadded %.Pf.
+//
+// fmt rounds the double's exact binary value to P decimals, ties to
+// even. Below fastMax that is an integer count q of 10^-P units: q is
+// x·10^P rounded as a double and then to an integer, which is within
+// one of the exact result, and the sign of an exact residual
+// x·10^P − (q±½), computed with one math.FMA, moves it to the right
+// integer. The digits of q are then written right to left straight
+// into the padded field. NaN, the infinities, larger magnitudes and
+// other precisions go to strconv's 'f'.
+func appendFloat(b []byte, x float64, width, prec int) []byte {
+	ax := math.Abs(x)
+	if !(ax < fastMax) || prec < 0 || prec >= len(scale) {
+		start := len(b)
+		b = strconv.AppendFloat(b, x, 'f', prec, 64)
+		return padLeft(b, start, width)
 	}
-	v := 0
-	for _, c := range s[2:] {
-		if c < '0' || c > '9' {
-			return 0, false
+	s := scale[prec]
+	// An exact half q±½ is a double here, so the product lands on it
+	// only when it is one and RoundToEven breaks the tie as fmt does; a
+	// product rounded onto or across a half is caught by its residual.
+	q := math.RoundToEven(ax * s)
+	if math.FMA(ax, s, -(q+0.5)) > 0 {
+		q++
+	} else if math.FMA(ax, s, -(q-0.5)) < 0 {
+		q--
+	}
+	u := uint64(q)
+	neg := math.Signbit(x)
+	// n is the field's length without padding: the sign, the integer
+	// digits (at least one) and, for prec > 0, the point and prec
+	// decimals.
+	n := digits(u / uint64(s))
+	if prec > 0 {
+		n += 1 + prec
+	}
+	if neg {
+		n++
+	}
+	for ; width > n; width-- {
+		b = append(b, ' ')
+	}
+	b = append(b, make([]byte, n)...)
+	i := len(b) - 1
+	for range prec {
+		b[i] = byte('0' + u%10)
+		u /= 10
+		i--
+	}
+	if prec > 0 {
+		b[i] = '.'
+		i--
+	}
+	for {
+		b[i] = byte('0' + u%10)
+		i--
+		if u /= 10; u == 0 {
+			break
 		}
-		v = v*10 + int(c-'0')
 	}
-	if s[1] == '-' {
-		v = -v
+	if neg {
+		b[i] = '-'
 	}
-	return v, true
+	return b
 }

@@ -62,6 +62,37 @@ func TestFixedMatchesFmtExactHalves(t *testing.T) {
 	}
 }
 
+// The doubles around appendFloat's integer-path bound, 2^52/100, and
+// its neighbours at the other scales; exact halves above 2^40, where
+// x·100 keeps only a few bits below the point; and negative zero with
+// the negative values that round to it.
+func TestFixedMatchesFmtFastPathBound(t *testing.T) {
+	for _, bound := range []float64{1 << 52 / 100.0, fastMax, 1 << 52 / 10.0, 1 << 52, 1 << 53} {
+		for _, dir := range []float64{0, math.Inf(1)} {
+			x := bound
+			for i := 0; i < 200; i++ {
+				checkFixed(t, x)
+				checkFixed(t, -x)
+				x = math.Nextafter(x, dir)
+			}
+		}
+	}
+	for e := 40; e <= 52; e++ {
+		base := math.Ldexp(1, e)
+		for k := 0.0; k < 64; k++ {
+			// .5 is a half at %.0f, .25 and .75 at %.1f, the eighths at
+			// %.2f; each is exact while e+3 bits fit the mantissa.
+			for _, frac := range []float64{0.5, 0.25, 0.75, 0.125, 0.375, 0.625, 0.875} {
+				checkFixed(t, base+k+frac)
+				checkFixed(t, -(base + k + frac))
+			}
+		}
+	}
+	for _, x := range []float64{math.Copysign(0, -1), -1e-300, -0.001, -0.004999, -0.005, -0.04, -0.0499999} {
+		checkFixed(t, x)
+	}
+}
+
 // Tick counts over the clock rates profiles come with, the way the
 // renderers derive every printed number: seconds, percentages and
 // milliseconds per call.
@@ -105,7 +136,7 @@ func TestIntMatchesFmt(t *testing.T) {
 }
 
 func FuzzFixed(f *testing.F) {
-	for _, x := range []float64{0, 0.125, 0.005, 99.995, 1e15, -2.5, math.Inf(1)} {
+	for _, x := range []float64{0, 0.125, 0.005, 99.995, 1e15, 1 << 52 / 100.0, -2.5, math.Inf(1)} {
 		f.Add(x)
 	}
 	f.Fuzz(func(t *testing.T, x float64) {

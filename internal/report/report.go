@@ -30,7 +30,9 @@
 package report
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/binary"
 	"io"
 	"slices"
 	"strconv"
@@ -123,8 +125,10 @@ type view struct {
 	// listing holds the call-graph entries in index order: each slot
 	// is a routine position or a cycle position, the other -1.
 	listing []listEntry
-	// refs holds each routine's "label [index]\n" bytes, rendered once
-	// in routine order: routine i's are refs[refAt[i]:refAt[i+1]].
+	// refs holds each routine's name length, as a uvarint, and then its
+	// "label [index]\n" bytes, rendered once in routine order: routine
+	// i's are refs[refAt[i]:refAt[i+1]]. The length sits on the label's
+	// cache line, where a tie between two names finds it.
 	refs  []byte
 	refAt []int
 }
@@ -164,12 +168,13 @@ func newView(m *model.Profile) *view {
 
 	size := 0
 	for i := range m.Routines {
-		size += len(m.Routines[i].Name) + 24 // room for the tag and index
+		size += len(m.Routines[i].Name) + 24 // room for the length, tag and index
 	}
 	v.refs = make([]byte, 0, size)
 	v.refAt = make([]int, len(m.Routines)+1)
 	for i := range m.Routines {
 		r := &m.Routines[i]
+		v.refs = binary.AppendUvarint(v.refs, uint64(len(r.Name)))
 		v.refs = appendLabel(v.refs, r.Name, r.Cycle)
 		v.refs = append(v.refs, " ["...)
 		v.refs = strconv.AppendInt(v.refs, int64(r.Index), 10)
@@ -179,33 +184,12 @@ func newView(m *model.Profile) *view {
 	return v
 }
 
-// ref returns routine i's "label [index]" bytes, newline included.
-func (v *view) ref(i int32) []byte { return v.refs[v.refAt[i]:v.refAt[i+1]] }
-
-// name returns the name of the routine at position i, or "" for the
-// missing caller of a spontaneous arc.
-func (v *view) name(i int32) string {
-	if i < 0 {
-		return ""
-	}
-	return v.m.Routines[i].Name
-}
-
-// intraCycle reports whether both endpoints of arc a are members of
-// the same multi-routine cycle. Such arcs are listed in the profile but
-// "do not propagate any time" (§4).
-func (v *view) intraCycle(a *model.Arc) bool {
-	if a.From < 0 {
-		return false
-	}
-	c := v.m.Routines[a.From].Cycle
-	return c != 0 && c == v.m.Routines[a.To].Cycle
-}
-
-// ticks is the time arc k passes up to its caller.
-func (v *view) ticks(k int32) float64 {
-	a := &v.m.Arcs[k]
-	return a.PropSelfTicks + a.PropChildTicks
+// ref returns routine i's "label [index]" bytes, newline included,
+// and the length of the name they start with.
+func (v *view) ref(i int32) ([]byte, int) {
+	b := v.refs[v.refAt[i]:v.refAt[i+1]]
+	name, n := binary.Uvarint(b)
+	return b[n:], int(name)
 }
 
 // appendLabel appends a routine name with its cycle tag, e.g.
@@ -221,6 +205,15 @@ func appendLabel(b []byte, name string, cycle int) []byte {
 }
 
 // CallGraph renders the call graph profile from the model.
+//
+// A chunk of entries renders in batches of three steps
+// (chunkRenderer): a tight pass gathers the selected entries' parent
+// and child lines into worker-local records, copying the other end's
+// label beside them; each entry's lines are then sorted over those
+// records and formatted from them. The gather's loads do not depend on
+// one another, so the cache misses on arcs and labels scattered over
+// the profile overlap instead of stalling one sort compare or one line
+// at a time.
 func CallGraph(w io.Writer, m *model.Profile, opt Options) error {
 	v := newView(m)
 	f := opt.compile(m)
@@ -234,9 +227,9 @@ func CallGraph(w io.Writer, m *model.Profile, opt Options) error {
 
 	if !opt.NoHeaders {
 		lw.str("call graph profile:\ngranularity: each sample hit covers 1 word for ")
-		lw.buf = appendFixed(lw.buf, percentPerTick(m), 2)
+		lw.buf = appendFloat(lw.buf, percentPerTick(m), 0, 2)
 		lw.str("% of ")
-		lw.buf = appendFixed(lw.buf, m.Seconds(m.TotalTicks), 2)
+		lw.buf = appendFloat(lw.buf, m.Seconds(m.TotalTicks), 0, 2)
 		lw.str(" seconds\n\n" +
 			"                                  called/total       parents\n" +
 			"index  %time    self descendants  called+self    name           index\n" +
@@ -251,23 +244,8 @@ func CallGraph(w io.Writer, m *model.Profile, opt Options) error {
 		return lw.close()
 	}
 	lw.rows(len(v.listing), entryChunk, opt.Jobs, func() func([]byte, int, int) []byte {
-		var scratch, members []int32
-		return func(b []byte, lo, hi int) []byte {
-			for i, e := range v.listing[lo:hi] {
-				if !want(e) {
-					continue
-				}
-				if lo+i > first {
-					b = append(b, rule...)
-				}
-				if e.cycle >= 0 {
-					b, scratch, members = printCycleEntry(b, v, e.cycle, scratch, members)
-				} else {
-					b, scratch = printNodeEntry(b, v, e.routine, scratch)
-				}
-			}
-			return b
-		}
+		r := newChunkRenderer(v, want, first)
+		return r.render
 	})
 	return lw.close()
 }
@@ -311,28 +289,68 @@ func wantCycle(v *view, c int32, opt Options, f filter) bool {
 	return true
 }
 
-// sortParents orders arcs ascending by contribution (the paper's
-// Figure 4 order), ties by caller name; spontaneous arcs sort first
-// among ties. The sort is stable, so arcs that tie completely keep the
-// model's order — which is the historic n.In walk order.
-func (v *view) sortParents(parents []int32) {
-	slices.SortStableFunc(parents, func(i, j int32) int {
-		if ti, tj := v.ticks(i), v.ticks(j); ti != tj {
-			return less(ti < tj)
-		}
-		return strings.Compare(v.name(v.m.Arcs[i].From), v.name(v.m.Arcs[j].From))
-	})
+// arcRec is one gathered parent or child line: its sort key, the arc
+// whose numbers it prints, and where the other end's label was copied.
+// It stays 32 bytes, because a hub entry gathers one per caller.
+type arcRec struct {
+	ticks float64 // the time the arc passes up: the sort key
+	// lab is where the other end's label starts in labels; until the
+	// label pass it holds the other end's routine position instead.
+	lab   int
+	arc   int32 // position in m.Arcs
+	size  int32 // label length; 0 for a spontaneous parent, which has none
+	name  int32 // the label's first name bytes are the other end's name
+	intra bool  // both ends are members of one cycle
 }
 
-// sortChildren orders arcs descending by the time passed up, ties by
-// callee name.
-func (v *view) sortChildren(children []int32) {
-	slices.SortStableFunc(children, func(i, j int32) int {
-		if ti, tj := v.ticks(i), v.ticks(j); ti != tj {
-			return less(ti > tj)
+// gathered is one selected entry of a batch: its listing position,
+// its parent lines lines[start:mid] and child lines lines[mid:end], and
+// for a routine its own label, labels[self:self+selfSize].
+type gathered struct {
+	pos             int
+	start, mid, end int
+	self, selfSize  int
+}
+
+// chunkRenderer renders call-graph chunks for one worker; its scratch
+// is reused from chunk to chunk and never shared.
+type chunkRenderer struct {
+	v       *view
+	want    func(listEntry) bool
+	first   int // listing position of the first selected entry
+	lines   []arcRec
+	labels  []byte
+	entries []gathered
+	members []int32
+	// byParent orders parent lines ascending by time (the paper's
+	// Figure 4 order) and byChild child lines descending, ties by the
+	// other end's name; a spontaneous parent's empty name sorts first.
+	// The sorts are stable, so lines that tie completely keep the
+	// model's order, which is the historic n.In walk order. The
+	// comparators are negative exactly where "sorts before" holds, so
+	// even NaN times give the order of a less-function sort.
+	byParent, byChild func(a, b arcRec) int
+}
+
+func newChunkRenderer(v *view, want func(listEntry) bool, first int) *chunkRenderer {
+	r := &chunkRenderer{v: v, want: want, first: first}
+	r.byParent = func(a, b arcRec) int {
+		if a.ticks != b.ticks {
+			return less(a.ticks < b.ticks)
 		}
-		return strings.Compare(v.name(v.m.Arcs[i].To), v.name(v.m.Arcs[j].To))
-	})
+		return r.compareNames(a, b)
+	}
+	r.byChild = func(a, b arcRec) int {
+		if a.ticks != b.ticks {
+			return less(a.ticks > b.ticks)
+		}
+		return r.compareNames(a, b)
+	}
+	return r
+}
+
+func (r *chunkRenderer) compareNames(a, b arcRec) int {
+	return bytes.Compare(r.labels[a.lab:a.lab+int(a.name)], r.labels[b.lab:b.lab+int(b.name)])
 }
 
 // less turns a strict "sorts before" test into a comparison result.
@@ -345,29 +363,138 @@ func less(b bool) int {
 	return 1
 }
 
-// arcLine appends a parent or child line for arc a whose other end is
-// routine other: the propagated self and descendant seconds and the
-// count over the arc's calls/total denominator, or for an intra-cycle
-// arc only the bare count.
-func arcLine(b []byte, v *view, a *model.Arc, other int32, intra bool) []byte {
-	if intra {
+// render appends the selected entries among listing positions
+// [lo, hi): gather, then sort and format each entry.
+func (r *chunkRenderer) render(b []byte, lo, hi int) []byte {
+	for lo < hi {
+		lo = r.gather(lo, hi)
+		for _, g := range r.entries {
+			if g.pos > r.first {
+				b = append(b, rule...)
+			}
+			slices.SortStableFunc(r.lines[g.start:g.mid], r.byParent)
+			slices.SortStableFunc(r.lines[g.mid:g.end], r.byChild)
+			if e := r.v.listing[g.pos]; e.cycle >= 0 {
+				b = r.cycleEntry(b, e.cycle, g)
+			} else {
+				b = r.nodeEntry(b, e.routine, g)
+			}
+		}
+	}
+	return b
+}
+
+// gatherLines is the number of lines after which a gather stops taking
+// further entries. The hottest entries are hubs: a whole chunk of them
+// gathers thousands of lines, and scratch that size raised the peak RSS
+// of a 10^5-routine listing by 3 MB. A batch this size still gives the
+// loads of several entries to overlap.
+const gatherLines = 256
+
+// gather walks the selected entries from listing position lo on,
+// before hi, and records each parent and child line, until it has
+// gathered gatherLines lines; it returns the position it stopped
+// before. A cycle's parents are its members' callers from outside it;
+// it lists no children.
+func (r *chunkRenderer) gather(lo, hi int) int {
+	v, m := r.v, r.v.m
+	r.lines, r.labels, r.entries = r.lines[:0], r.labels[:0], r.entries[:0]
+	for ; lo < hi && len(r.lines) < gatherLines; lo++ {
+		e := v.listing[lo]
+		if !r.want(e) {
+			continue
+		}
+		g := gathered{pos: lo, start: len(r.lines)}
+		if e.cycle >= 0 {
+			for _, i := range v.links.Members(int(e.cycle)) {
+				cycle := m.Routines[i].Cycle
+				for _, k := range v.links.In(i) {
+					if from := m.Arcs[k].From; !r.sameCycle(from, cycle) {
+						r.add(k, from, false)
+					}
+				}
+			}
+			g.mid = len(r.lines)
+		} else {
+			i := e.routine
+			cycle := m.Routines[i].Cycle
+			ref, _ := v.ref(i)
+			g.self, g.selfSize = len(r.labels), len(ref)
+			r.labels = append(r.labels, ref...)
+			for _, k := range v.links.In(i) {
+				from := m.Arcs[k].From
+				r.add(k, from, r.sameCycle(from, cycle))
+			}
+			g.mid = len(r.lines)
+			for _, k := range v.links.Out(i) {
+				to := m.Arcs[k].To
+				r.add(k, to, r.sameCycle(to, cycle))
+			}
+		}
+		g.end = len(r.lines)
+		r.entries = append(r.entries, g)
+	}
+	// The labels are copied in a second pass, so that no label load
+	// waits on the arc load that names its routine.
+	for j := range r.lines {
+		l := &r.lines[j]
+		other := l.lab
+		l.lab = len(r.labels)
+		if other >= 0 {
+			ref, name := v.ref(int32(other))
+			r.labels = append(r.labels, ref...)
+			l.size, l.name = int32(len(ref)), int32(name)
+		}
+	}
+	return lo
+}
+
+// sameCycle reports whether routine i (-1 for the missing caller of a
+// spontaneous arc) is a member of the multi-routine cycle numbered
+// cycle. An arc between two members is listed in the profile but
+// "does not propagate any time" (§4).
+func (r *chunkRenderer) sameCycle(i int32, cycle int) bool {
+	return i >= 0 && cycle != 0 && r.v.m.Routines[i].Cycle == cycle
+}
+
+// add records the line of arc k whose other end is routine other (-1
+// for a spontaneous caller), which the label pass resolves.
+func (r *chunkRenderer) add(k, other int32, intra bool) {
+	a := &r.v.m.Arcs[k]
+	r.lines = append(r.lines, arcRec{ticks: a.PropSelfTicks + a.PropChildTicks, lab: int(other), arc: k, intra: intra})
+}
+
+// arcLine appends a parent or child line: the propagated self and
+// descendant seconds and the count over the arc's calls/total
+// denominator, or for an intra-cycle arc only the bare count, then the
+// other end's label.
+func (r *chunkRenderer) arcLine(b []byte, l *arcRec) []byte {
+	if l.size == 0 {
+		return append(b, spontaneous...)
+	}
+	m := r.v.m
+	a := &m.Arcs[l.arc]
+	if l.intra {
 		// Calls from within the cycle: listed, never propagated.
 		b = append(b, "                                   "...) // "%14s%8s %11s " of ""
 		b = appendInt(b, a.Count, 9)
 		b = append(b, "     "...) // " %s" of four blanks
 	} else {
 		b = append(b, "              "...) // %14s
-		b = appendFloat(b, v.m.Seconds(a.PropSelfTicks), 8, 2)
+		b = appendFloat(b, m.Seconds(a.PropSelfTicks), 8, 2)
 		b = append(b, ' ')
-		b = appendFloat(b, v.m.Seconds(a.PropChildTicks), 11, 2)
+		b = appendFloat(b, m.Seconds(a.PropChildTicks), 11, 2)
 		b = append(b, ' ')
 		b = appendInt(b, a.Count, 7)
 		b = append(b, '/')
 		b = appendInt(b, a.TotalCalls, -7)
 		b = append(b, ' ')
 	}
-	return append(b, v.ref(other)...)
+	return append(b, r.labels[l.lab:l.lab+int(l.size)]...)
 }
+
+// spontaneous is the parent line of an arc with no identifiable caller.
+var spontaneous = strings.Repeat(" ", 45) + "<spontaneous>\n"
 
 // appendCalled appends the called+self column, right-aligned in 15.
 func appendCalled(b []byte, calls, self int64) []byte {
@@ -382,83 +509,50 @@ func appendCalled(b []byte, calls, self int64) []byte {
 
 // appendEntryHead appends the start of an entry's own line: index,
 // %time, self and descendant seconds, and the called+self column.
-func appendEntryHead(b []byte, v *view, index int, ticks, self, child float64, calls, selfCalls int64) []byte {
+func appendEntryHead(b []byte, m *model.Profile, index int, ticks, self, child float64, calls, selfCalls int64) []byte {
 	start := len(b)
 	b = append(b, '[')
 	b = strconv.AppendInt(b, int64(index), 10)
 	b = append(b, ']')
 	b = padRight(b, start, 6)
 	b = append(b, ' ')
-	b = appendFloat(b, v.m.Percent(ticks), 5, 1)
+	b = appendFloat(b, m.Percent(ticks), 5, 1)
 	b = append(b, ' ')
-	b = appendFloat(b, v.m.Seconds(self), 8, 2)
+	b = appendFloat(b, m.Seconds(self), 8, 2)
 	b = append(b, ' ')
-	b = appendFloat(b, v.m.Seconds(child), 11, 2)
+	b = appendFloat(b, m.Seconds(child), 11, 2)
 	b = append(b, ' ')
 	b = appendCalled(b, calls, selfCalls)
 	return append(b, ' ')
 }
 
-// printNodeEntry appends routine i's entry: parents, the self line,
-// then children. scratch is reused for the sorted arcs and returned.
-func printNodeEntry(b []byte, v *view, i int32, scratch []int32) ([]byte, []int32) {
-	m := v.m
-	r := &m.Routines[i]
-	parents := append(scratch[:0], v.links.In(i)...)
-	v.sortParents(parents)
-	for _, k := range parents {
-		a := &m.Arcs[k]
-		if a.From < 0 {
-			b = append(b, spontaneous...)
-			continue
-		}
-		b = arcLine(b, v, a, a.From, v.intraCycle(a))
+// nodeEntry appends routine i's entry from its sorted lines: parents,
+// the self line, then children.
+func (r *chunkRenderer) nodeEntry(b []byte, i int32, g gathered) []byte {
+	m := r.v.m
+	for k := g.start; k < g.mid; k++ {
+		b = r.arcLine(b, &r.lines[k])
 	}
-
-	// The self line: index, %time, self, descendants, called+self.
-	b = appendEntryHead(b, v, r.Index, r.TotalTicks(), r.SelfTicks, r.ChildTicks, r.Calls, r.SelfCalls)
-	b = append(b, v.ref(i)...)
-
-	// Children, descending by time passed up.
-	children := append(parents[:0], v.links.Out(i)...)
-	v.sortChildren(children)
-	for _, k := range children {
-		a := &m.Arcs[k]
-		b = arcLine(b, v, a, a.To, v.intraCycle(a))
+	ri := &m.Routines[i]
+	b = appendEntryHead(b, m, ri.Index, ri.TotalTicks(), ri.SelfTicks, ri.ChildTicks, ri.Calls, ri.SelfCalls)
+	b = append(b, r.labels[g.self:g.self+g.selfSize]...)
+	for k := g.mid; k < g.end; k++ {
+		b = r.arcLine(b, &r.lines[k])
 	}
-	return b, children
+	return b
 }
 
-// spontaneous is the parent line of an arc with no identifiable caller.
-var spontaneous = strings.Repeat(" ", 45) + "<spontaneous>\n"
-
-// printCycleEntry appends the entry of cycle c as a whole: external
-// parents, the cycle line, then the members "listed in place of the
-// children" with their calls from within the cycle. scratch and
-// members are reused for the sorted arcs and members and returned.
-func printCycleEntry(b []byte, v *view, c int32, scratch, members []int32) ([]byte, []int32, []int32) {
-	m := v.m
+// cycleEntry appends the entry of cycle c as a whole from its sorted
+// parent lines: external parents, the cycle line, then the members
+// "listed in place of the children" with their calls from within the
+// cycle.
+func (r *chunkRenderer) cycleEntry(b []byte, c int32, g gathered) []byte {
+	v, m := r.v, r.v.m
+	for k := g.start; k < g.mid; k++ {
+		b = r.arcLine(b, &r.lines[k])
+	}
 	cy := &m.Cycles[c]
-	members = append(members[:0], v.links.Members(int(c))...)
-	parents := scratch[:0]
-	for _, i := range members {
-		for _, k := range v.links.In(i) {
-			if !v.intraCycle(&m.Arcs[k]) {
-				parents = append(parents, k)
-			}
-		}
-	}
-	v.sortParents(parents)
-	for _, k := range parents {
-		a := &m.Arcs[k]
-		if a.From < 0 {
-			b = append(b, spontaneous...)
-			continue
-		}
-		b = arcLine(b, v, a, a.From, false)
-	}
-
-	b = appendEntryHead(b, v, cy.Index, cy.TotalTicks(), cy.SelfTicks, cy.ChildTicks, cy.ExternalCalls, cy.InternalCalls)
+	b = appendEntryHead(b, m, cy.Index, cy.TotalTicks(), cy.SelfTicks, cy.ChildTicks, cy.ExternalCalls, cy.InternalCalls)
 	b = append(b, "<cycle "...)
 	b = strconv.AppendInt(b, int64(cy.Number), 10)
 	b = append(b, " as a whole> ["...)
@@ -469,23 +563,25 @@ func printCycleEntry(b []byte, v *view, c int32, scratch, members []int32) ([]by
 	// arcs plus self calls), in index order — the indices were assigned
 	// by decreasing self time, so this reproduces the historic member
 	// order.
-	slices.SortStableFunc(members, func(i, j int32) int {
+	r.members = append(r.members[:0], v.links.Members(int(c))...)
+	slices.SortStableFunc(r.members, func(i, j int32) int {
 		return cmp.Compare(m.Routines[i].Index, m.Routines[j].Index)
 	})
-	for _, i := range members {
-		r := &m.Routines[i]
+	for _, i := range r.members {
+		ri := &m.Routines[i]
 		var intra int64
 		for _, k := range v.links.In(i) {
-			if a := &m.Arcs[k]; v.intraCycle(a) {
+			if a := &m.Arcs[k]; r.sameCycle(a.From, ri.Cycle) {
 				intra += a.Count
 			}
 		}
 		b = append(b, "              "...) // %14s
-		b = appendFloat(b, m.Seconds(r.SelfTicks), 8, 2)
+		b = appendFloat(b, m.Seconds(ri.SelfTicks), 8, 2)
 		b = append(b, "        0.00 "...) // %11.2f of 0.0
-		b = appendCalled(b, intra, r.SelfCalls)
+		b = appendCalled(b, intra, ri.SelfCalls)
 		b = append(b, ' ')
-		b = append(b, v.ref(i)...)
+		ref, _ := v.ref(i)
+		b = append(b, ref...)
 	}
-	return b, parents, members
+	return b
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -348,6 +349,54 @@ func TestIndexListing(t *testing.T) {
 	// Alphabetical.
 	if strings.Index(out, "CALLER1") > strings.Index(out, "EXAMPLE") {
 		t.Errorf("index not alphabetical:\n%s", out)
+	}
+}
+
+// TestIndexTieOrder: a routine named "<cycle 1>" ties with cycle 1's
+// entry in the index, and the tie is listed by entry index at every
+// width. The listing has two index chunks, so width 2 renders them on
+// two workers.
+func TestIndexTieOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := callgraph.New()
+	g.Hz = 1
+	g.AddArc("main", "A", 1)
+	g.AddArc("A", "B", 1)
+	g.AddArc("B", "A", 1)
+	g.AddArc("main", "<cycle 1>", 1)
+	g.MustNode("A").SelfTicks = 50
+	g.MustNode("B").SelfTicks = 50
+	g.MustNode("<cycle 1>").SelfTicks = 1
+	total := 101.0
+	for i := 0; i < 1500; i++ {
+		name := fmt.Sprintf("r%04d", i)
+		g.AddArc("main", name, 1)
+		g.MustNode(name).SelfTicks = float64(i % 3)
+		total += float64(i % 3)
+	}
+	g.TotalTicks = total
+	m := analyze(g)
+	r, _ := m.Routine("<cycle 1>")
+	c, _ := m.CycleByNumber(1)
+	if c.Index >= r.Index {
+		t.Fatalf("fixture: cycle entry [%d] should precede the routine [%d]", c.Index, r.Index)
+	}
+	want := fmt.Sprintf("  [%d] <cycle 1>\n  [%d] <cycle 1>\n", c.Index, r.Index)
+	var first string
+	for _, jobs := range []int{1, 2} {
+		var buf bytes.Buffer
+		if err := Index(&buf, m, Options{Jobs: jobs}); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		if !strings.Contains(out, want) {
+			t.Errorf("width %d: tied labels not in index order, want %q in:\n%s", jobs, want, out[:min(len(out), 400)])
+		}
+		if jobs == 1 {
+			first = out
+		} else if out != first {
+			t.Errorf("index at width %d differs from width 1", jobs)
+		}
 	}
 }
 
