@@ -148,17 +148,19 @@ scale-smoke:
 	cmp .scale-smoke/sum1 .scale-smoke/sum4
 	rm -rf .scale-smoke
 
-# Whole-stack pipeline smoke: collect stacks from the E8 workload,
-# write the v3 profile data plus the gzipped pprof protobuf, then
-# validate the pprof stream with the in-repo decoder and check that
-# pricey() — the routine the arc view famously underestimates — tops
-# the measured table.
+# Whole-stack pipeline smoke: collect stacks from the E8 workload into
+# v3 profile data, render it with gprof as folded stacks plus the
+# gzipped pprof protobuf, then validate the pprof stream with the
+# in-repo decoder and check that pricey() — the routine the arc view
+# famously underestimates — tops the measured table. The vmrun step
+# ignores the exit status because vmrun propagates the workload
+# program's own exit code.
 .PHONY: pprof-smoke
 pprof-smoke:
 	rm -rf .pprof-smoke && mkdir -p .pprof-smoke
-	go build -o .pprof-smoke/ ./cmd/stackprof ./cmd/pprofcheck ./cmd/gmondump
-	cd .pprof-smoke && ./stackprof -workload unequal -tick 200 -folded \
-		-o stacks.gmon -pprof stacks.pb.gz > folded.txt
+	go build -o .pprof-smoke/ ./cmd/vmrun ./cmd/gprof ./cmd/pprofcheck ./cmd/gmondump
+	cd .pprof-smoke && (./vmrun -stacks -q -tick 200 -workload unequal -o stacks.gmon > table.txt || true)
+	cd .pprof-smoke && ./gprof -folded -pprof stacks.pb.gz a.out stacks.gmon > folded.txt
 	test -s .pprof-smoke/folded.txt
 	cd .pprof-smoke && ./gmondump stacks.gmon | grep -q 'stacks:'
 	cd .pprof-smoke && ./pprofcheck stacks.pb.gz > top.txt

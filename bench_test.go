@@ -27,7 +27,6 @@ import (
 	"repro/internal/propagate"
 	"repro/internal/report"
 	"repro/internal/scc"
-	"repro/internal/stacksample"
 	"repro/internal/symtab"
 	"repro/internal/synth"
 	"repro/internal/vm"
@@ -416,12 +415,8 @@ func BenchmarkStackSampling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tab := symtab.New(im)
 	for i := 0; i < b.N; i++ {
-		s := stacksample.New(tab)
-		m := vm.New(im, vm.Config{Monitor: s, TickCycles: 200, MaxCycles: 1 << 32})
-		s.Attach(m)
-		if _, err := m.Run(); err != nil {
+		if _, _, _, err := workloads.Run(im, workloads.RunConfig{TickCycles: 200, MaxCycles: 1 << 32, Stacks: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

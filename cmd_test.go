@@ -120,22 +120,55 @@ func TestCommandKprof(t *testing.T) {
 		t.Skip("builds binaries")
 	}
 	dir := buildTools(t)
-	_, errOut := run(t, dir, "kprof",
+	_, errOut := run(t, dir, "vmrun", "-p",
 		"-workload", "service",
 		"-enable-at", "50000",
 		"-dump-at", "800000",
 		"-o", "gmon.out")
 	if !strings.Contains(errOut, "mid-run extract") {
-		t.Fatalf("kprof did not extract mid-run: %q", errOut)
+		t.Fatalf("vmrun did not extract mid-run: %q", errOut)
 	}
 	for _, f := range []string{"gmon.out", "gmon.out.mid"} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-			t.Errorf("kprof did not write %s", f)
+			t.Errorf("vmrun did not write %s", f)
 		}
 	}
 	out, _ := run(t, dir, "gprof", "-graph", "a.out", "gmon.out.mid")
 	if !strings.Contains(out, "dispatch") {
 		t.Errorf("mid-run profile unusable:\n%s", out)
+	}
+}
+
+// TestCommandVmrunRejects: flag combinations vmrun cannot honour fail
+// with a message and write no profile.
+func TestCommandVmrunRejects(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := buildTools(t)
+	if err := os.WriteFile(filepath.Join(dir, "m.tl"), []byte("func main() { return 0; }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workload", "service", "-enable-at", "50000"}, "need -p or -stacks"},
+		{[]string{"-workload", "service", "-dump-at", "800000"}, "need -p or -stacks"},
+		{[]string{"-p", "-workload", "sort", "m.tl"}, "mutually exclusive"},
+	} {
+		cmd := exec.Command(filepath.Join(dir, "vmrun"), append(tc.args, "-o", "rejected.out")...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Errorf("vmrun %v: err = %v, want exit status 1", tc.args, err)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("vmrun %v: output %q, want %q", tc.args, out, tc.want)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "rejected.out")); err == nil {
+			t.Errorf("vmrun %v wrote a profile", tc.args)
+		}
 	}
 }
 
@@ -180,13 +213,13 @@ func TestCommandStackprof(t *testing.T) {
 		t.Skip("builds binaries")
 	}
 	dir := buildTools(t)
-	out, _ := run(t, dir, "stackprof", "-workload", "unequal")
+	out, _ := run(t, dir, "vmrun", "-stacks", "-workload", "unequal")
 	if !strings.Contains(out, "stack-sample profile") || !strings.Contains(out, "pricey") {
-		t.Errorf("stackprof table:\n%s", out)
+		t.Errorf("vmrun -stacks table:\n%s", out)
 	}
-	out, _ = run(t, dir, "stackprof", "-workload", "unequal", "-folded")
+	out, _ = run(t, dir, "gprof", "-folded", "a.out", "gmon.out")
 	if !strings.Contains(out, "_start;main;pricey;work ") {
-		t.Errorf("stackprof -folded:\n%s", out)
+		t.Errorf("gprof -folded:\n%s", out)
 	}
 }
 
@@ -385,5 +418,20 @@ func TestCommandStatsNoDrift(t *testing.T) {
 		if !strings.Contains(errOut, want) {
 			t.Errorf("vmrun -stats missing %s:\n%s", want, errOut)
 		}
+	}
+
+	// Stack sampling and the extraction schedule are observable too:
+	// the stack collector's counters, the mid-run extraction span, and
+	// a trace file that validates.
+	_, errOut = run(t, dir, "vmrun", "-stacks", "-q", "-workload", "service",
+		"-dump-at", "800000", "-stats", "-tracefile", "vm.json", "-o", "gmon.4")
+	for _, want := range []string{"mon.stack_samples", "mon.stack_inserts", "mon.stack_probes", "write.profile.mid"} {
+		if !strings.Contains(errOut, want) {
+			t.Errorf("vmrun -stacks -stats missing %s:\n%s", want, errOut)
+		}
+	}
+	_, errOut = run(t, dir, "tracecheck", "vm.json")
+	if strings.Count(errOut, ": ok (") != 1 {
+		t.Errorf("tracecheck rejected the vmrun -stacks trace:\n%s", errOut)
 	}
 }

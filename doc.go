@@ -11,11 +11,12 @@
 // numbering, time propagation, cycle breaking, and the classic two-part
 // report (symtab, callgraph, scc, propagate, cyclebreak, report, core).
 // The prof(1) baseline (prof), a Go-native self-profiling collector
-// (profgo), and the whole-call-stack sampler that superseded gprof
-// (stacksample) complete the paper's before-and-after story.
+// (profgo), and the whole-call-stack sampling that superseded gprof
+// (mon's stack collector and the model's stacks view) complete the
+// paper's before-and-after story.
 //
-// Command-line tools are under cmd/ (vmrun, gprof, prof, kprof,
-// stackprof, disasm, figures), runnable examples under examples/, and
+// Command-line tools are under cmd/ (vmrun, gprof, prof, disasm,
+// figures, and more), runnable examples under examples/, and
 // the reproduced figures and claims are indexed in DESIGN.md and
 // recorded in EXPERIMENTS.md. The benchmarks and integration tests in
 // this directory regenerate the paper's quantitative artifacts.

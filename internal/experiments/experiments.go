@@ -32,7 +32,6 @@ import (
 	"repro/internal/propagate"
 	"repro/internal/report"
 	"repro/internal/scc"
-	"repro/internal/stacksample"
 	"repro/internal/symtab"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -622,14 +621,15 @@ func StackSampling() Result {
 	if err != nil {
 		return failed("E8", err)
 	}
-	tab := symtab.New(im)
-	sampler := stacksample.New(tab)
-	m := vm.New(im, vm.Config{Monitor: sampler, TickCycles: 200, MaxCycles: 1 << 32})
-	sampler.Attach(m)
-	if _, err := m.Run(); err != nil {
+	sp, _, _, err := workloads.Run(im, workloads.RunConfig{TickCycles: 200, MaxCycles: 1 << 32, Stacks: true})
+	if err != nil {
 		return failed("E8", err)
 	}
-	truth := float64(sampler.InclusiveTicks("pricey")) / float64(sampler.Samples())
+	sampled, err := analyze(im, sp, core.Options{})
+	if err != nil {
+		return failed("E8", err)
+	}
+	truth := sampled.Model.Stacks.InclusiveFraction("pricey")
 
 	// gprof's estimate.
 	imP, err := workloads.Build("unequal", true)

@@ -42,8 +42,7 @@ type StackView struct {
 	Samples int64 `json:"samples"`
 	// Truncated counts walk artifacts per sample: an unresolvable leaf
 	// or mid-walk frame (prologue skid), and walks that filled the
-	// collector's depth bound. A sample can contribute more than once,
-	// matching the legacy stacksample accounting.
+	// collector's depth bound. A sample can contribute more than once.
 	Truncated int64 `json:"truncated,omitempty"`
 	// Nodes is the call-path tree in depth-first preorder, children
 	// sorted by name; parents precede children. Node 0 onward are roots
@@ -266,8 +265,8 @@ func StacksFromFrames(samples []FrameSample) *StackView {
 }
 
 // BuildStacks condenses raw interned stack samples into the
-// context-sensitive view. PCs resolve the way the legacy stacksample
-// walker resolved them: the leaf at its own address, every outer frame
+// context-sensitive view. PCs resolve the way a frame-pointer walk
+// records them: the leaf at its own address, every outer frame
 // at its return address minus one (the call site). A sample whose leaf
 // does not resolve contributes only to Samples and Truncated; an
 // unresolvable mid-walk frame truncates the path there (the resolved

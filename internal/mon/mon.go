@@ -71,8 +71,7 @@ func (s Strategy) String() string {
 
 // DefaultStackDepth is the default per-sample frame-walk bound when
 // stack collection is enabled: the leaf PC plus up to this many return
-// addresses. It matches the bound the legacy stacksample walker used,
-// and stays under the gmon format's MaxStackDepth.
+// addresses. It stays under the gmon format's MaxStackDepth.
 const DefaultStackDepth = 256
 
 // FrameWalker is the view of the machine the stack collector needs: a
@@ -166,8 +165,7 @@ type Collector struct {
 	lastIdx  int32 // arena index; -1 when invalid
 
 	// Stack interning (Config.Stacks): a StackCollector, nil when
-	// stacks are off. Factored out so internal/stacksample's veneer can
-	// drive one without an arc table or histogram.
+	// stacks are off.
 	stacks *StackCollector
 }
 
@@ -379,7 +377,7 @@ func (c *Collector) Tick(pc int64) {
 	}
 	// Stacks record before the text-range check: a skid sample whose
 	// leaf lies outside text still carries usable caller frames, and
-	// the legacy sampler counted such ticks too. Raw PCs only — symbol
+	// the model counts such a walk as truncated. Raw PCs only — symbol
 	// resolution happens at model build, so stacks merge across runs.
 	if c.stacks != nil && c.stacks.walker != nil && pc >= 0 {
 		c.stacks.Record(pc)

@@ -4,8 +4,8 @@ import "repro/internal/gmon"
 
 // StackCollector interns whole-call-stack samples — the retrospective's
 // fix for §3.2's equal-cost-per-call assumption, factored out of
-// Collector so it can also run standalone (internal/stacksample's
-// veneer drives one directly). The same arena discipline as the arc
+// Collector so it can also run standalone (the stack-walk benchmark
+// drives one directly). The same arena discipline as the arc
 // table, adapted to variable-length keys: every interned PC sequence
 // lives in one shared arena slice, cells chain off a power-of-two hash
 // of the sequence, and generation tags make Reset O(1). The walk
@@ -61,8 +61,7 @@ func NewStackCollector(w FrameWalker, maxDepth int) *StackCollector {
 }
 
 // Attach gives the collector access to the machine whose frames it
-// walks. With no walker attached, Record interns leaf-only stacks —
-// the same degradation the legacy sampler had before Attach.
+// walks. With no walker attached, Record interns leaf-only stacks.
 func (s *StackCollector) Attach(w FrameWalker) { s.walker = w }
 
 // MaxDepth reports the walk bound: return addresses per sample beyond

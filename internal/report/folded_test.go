@@ -37,7 +37,7 @@ func stackedProfile(t *testing.T) *model.Profile {
 
 // TestFoldedGolden pins the collapsed-stack bytes: one line per path
 // with self time, string-sorted — the order and format flame-graph
-// tooling and the legacy stacksample renderer agree on.
+// tooling expects — and the self/inclusive table's header and rows.
 func TestFoldedGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Folded(&buf, stackedProfile(t)); err != nil {
@@ -49,6 +49,20 @@ func TestFoldedGolden(t *testing.T) {
 		"main;work;spin 5\n"
 	if buf.String() != want {
 		t.Errorf("folded output:\n%s\nwant:\n%s", buf.String(), want)
+	}
+
+	// The same view as the self/inclusive table, in the view's order.
+	buf.Reset()
+	if err := StackTable(&buf, stackedProfile(t)); err != nil {
+		t.Fatal(err)
+	}
+	want = "stack-sample profile: 19 samples (0 truncated walks)\n" +
+		"  %incl   %self  inclusive    self  name\n" +
+		"  100.0    47.4         19       9  main\n" +
+		"   42.1    15.8          8       3  work\n" +
+		"   36.8    36.8          7       7  spin\n"
+	if buf.String() != want {
+		t.Errorf("stack table:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
 
@@ -83,5 +97,13 @@ func TestFoldedNoStacks(t *testing.T) {
 	err := Folded(&bytes.Buffer{}, &model.Profile{Schema: model.Schema, Hz: 60})
 	if !errors.Is(err, model.ErrNoStacks) {
 		t.Errorf("err = %v, want ErrNoStacks", err)
+	}
+	// The table reports the absence as zero samples.
+	var buf bytes.Buffer
+	if err := StackTable(&buf, &model.Profile{Schema: model.Schema, Hz: 60}); err != nil {
+		t.Fatal(err)
+	}
+	if want := "stack-sample profile: 0 samples (0 truncated walks)\n  %incl   %self  inclusive    self  name\n"; buf.String() != want {
+		t.Errorf("stack table without stacks = %q, want %q", buf.String(), want)
 	}
 }
