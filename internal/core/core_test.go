@@ -256,9 +256,6 @@ func TestRunTableSource(t *testing.T) {
 		Hist: gmon.Histogram{Low: 0, High: 16, Step: 1, Counts: make([]uint32, 16)},
 		Arcs: []gmon.Arc{{FromPC: 2, SelfPC: 8, Count: 5}},
 		Hz:   60,
-		// A stack sample whose leaf lies outside every routine: a walk
-		// that resolves nothing.
-		Stacks: []gmon.StackSample{{PCs: []int64{0xdead}, Count: 1}},
 	}
 	p.Hist.Counts[10] = 30
 	res, err := Run(context.Background(), TableSource{Table: tab}, p, Options{})
@@ -267,9 +264,6 @@ func TestRunTableSource(t *testing.T) {
 	}
 	if top := routine(t, res, "top"); top.ChildTicks != 30 {
 		t.Errorf("top child = %v, want 30", top.ChildTicks)
-	}
-	if v := res.Model.Stacks; v == nil || v.Samples != 1 || v.Truncated != 1 {
-		t.Errorf("out-of-text stack sample: view %+v, want 1 sample and 1 truncated walk", v)
 	}
 	var buf bytes.Buffer
 	if err := res.WriteAll(&buf); err != nil {

@@ -1,83 +1,109 @@
+// Package stacksample holds the behaviour tests of whole-stack sampling,
+// the retrospective's alternative to gprof's arc-based attribution. The
+// samples come from the one collector path every tool uses —
+// mon.Collector with Config.Stacks on an uninstrumented build, condensed
+// by core.Run into the model's Stacks view — so these tests check what
+// `vmrun -stacks` and `gprof -folded` report.
 package stacksample
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/callgraph"
-	"repro/internal/propagate"
-	"repro/internal/scc"
+	"repro/internal/core"
+	"repro/internal/model"
+	"repro/internal/mon"
+	"repro/internal/report"
 	"repro/internal/symtab"
-	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
-// sample runs a workload under the stack sampler.
-func sample(t *testing.T, name string, tick int64) (*Sampler, *symtab.Table) {
+// sample runs an uninstrumented build of a workload with whole-stack
+// sampling on and condenses the samples into the Stacks view.
+func sample(t *testing.T, name string, tick int64) (*core.Result, *model.StackView) {
 	t.Helper()
 	im, err := workloads.Build(name, false) // no MCOUNT needed!
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := symtab.New(im)
-	s := New(tab)
-	m := vm.New(im, vm.Config{Monitor: s, TickCycles: tick, MaxCycles: 1 << 30})
-	s.Attach(m)
-	if _, err := m.Run(); err != nil {
+	p, _, _, err := workloads.Run(im, workloads.RunConfig{TickCycles: tick, MaxCycles: 1 << 30, Stacks: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return s, tab
+	res, err := core.Run(context.Background(), core.ImageSource{Image: im}, p, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Model.Stacks == nil {
+		t.Fatalf("%s: no stacks view built", name)
+	}
+	return res, res.Model.Stacks
+}
+
+func selfTicks(v *model.StackView, name string) int64 {
+	r, _ := v.Routine(name)
+	return r.SelfTicks
+}
+
+func inclusiveTicks(v *model.StackView, name string) int64 {
+	r, _ := v.Routine(name)
+	return r.InclusiveTicks
 }
 
 func TestSamplesCollected(t *testing.T) {
-	s, _ := sample(t, "sort", 200)
-	if s.Samples() == 0 {
+	_, v := sample(t, "sort", 200)
+	if v.Samples == 0 {
 		t.Fatal("no samples")
 	}
-	if s.SelfTicks("partition")+s.SelfTicks("less")+s.SelfTicks("swap") == 0 {
+	if selfTicks(v, "partition")+selfTicks(v, "less")+selfTicks(v, "swap") == 0 {
 		t.Error("no self samples in the sort kernels")
 	}
 	// main is on (almost) every stack.
-	if incl := s.InclusiveTicks("main"); float64(incl) < 0.9*float64(s.Samples()) {
-		t.Errorf("main inclusive %d of %d samples; want ~all", incl, s.Samples())
+	if incl := inclusiveTicks(v, "main"); float64(incl) < 0.9*float64(v.Samples) {
+		t.Errorf("main inclusive %d of %d samples; want ~all", incl, v.Samples)
 	}
 }
 
 func TestInclusiveExceedsSelf(t *testing.T) {
-	s, _ := sample(t, "matrix", 200)
+	_, v := sample(t, "matrix", 200)
 	for _, name := range []string{"mul", "dot", "main"} {
-		if s.InclusiveTicks(name) < s.SelfTicks(name) {
-			t.Errorf("%s: inclusive %d < self %d", name, s.InclusiveTicks(name), s.SelfTicks(name))
+		if inclusiveTicks(v, name) < selfTicks(v, name) {
+			t.Errorf("%s: inclusive %d < self %d", name, inclusiveTicks(v, name), selfTicks(v, name))
 		}
 	}
 	// The orchestrator mul has tiny self but huge inclusive time — the
 	// signal prof cannot produce and gprof only estimates.
-	if s.InclusiveTicks("mul") < 5*s.SelfTicks("mul")+1 {
+	if inclusiveTicks(v, "mul") < 5*selfTicks(v, "mul")+1 {
 		t.Errorf("mul: inclusive %d vs self %d; expected inclusive >> self",
-			s.InclusiveTicks("mul"), s.SelfTicks("mul"))
+			inclusiveTicks(v, "mul"), selfTicks(v, "mul"))
 	}
 }
 
 func TestRecursionCountedOncePerSample(t *testing.T) {
-	s, _ := sample(t, "sort", 200)
+	_, v := sample(t, "sort", 200)
 	// qsort is deeply self-recursive; inclusive must never exceed the
 	// sample count (each sample counts it once).
-	if s.InclusiveTicks("qsort") > s.Samples() {
+	if inclusiveTicks(v, "qsort") > v.Samples {
 		t.Errorf("qsort inclusive %d > samples %d (double-counted recursion)",
-			s.InclusiveTicks("qsort"), s.Samples())
+			inclusiveTicks(v, "qsort"), v.Samples)
 	}
 }
 
 func TestStacksRecorded(t *testing.T) {
-	s, _ := sample(t, "matrix", 500)
-	if len(s.Stacks()) == 0 {
+	res, _ := sample(t, "matrix", 500)
+	var buf bytes.Buffer
+	if err := res.WriteFolded(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() == 0 {
 		t.Fatal("no stacks recorded")
 	}
 	// Some sampled stack should show the full abstraction chain.
 	found := false
-	for stack := range s.Stacks() {
+	for _, stack := range strings.Split(buf.String(), "\n") {
 		if strings.Contains(stack, "dot") && strings.Contains(stack, "mul") &&
 			strings.Contains(stack, "main") {
 			found = true
@@ -85,22 +111,14 @@ func TestStacksRecorded(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("no stack contains dot;...;mul;...;main: %v", keys(s.Stacks()))
+		t.Errorf("no stack contains dot;...;mul;...;main:\n%s", buf.String())
 	}
-}
-
-func keys(m map[string]int64) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }
 
 func TestWriteReport(t *testing.T) {
-	s, _ := sample(t, "sort", 300)
+	res, _ := sample(t, "sort", 300)
 	var buf bytes.Buffer
-	if err := s.Write(&buf); err != nil {
+	if err := report.StackTable(&buf, res.Model); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -118,13 +136,12 @@ func TestWriteReport(t *testing.T) {
 // owns nearly all of it.
 func TestAverageTimeAssumptionError(t *testing.T) {
 	// Ground truth from whole stacks.
-	s, _ := sample(t, "unequal", 200)
-	samples := float64(s.Samples())
-	if samples == 0 {
+	_, v := sample(t, "unequal", 200)
+	if v.Samples == 0 {
 		t.Fatal("no samples")
 	}
-	truthCheap := float64(s.InclusiveTicks("cheap")) / samples
-	truthPricey := float64(s.InclusiveTicks("pricey")) / samples
+	truthCheap := v.InclusiveFraction("cheap")
+	truthPricey := v.InclusiveFraction("pricey")
 	if truthPricey < 0.8 {
 		t.Errorf("ground truth: pricey owns %.0f%%, expected > 80%%", truthPricey*100)
 	}
@@ -141,16 +158,19 @@ func TestAverageTimeAssumptionError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := symtab.New(im)
-	g, err := callgraph.Build(tab, p)
+	res, err := core.Run(context.Background(), core.ImageSource{Image: im}, p, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scc.Analyze(g)
-	propagate.Run(g)
-	total := g.TotalTicks
-	estCheap := g.MustNode("cheap").TotalTicks() / total
-	estPricey := g.MustNode("pricey").TotalTicks() / total
+	share := func(name string) float64 {
+		r, ok := res.Model.Routine(name)
+		if !ok {
+			t.Fatalf("no routine %s in the profile", name)
+		}
+		return r.TotalTicks() / res.Model.TotalTicks
+	}
+	estCheap := share("cheap")
+	estPricey := share("pricey")
 
 	// gprof's average-time assumption must visibly misattribute:
 	// it gives cheap() the majority share (90 of 100 calls).
@@ -160,40 +180,35 @@ func TestAverageTimeAssumptionError(t *testing.T) {
 	if estPricey > 0.5 {
 		t.Errorf("gprof estimate for pricey = %.0f%%; expected under-attribution", estPricey*100)
 	}
-	// And the stack sampler must be far closer to the truth than gprof.
-	gprofErr := abs(estPricey - truthPricey)
+	// And the stack samples must be far closer to the truth than gprof.
+	gprofErr := estPricey - truthPricey
+	if gprofErr < 0 {
+		gprofErr = -gprofErr
+	}
 	if gprofErr < 0.3 {
 		t.Errorf("expected a large gprof error on unequal call sites, got %.2f", gprofErr)
 	}
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func TestMcountIgnored(t *testing.T) {
-	s := New(symtab.FromSyms(nil))
-	if cost := s.Mcount(1, 2); cost != 0 {
-		t.Errorf("Mcount cost = %d, want 0", cost)
-	}
-	s.Control(99) // no-op
-}
-
+// TestTickOutsideText: a tick whose leaf lies outside every routine
+// still counts as a sample, as one truncated walk.
 func TestTickOutsideText(t *testing.T) {
-	s := New(symtab.FromSyms(nil))
-	s.Tick(0xdead)
-	if s.Truncated() != 1 || s.Samples() != 1 {
-		t.Errorf("stats = %d truncated / %d samples", s.Truncated(), s.Samples())
+	c := mon.NewStackCollector(nil, 0)
+	c.Record(0xdead)
+	tab := symtab.FromSyms(nil)
+	v := model.BuildStacks(c.Snapshot(), func(pc int64) (string, bool) {
+		fn, ok := tab.Find(pc)
+		return fn.Name, ok
+	}, c.MaxDepth())
+	if v.Truncated != 1 || v.Samples != 1 {
+		t.Errorf("stats = %d truncated / %d samples", v.Truncated, v.Samples)
 	}
 }
 
 func TestWriteFolded(t *testing.T) {
-	s, _ := sample(t, "matrix", 500)
+	res, v := sample(t, "matrix", 500)
 	var buf bytes.Buffer
-	if err := s.WriteFolded(&buf); err != nil {
+	if err := res.WriteFolded(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -217,7 +232,7 @@ func TestWriteFolded(t *testing.T) {
 		}
 		total += n
 	}
-	if total != s.Samples() {
-		t.Errorf("folded counts sum to %d, want %d samples", total, s.Samples())
+	if total != v.Samples {
+		t.Errorf("folded counts sum to %d, want %d samples", total, v.Samples)
 	}
 }
