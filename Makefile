@@ -63,7 +63,9 @@ golden:
 # pairs; FuzzBuild checks the linear call-graph construction against
 # its map-keyed oracle on arbitrary tables and arc records; FuzzFixed
 # checks the listing's number formatter against fmt on arbitrary
-# floats.
+# floats; FuzzListingOrder checks the listing numbers, flat order,
+# never-called list and index against their stable-sort references on
+# small graphs with colliding names and tied ticks.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test -run xxx -fuzz 'FuzzRead$$' -fuzztime 20s ./internal/gmon
@@ -71,6 +73,7 @@ fuzz-smoke:
 	go test -run xxx -fuzz 'FuzzReadImage$$' -fuzztime 20s ./internal/object
 	go test -run xxx -fuzz 'FuzzBuild$$' -fuzztime 20s ./internal/callgraph
 	go test -run xxx -fuzz 'FuzzFixed$$' -fuzztime 20s ./internal/report
+	go test -run xxx -fuzz 'FuzzListingOrder$$' -fuzztime 20s ./internal/model
 
 # End-to-end smoke of the continuous-profiling service: start gprofd,
 # replay the workload corpus from concurrent agents via gprofload, and

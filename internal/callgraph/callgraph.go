@@ -27,6 +27,7 @@ import (
 	"repro/internal/gmon"
 	"repro/internal/object"
 	"repro/internal/obs"
+	"repro/internal/order"
 	"repro/internal/symtab"
 )
 
@@ -269,6 +270,11 @@ type Graph struct {
 	nodeArena arena[Node]
 	arcArena  arena[Arc]
 
+	// byName is the nodes' name order (see NameOrder): the symbol
+	// table's for a graph BuildCtx made, sorted on first use for one
+	// built by hand, and dropped by AddNode.
+	byName []int32
+
 	// TotalTicks is the histogram's total tick count, including ticks
 	// that fell outside every routine.
 	TotalTicks float64
@@ -331,6 +337,22 @@ func (g *Graph) Nodes() []*Node { return g.order }
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return len(g.order) }
 
+// NameOrder returns the node IDs sorted by name, then by ID: the order
+// every listing breaks its ties in. A graph built from a symbol table
+// shares the table's order; one built by hand sorts its names at the
+// first call after a node was added. The caller must not modify the
+// result.
+func (g *Graph) NameOrder() []int32 {
+	if g.byName == nil {
+		names := make([]string, len(g.order))
+		for i, n := range g.order {
+			names[i] = n.Name
+		}
+		g.byName = order.ByName(names)
+	}
+	return g.byName
+}
+
 // NumArcs returns the number of distinct arcs (merged by endpoint
 // pair), including spontaneous and static arcs.
 func (g *Graph) NumArcs() int { return g.arcs }
@@ -345,6 +367,7 @@ func (g *Graph) AddNode(name string) *Node {
 	n.ID = len(g.order)
 	g.nodes[name] = n
 	g.order = append(g.order, n)
+	g.byName = nil
 	return n
 }
 
@@ -435,7 +458,8 @@ func Build(tab *symtab.Table, p *gmon.Profile) (*Graph, error) {
 //
 //   - one node per distinct routine name, in the table's node order
 //     (symtab.Table.NodeIndex), so Node.ID is the routine's node index
-//     and, with unique names, its symbol index;
+//     and, with unique names, its symbol index, and the table's name
+//     order is the graph's;
 //   - histogram ticks attributed by table index and summed per node;
 //   - each arc record resolved to a caller node (or spontaneous) and a
 //     callee node through the table's O(1) address lookup;
@@ -449,7 +473,7 @@ func Build(tab *symtab.Table, p *gmon.Profile) (*Graph, error) {
 // The name-keyed indices (Node, AddArc, ...) are built on first use.
 func BuildCtx(ctx context.Context, tab *symtab.Table, p *gmon.Profile, jobs int) (*Graph, error) {
 	tr := obs.FromContext(ctx)
-	g := &Graph{Hz: p.ClockHz()}
+	g := &Graph{Hz: p.ClockHz(), byName: tab.NameOrder()}
 	nn := tab.NumNodes()
 	nodes := g.nodeArena.take(nn)
 	g.order = make([]*Node, nn)

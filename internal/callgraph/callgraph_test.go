@@ -1,6 +1,7 @@
 package callgraph
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gmon"
@@ -228,6 +229,20 @@ func TestAddStatic(t *testing.T) {
 	cold := g.MustNode("cold")
 	if len(cold.In) != 1 || !cold.In[0].Static || cold.In[0].Count != 0 {
 		t.Errorf("static arc wrong: %+v", cold.In)
+	}
+
+	// A static arc into a routine the table lacks adds a node, and the
+	// graph's name order, the table's until then, takes it in.
+	if got := g.NameOrder(); !slices.Equal(got, tab.NameOrder()) {
+		t.Errorf("built graph's name order %v, table's %v", got, tab.NameOrder())
+	}
+	g.AddStatic([]object.StaticArc{{Caller: "main", Callee: "aardvark", Site: 105}})
+	var names []string
+	for _, id := range g.NameOrder() {
+		names = append(names, g.Nodes()[id].Name)
+	}
+	if want := []string{"aardvark", "cold", "leaf", "main"}; !slices.Equal(names, want) {
+		t.Errorf("name order after a static arc added a node: %q, want %q", names, want)
 	}
 }
 

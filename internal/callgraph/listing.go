@@ -1,27 +1,34 @@
 package callgraph
 
 import (
-	"cmp"
 	"slices"
 	"strconv"
 	"strings"
+
+	"repro/internal/order"
 )
 
 // AssignIndexes orders profile entries by decreasing total time and
 // numbers them (paper §5.2: entries "sorted by total time"), recording
-// each entry's number in Node.Index / Cycle.Index. Cycle members
-// receive indices immediately after their cycle's entry, ordered by
-// decreasing self time. Presentation layers build on the result via
-// model.Build.
+// each entry's number in Node.Index / Cycle.Index. Entries of equal
+// total time are listed by name, and a routine before a cycle of the
+// same name. Cycle members receive indices immediately after their
+// cycle's entry, ordered by decreasing self time. Presentation layers
+// build on the result via model.Build.
+//
+// The units (free nodes and whole cycles) are put in name order by
+// merging the few cycles' "<cycle N as a whole>" names into the
+// graph's name order, and then stably sorted by total time through
+// integer keys, so only the cycles' names are ever compared.
 func AssignIndexes(g *Graph) {
 	idx := 1
 	for _, u := range sortedUnits(g) {
-		if int(u.pos) < len(g.order) {
-			g.order[u.pos].Index = idx
+		if int(u.Pos) < len(g.order) {
+			g.order[u.Pos].Index = idx
 			idx++
 			continue
 		}
-		c := g.Cycles[int(u.pos)-len(g.order)]
+		c := g.Cycles[int(u.Pos)-len(g.order)]
 		c.Index = idx
 		idx++
 		members := append([]*Node(nil), c.Members...)
@@ -41,45 +48,38 @@ func AssignIndexes(g *Graph) {
 	}
 }
 
-// unit is the sort key of a listing unit: a free node, at pos in the
-// node order, or a whole cycle, at pos-len(order) in Cycles. The keys
-// are computed once, since the comparator runs O(n log n) times.
-type unit struct {
-	total float64
-	name  string
-	pos   int32
-}
-
-// compareUnits orders units by decreasing total time, then by name,
-// then by position. Position makes the order total, so an unstable
-// sort gives exactly the permutation a stable sort by time and name
-// would: free nodes in node order, then cycles in discovery order.
-func compareUnits(a, b unit) int {
-	if a.total != b.total {
-		if a.total > b.total {
-			return -1
-		}
-		return 1
+// sortedUnits returns the listing units in listing order: a free node
+// as its ID, and a whole cycle as len(order) plus its position in
+// Cycles.
+func sortedUnits(g *Graph) []order.Keyed {
+	type cycleName struct {
+		name string
+		i    int
 	}
-	if c := strings.Compare(a.name, b.name); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.pos, b.pos)
-}
-
-// sortedUnits collects the listing units (free nodes and cycles) in
-// listing order.
-func sortedUnits(g *Graph) []unit {
-	units := make([]unit, 0, len(g.order)+len(g.Cycles))
-	for i, n := range g.order {
-		if !n.InCycle() {
-			units = append(units, unit{n.TotalTicks(), n.Name, int32(i)})
-		}
-	}
+	cycles := make([]cycleName, len(g.Cycles))
 	for i, c := range g.Cycles {
-		name := "<cycle " + strconv.Itoa(c.Number) + " as a whole>"
-		units = append(units, unit{c.TotalTicks(), name, int32(len(g.order) + i)})
+		cycles[i] = cycleName{"<cycle " + strconv.Itoa(c.Number) + " as a whole>", i}
 	}
-	slices.SortFunc(units, compareUnits)
+	slices.SortFunc(cycles, func(a, b cycleName) int { return strings.Compare(a.name, b.name) })
+
+	units := make([]order.Keyed, 0, len(g.order)+len(g.Cycles))
+	addCycle := func(c cycleName) {
+		units = append(units, order.Keyed{Key: order.DescFloat(g.Cycles[c.i].TotalTicks()), Pos: int32(len(g.order) + c.i)})
+	}
+	for _, id := range g.NameOrder() {
+		n := g.order[id]
+		if n.InCycle() {
+			continue
+		}
+		for len(cycles) > 0 && cycles[0].name < n.Name {
+			addCycle(cycles[0])
+			cycles = cycles[1:]
+		}
+		units = append(units, order.Keyed{Key: order.DescFloat(n.TotalTicks()), Pos: id})
+	}
+	for _, c := range cycles {
+		addCycle(c)
+	}
+	order.SortStable(units)
 	return units
 }

@@ -1,11 +1,8 @@
 package model
 
 import (
-	"cmp"
-	"slices"
-	"strings"
-
 	"repro/internal/callgraph"
+	"repro/internal/order"
 )
 
 // Build condenses an analyzed call graph into the serializable profile
@@ -23,7 +20,7 @@ import (
 //     walked n.In, which the listing's stable sorts tie-break on);
 //   - Flat rows pre-sorted in presentation order;
 //   - Links: the arcs' in and out adjacency and the cycles' members,
-//     by routine position.
+//     by routine position, and the graph's name order.
 //
 // Build runs in O(nodes + arcs): call counts and per-cycle totals are
 // computed in one pass each rather than through the graph's
@@ -123,63 +120,38 @@ func Build(g *callgraph.Graph) *Profile {
 			p.Arcs = append(p.Arcs, row)
 		}
 	}
-	p.links = newLinks(p, func(c, j int) int32 { return int32(g.Cycles[c].Members[j].ID) })
+	p.links = newLinks(p, func(c, j int) int32 { return int32(g.Cycles[c].Members[j].ID) }, g.NameOrder())
 	p.buildFlat()
 	return p
 }
 
-// flatKey is a flat-profile row's sort key: decreasing self ticks,
-// then decreasing calls, then name, then routine position. The last
-// key makes the order total, so an unstable sort over these compact
-// keys gives exactly the permutation a stable sort by the first three
-// would.
-type flatKey struct {
-	self  float64
-	calls int64
-	name  string
-	pos   int32
-}
-
-// compareFlat orders flat-profile rows.
-func compareFlat(a, b flatKey) int {
-	if a.self != b.self {
-		if a.self > b.self {
-			return -1
-		}
-		return 1
-	}
-	if a.calls != b.calls {
-		if a.calls > b.calls {
-			return -1
-		}
-		return 1
-	}
-	if c := strings.Compare(a.name, b.name); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.pos, b.pos)
-}
-
 // buildFlat computes the flat profile rows (§5.1) and the never-called
-// list from the routines.
+// list from the routines. Both walk the name order: the never-called
+// routines are the unexercised ones in that order, and the exercised
+// ones are stably sorted by decreasing calls and then by decreasing
+// self ticks, so rows order by self time, then calls, then name.
 func (p *Profile) buildFlat() {
-	keys := make([]flatKey, 0, len(p.Routines))
-	for i := range p.Routines {
+	keys := make([]order.Keyed, 0, len(p.Routines))
+	for _, i := range p.links.ByName() {
 		r := &p.Routines[i]
 		calls := r.Calls + r.SelfCalls
 		if calls == 0 && r.SelfTicks == 0 {
 			p.NeverCalled = append(p.NeverCalled, r.Name)
 			continue
 		}
-		keys = append(keys, flatKey{r.SelfTicks, calls, r.Name, int32(i)})
+		keys = append(keys, order.Keyed{Key: order.DescInt(calls), Pos: i})
 	}
-	slices.SortFunc(keys, compareFlat)
-	slices.Sort(p.NeverCalled)
+	order.SortStable(keys)
+	for k := range keys {
+		keys[k].Key = order.DescFloat(p.Routines[keys[k].Pos].SelfTicks)
+	}
+	order.SortStable(keys)
 
 	p.Flat = make([]FlatRow, 0, len(keys))
 	var cum float64
 	for _, k := range keys {
-		r := &p.Routines[k.pos]
+		r := &p.Routines[k.Pos]
+		calls := r.Calls + r.SelfCalls
 		selfSecs := p.Seconds(r.SelfTicks)
 		cum += selfSecs
 		fr := FlatRow{
@@ -188,12 +160,12 @@ func (p *Profile) buildFlat() {
 			Percent:           p.Percent(r.SelfTicks),
 			CumulativeSeconds: cum,
 			SelfSeconds:       selfSecs,
-			Calls:             k.calls,
+			Calls:             calls,
 		}
-		if k.calls > 0 {
-			fr.SelfMsPerCall = selfSecs * 1000 / float64(k.calls)
+		if calls > 0 {
+			fr.SelfMsPerCall = selfSecs * 1000 / float64(calls)
 			if r.Cycle == 0 {
-				fr.TotalMsPerCall = p.Seconds(r.TotalTicks()) * 1000 / float64(k.calls)
+				fr.TotalMsPerCall = p.Seconds(r.TotalTicks()) * 1000 / float64(calls)
 			}
 		}
 		p.Flat = append(p.Flat, fr)

@@ -19,7 +19,11 @@
 // graph, which is what keeps text output byte-identical.
 package model
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/order"
+)
 
 // Schema identifies the JSON encoding of a Profile. Consumers must
 // reject other values; producers bump the suffix when the shape
@@ -247,14 +251,14 @@ func (p *Profile) index() {
 
 // Links returns the profile's index layout. Build and Decode lay it
 // out; a profile assembled by hand gets it at the first call, with its
-// cycle members resolved by name.
+// cycle members resolved by name and its routines sorted by name.
 func (p *Profile) Links() *Links {
 	p.linksOnce.Do(func() {
 		if p.links == nil {
 			p.links = newLinks(p, func(c, j int) int32 {
 				i, _ := p.RoutinePos(p.Cycles[c].Members[j])
 				return int32(i)
-			})
+			}, nil)
 		}
 	})
 	return p.links
@@ -275,6 +279,8 @@ type Links struct {
 	// Cycle c's members, as positions in Routines in discovery order,
 	// are members[memberStart[c]:memberStart[c+1]].
 	members, memberStart []int32
+	// byName lists the routine positions by name, then position.
+	byName []int32
 }
 
 // In returns the positions in Profile.Arcs of routine i's incoming
@@ -289,16 +295,32 @@ func (l *Links) Out(i int32) []int32 { return l.out[l.outStart[i]:l.outStart[i+1
 // in discovery order.
 func (l *Links) Members(c int) []int32 { return l.members[l.memberStart[c]:l.memberStart[c+1]] }
 
+// ByName returns the routine positions sorted by name, then by
+// position: the order the flat profile, the never-called list, the
+// index and Diff break their ties in. A built profile shares its
+// graph's order, and so its symbol table's. The caller must not modify
+// the result.
+func (l *Links) ByName() []int32 { return l.byName }
+
 // newLinks lays out p's arcs by a counting sort on each endpoint, which
 // keeps every routine's arcs in model order, and records each cycle's
-// members; member(c, j) is the position of the j-th member of
-// p.Cycles[c].
-func newLinks(p *Profile, member func(c, j int) int32) *Links {
+// members and the routines' name order; member(c, j) is the position
+// of the j-th member of p.Cycles[c], and a nil byName is sorted from
+// the routines' names.
+func newLinks(p *Profile, member func(c, j int) int32, byName []int32) *Links {
 	n := len(p.Routines)
+	if byName == nil {
+		names := make([]string, n)
+		for i := range p.Routines {
+			names[i] = p.Routines[i].Name
+		}
+		byName = order.ByName(names)
+	}
 	l := &Links{
 		inStart:     make([]int32, n+1),
 		outStart:    make([]int32, n+1),
 		memberStart: make([]int32, len(p.Cycles)+1),
+		byName:      byName,
 	}
 	for k := range p.Arcs {
 		a := &p.Arcs[k]

@@ -1,9 +1,15 @@
 package model_test
 
 import (
+	"bytes"
+	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/propagate"
+	"repro/internal/report"
 	"repro/internal/scc"
 	"repro/internal/synth"
 )
@@ -109,9 +116,56 @@ func stableReference(g *callgraph.Graph) (nodeIdx, cycleIdx []int, flat, never [
 	return nodeIdx, cycleIdx, flat, never
 }
 
+// referenceIndex renders the index with the sort report.Index used
+// before it walked the name order: every label, with an 8-byte prefix
+// key, sorted by label and then entry index.
+func referenceIndex(m *model.Profile) string {
+	type item struct {
+		prefix uint64
+		label  string
+		idx    int32
+	}
+	var items []item
+	add := func(label string, idx int) {
+		var p [8]byte
+		copy(p[:], label)
+		items = append(items, item{binary.BigEndian.Uint64(p[:]), label, int32(idx)})
+	}
+	for i := range m.Routines {
+		switch r := &m.Routines[i]; {
+		case r.Index <= 0:
+		case r.Cycle != 0:
+			add(r.Name+" <cycle"+strconv.Itoa(r.Cycle)+">", r.Index)
+		default:
+			add(r.Name, r.Index)
+		}
+	}
+	for i := range m.Cycles {
+		if c := &m.Cycles[i]; c.Index > 0 {
+			add("<cycle "+strconv.Itoa(c.Number)+">", c.Index)
+		}
+	}
+	slices.SortFunc(items, func(a, b item) int {
+		if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
+			return c
+		}
+		if c := strings.Compare(a.label, b.label); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	var b strings.Builder
+	b.WriteString("index by function name:\n\n")
+	for _, it := range items {
+		fmt.Fprintf(&b, "  [%d] %s\n", it.idx, it.label)
+	}
+	return b.String()
+}
+
 // checkOrder fails unless the profile Build makes of g numbers and
-// orders every entry as the stable reference does.
-func checkOrder(t *testing.T, name string, g *callgraph.Graph) {
+// orders every entry as the stable reference does, and lists the
+// index as the reference index sort does.
+func checkOrder(t *testing.T, name string, g *callgraph.Graph) *model.Profile {
 	t.Helper()
 	m := model.Build(g)
 	nodeIdx, cycleIdx, flat, never := stableReference(g)
@@ -135,6 +189,23 @@ func checkOrder(t *testing.T, name string, g *callgraph.Graph) {
 	if !slices.Equal(m.NeverCalled, never) {
 		t.Errorf("%s: never-called %q, stable reference %q", name, m.NeverCalled, never)
 	}
+	var buf bytes.Buffer
+	if err := report.Index(&buf, m, report.Options{Jobs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), referenceIndex(m); got != want {
+		t.Errorf("%s: index differs from the reference sort:\n got %q\nwant %q", name, got[:min(len(got), 600)], want[:min(len(want), 600)])
+	}
+	return m
+}
+
+// shuffleNames permutes the routine names across w's symbols, keeping
+// every address. synth names routines in address order, which hands
+// every name sort an input it has already sorted; real programs do not
+// arrive in name order.
+func shuffleNames(w *synth.Workload, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(len(w.Syms), func(i, j int) { w.Syms[i].Name, w.Syms[j].Name = w.Syms[j].Name, w.Syms[i].Name })
 }
 
 // analyzed finds the cycles of g and propagates its time.
@@ -145,18 +216,24 @@ func analyzed(g *callgraph.Graph) *callgraph.Graph {
 }
 
 // TestListingOrderMatchesStableReference checks that the listing
-// indices and the flat profile order, which Build sorts unstably over
-// keys that end in the routine's position, equal those of the historic
-// stable sorts: on synthetic programs, and on graphs built to tie at
-// every sort key.
+// indices, the flat profile order, the never-called list and the
+// index, which Build and Index derive from the symbol table's name
+// order by integer sorts, equal those of the historic stable sorts:
+// on synthetic programs with their names in address order and
+// shuffled, and on graphs built to tie at every sort key.
 func TestListingOrderMatchesStableReference(t *testing.T) {
-	for _, n := range []int{200, 3000, 20000} {
-		w := synth.Generate(synth.Tier(n, 7))
-		_, g, err := core.RunGraph(context.Background(), core.TableSource{Table: w.Table()}, w.Prof, core.Options{Jobs: 1})
-		if err != nil {
-			t.Fatal(err)
+	for _, n := range []int{200, 3000, 20000, 100000} {
+		for _, shuffled := range []bool{false, true} {
+			w := synth.Generate(synth.Tier(n, 7))
+			if shuffled {
+				shuffleNames(w, int64(n))
+			}
+			_, g, err := core.RunGraph(context.Background(), core.TableSource{Table: w.Table()}, w.Prof, core.Options{Jobs: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkOrder(t, fmt.Sprintf("synth %d shuffled=%v", n, shuffled), g)
 		}
-		checkOrder(t, fmt.Sprintf("synth %d", n), g)
 	}
 
 	// Equal total ticks: four leaves called once each with the same
@@ -207,4 +284,82 @@ func TestListingOrderMatchesStableReference(t *testing.T) {
 	if m := model.Build(g); len(m.Cycles) != cycles || m.Cycles[0].TotalTicks() != m.Cycles[cycles-1].TotalTicks() {
 		t.Fatalf("tie case lost its %d equal cycles: %d cycles", cycles, len(m.Cycles))
 	}
+}
+
+// FuzzListingOrder builds small analyzed graphs from fuzz bytes and
+// checks every listing order against the stable references: listing
+// numbers, flat order, never-called list and index. Ticks include −0,
+// fractions, subnormals and equal totals; names are drawn from an
+// alphabet of space, angle brackets and digits, or are the labels of
+// cycle entries, so routine names collide with "<cycle N>" and
+// "<cycle N as a whole>". The index of the decoded JSON profile, which
+// sorts its own name order, must equal the built one's.
+func FuzzListingOrder(f *testing.F) {
+	f.Add([]byte("\x05abcdefghij\x01\x02\x03\x02\x01\x01\x03\x04\x02"))
+	f.Add([]byte("\x08\x00\x08\x10\x18\x20\x28\x30\x38\x00\x01\x01\x01\x02\x01\x02\x00\x01\x03\x04\x01\x04\x03\x01"))
+	f.Add([]byte("\x0b<<>> 1 2<cycle 1>\x00\x01\x02\x02\x01\x03\x03\x04\x01\x04\x05\x01\x05\x03\x02"))
+	// "  " with −0 self ticks ties "<cycle 1>" with +0.
+	f.Add([]byte("1100100011001"))
+	ticks := []float64{0, math.Copysign(0, -1), 1, 2, 0.5, 1.5, 0.1, 0.2, 5e-324, 1e-310, 3, 0.1 + 0.2}
+	collide := []string{"<cycle 1>", "<cycle 1 as a whole>", "<cycle 2>", "<cycle 2 as a whole>", "<cycle 10 as a whole>", "a <cycle1>"}
+	const alphabet = " <>12a"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		g := callgraph.New()
+		g.Hz = 1
+		var names []string
+		for n := 1 + next()%12; n > 0; n-- {
+			b := next()
+			name := ""
+			if b%8 == 0 {
+				name = collide[b/8%len(collide)]
+			} else {
+				for k := 1 + b%4; k > 0; k-- {
+					name += string(alphabet[next()%len(alphabet)])
+				}
+			}
+			g.AddNode(name).SelfTicks = ticks[next()%len(ticks)]
+			names = append(names, name)
+		}
+		for len(data) >= 3 {
+			from, to, count := next(), next(), next()%4
+			caller := ""
+			if from%(len(names)+1) < len(names) {
+				caller = names[from%(len(names)+1)]
+			}
+			g.AddArc(caller, names[to%len(names)], int64(count))
+		}
+		var total float64
+		for _, n := range g.Nodes() {
+			total += n.SelfTicks
+		}
+		g.TotalTicks = total
+		m := checkOrder(t, "fuzz", analyzed(g))
+
+		var js bytes.Buffer
+		if err := model.Encode(&js, m); err != nil {
+			t.Fatal(err)
+		}
+		d, err := model.Decode(&js)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var built, decoded bytes.Buffer
+		if err := report.Index(&built, m, report.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := report.Index(&decoded, d, report.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if built.String() != decoded.String() {
+			t.Errorf("decoded profile's index differs:\n got %q\nwant %q", decoded.String(), built.String())
+		}
+	})
 }

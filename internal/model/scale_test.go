@@ -13,8 +13,10 @@ import (
 // TestModelBuildScalesLinearly is the model layer's scaling gate:
 // condensing the analyzed call graph of a synthetic program with 2n
 // routines into a profile must cost at most 3x that of n routines.
-// Linear cost reads 2x, and the two sorts' n log n a little more;
-// anything quadratic reads 4x. The builds are timed in pairs by
+// Linear cost reads 2x. The listing and flat orders are radix sorts
+// over the symbol table's name order, linear in the routines, and
+// only the cycles' few names are compared; anything quadratic reads
+// 4x. The builds are timed in pairs by
 // cputime.PairRatio, and the gate reads the median pair's ratio.
 func TestModelBuildScalesLinearly(t *testing.T) {
 	if testing.Short() {

@@ -2,7 +2,6 @@ package report
 
 import (
 	"cmp"
-	"encoding/binary"
 	"io"
 	"slices"
 	"strconv"
@@ -120,58 +119,61 @@ func IndexListing(w io.Writer, m *model.Profile) error {
 // Index is IndexListing with options; only Jobs applies. Entries are
 // listed by label and, where labels tie (a routine named like a cycle's
 // "<cycle N>" entry), by entry index, so the order is total.
+//
+// A routine outside every cycle is labelled by its name, so those
+// arrive in label order from the profile's name order. Only the tagged
+// labels, "name <cycleN>" for a cycle member and "<cycle N>" for a
+// cycle as a whole, are sorted, and they are merged in by label, then
+// by entry index.
 func Index(w io.Writer, m *model.Profile, opt Options) error {
-	// An item is a 16-byte sort key: its label's first 8 bytes,
-	// big-endian and zero-padded, so that a smaller prefix means a
-	// smaller label and most compares read no label; where the label
-	// is; and the entry index.
-	type item struct {
-		prefix uint64
-		at     int32 // a routine position, whose name is the label, or ^i for tagged[i]
-		idx    int32
+	// An item is where its label is, a routine position whose name is
+	// the label or ^i for tagged[i], and the entry index.
+	type item struct{ at, idx int32 }
+	type taggedItem struct {
+		label string
+		idx   int32
 	}
-	// tagged holds the labels that are not a routine's name: those of
-	// cycle members and of cycles as a whole.
-	var tagged []string
-	items := make([]item, 0, len(m.Routines)+len(m.Cycles))
-	add := func(label string, at int32, idx int) {
-		var p [8]byte
-		copy(p[:], label)
-		items = append(items, item{binary.BigEndian.Uint64(p[:]), at, int32(idx)})
-	}
-	addTagged := func(label string, idx int) {
-		tagged = append(tagged, label)
-		add(label, ^int32(len(tagged)-1), idx)
-	}
+	var tagged []taggedItem
 	for i := range m.Routines {
-		switch r := &m.Routines[i]; {
-		case r.Index <= 0:
-		case r.Cycle != 0:
-			addTagged(string(appendLabel(nil, r.Name, r.Cycle)), r.Index)
-		default:
-			add(r.Name, int32(i), r.Index)
+		if r := &m.Routines[i]; r.Index > 0 && r.Cycle != 0 {
+			tagged = append(tagged, taggedItem{string(appendLabel(nil, r.Name, r.Cycle)), int32(r.Index)})
 		}
 	}
 	for i := range m.Cycles {
 		if c := &m.Cycles[i]; c.Index > 0 {
-			addTagged("<cycle "+strconv.Itoa(c.Number)+">", c.Index)
+			tagged = append(tagged, taggedItem{"<cycle " + strconv.Itoa(c.Number) + ">", int32(c.Index)})
 		}
+	}
+	slices.SortFunc(tagged, func(a, b taggedItem) int {
+		if c := strings.Compare(a.label, b.label); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	items := make([]item, 0, len(m.Routines)+len(m.Cycles))
+	t := 0
+	for _, i := range m.Links().ByName() {
+		r := &m.Routines[i]
+		if r.Index <= 0 || r.Cycle != 0 {
+			continue
+		}
+		for ; t < len(tagged); t++ {
+			if c := strings.Compare(tagged[t].label, r.Name); c > 0 || c == 0 && tagged[t].idx > int32(r.Index) {
+				break
+			}
+			items = append(items, item{^int32(t), tagged[t].idx})
+		}
+		items = append(items, item{i, int32(r.Index)})
+	}
+	for ; t < len(tagged); t++ {
+		items = append(items, item{^int32(t), tagged[t].idx})
 	}
 	label := func(it *item) string {
 		if it.at >= 0 {
 			return m.Routines[it.at].Name
 		}
-		return tagged[^it.at]
+		return tagged[^it.at].label
 	}
-	slices.SortFunc(items, func(a, b item) int {
-		if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
-			return c
-		}
-		if c := strings.Compare(label(&a), label(&b)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
 	lw := newLineWriter(w)
 	lw.str("index by function name:\n\n")
 	lw.rows(len(items), lineChunk, opt.Jobs, func() func([]byte, int, int) []byte {

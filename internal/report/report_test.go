@@ -354,20 +354,27 @@ func TestIndexListing(t *testing.T) {
 
 // TestIndexTieOrder: a routine named "<cycle 1>" ties with cycle 1's
 // entry in the index, and the tie is listed by entry index at every
-// width. The listing has two index chunks, so width 2 renders them on
-// two workers.
+// width. Cycle 1's members include foo, "foo " and foo!, beside a free
+// routine named "foo <cycle1>": by name the free routine falls between
+// "foo " and foo!, but by label it ties with foo's "foo <cycle1>" and
+// follows "foo  <cycle1>", so the index must merge by label. The
+// listing has two index chunks, so width 2 renders them on two
+// workers.
 func TestIndexTieOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g := callgraph.New()
 	g.Hz = 1
 	g.AddArc("main", "A", 1)
-	g.AddArc("A", "B", 1)
-	g.AddArc("B", "A", 1)
+	cycle := []string{"A", "B", "foo", "foo ", "foo!"}
+	for i, name := range cycle {
+		g.AddArc(name, cycle[(i+1)%len(cycle)], 1)
+		g.MustNode(name).SelfTicks = 50
+	}
 	g.AddArc("main", "<cycle 1>", 1)
-	g.MustNode("A").SelfTicks = 50
-	g.MustNode("B").SelfTicks = 50
+	g.AddArc("main", "foo <cycle1>", 1)
 	g.MustNode("<cycle 1>").SelfTicks = 1
-	total := 101.0
+	g.MustNode("foo <cycle1>").SelfTicks = 1
+	total := 252.0
 	for i := 0; i < 1500; i++ {
 		name := fmt.Sprintf("r%04d", i)
 		g.AddArc("main", name, 1)
@@ -381,7 +388,19 @@ func TestIndexTieOrder(t *testing.T) {
 	if c.Index >= r.Index {
 		t.Fatalf("fixture: cycle entry [%d] should precede the routine [%d]", c.Index, r.Index)
 	}
-	want := fmt.Sprintf("  [%d] <cycle 1>\n  [%d] <cycle 1>\n", c.Index, r.Index)
+	idx := func(name string) int {
+		r, ok := m.Routine(name)
+		if !ok || (r.Cycle != 0) != (name != "foo <cycle1>") {
+			t.Fatalf("fixture: %q missing or in the wrong cycle", name)
+		}
+		return r.Index
+	}
+	free, member := idx("foo <cycle1>"), idx("foo")
+	want := []string{
+		fmt.Sprintf("  [%d] <cycle 1>\n  [%d] <cycle 1>\n", c.Index, r.Index),
+		fmt.Sprintf("  [%d] foo  <cycle1>\n  [%d] foo <cycle1>\n  [%d] foo <cycle1>\n  [%d] foo! <cycle1>\n",
+			idx("foo "), min(free, member), max(free, member), idx("foo!")),
+	}
 	var first string
 	for _, jobs := range []int{1, 2} {
 		var buf bytes.Buffer
@@ -389,8 +408,10 @@ func TestIndexTieOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := buf.String()
-		if !strings.Contains(out, want) {
-			t.Errorf("width %d: tied labels not in index order, want %q in:\n%s", jobs, want, out[:min(len(out), 400)])
+		for _, w := range want {
+			if !strings.Contains(out, w) {
+				t.Errorf("width %d: tied labels not in label and index order, want %q in:\n%s", jobs, w, out[:min(len(out), 400)])
+			}
 		}
 		if jobs == 1 {
 			first = out

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/gmon"
 	"repro/internal/object"
+	"repro/internal/order"
 )
 
 // Table is an address-sorted routine symbol table.
@@ -41,6 +42,10 @@ type Table struct {
 	// appearance. It is nil when every name is unique (the identity).
 	node  []int32
 	nodes int
+
+	// byName lists the node indices by name, then index: the one name
+	// order every listing derives its ties from (see NameOrder).
+	byName []int32
 }
 
 // extent is one routine's address range.
@@ -60,6 +65,7 @@ func FromSyms(syms []object.Sym) *Table {
 	sort.Slice(t.funcs, func(i, j int) bool { return t.funcs[i].Addr < t.funcs[j].Addr })
 	t.indexAddrs()
 	t.indexNames()
+	t.sortNames()
 	return t
 }
 
@@ -144,6 +150,15 @@ func (t *Table) indexNames() {
 			t.node[i] = int32(k)
 		}
 	}
+}
+
+// sortNames computes the nodes' name order.
+func (t *Table) sortNames() {
+	names := make([]string, t.nodes)
+	for i, s := range t.funcs {
+		names[t.NodeIndex(i)] = s.Name
+	}
+	t.byName = order.ByName(names)
 }
 
 // Validate reports overlapping or empty symbols.
@@ -246,6 +261,12 @@ func (t *Table) NodeIndex(i int) int {
 
 // NumNodes returns the number of distinct routine names.
 func (t *Table) NumNodes() int { return t.nodes }
+
+// NameOrder returns the node indices (see NodeIndex) sorted by name,
+// then by index. It is computed once, when the table is built, so
+// every analysis over a shared table reuses one sort. The caller must
+// not modify the result.
+func (t *Table) NameOrder() []int32 { return t.byName }
 
 // Lookup returns the routine with the given name.
 func (t *Table) Lookup(name string) (object.Sym, bool) {
