@@ -65,7 +65,11 @@ golden:
 # checks the listing's number formatter against fmt on arbitrary
 # floats; FuzzListingOrder checks the listing numbers, flat order,
 # never-called list and index against their stable-sort references on
-# small graphs with colliding names and tied ticks.
+# small graphs with colliding names and tied ticks; FuzzAnalyze checks
+# the column call graph's component analysis, cycle breaking,
+# propagation and listing numbers against the pointer-graph reference,
+# floats bit for bit, on small graphs with cycles, self, spontaneous
+# and static arcs, and removed arcs.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test -run xxx -fuzz 'FuzzRead$$' -fuzztime 20s ./internal/gmon
@@ -74,6 +78,7 @@ fuzz-smoke:
 	go test -run xxx -fuzz 'FuzzBuild$$' -fuzztime 20s ./internal/callgraph
 	go test -run xxx -fuzz 'FuzzFixed$$' -fuzztime 20s ./internal/report
 	go test -run xxx -fuzz 'FuzzListingOrder$$' -fuzztime 20s ./internal/model
+	go test -run xxx -fuzz 'FuzzAnalyze$$' -fuzztime 20s ./internal/core
 
 # End-to-end smoke of the continuous-profiling service: start gprofd,
 # replay the workload corpus from concurrent agents via gprofload, and

@@ -121,7 +121,7 @@ func randomGraph(n int, degree float64, seed int64) *callgraph.Graph {
 	for i := range names {
 		names[i] = fmt.Sprintf("f%d", i)
 		g.AddNode(names[i])
-		g.MustNode(names[i]).SelfTicks = float64(rng.Intn(100))
+		g.SelfTicks[g.MustNode(names[i])] = float64(rng.Intn(100))
 	}
 	edges := int(float64(n) * degree)
 	for i := 0; i < edges; i++ {

@@ -90,7 +90,7 @@ func main() {
 	// Step 2: "look at the profile entry for each of the parents of
 	// WRITE" — format2's parents are calc2 and calc3.
 	fmt.Println("\nstep 2: the entry for format2 — calc2 and calc3 both call it")
-	res2, g, err := core.RunGraph(context.Background(), core.ImageSource{Image: im}, p, core.Options{
+	res2, err := core.Run(context.Background(), core.ImageSource{Image: im}, p, core.Options{
 		Report: report.Options{Focus: []string{"format2"}, NoHeaders: true},
 	})
 	if err != nil {
@@ -105,10 +105,11 @@ func main() {
 	// call graph confirms every potential caller even in runs that do
 	// not exercise the whole program.
 	fmt.Println("\nstep 3: the arc counts above show which calls to retarget:")
-	f2 := g.MustNode("format2")
-	for _, a := range f2.In {
-		if !a.Spontaneous() {
-			fmt.Printf("  %s calls format2 %d time(s)\n", a.Caller.Name, a.Count)
+	m := res2.Model
+	f2, _ := m.RoutinePos("format2")
+	for _, k := range m.Links().In(int32(f2)) {
+		if a := &m.Arcs[k]; !a.Spontaneous() {
+			fmt.Printf("  %s calls format2 %d time(s)\n", m.Routines[a.From].Name, a.Count)
 		}
 	}
 	fmt.Println("splitting format2 and retargeting calc2's call changes only calc2's output.")

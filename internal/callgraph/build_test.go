@@ -17,10 +17,16 @@ import (
 	"repro/internal/synth"
 )
 
+// build is BuildCtx without a context or width.
+func build(tab *symtab.Table, p *gmon.Profile) (*Graph, error) {
+	return BuildCtx(context.Background(), tab, p, 1)
+}
+
 // refBuild is the map-keyed construction BuildCtx replaced, kept as
 // its oracle: nodes by name, histogram ticks through a name map, each
 // record's endpoints found by a binary search over the whole table,
-// and arcs merged through the endpoint-pair index as records arrive.
+// and arcs merged through AddArc's endpoint-pair index as records
+// arrive, then laid out by Freeze.
 func refBuild(tab *symtab.Table, p *gmon.Profile) (*Graph, error) {
 	syms := tab.Syms()
 	g := New()
@@ -36,7 +42,7 @@ func refBuild(tab *symtab.Table, p *gmon.Profile) (*Graph, error) {
 		}
 	}
 	for name, v := range byName {
-		g.MustNode(name).SelfTicks = v
+		g.SelfTicks[g.MustNode(name)] = v
 	}
 	g.LostTicks = lost
 	g.TotalTicks = float64(p.Hist.TotalTicks())
@@ -45,13 +51,13 @@ func refBuild(tab *symtab.Table, p *gmon.Profile) (*Graph, error) {
 		if !ok {
 			return nil, fmt.Errorf("callgraph: arc callee pc %#x is not in any routine", rec.SelfPC)
 		}
-		var from *Node
+		from := ""
 		if rec.FromPC >= 0 {
 			if fi, ok := refFind(syms, rec.FromPC); ok {
-				from = g.MustNode(syms[fi].Name)
+				from = syms[fi].Name
 			}
 		}
-		g.addArc(from, g.MustNode(syms[ci].Name), rec.Count)
+		g.AddArc(from, syms[ci].Name, rec.Count)
 	}
 	return g, nil
 }
@@ -95,31 +101,29 @@ func refAttribute(syms []object.Sym, h *gmon.Histogram) ([]float64, float64) {
 	return out, lost
 }
 
-// arcDesc is an arc as the comparison sees it: caller ID (-1 when
-// spontaneous), callee ID, count and merged call sites.
+// arcDesc is an arc as the comparison sees it: caller (-1 when
+// spontaneous), callee, count and merged call sites.
 type arcDesc struct {
-	from, to int
+	from, to int32
 	count    int64
-	sites    int
+	sites    int32
 }
 
-func describe(arcs []*Arc) []arcDesc {
+func describe(g *Graph, arcs []int32) []arcDesc {
 	out := make([]arcDesc, len(arcs))
 	for i, a := range arcs {
-		out[i] = arcDesc{from: -1, to: a.Callee.ID, count: a.Count, sites: a.Sites}
-		if a.Caller != nil {
-			out[i].from = a.Caller.ID
-		}
+		out[i] = arcDesc{from: g.Caller[a], to: g.Callee[a], count: g.Count[a], sites: g.Sites[a]}
 	}
 	return out
 }
 
 // checkSameBuild compares BuildCtx against refBuild on one input: the
-// same error, or the same nodes with bit-identical self ticks and the
-// same In, Out and Spontaneous sequences.
+// same error, or the same nodes with bit-identical self ticks and call
+// totals, the same in-list, out-list, self arc and Spontaneous
+// sequences, and the same arc columns in listing order.
 func checkSameBuild(t *testing.T, tab *symtab.Table, p *gmon.Profile) {
 	t.Helper()
-	got, gotErr := Build(tab, p)
+	got, gotErr := build(tab, p)
 	want, wantErr := refBuild(tab, p)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("error %v, reference %v", gotErr, wantErr)
@@ -130,23 +134,36 @@ func checkSameBuild(t *testing.T, tab *symtab.Table, p *gmon.Profile) {
 	if got.Len() != want.Len() {
 		t.Fatalf("%d nodes, reference %d", got.Len(), want.Len())
 	}
-	for i, w := range want.Nodes() {
-		n := got.Nodes()[i]
-		if n.Name != w.Name || n.ID != w.ID {
-			t.Fatalf("node %d is %s/%d, reference %s/%d", i, n.Name, n.ID, w.Name, w.ID)
+	for v := range int32(want.Len()) {
+		name := want.Names[v]
+		if got.Names[v] != name {
+			t.Fatalf("node %d is %s, reference %s", v, got.Names[v], name)
 		}
-		if math.Float64bits(n.SelfTicks) != math.Float64bits(w.SelfTicks) {
-			t.Fatalf("%s: self ticks %v, reference %v", n.Name, n.SelfTicks, w.SelfTicks)
+		if math.Float64bits(got.SelfTicks[v]) != math.Float64bits(want.SelfTicks[v]) {
+			t.Fatalf("%s: self ticks %v, reference %v", name, got.SelfTicks[v], want.SelfTicks[v])
 		}
-		if g, r := describe(n.In), describe(w.In); !slices.Equal(g, r) {
-			t.Fatalf("%s: In %v, reference %v", n.Name, g, r)
+		if g, r := describe(got, got.In(v)), describe(want, want.In(v)); !slices.Equal(g, r) {
+			t.Fatalf("%s: In %v, reference %v", name, g, r)
 		}
-		if g, r := describe(n.Out), describe(w.Out); !slices.Equal(g, r) {
-			t.Fatalf("%s: Out %v, reference %v", n.Name, g, r)
+		if g, r := describe(got, got.Out(v)), describe(want, want.Out(v)); !slices.Equal(g, r) {
+			t.Fatalf("%s: Out %v, reference %v", name, g, r)
+		}
+		if got.Calls(v) != want.Calls(v) || got.SelfCalls(v) != want.SelfCalls(v) {
+			t.Fatalf("%s: calls %d+%d, reference %d+%d", name, got.Calls(v), got.SelfCalls(v), want.Calls(v), want.SelfCalls(v))
 		}
 	}
-	if g, r := describe(got.Spontaneous), describe(want.Spontaneous); !slices.Equal(g, r) {
+	if g, r := describe(got, got.Spontaneous()), describe(want, want.Spontaneous()); !slices.Equal(g, r) {
 		t.Fatalf("Spontaneous %v, reference %v", g, r)
+	}
+	all := func(g *Graph) []int32 {
+		ids := make([]int32, g.NumArcs())
+		for a := range ids {
+			ids[a] = int32(a)
+		}
+		return ids
+	}
+	if g, r := describe(got, all(got)), describe(want, all(want)); !slices.Equal(g, r) {
+		t.Fatalf("arcs %v, reference %v", g, r)
 	}
 	if math.Float64bits(got.LostTicks) != math.Float64bits(want.LostTicks) || got.TotalTicks != want.TotalTicks || got.Hz != want.Hz {
 		t.Fatalf("ticks lost %v total %v hz %d, reference %v %v %d",
@@ -243,7 +260,7 @@ func TestBuildMatchesMapReference(t *testing.T) {
 	t.Run("unknown-callee", func(t *testing.T) {
 		p := &gmon.Profile{Hist: hist(1), Arcs: append(slices.Clone(arcs[:5]), gmon.Arc{FromPC: 3, SelfPC: 33, Count: 1})}
 		checkSameBuild(t, tab, p)
-		if _, err := Build(tab, p); err == nil {
+		if _, err := build(tab, p); err == nil {
 			t.Error("callee in a gap accepted")
 		}
 	})

@@ -28,10 +28,10 @@ func TestAddArcMerges(t *testing.T) {
 	if a1 != a2 {
 		t.Fatal("same-pair arcs not merged")
 	}
-	if a1.Count != 7 || a1.Sites != 2 {
-		t.Errorf("arc = count %d sites %d, want 7/2", a1.Count, a1.Sites)
+	if g.Count[a1] != 7 || g.Sites[a1] != 2 {
+		t.Errorf("arc = count %d sites %d, want 7/2", g.Count[a1], g.Sites[a1])
 	}
-	if len(g.MustNode("y").In) != 1 || len(g.MustNode("x").Out) != 1 {
+	if len(g.In(g.MustNode("y"))) != 1 || len(g.Out(g.MustNode("x"))) != 1 {
 		t.Error("duplicate arc entries in adjacency lists")
 	}
 }
@@ -43,25 +43,25 @@ func TestCallsAndSelfCalls(t *testing.T) {
 	g.AddArc("f", "f", 5)
 	g.AddArc("", "f", 2) // spontaneous counts as a call
 	f := g.MustNode("f")
-	if f.Calls() != 12 {
-		t.Errorf("Calls = %d, want 12", f.Calls())
+	if g.Calls(f) != 12 {
+		t.Errorf("Calls = %d, want 12", g.Calls(f))
 	}
-	if f.SelfCalls() != 5 {
-		t.Errorf("SelfCalls = %d, want 5", f.SelfCalls())
+	if g.SelfCalls(f) != 5 {
+		t.Errorf("SelfCalls = %d, want 5", g.SelfCalls(f))
 	}
 }
 
 func TestSpontaneousTracking(t *testing.T) {
 	g := New()
 	a := g.AddArc("", "h", 1)
-	if !a.Spontaneous() {
+	if g.Caller[a] != -1 {
 		t.Error("arc not spontaneous")
 	}
-	if len(g.Spontaneous) != 1 || g.Spontaneous[0] != a {
+	if sp := g.Spontaneous(); len(sp) != 1 || sp[0] != a {
 		t.Error("Spontaneous list wrong")
 	}
-	if a.String() != "<spontaneous> -> h (1)" {
-		t.Errorf("String = %q", a.String())
+	if len(g.In(g.MustNode("h"))) != 1 {
+		t.Error("spontaneous arc missing from the callee's in-list")
 	}
 }
 
@@ -76,10 +76,10 @@ func TestArcsSorted(t *testing.T) {
 		t.Fatalf("arcs = %d", len(arcs))
 	}
 	// Spontaneous ("" caller) first, then a->b, a->z, z->a.
-	if !arcs[0].Spontaneous() {
+	if g.Caller[arcs[0]] != -1 {
 		t.Error("spontaneous not first")
 	}
-	if arcs[1].Callee.Name != "b" || arcs[2].Callee.Name != "z" || arcs[3].Caller.Name != "z" {
+	if g.Names[g.Callee[arcs[1]]] != "b" || g.Names[g.Callee[arcs[2]]] != "z" || g.Names[g.Caller[arcs[3]]] != "z" {
 		t.Errorf("order wrong: %v %v %v", arcs[1], arcs[2], arcs[3])
 	}
 }
@@ -97,7 +97,7 @@ func TestRemoveArc(t *testing.T) {
 	if g.RemoveArc("a", "nosuch") || g.RemoveArc("ghost", "b") {
 		t.Error("removal with unknown endpoint succeeded")
 	}
-	if len(g.MustNode("a").Out) != 1 || len(g.MustNode("b").In) != 0 {
+	if len(g.Out(g.MustNode("a"))) != 1 || len(g.In(g.MustNode("b"))) != 0 {
 		t.Error("adjacency lists not updated")
 	}
 }
@@ -106,7 +106,7 @@ func TestRemoveArc(t *testing.T) {
 // one, as -k and the cycle-breaking heuristic do, lowers it by one.
 func TestNumArcsAfterRemove(t *testing.T) {
 	tab, p := buildTestProfile()
-	g, err := Build(tab, p)
+	g, err := build(tab, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func buildTestProfile() (*symtab.Table, *gmon.Profile) {
 
 func TestBuild(t *testing.T) {
 	tab, p := buildTestProfile()
-	g, err := Build(tab, p)
+	g, err := build(tab, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,16 +170,16 @@ func TestBuild(t *testing.T) {
 		t.Errorf("Hz = %d", g.Hertz())
 	}
 	leaf := g.MustNode("leaf")
-	if leaf.SelfTicks != 30 {
-		t.Errorf("leaf self = %v", leaf.SelfTicks)
+	if g.SelfTicks[leaf] != 30 {
+		t.Errorf("leaf self = %v", g.SelfTicks[leaf])
 	}
 	// Two call sites merged into one arc with count 10.
-	if len(leaf.In) != 1 || leaf.In[0].Count != 10 || leaf.In[0].Sites != 2 {
-		t.Errorf("leaf.In = %+v", leaf.In)
+	if in := g.In(leaf); len(in) != 1 || g.Count[in[0]] != 10 || g.Sites[in[0]] != 2 {
+		t.Errorf("leaf's in-list = %v", in)
 	}
 	main := g.MustNode("main")
-	if main.Calls() != 1 { // the spontaneous arc
-		t.Errorf("main calls = %d", main.Calls())
+	if g.Calls(main) != 1 { // the spontaneous arc
+		t.Errorf("main calls = %d", g.Calls(main))
 	}
 	if g.TotalTicks != 40 || g.LostTicks != 0 {
 		t.Errorf("ticks = %v lost %v", g.TotalTicks, g.LostTicks)
@@ -189,7 +189,7 @@ func TestBuild(t *testing.T) {
 func TestBuildRejectsUnknownCallee(t *testing.T) {
 	tab, p := buildTestProfile()
 	p.Arcs = append(p.Arcs, gmon.Arc{FromPC: 100, SelfPC: 999, Count: 1})
-	if _, err := Build(tab, p); err == nil {
+	if _, err := build(tab, p); err == nil {
 		t.Error("arc with unknown callee accepted")
 	}
 }
@@ -197,14 +197,14 @@ func TestBuildRejectsUnknownCallee(t *testing.T) {
 func TestBuildUnknownCallSiteIsSpontaneous(t *testing.T) {
 	tab, p := buildTestProfile()
 	p.Arcs = append(p.Arcs, gmon.Arc{FromPC: 999, SelfPC: 110, Count: 2})
-	g, err := Build(tab, p)
+	g, err := build(tab, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var spont int64
-	for _, a := range g.MustNode("leaf").In {
-		if a.Spontaneous() {
-			spont += a.Count
+	for _, a := range g.In(g.MustNode("leaf")) {
+		if g.Caller[a] < 0 {
+			spont += g.Count[a]
 		}
 	}
 	if spont != 2 {
@@ -214,7 +214,7 @@ func TestBuildUnknownCallSiteIsSpontaneous(t *testing.T) {
 
 func TestAddStatic(t *testing.T) {
 	tab, p := buildTestProfile()
-	g, err := Build(tab, p)
+	g, err := build(tab, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,13 +222,13 @@ func TestAddStatic(t *testing.T) {
 		{Caller: "main", Callee: "leaf", Site: 103}, // exists dynamically: no-op
 		{Caller: "main", Callee: "cold", Site: 105}, // new: count 0, static
 	})
-	leaf := g.MustNode("leaf")
-	if len(leaf.In) != 1 || leaf.In[0].Static {
+	leaf := g.In(g.MustNode("leaf"))
+	if len(leaf) != 1 || g.Static[leaf[0]] {
 		t.Error("existing dynamic arc was disturbed")
 	}
-	cold := g.MustNode("cold")
-	if len(cold.In) != 1 || !cold.In[0].Static || cold.In[0].Count != 0 {
-		t.Errorf("static arc wrong: %+v", cold.In)
+	cold := g.In(g.MustNode("cold"))
+	if len(cold) != 1 || !g.Static[cold[0]] || g.Count[cold[0]] != 0 {
+		t.Errorf("static arc wrong: %v", cold)
 	}
 
 	// A static arc into a routine the table lacks adds a node, and the
@@ -239,7 +239,7 @@ func TestAddStatic(t *testing.T) {
 	g.AddStatic([]object.StaticArc{{Caller: "main", Callee: "aardvark", Site: 105}})
 	var names []string
 	for _, id := range g.NameOrder() {
-		names = append(names, g.Nodes()[id].Name)
+		names = append(names, g.Names[id])
 	}
 	if want := []string{"aardvark", "cold", "leaf", "main"}; !slices.Equal(names, want) {
 		t.Errorf("name order after a static arc added a node: %q, want %q", names, want)
@@ -253,17 +253,18 @@ func TestCycleAccessors(t *testing.T) {
 	g.AddArc("q", "p", 4)
 	g.AddArc("p", "p", 3)
 	p, q := g.MustNode("p"), g.MustNode("q")
-	c := &Cycle{Number: 1, Members: []*Node{p, q}}
-	p.Cycle, q.Cycle = c, c
-	p.SelfTicks, q.SelfTicks = 10, 20
-	if c.SelfTicks() != 30 {
-		t.Errorf("cycle self = %v", c.SelfTicks())
+	g.Cycles = []Cycle{{Number: 1, Members: []int32{p, q}}}
+	g.CycleNum[p], g.CycleNum[q] = 1, 1
+	g.SelfTicks[p], g.SelfTicks[q] = 10, 20
+	c := &g.Cycles[0]
+	if c.SelfTicks(g) != 30 {
+		t.Errorf("cycle self = %v", c.SelfTicks(g))
 	}
-	if c.ExternalCalls() != 2 {
-		t.Errorf("external = %d", c.ExternalCalls())
+	if c.ExternalCalls(g) != 2 {
+		t.Errorf("external = %d", c.ExternalCalls(g))
 	}
-	if c.InternalCalls() != 9 {
-		t.Errorf("internal = %d, want 9 (self-arcs excluded)", c.InternalCalls())
+	if c.InternalCalls(g) != 9 {
+		t.Errorf("internal = %d, want 9 (self-arcs excluded)", c.InternalCalls(g))
 	}
 }
 
@@ -273,18 +274,21 @@ func TestIntraCycleSelfArcDistinction(t *testing.T) {
 	g.AddArc("q", "p", 1)
 	g.AddArc("p", "p", 1)
 	p, q := g.MustNode("p"), g.MustNode("q")
-	c := &Cycle{Members: []*Node{p, q}}
-	p.Cycle, q.Cycle = c, c
+	g.Freeze()
+	g.CycleNum[p], g.CycleNum[q] = 1, 1
 	for _, a := range g.Arcs() {
 		switch {
-		case a.Self():
-			if !a.IntraCycle() {
+		case g.IsSelf(a):
+			if !g.IntraCycle(a) {
 				// A self-arc inside a cycle is also intra-cycle; both
 				// exclusions apply independently.
 				t.Error("self-arc in cycle not intra-cycle")
 			}
-		case a.Caller.Name == "p" && a.Callee.Name == "q":
-			if !a.IntraCycle() {
+			if slices.Contains(g.In(p), a) || slices.Contains(g.Out(p), a) {
+				t.Error("self-arc in an adjacency list")
+			}
+		case g.Caller[a] == p && g.Callee[a] == q:
+			if !g.IntraCycle(a) {
 				t.Error("p->q not intra-cycle")
 			}
 		}

@@ -10,9 +10,9 @@ import (
 
 // AssignIndexes orders profile entries by decreasing total time and
 // numbers them (paper §5.2: entries "sorted by total time"), recording
-// each entry's number in Node.Index / Cycle.Index. Entries of equal
-// total time are listed by name, and a routine before a cycle of the
-// same name. Cycle members receive indices immediately after their
+// each entry's number in the Index column and Cycle.Index. Entries of
+// equal total time are listed by name, and a routine before a cycle of
+// the same name. Cycle members receive indices immediately after their
 // cycle's entry, ordered by decreasing self time. Presentation layers
 // build on the result via model.Build.
 //
@@ -21,35 +21,36 @@ import (
 // graph's name order, and then stably sorted by total time through
 // integer keys, so only the cycles' names are ever compared.
 func AssignIndexes(g *Graph) {
-	idx := 1
+	idx := int32(1)
+	n := int32(g.Len())
 	for _, u := range sortedUnits(g) {
-		if int(u.Pos) < len(g.order) {
-			g.order[u.Pos].Index = idx
+		if u.Pos < n {
+			g.Index[u.Pos] = idx
 			idx++
 			continue
 		}
-		c := g.Cycles[int(u.Pos)-len(g.order)]
-		c.Index = idx
+		c := &g.Cycles[u.Pos-n]
+		c.Index = int(idx)
 		idx++
-		members := append([]*Node(nil), c.Members...)
-		slices.SortStableFunc(members, func(a, b *Node) int {
+		members := slices.Clone(c.Members)
+		slices.SortStableFunc(members, func(a, b int32) int {
 			switch {
-			case a.SelfTicks > b.SelfTicks:
+			case g.SelfTicks[a] > g.SelfTicks[b]:
 				return -1
-			case a.SelfTicks < b.SelfTicks:
+			case g.SelfTicks[a] < g.SelfTicks[b]:
 				return 1
 			}
 			return 0
 		})
 		for _, m := range members {
-			m.Index = idx
+			g.Index[m] = idx
 			idx++
 		}
 	}
 }
 
 // sortedUnits returns the listing units in listing order: a free node
-// as its ID, and a whole cycle as len(order) plus its position in
+// as its number, and a whole cycle as Len() plus its position in
 // Cycles.
 func sortedUnits(g *Graph) []order.Keyed {
 	type cycleName struct {
@@ -62,20 +63,20 @@ func sortedUnits(g *Graph) []order.Keyed {
 	}
 	slices.SortFunc(cycles, func(a, b cycleName) int { return strings.Compare(a.name, b.name) })
 
-	units := make([]order.Keyed, 0, len(g.order)+len(g.Cycles))
+	n := g.Len()
+	units := make([]order.Keyed, 0, n+len(g.Cycles))
 	addCycle := func(c cycleName) {
-		units = append(units, order.Keyed{Key: order.DescFloat(g.Cycles[c.i].TotalTicks()), Pos: int32(len(g.order) + c.i)})
+		units = append(units, order.Keyed{Key: order.DescFloat(g.Cycles[c.i].TotalTicks(g)), Pos: int32(n + c.i)})
 	}
 	for _, id := range g.NameOrder() {
-		n := g.order[id]
-		if n.InCycle() {
+		if g.CycleNum[id] != 0 {
 			continue
 		}
-		for len(cycles) > 0 && cycles[0].name < n.Name {
+		for len(cycles) > 0 && cycles[0].name < g.Names[id] {
 			addCycle(cycles[0])
 			cycles = cycles[1:]
 		}
-		units = append(units, order.Keyed{Key: order.DescFloat(n.TotalTicks()), Pos: id})
+		units = append(units, order.Keyed{Key: order.DescFloat(g.SelfTicks[id] + g.ChildTicks[id]), Pos: id})
 	}
 	for _, c := range cycles {
 		addCycle(c)

@@ -26,11 +26,11 @@
 // executable again and again builds its symbol table once and passes
 // it as a TableSource, as gprofd does.
 //
-// A Result keeps only the model it renders from: the pointer call
-// graph is unreachable once model.Build returns, so a memoized Result
-// costs the model and nothing more. The few callers that inspect the
-// graph itself (arc walks, conservation checks) call RunGraph, the
-// one stage list Run is built on.
+// A Result keeps only the model it renders from: the call graph's
+// columns are unreachable once model.Build returns, so a memoized
+// Result costs the model and nothing more. Run is the one stage list;
+// a caller that wants the analysis itself reads the model's routines,
+// arcs and cycles.
 package core
 
 import (
@@ -223,15 +223,7 @@ type Result struct {
 // inspectable with -stats or -tracefile. On cancellation the spans
 // recorded so far survive in the trace: Run marks it failed and the
 // partial run report stays diagnosable.
-func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (*Result, error) {
-	res, _, err := RunGraph(ctx, src, p, opt)
-	return res, err
-}
-
-// RunGraph is Run that also returns the propagated call graph the
-// model was built from, for callers that walk the graph itself. Run
-// drops the graph, so nothing it returns keeps it reachable.
-func RunGraph(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Result, g *callgraph.Graph, err error) {
+func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Result, err error) {
 	tr := obs.FromContext(ctx)
 	defer func() {
 		if err != nil {
@@ -239,28 +231,28 @@ func RunGraph(ctx context.Context, src Source, p *gmon.Profile, opt Options) (re
 		}
 	}()
 	if src == nil {
-		return nil, nil, errors.New("core: nil Source")
+		return nil, errors.New("core: nil Source")
 	}
 	if p == nil {
-		return nil, nil, errors.New("core: nil profile")
+		return nil, errors.New("core: nil profile")
 	}
 	if err := opt.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if opt.Static && !src.supportsStatic() {
-		return nil, nil, fmt.Errorf("%w: Static requires an image-backed source", ErrBadOptions)
+		return nil, fmt.Errorf("%w: Static requires an image-backed source", ErrBadOptions)
 	}
 	loadSpan := tr.Span("load")
 	tab, static, err := src.load(opt.Static)
 	loadSpan.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	graphSpan := tr.Span("graph")
-	g, err = callgraph.BuildCtx(ctx, tab, p, opt.jobs())
+	g, err := callgraph.BuildCtx(ctx, tab, p, opt.jobs())
 	graphSpan.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if opt.Static {
 		g.AddStatic(static)
@@ -268,7 +260,7 @@ func RunGraph(ctx context.Context, src Source, p *gmon.Profile, opt Options) (re
 	tr.Gauge("graph.nodes").Set(int64(g.Len()))
 	res, err = finish(ctx, g, opt)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(p.Stacks) > 0 {
 		// The context-sensitive view rides alongside the arc-based one,
@@ -286,7 +278,7 @@ func RunGraph(ctx context.Context, src Source, p *gmon.Profile, opt Options) (re
 		res.Model.Schema = model.SchemaV2
 		stacksSpan.End()
 	}
-	return res, g, nil
+	return res, nil
 }
 
 // LoadProfiles reads one or more profile data files and sums them into
@@ -332,7 +324,8 @@ func finish(ctx context.Context, g *callgraph.Graph, opt Options) (*Result, erro
 	return res, nil
 }
 
-// sanity verifies the propagation invariant on every analysis; a failure
+// sanity verifies the propagation invariant on every analysis, so an
+// analysis that loses ticks fails instead of rendering; a failure
 // indicates a bug, not bad input.
 func sanity(g *callgraph.Graph) error {
 	tolerance := 1e-6 * (1 + g.TotalTicks)

@@ -116,29 +116,44 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dyn, err := RunGraph(context.Background(), ImageSource{Image: im}, p, Options{})
+	// outOf returns the model's arcs out of rarely.
+	outOf := func(m *model.Profile) []model.Arc {
+		i, ok := m.RoutinePos("rarely")
+		if !ok {
+			t.Fatal("no routine rarely")
+		}
+		var arcs []model.Arc
+		for _, k := range m.Links().Out(int32(i)) {
+			arcs = append(arcs, m.Arcs[k])
+		}
+		return arcs
+	}
+	dyn, err := Run(context.Background(), ImageSource{Image: im}, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := dyn.MustNode("rarely"); n.Calls() != 0 {
-		t.Errorf("rarely called %d times dynamically", n.Calls())
+	if r, _ := dyn.Model.Routine("rarely"); r.Calls != 0 {
+		t.Errorf("rarely called %d times dynamically", r.Calls)
 	}
-	if len(dyn.MustNode("rarely").Out) != 0 {
+	if len(outOf(dyn.Model)) != 0 {
 		t.Error("dynamic graph has arcs out of never-run rarely")
 	}
-	_, st, err := RunGraph(context.Background(), ImageSource{Image: im}, p, Options{Static: true})
+	st, err := Run(context.Background(), ImageSource{Image: im}, p, Options{Static: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var found *bool
-	for _, a := range st.MustNode("rarely").Out {
-		if a.Callee.Name == "used" {
+	for _, a := range outOf(st.Model) {
+		if st.Model.Routines[a.To].Name == "used" {
 			ok := a.Static && a.Count == 0
 			found = &ok
 		}
 	}
 	if found == nil || !*found {
 		t.Error("static arc rarely->used missing or mis-flagged")
+	}
+	if len(dyn.Model.Cycles) != 0 || len(st.Model.Cycles) != 0 {
+		t.Errorf("cycles: dynamic %d, static %d, want none", len(dyn.Model.Cycles), len(st.Model.Cycles))
 	}
 }
 

@@ -68,54 +68,55 @@ type Suggestion struct {
 }
 
 // Suggest computes a set of arcs whose removal breaks every multi-member
-// cycle, without modifying g.
+// cycle, without modifying g: it works on a column copy of the graph.
 func Suggest(g *callgraph.Graph, opt Options) Suggestion {
 	max := opt.MaxArcs
 	if max <= 0 {
 		max = DefaultMaxArcs
 	}
-	shadow := shadowOf(g)
+	shadow := g.Clone()
 	var sug Suggestion
 	for len(sug.Arcs) < max {
 		scc.Analyze(shadow)
-		victim := pickVictim(shadow)
-		if victim == nil {
+		victim, ok := pickVictim(shadow)
+		if !ok {
 			sug.Complete = true
 			return sug
 		}
-		sug.Arcs = append(sug.Arcs, ArcID{victim.Caller.Name, victim.Callee.Name})
-		sug.Counts = append(sug.Counts, victim.Count)
-		shadow.RemoveArc(victim.Caller.Name, victim.Callee.Name)
+		sug.Arcs = append(sug.Arcs, ArcID{shadow.Names[shadow.Caller[victim]], shadow.Names[shadow.Callee[victim]]})
+		sug.Counts = append(sug.Counts, shadow.Count[victim])
+		shadow.DeleteArc(victim)
 	}
 	scc.Analyze(shadow)
 	sug.Complete = len(shadow.Cycles) == 0
 	return sug
 }
 
-// pickVictim returns the cheapest intra-cycle arc, or nil when acyclic.
-// Static (count-zero) arcs are the cheapest of all: they carry no
-// dynamic information.
-func pickVictim(g *callgraph.Graph) *callgraph.Arc {
-	var best *callgraph.Arc
-	for _, a := range g.Arcs() {
-		if a.Spontaneous() || a.Self() || !a.IntraCycle() {
+// pickVictim returns the cheapest intra-cycle arc, or false when the
+// graph is acyclic: the lowest count, then the lowest caller and callee
+// names. Static (count-zero) arcs are the cheapest of all: they carry
+// no dynamic information.
+func pickVictim(g *callgraph.Graph) (int32, bool) {
+	best := int32(-1)
+	for a := range int32(g.NumArcs()) {
+		if g.IsSelf(a) || !g.IntraCycle(a) {
 			continue
 		}
-		if best == nil || less(a, best) {
+		if best < 0 || less(g, a, best) {
 			best = a
 		}
 	}
-	return best
+	return best, best >= 0
 }
 
-func less(a, b *callgraph.Arc) bool {
-	if a.Count != b.Count {
-		return a.Count < b.Count
+func less(g *callgraph.Graph, a, b int32) bool {
+	if g.Count[a] != g.Count[b] {
+		return g.Count[a] < g.Count[b]
 	}
-	if a.Caller.Name != b.Caller.Name {
-		return a.Caller.Name < b.Caller.Name
+	if ca, cb := g.Names[g.Caller[a]], g.Names[g.Caller[b]]; ca != cb {
+		return ca < cb
 	}
-	return a.Callee.Name < b.Callee.Name
+	return g.Names[g.Callee[a]] < g.Names[g.Callee[b]]
 }
 
 // Apply removes the named arcs from g and re-runs the component
@@ -130,21 +131,4 @@ func Apply(g *callgraph.Graph, arcs []ArcID) int {
 	}
 	scc.Analyze(g)
 	return removed
-}
-
-// shadowOf builds a structural copy of g (names, arc counts, static
-// flags) sufficient for cycle analysis, so Suggest can mutate freely.
-func shadowOf(g *callgraph.Graph) *callgraph.Graph {
-	s := callgraph.New()
-	for _, n := range g.Nodes() {
-		s.AddNode(n.Name)
-	}
-	for _, a := range g.Arcs() {
-		if a.Spontaneous() {
-			continue
-		}
-		na := s.AddArc(a.Caller.Name, a.Callee.Name, a.Count)
-		na.Static = a.Static
-	}
-	return s
 }

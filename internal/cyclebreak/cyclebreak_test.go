@@ -98,8 +98,7 @@ func TestStaticArcPreferred(t *testing.T) {
 	// removing the static arc loses nothing, so it must go first.
 	g := callgraph.New()
 	g.AddArc("a", "b", 50)
-	st := g.AddArc("b", "a", 0)
-	st.Static = true
+	g.Static[g.AddArc("b", "a", 0)] = true
 	sug := Suggest(g, Options{})
 	if !sug.Complete || len(sug.Arcs) != 1 {
 		t.Fatalf("sug = %+v", sug)

@@ -17,6 +17,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -145,19 +146,20 @@ func Fig1() Result {
 	violations := 0
 	var b strings.Builder
 	fmt.Fprintf(&b, "node numbering (name -> topo):\n")
-	nodes := append([]*callgraph.Node(nil), g.Nodes()...)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].TopoNum > nodes[j].TopoNum })
+	nodes := scc.TopoOrder(g)
+	slices.Reverse(nodes)
 	for _, n := range nodes {
-		fmt.Fprintf(&b, "  %-4s -> %d\n", n.Name, n.TopoNum)
+		fmt.Fprintf(&b, "  %-4s -> %d\n", g.Names[n], g.TopoNum[n])
 	}
 	fmt.Fprintf(&b, "edges (all must go high -> low):\n")
 	for _, a := range g.Arcs() {
-		ok := a.Caller.TopoNum > a.Callee.TopoNum
+		from, to := g.Caller[a], g.Callee[a]
+		ok := g.TopoNum[from] > g.TopoNum[to]
 		if !ok {
 			violations++
 		}
 		fmt.Fprintf(&b, "  %-4s(%d) -> %-4s(%d)  %v\n",
-			a.Caller.Name, a.Caller.TopoNum, a.Callee.Name, a.Callee.TopoNum, ok)
+			g.Names[from], g.TopoNum[from], g.Names[to], g.TopoNum[to], ok)
 	}
 	return Result{
 		ID:      "F1",
@@ -179,30 +181,30 @@ func Fig23() Result {
 	var b strings.Builder
 	pass := len(g.Cycles) == 1
 	if pass {
-		c := g.Cycles[0]
-		names := map[string]bool{}
-		for _, m := range c.Members {
-			names[m.Name] = true
+		var names []string
+		for _, m := range g.Cycles[0].Members {
+			names = append(names, g.Names[m])
 		}
-		pass = len(c.Members) == 2 && names["n3"] && names["n7"]
-		fmt.Fprintf(&b, "cycle 1 members: %v\n", memberNames(c))
+		sort.Strings(names)
+		pass = slices.Equal(names, []string{"n3", "n7"})
+		fmt.Fprintf(&b, "cycle 1 members: %v\n", names)
 	}
 	violations := 0
 	for _, a := range g.Arcs() {
-		if a.IntraCycle() {
+		if g.IntraCycle(a) {
 			continue
 		}
-		if a.Caller.TopoNum <= a.Callee.TopoNum {
+		if g.TopoNum[g.Caller[a]] <= g.TopoNum[g.Callee[a]] {
 			violations++
 		}
 	}
 	fmt.Fprintf(&b, "numbering after collapse:\n")
 	for _, n := range scc.TopoOrder(g) {
 		tag := ""
-		if n.InCycle() {
-			tag = fmt.Sprintf(" <cycle%d>", n.Cycle.Number)
+		if c := g.CycleNum[n]; c != 0 {
+			tag = fmt.Sprintf(" <cycle%d>", c)
 		}
-		fmt.Fprintf(&b, "  %-4s -> %d%s\n", n.Name, n.TopoNum, tag)
+		fmt.Fprintf(&b, "  %-4s -> %d%s\n", g.Names[n], g.TopoNum[n], tag)
 	}
 	return Result{
 		ID:      "F2/F3",
@@ -212,15 +214,6 @@ func Fig23() Result {
 		Pass:    pass && violations == 0,
 		Detail:  b.String(),
 	}
-}
-
-func memberNames(c *callgraph.Cycle) []string {
-	var names []string
-	for _, m := range c.Members {
-		names = append(names, m.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Figure4Graph reconstructs the call-graph fragment behind the paper's
@@ -240,17 +233,16 @@ func Figure4Graph() *callgraph.Graph {
 	g.AddArc("PARTNER", "SUB1", 7)
 	g.AddArc("EXAMPLE", "SUB2", 1)
 	g.AddArc("OTHER", "SUB2", 4)
-	st := g.AddArc("EXAMPLE", "SUB3", 0)
-	st.Static = true
+	g.Static[g.AddArc("EXAMPLE", "SUB3", 0)] = true
 	g.AddArc("OTHER", "SUB3", 5)
 	g.AddArc("SUB1", "DEEP", 8)
 	g.AddArc("SUB2", "SUB2LEAF", 3)
-	g.MustNode("EXAMPLE").SelfTicks = 0.50
-	g.MustNode("SUB1").SelfTicks = 2.00
-	g.MustNode("PARTNER").SelfTicks = 1.00
-	g.MustNode("DEEP").SelfTicks = 2.00
-	g.MustNode("SUB2LEAF").SelfTicks = 2.50
-	g.MustNode("SUB3").SelfTicks = 0.43
+	g.SelfTicks[g.MustNode("EXAMPLE")] = 0.50
+	g.SelfTicks[g.MustNode("SUB1")] = 2.00
+	g.SelfTicks[g.MustNode("PARTNER")] = 1.00
+	g.SelfTicks[g.MustNode("DEEP")] = 2.00
+	g.SelfTicks[g.MustNode("SUB2LEAF")] = 2.50
+	g.SelfTicks[g.MustNode("SUB3")] = 0.43
 	g.TotalTicks = 8.43
 	return g
 }
@@ -405,31 +397,31 @@ func main() {
 	if err != nil {
 		return failed("E3", err)
 	}
-	// The propagated graph itself, for the arc walk and the
+	// core.Run checks conservation on every analysis and fails one that
+	// loses ticks, so the static analysis returning at all is the
 	// conservation check.
-	_, st, err := core.RunGraph(runCtx(), core.ImageSource{Image: im}, p, core.Options{Static: true, Jobs: jobs})
+	st, err := analyze(im, p, core.Options{Static: true})
 	if err != nil {
 		return failed("E3", err)
 	}
-	dynCycles, stCycles := len(dyn.Model.Cycles), len(st.Cycles)
+	dynCycles, stCycles := len(dyn.Model.Cycles), len(st.Model.Cycles)
 	// The pong->ping arc is never traversed, so only the static graph
 	// closes the ping<->pong cycle.
 	zeroProp := true
-	for _, a := range st.Arcs() {
-		if a.Static && (a.PropSelf != 0 || a.PropChild != 0) {
+	for _, a := range st.Model.Arcs {
+		if a.Static && (a.PropSelfTicks != 0 || a.PropChildTicks != 0) {
 			zeroProp = false
 		}
 	}
-	conserve := propagate.CheckConservation(st) < 1e-6
 	return Result{
 		ID:    "E3",
 		Title: "Static call graph arcs (§4)",
 		Claim: "zero-count static arcs never propagate time but may complete cycles",
 		Measure: fmt.Sprintf("cycles: dynamic=%d static=%d; static arcs propagate 0: %v",
 			dynCycles, stCycles, zeroProp),
-		Pass: dynCycles == 0 && stCycles == 1 && zeroProp && conserve,
-		Detail: fmt.Sprintf("dynamic cycles=%d, with static graph=%d, conservation ok=%v",
-			dynCycles, stCycles, conserve),
+		Pass: dynCycles == 0 && stCycles == 1 && zeroProp,
+		Detail: fmt.Sprintf("dynamic cycles=%d, with static graph=%d, conservation ok=true",
+			dynCycles, stCycles),
 	}
 }
 

@@ -9,23 +9,24 @@ import (
 // model. The graph must already have cycles discovered (scc.Analyze)
 // and time propagated (propagate.Run*); Build assigns the listing
 // indices (callgraph.AssignIndexes) as its first step, so it also
-// fixes Node.Index / Cycle.Index on the graph.
+// fixes the graph's Index column and Cycle.Index.
 //
 // Every ordering a renderer depends on is baked in here:
 //
 //   - Routines in graph node order (address order for image graphs);
 //   - Cycles in discovery order, members in discovery order;
-//   - Arcs grouped by callee in routine order, each callee's incoming
-//     arcs in insertion order (the order the pointer-based renderers
-//     walked n.In, which the listing's stable sorts tie-break on);
+//   - Arcs in the graph's arc order: grouped by callee in routine
+//     order, each callee's arcs in the order they were first recorded,
+//     which the listing's stable sorts tie-break on;
 //   - Flat rows pre-sorted in presentation order;
-//   - Links: the arcs' in and out adjacency and the cycles' members,
-//     by routine position, and the graph's name order.
+//   - Links: the graph's own in and out adjacency, whose arc numbers
+//     are positions in Arcs, the cycles' members, by routine position,
+//     and the graph's name order.
 //
-// Build runs in O(nodes + arcs): call counts and per-cycle totals are
-// computed in one pass each rather than through the graph's
-// per-query accessors, which rescan incoming arcs on every call.
+// Build runs in O(nodes + arcs): it copies the graph's columns, and
+// computes each cycle's totals once.
 func Build(g *callgraph.Graph) *Profile {
+	g.Freeze()
 	callgraph.AssignIndexes(g)
 
 	p := &Profile{
@@ -36,91 +37,72 @@ func Build(g *callgraph.Graph) *Profile {
 		TotalSeconds: g.TotalTicks / float64(g.Hertz()),
 	}
 
-	nodes := g.Nodes()
-	// One pass over each node's incoming arcs for its call counts; the
-	// accessor pair (Calls, SelfCalls) would make two. Node.ID is the
-	// position in the creation-ordered node list, so a flat slice
-	// replaces the pointer-keyed map.
-	type counts struct{ calls, selfCalls int64 }
-	callsOf := make([]counts, len(nodes))
-	for i, n := range nodes {
-		var c counts
-		for _, a := range n.In {
-			if a.Self() {
-				c.selfCalls += a.Count
-			} else {
-				c.calls += a.Count
-			}
+	p.Routines = make([]Routine, g.Len())
+	for v := range int32(g.Len()) {
+		p.Routines[v] = Routine{
+			Name:         g.Names[v],
+			Index:        int(g.Index[v]),
+			Cycle:        int(g.CycleNum[v]),
+			SelfTicks:    g.SelfTicks[v],
+			ChildTicks:   g.ChildTicks[v],
+			SelfSeconds:  p.Seconds(g.SelfTicks[v]),
+			ChildSeconds: p.Seconds(g.ChildTicks[v]),
+			Calls:        g.Calls(v),
+			SelfCalls:    g.SelfCalls(v),
 		}
-		callsOf[i] = c
 	}
 
-	p.Routines = make([]Routine, 0, len(nodes))
-	for _, n := range nodes {
-		c := callsOf[n.ID]
-		r := Routine{
-			Name:         n.Name,
-			Index:        n.Index,
-			SelfTicks:    n.SelfTicks,
-			ChildTicks:   n.ChildTicks,
-			SelfSeconds:  p.Seconds(n.SelfTicks),
-			ChildSeconds: p.Seconds(n.ChildTicks),
-			Calls:        c.calls,
-			SelfCalls:    c.selfCalls,
-		}
-		if n.InCycle() {
-			r.Cycle = n.Cycle.Number
-		}
-		p.Routines = append(p.Routines, r)
-	}
+	in, inStart, out, outStart := g.Adjacency()
+	l := &Links{in: in, inStart: inStart, out: out, outStart: outStart,
+		memberStart: make([]int32, len(g.Cycles)+1), byName: g.NameOrder()}
 
 	// Per-cycle totals once per cycle, not once per arc. Cycle numbers
 	// are dense and 1-based.
 	extCalls := make([]int64, len(g.Cycles)+1)
-	for _, c := range g.Cycles {
-		ext := c.ExternalCalls()
-		extCalls[c.Number] = ext
+	if len(g.Cycles) > 0 {
+		p.Cycles = make([]Cycle, len(g.Cycles))
+	}
+	for i := range g.Cycles {
+		c := &g.Cycles[i]
+		extCalls[c.Number] = c.ExternalCalls(g)
 		mc := Cycle{
 			Number:        c.Number,
 			Index:         c.Index,
-			Members:       make([]string, 0, len(c.Members)),
-			SelfTicks:     c.SelfTicks(),
+			Members:       make([]string, len(c.Members)),
+			SelfTicks:     c.SelfTicks(g),
 			ChildTicks:    c.ChildTicks,
-			ExternalCalls: ext,
-			InternalCalls: c.InternalCalls(),
+			ExternalCalls: extCalls[c.Number],
+			InternalCalls: c.InternalCalls(g),
 		}
-		for _, m := range c.Members {
-			mc.Members = append(mc.Members, m.Name)
+		for j, m := range c.Members {
+			mc.Members[j] = g.Names[m]
 		}
-		p.Cycles = append(p.Cycles, mc)
+		p.Cycles[i] = mc
+		l.members = append(l.members, c.Members...)
+		l.memberStart[i+1] = int32(len(l.members))
 	}
 
-	p.Arcs = make([]Arc, 0, g.NumArcs())
-	for _, n := range nodes {
-		for _, a := range n.In {
-			row := Arc{
-				From:           -1,
-				To:             int32(n.ID),
-				Count:          a.Count,
-				Sites:          a.Sites,
-				Static:         a.Static,
-				PropSelfTicks:  a.PropSelf,
-				PropChildTicks: a.PropChild,
-			}
-			if a.Caller != nil {
-				row.From = int32(a.Caller.ID)
-			}
-			// The calls/total denominator: calls into the callee, or
-			// into its whole cycle when it is a member.
-			if n.InCycle() {
-				row.TotalCalls = extCalls[n.Cycle.Number]
-			} else {
-				row.TotalCalls = callsOf[n.ID].calls
-			}
-			p.Arcs = append(p.Arcs, row)
+	p.Arcs = make([]Arc, g.NumArcs())
+	for a := range p.Arcs {
+		to := g.Callee[a]
+		// The calls/total denominator: calls into the callee, or into
+		// its whole cycle when it is a member.
+		total := g.Calls(to)
+		if c := g.CycleNum[to]; c != 0 {
+			total = extCalls[c]
+		}
+		p.Arcs[a] = Arc{
+			From:           g.Caller[a],
+			To:             to,
+			Count:          g.Count[a],
+			TotalCalls:     total,
+			Sites:          int(g.Sites[a]),
+			Static:         g.Static[a],
+			PropSelfTicks:  g.PropSelf[a],
+			PropChildTicks: g.PropChild[a],
 		}
 	}
-	p.links = newLinks(p, func(c, j int) int32 { return int32(g.Cycles[c].Members[j].ID) }, g.NameOrder())
+	p.links = l
 	p.buildFlat()
 	return p
 }

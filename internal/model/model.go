@@ -258,7 +258,7 @@ func (p *Profile) Links() *Links {
 			p.links = newLinks(p, func(c, j int) int32 {
 				i, _ := p.RoutinePos(p.Cycles[c].Members[j])
 				return int32(i)
-			}, nil)
+			})
 		}
 	})
 	return p.links
@@ -302,20 +302,18 @@ func (l *Links) Members(c int) []int32 { return l.members[l.memberStart[c]:l.mem
 // the result.
 func (l *Links) ByName() []int32 { return l.byName }
 
-// newLinks lays out p's arcs by a counting sort on each endpoint, which
-// keeps every routine's arcs in model order, and records each cycle's
-// members and the routines' name order; member(c, j) is the position
-// of the j-th member of p.Cycles[c], and a nil byName is sorted from
-// the routines' names.
-func newLinks(p *Profile, member func(c, j int) int32, byName []int32) *Links {
+// newLinks lays out a decoded or hand-assembled profile's arcs by a
+// counting sort on each endpoint, which keeps every routine's arcs in
+// model order, and records each cycle's members and the routines' name
+// order; member(c, j) is the position of the j-th member of
+// p.Cycles[c]. Build takes all of these from the graph instead.
+func newLinks(p *Profile, member func(c, j int) int32) *Links {
 	n := len(p.Routines)
-	if byName == nil {
-		names := make([]string, n)
-		for i := range p.Routines {
-			names[i] = p.Routines[i].Name
-		}
-		byName = order.ByName(names)
+	names := make([]string, n)
+	for i := range p.Routines {
+		names[i] = p.Routines[i].Name
 	}
+	byName := order.ByName(names)
 	l := &Links{
 		inStart:     make([]int32, n+1),
 		outStart:    make([]int32, n+1),

@@ -22,12 +22,11 @@ func testGraph() *callgraph.Graph {
 	g.AddArc("a", "b", 6)
 	g.AddArc("b", "a", 2)
 	g.AddArc("a", "a", 3)
-	st := g.AddArc("main", "ghost", 0)
-	st.Static = true
+	g.Static[g.AddArc("main", "ghost", 0)] = true
 	g.AddNode("unused")
-	g.MustNode("main").SelfTicks = 1
-	g.MustNode("a").SelfTicks = 5
-	g.MustNode("b").SelfTicks = 4
+	g.SelfTicks[g.MustNode("main")] = 1
+	g.SelfTicks[g.MustNode("a")] = 5
+	g.SelfTicks[g.MustNode("b")] = 4
 	g.TotalTicks = 10
 	scc.Analyze(g)
 	propagate.Run(g)
@@ -216,10 +215,10 @@ func TestDiff(t *testing.T) {
 	g.AddArc("a", "b", 6)
 	g.AddArc("b", "a", 2)
 	g.AddArc("main", "fresh", 5)
-	g.MustNode("main").SelfTicks = 1
-	g.MustNode("a").SelfTicks = 9
-	g.MustNode("b").SelfTicks = 4
-	g.MustNode("fresh").SelfTicks = 2
+	g.SelfTicks[g.MustNode("main")] = 1
+	g.SelfTicks[g.MustNode("a")] = 9
+	g.SelfTicks[g.MustNode("b")] = 4
+	g.SelfTicks[g.MustNode("fresh")] = 2
 	g.TotalTicks = 16
 	scc.Analyze(g)
 	propagate.Run(g)

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/callgraph"
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/propagate"
 	"repro/internal/report"
@@ -31,19 +30,20 @@ import (
 // never-called names.
 func stableReference(g *callgraph.Graph) (nodeIdx, cycleIdx []int, flat, never []string) {
 	type unit struct {
-		node  *callgraph.Node
+		node  int32 // -1 for a cycle
 		cycle int
 		total float64
 		name  string
 	}
 	var units []unit
-	for _, n := range g.Nodes() {
-		if !n.InCycle() {
-			units = append(units, unit{node: n, total: n.TotalTicks(), name: n.Name})
+	for v := range int32(g.Len()) {
+		if g.CycleNum[v] == 0 {
+			units = append(units, unit{node: v, total: g.SelfTicks[v] + g.ChildTicks[v], name: g.Names[v]})
 		}
 	}
-	for i, c := range g.Cycles {
-		units = append(units, unit{cycle: i, total: c.TotalTicks(), name: fmt.Sprintf("<cycle %d as a whole>", c.Number)})
+	for i := range g.Cycles {
+		c := &g.Cycles[i]
+		units = append(units, unit{node: -1, cycle: i, total: c.TotalTicks(g), name: fmt.Sprintf("<cycle %d as a whole>", c.Number)})
 	}
 	slices.SortStableFunc(units, func(a, b unit) int {
 		if a.total != b.total {
@@ -58,45 +58,46 @@ func stableReference(g *callgraph.Graph) (nodeIdx, cycleIdx []int, flat, never [
 	cycleIdx = make([]int, len(g.Cycles))
 	idx := 1
 	for _, u := range units {
-		if u.node != nil {
-			nodeIdx[u.node.ID] = idx
+		if u.node >= 0 {
+			nodeIdx[u.node] = idx
 			idx++
 			continue
 		}
 		cycleIdx[u.cycle] = idx
 		idx++
 		members := slices.Clone(g.Cycles[u.cycle].Members)
-		slices.SortStableFunc(members, func(a, b *callgraph.Node) int {
+		slices.SortStableFunc(members, func(a, b int32) int {
 			switch {
-			case a.SelfTicks > b.SelfTicks:
+			case g.SelfTicks[a] > g.SelfTicks[b]:
 				return -1
-			case a.SelfTicks < b.SelfTicks:
+			case g.SelfTicks[a] < g.SelfTicks[b]:
 				return 1
 			}
 			return 0
 		})
 		for _, m := range members {
-			nodeIdx[m.ID] = idx
+			nodeIdx[m] = idx
 			idx++
 		}
 	}
 
 	type row struct {
-		n     *callgraph.Node
+		name  string
+		self  float64
 		calls int64
 	}
 	var rows []row
-	for _, n := range g.Nodes() {
-		calls := n.Calls() + n.SelfCalls()
-		if calls == 0 && n.SelfTicks == 0 {
-			never = append(never, n.Name)
+	for v := range int32(g.Len()) {
+		calls := g.Calls(v) + g.SelfCalls(v)
+		if calls == 0 && g.SelfTicks[v] == 0 {
+			never = append(never, g.Names[v])
 			continue
 		}
-		rows = append(rows, row{n, calls})
+		rows = append(rows, row{g.Names[v], g.SelfTicks[v], calls})
 	}
 	slices.SortStableFunc(rows, func(a, b row) int {
-		if a.n.SelfTicks != b.n.SelfTicks {
-			if a.n.SelfTicks > b.n.SelfTicks {
+		if a.self != b.self {
+			if a.self > b.self {
 				return -1
 			}
 			return 1
@@ -107,10 +108,10 @@ func stableReference(g *callgraph.Graph) (nodeIdx, cycleIdx []int, flat, never [
 			}
 			return 1
 		}
-		return strings.Compare(a.n.Name, b.n.Name)
+		return strings.Compare(a.name, b.name)
 	})
 	for _, r := range rows {
-		flat = append(flat, r.n.Name)
+		flat = append(flat, r.name)
 	}
 	slices.Sort(never)
 	return nodeIdx, cycleIdx, flat, never
@@ -208,6 +209,22 @@ func shuffleNames(w *synth.Workload, seed int64) {
 	rng.Shuffle(len(w.Syms), func(i, j int) { w.Syms[i].Name, w.Syms[j].Name = w.Syms[j].Name, w.Syms[i].Name })
 }
 
+// stages builds w's call graph, finds its cycles and propagates its
+// time: the stage functions core.Run and the benchmark call before
+// model.Build.
+func stages(t testing.TB, w *synth.Workload) *callgraph.Graph {
+	ctx := context.Background()
+	g, err := callgraph.BuildCtx(ctx, w.Table(), w.Prof, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scc.Analyze(g)
+	if err := propagate.RunCtx(ctx, g, 1); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // analyzed finds the cycles of g and propagates its time.
 func analyzed(g *callgraph.Graph) *callgraph.Graph {
 	scc.Analyze(g)
@@ -228,11 +245,7 @@ func TestListingOrderMatchesStableReference(t *testing.T) {
 			if shuffled {
 				shuffleNames(w, int64(n))
 			}
-			_, g, err := core.RunGraph(context.Background(), core.TableSource{Table: w.Table()}, w.Prof, core.Options{Jobs: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkOrder(t, fmt.Sprintf("synth %d shuffled=%v", n, shuffled), g)
+			checkOrder(t, fmt.Sprintf("synth %d shuffled=%v", n, shuffled), stages(t, w))
 		}
 	}
 
@@ -242,7 +255,7 @@ func TestListingOrderMatchesStableReference(t *testing.T) {
 	g.Hz = 1
 	for _, name := range []string{"d", "b", "c", "a"} {
 		g.AddArc("main", name, 1)
-		g.MustNode(name).SelfTicks = 2
+		g.SelfTicks[g.MustNode(name)] = 2
 	}
 	g.TotalTicks = 8
 	checkOrder(t, "equal totals", analyzed(g))
@@ -254,9 +267,9 @@ func TestListingOrderMatchesStableReference(t *testing.T) {
 	g.AddArc("main", "y", 3)
 	g.AddArc("main", "x", 3)
 	g.AddArc("y", "leaf", 1)
-	g.MustNode("x").SelfTicks = 1
-	g.MustNode("y").SelfTicks = 1
-	g.MustNode("leaf").SelfTicks = 4
+	g.SelfTicks[g.MustNode("x")] = 1
+	g.SelfTicks[g.MustNode("y")] = 1
+	g.SelfTicks[g.MustNode("leaf")] = 4
 	g.AddNode("never2")
 	g.AddNode("never1")
 	g.TotalTicks = 6
@@ -275,9 +288,9 @@ func TestListingOrderMatchesStableReference(t *testing.T) {
 		g.AddArc("main", p, 1)
 		g.AddArc(p, q, 1)
 		g.AddArc(q, p, 1)
-		g.MustNode(p).SelfTicks = 1
-		g.MustNode(q).SelfTicks = 1
-		g.MustNode(twin).SelfTicks = 2
+		g.SelfTicks[g.MustNode(p)] = 1
+		g.SelfTicks[g.MustNode(q)] = 1
+		g.SelfTicks[g.MustNode(twin)] = 2
 	}
 	g.TotalTicks = 4 * cycles
 	checkOrder(t, "equal cycles", analyzed(g))
@@ -325,7 +338,7 @@ func FuzzListingOrder(f *testing.F) {
 					name += string(alphabet[next()%len(alphabet)])
 				}
 			}
-			g.AddNode(name).SelfTicks = ticks[next()%len(ticks)]
+			g.SelfTicks[g.AddNode(name)] = ticks[next()%len(ticks)]
 			names = append(names, name)
 		}
 		for len(data) >= 3 {
@@ -337,8 +350,8 @@ func FuzzListingOrder(f *testing.F) {
 			g.AddArc(caller, names[to%len(names)], int64(count))
 		}
 		var total float64
-		for _, n := range g.Nodes() {
-			total += n.SelfTicks
+		for _, t := range g.SelfTicks {
+			total += t
 		}
 		g.TotalTicks = total
 		m := checkOrder(t, "fuzz", analyzed(g))

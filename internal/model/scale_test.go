@@ -1,10 +1,8 @@
 package model_test
 
 import (
-	"context"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/cputime"
 	"repro/internal/model"
 	"repro/internal/synth"
@@ -25,10 +23,7 @@ func TestModelBuildScalesLinearly(t *testing.T) {
 	const n = 50000
 	build := func(nodes int) func() {
 		w := synth.Generate(synth.Tier(nodes, 1))
-		_, g, err := core.RunGraph(context.Background(), core.TableSource{Table: w.Table()}, w.Prof, core.Options{Jobs: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := stages(t, w)
 		return func() { model.Build(g) }
 	}
 	ratio, ratios := cputime.PairRatio(build(n), build(2*n))

@@ -1,10 +1,11 @@
-// Package stacksample holds the behaviour tests of whole-stack sampling,
-// the retrospective's alternative to gprof's arc-based attribution. The
-// samples come from the one collector path every tool uses —
-// mon.Collector with Config.Stacks on an uninstrumented build, condensed
-// by core.Run into the model's Stacks view — so these tests check what
-// `vmrun -stacks` and `gprof -folded` report.
-package stacksample
+package mon_test
+
+// The behaviour tests of whole-stack sampling, the retrospective's
+// alternative to gprof's arc-based attribution. The samples come from
+// the one collector path every tool uses — mon.Collector with
+// Config.Stacks on an uninstrumented build, condensed by core.Run into
+// the model's Stacks view — so these tests check what `vmrun -stacks`
+// and `gprof -folded` report.
 
 import (
 	"bytes"

@@ -30,8 +30,8 @@ import (
 )
 
 // Run performs propagation over an analyzed graph (scc.Analyze must have
-// been called). It fills in Node.ChildTicks, Cycle.ChildTicks, and the
-// per-arc PropSelf/PropChild fields. Run is idempotent.
+// been called). It fills in the ChildTicks, PropSelf and PropChild
+// columns and Cycle.ChildTicks. Run is idempotent.
 func Run(g *callgraph.Graph) {
 	_ = RunCtx(context.Background(), g, 1)
 }
@@ -43,83 +43,58 @@ func Run(g *callgraph.Graph) {
 // a handful of units per level (DESIGN.md §16). The parameter stays
 // for callers that pass one width to every stage.
 func RunCtx(ctx context.Context, g *callgraph.Graph, jobs int) error {
-	for _, n := range g.Nodes() {
-		n.ChildTicks = 0
-		for _, a := range n.In {
-			a.PropSelf, a.PropChild = 0, 0
-		}
-	}
-	for _, c := range g.Cycles {
-		c.ChildTicks = 0
+	g.Freeze()
+	clear(g.ChildTicks)
+	clear(g.PropSelf)
+	clear(g.PropChild)
+	for i := range g.Cycles {
+		g.Cycles[i].ChildTicks = 0
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	doneCycle := make([]bool, len(g.Cycles)+1)
-	for _, n := range scc.TopoOrder(g) {
-		if c := n.Cycle; c != nil {
-			if doneCycle[c.Number] {
+	for _, v := range scc.TopoOrder(g) {
+		if c := g.CycleNum[v]; c != 0 {
+			if doneCycle[c] {
 				continue
 			}
-			doneCycle[c.Number] = true
-			distributeCycle(c)
+			doneCycle[c] = true
+			cy := &g.Cycles[c-1]
+			distribute(g, cy.Members, cy.ExternalCalls(g), cy.SelfTicks(g), cy.ChildTicks)
 			continue
 		}
-		distributeNode(n)
+		distribute(g, []int32{v}, g.Calls(v), g.SelfTicks[v], g.ChildTicks[v])
 	}
 	return nil
 }
 
-// distributeNode shares a node's self+child time among its incoming
-// arcs in proportion to their counts, accumulating into each caller's
-// unit (or nowhere, for spontaneous arcs).
-func distributeNode(n *callgraph.Node) {
-	calls := n.Calls()
+// distribute shares a unit's self and child time among the arcs
+// entering it from outside, in proportion to their counts, accumulating
+// into each caller's unit (or nowhere, for spontaneous arcs). A unit is
+// a node, or a collapsed cycle whose members' summed time is shared
+// among the arcs entering the cycle; calls is the unit's count of such
+// calls.
+func distribute(g *callgraph.Graph, members []int32, calls int64, self, child float64) {
 	if calls <= 0 {
 		return
 	}
-	self, child := n.SelfTicks, n.ChildTicks
-	for _, a := range n.In {
-		if a.Self() || a.Count <= 0 {
-			continue // self-recursion and static arcs never propagate
-		}
-		frac := float64(a.Count) / float64(calls)
-		a.PropSelf = self * frac
-		a.PropChild = child * frac
-		if a.Caller == nil {
-			continue // spontaneous: computed for display, flows nowhere
-		}
-		if pc := a.Caller.Cycle; pc != nil {
-			pc.ChildTicks += a.PropSelf + a.PropChild
-		} else {
-			a.Caller.ChildTicks += a.PropSelf + a.PropChild
-		}
-	}
-}
-
-// distributeCycle is distributeNode for a collapsed cycle: the members'
-// summed time is shared among the arcs entering the cycle from outside.
-func distributeCycle(c *callgraph.Cycle) {
-	calls := c.ExternalCalls()
-	if calls <= 0 {
-		return
-	}
-	self, child := c.SelfTicks(), c.ChildTicks
-	for _, m := range c.Members {
-		for _, a := range m.In {
-			if a.IntraCycle() || a.Self() || a.Count <= 0 {
-				continue
+	for _, m := range members {
+		for _, a := range g.In(m) {
+			if g.Count[a] <= 0 || g.IntraCycle(a) {
+				continue // static arcs and arcs inside a cycle never propagate
 			}
-			frac := float64(a.Count) / float64(calls)
-			a.PropSelf = self * frac
-			a.PropChild = child * frac
-			if a.Caller == nil {
-				continue
+			frac := float64(g.Count[a]) / float64(calls)
+			g.PropSelf[a] = self * frac
+			g.PropChild[a] = child * frac
+			f := g.Caller[a]
+			if f < 0 {
+				continue // spontaneous: computed for display, flows nowhere
 			}
-			if pc := a.Caller.Cycle; pc != nil {
-				pc.ChildTicks += a.PropSelf + a.PropChild
+			if pc := g.CycleNum[f]; pc != 0 {
+				g.Cycles[pc-1].ChildTicks += g.PropSelf[a] + g.PropChild[a]
 			} else {
-				a.Caller.ChildTicks += a.PropSelf + a.PropChild
+				g.ChildTicks[f] += g.PropSelf[a] + g.PropChild[a]
 			}
 		}
 	}
@@ -130,29 +105,30 @@ func distributeCycle(c *callgraph.Cycle) {
 // distributed to parents and spontaneous shares. It returns the absolute
 // discrepancy between (retained + spontaneous) and total self time; a
 // correct run returns a value within floating-point noise of zero. Used
-// by tests and the experiment harness.
+// by core's check on every analysis, and by the tests.
 func CheckConservation(g *callgraph.Graph) float64 {
 	var retained, selfSum, spont float64
-	seen := make(map[*callgraph.Cycle]bool)
-	for _, n := range g.Nodes() {
-		if c := n.Cycle; c != nil {
+	seen := make([]bool, len(g.Cycles)+1)
+	for v := range int32(g.Len()) {
+		if c := g.CycleNum[v]; c != 0 {
 			if seen[c] {
 				continue
 			}
 			seen[c] = true
-			selfSum += c.SelfTicks()
-			if c.ExternalCalls() == 0 {
-				retained += c.TotalTicks()
+			cy := &g.Cycles[c-1]
+			selfSum += cy.SelfTicks(g)
+			if cy.ExternalCalls(g) == 0 {
+				retained += cy.TotalTicks(g)
 			}
 			continue
 		}
-		selfSum += n.SelfTicks
-		if n.Calls() == 0 {
-			retained += n.TotalTicks()
+		selfSum += g.SelfTicks[v]
+		if g.Calls(v) == 0 {
+			retained += g.SelfTicks[v] + g.ChildTicks[v]
 		}
 	}
-	for _, a := range g.Spontaneous {
-		spont += a.PropSelf + a.PropChild
+	for _, a := range g.Spontaneous() {
+		spont += g.PropSelf[a] + g.PropChild[a]
 	}
 	return math.Abs(retained + spont - selfSum)
 }

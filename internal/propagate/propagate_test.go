@@ -22,19 +22,19 @@ func TestLinearChain(t *testing.T) {
 	g := callgraph.New()
 	g.AddArc("main", "mid", 1)
 	g.AddArc("mid", "leaf", 1)
-	g.MustNode("main").SelfTicks = 10
-	g.MustNode("mid").SelfTicks = 20
-	g.MustNode("leaf").SelfTicks = 30
+	g.SelfTicks[g.MustNode("main")] = 10
+	g.SelfTicks[g.MustNode("mid")] = 20
+	g.SelfTicks[g.MustNode("leaf")] = 30
 	scc.Analyze(g)
 	Run(g)
-	if !near(g.MustNode("mid").ChildTicks, 30) {
-		t.Errorf("mid child = %v, want 30", g.MustNode("mid").ChildTicks)
+	if !near(g.ChildTicks[g.MustNode("mid")], 30) {
+		t.Errorf("mid child = %v, want 30", g.ChildTicks[g.MustNode("mid")])
 	}
-	if !near(g.MustNode("main").ChildTicks, 50) {
-		t.Errorf("main child = %v, want 50", g.MustNode("main").ChildTicks)
+	if !near(g.ChildTicks[g.MustNode("main")], 50) {
+		t.Errorf("main child = %v, want 50", g.ChildTicks[g.MustNode("main")])
 	}
-	if !near(g.MustNode("main").TotalTicks(), 60) {
-		t.Errorf("main total = %v, want 60", g.MustNode("main").TotalTicks())
+	if main := g.MustNode("main"); !near(g.SelfTicks[main]+g.ChildTicks[main], 60) {
+		t.Errorf("main total = %v, want 60", g.SelfTicks[main]+g.ChildTicks[main])
 	}
 	if got := CheckConservation(g); got > eps {
 		t.Errorf("conservation error %v", got)
@@ -45,22 +45,23 @@ func TestLinearChain(t *testing.T) {
 // `shared` 4 and 6 times: they receive 40% and 60% of its total time.
 func TestProportionalSharing(t *testing.T) {
 	g := callgraph.New()
-	a1 := g.AddArc("caller1", "shared", 4)
-	a2 := g.AddArc("caller2", "shared", 6)
-	g.MustNode("shared").SelfTicks = 100
+	g.AddArc("caller1", "shared", 4)
+	g.AddArc("caller2", "shared", 6)
+	g.SelfTicks[g.MustNode("shared")] = 100
 	scc.Analyze(g)
 	Run(g)
-	if !near(g.MustNode("caller1").ChildTicks, 40) {
-		t.Errorf("caller1 = %v, want 40", g.MustNode("caller1").ChildTicks)
+	if !near(g.ChildTicks[g.MustNode("caller1")], 40) {
+		t.Errorf("caller1 = %v, want 40", g.ChildTicks[g.MustNode("caller1")])
 	}
-	if !near(g.MustNode("caller2").ChildTicks, 60) {
-		t.Errorf("caller2 = %v, want 60", g.MustNode("caller2").ChildTicks)
+	if !near(g.ChildTicks[g.MustNode("caller2")], 60) {
+		t.Errorf("caller2 = %v, want 60", g.ChildTicks[g.MustNode("caller2")])
 	}
-	if !near(a1.PropSelf, 40) || !near(a1.PropChild, 0) {
-		t.Errorf("arc1 prop = %v/%v, want 40/0", a1.PropSelf, a1.PropChild)
+	a1, a2 := mustArc(g, "caller1", "shared"), mustArc(g, "caller2", "shared")
+	if !near(g.PropSelf[a1], 40) || !near(g.PropChild[a1], 0) {
+		t.Errorf("arc1 prop = %v/%v, want 40/0", g.PropSelf[a1], g.PropChild[a1])
 	}
-	if !near(a2.PropSelf, 60) {
-		t.Errorf("arc2 PropSelf = %v", a2.PropSelf)
+	if !near(g.PropSelf[a2], 60) {
+		t.Errorf("arc2 PropSelf = %v", g.PropSelf[a2])
 	}
 }
 
@@ -68,17 +69,18 @@ func TestProportionalSharing(t *testing.T) {
 // on arcs (Figure 4's self/descendants columns).
 func TestDescendantSplit(t *testing.T) {
 	g := callgraph.New()
-	arc := g.AddArc("top", "mid", 2)
+	g.AddArc("top", "mid", 2)
 	g.AddArc("mid", "leaf", 1)
-	g.MustNode("mid").SelfTicks = 10
-	g.MustNode("leaf").SelfTicks = 40
+	g.SelfTicks[g.MustNode("mid")] = 10
+	g.SelfTicks[g.MustNode("leaf")] = 40
 	scc.Analyze(g)
 	Run(g)
-	if !near(arc.PropSelf, 10) {
-		t.Errorf("PropSelf = %v, want 10 (mid's own time)", arc.PropSelf)
+	arc := mustArc(g, "top", "mid")
+	if !near(g.PropSelf[arc], 10) {
+		t.Errorf("PropSelf = %v, want 10 (mid's own time)", g.PropSelf[arc])
 	}
-	if !near(arc.PropChild, 40) {
-		t.Errorf("PropChild = %v, want 40 (leaf's time through mid)", arc.PropChild)
+	if !near(g.PropChild[arc], 40) {
+		t.Errorf("PropChild = %v, want 40 (leaf's time through mid)", g.PropChild[arc])
 	}
 }
 
@@ -89,12 +91,12 @@ func TestSelfRecursionExcluded(t *testing.T) {
 	g := callgraph.New()
 	g.AddArc("main", "fact", 1)
 	g.AddArc("fact", "fact", 9)
-	g.MustNode("fact").SelfTicks = 100
+	g.SelfTicks[g.MustNode("fact")] = 100
 	scc.Analyze(g)
 	Run(g)
-	if !near(g.MustNode("main").ChildTicks, 100) {
+	if !near(g.ChildTicks[g.MustNode("main")], 100) {
 		t.Errorf("main child = %v, want all 100 despite 9 self-calls",
-			g.MustNode("main").ChildTicks)
+			g.ChildTicks[g.MustNode("main")])
 	}
 	if got := CheckConservation(g); got > eps {
 		t.Errorf("conservation error %v", got)
@@ -107,34 +109,35 @@ func TestSelfRecursionExcluded(t *testing.T) {
 func TestCycleAsSingleEntity(t *testing.T) {
 	g := callgraph.New()
 	g.AddArc("main", "p", 2)
-	pq := g.AddArc("p", "q", 50)
-	qp := g.AddArc("q", "p", 49)
+	g.AddArc("p", "q", 50)
+	g.AddArc("q", "p", 49)
 	g.AddArc("q", "leaf", 10)
-	g.MustNode("p").SelfTicks = 30
-	g.MustNode("q").SelfTicks = 20
-	g.MustNode("leaf").SelfTicks = 5
+	g.SelfTicks[g.MustNode("p")] = 30
+	g.SelfTicks[g.MustNode("q")] = 20
+	g.SelfTicks[g.MustNode("leaf")] = 5
 	scc.Analyze(g)
 	Run(g)
-	c := g.Cycles[0]
-	if !near(c.SelfTicks(), 50) {
-		t.Errorf("cycle self = %v, want 50", c.SelfTicks())
+	c := &g.Cycles[0]
+	if !near(c.SelfTicks(g), 50) {
+		t.Errorf("cycle self = %v, want 50", c.SelfTicks(g))
 	}
 	// leaf's 5 flows into the cycle (q is its only caller).
 	if !near(c.ChildTicks, 5) {
 		t.Errorf("cycle child = %v, want 5", c.ChildTicks)
 	}
 	// main receives the cycle's whole 55 (sole external caller).
-	if !near(g.MustNode("main").ChildTicks, 55) {
-		t.Errorf("main child = %v, want 55", g.MustNode("main").ChildTicks)
+	if !near(g.ChildTicks[g.MustNode("main")], 55) {
+		t.Errorf("main child = %v, want 55", g.ChildTicks[g.MustNode("main")])
 	}
-	if pq.PropSelf != 0 || pq.PropChild != 0 || qp.PropSelf != 0 {
+	pq, qp := mustArc(g, "p", "q"), mustArc(g, "q", "p")
+	if g.PropSelf[pq] != 0 || g.PropChild[pq] != 0 || g.PropSelf[qp] != 0 {
 		t.Error("intra-cycle arcs carry propagated time")
 	}
-	if c.ExternalCalls() != 2 {
-		t.Errorf("external calls = %d, want 2", c.ExternalCalls())
+	if c.ExternalCalls(g) != 2 {
+		t.Errorf("external calls = %d, want 2", c.ExternalCalls(g))
 	}
-	if c.InternalCalls() != 99 {
-		t.Errorf("internal calls = %d, want 99", c.InternalCalls())
+	if c.InternalCalls(g) != 99 {
+		t.Errorf("internal calls = %d, want 99", c.InternalCalls(g))
 	}
 	if got := CheckConservation(g); got > eps {
 		t.Errorf("conservation error %v", got)
@@ -149,15 +152,15 @@ func TestCycleSharedByCallers(t *testing.T) {
 	g.AddArc("b", "q", 3) // into member q
 	g.AddArc("p", "q", 10)
 	g.AddArc("q", "p", 10)
-	g.MustNode("p").SelfTicks = 60
-	g.MustNode("q").SelfTicks = 20
+	g.SelfTicks[g.MustNode("p")] = 60
+	g.SelfTicks[g.MustNode("q")] = 20
 	scc.Analyze(g)
 	Run(g)
-	if !near(g.MustNode("a").ChildTicks, 20) {
-		t.Errorf("a = %v, want 80*1/4 = 20", g.MustNode("a").ChildTicks)
+	if !near(g.ChildTicks[g.MustNode("a")], 20) {
+		t.Errorf("a = %v, want 80*1/4 = 20", g.ChildTicks[g.MustNode("a")])
 	}
-	if !near(g.MustNode("b").ChildTicks, 60) {
-		t.Errorf("b = %v, want 80*3/4 = 60", g.MustNode("b").ChildTicks)
+	if !near(g.ChildTicks[g.MustNode("b")], 60) {
+		t.Errorf("b = %v, want 80*3/4 = 60", g.ChildTicks[g.MustNode("b")])
 	}
 }
 
@@ -166,17 +169,16 @@ func TestCycleSharedByCallers(t *testing.T) {
 func TestStaticArcNoPropagation(t *testing.T) {
 	g := callgraph.New()
 	g.AddArc("main", "used", 5)
-	st := g.AddArc("other", "used", 0)
-	st.Static = true
-	g.MustNode("used").SelfTicks = 50
+	g.Static[g.AddArc("other", "used", 0)] = true
+	g.SelfTicks[g.MustNode("used")] = 50
 	scc.Analyze(g)
 	Run(g)
-	if g.MustNode("other").ChildTicks != 0 {
-		t.Errorf("static arc propagated %v ticks", g.MustNode("other").ChildTicks)
+	if g.ChildTicks[g.MustNode("other")] != 0 {
+		t.Errorf("static arc propagated %v ticks", g.ChildTicks[g.MustNode("other")])
 	}
-	if !near(g.MustNode("main").ChildTicks, 50) {
+	if !near(g.ChildTicks[g.MustNode("main")], 50) {
 		t.Errorf("main = %v, want 50 (denominator excludes count-0 arcs)",
-			g.MustNode("main").ChildTicks)
+			g.ChildTicks[g.MustNode("main")])
 	}
 }
 
@@ -186,15 +188,15 @@ func TestSpontaneousShareVanishes(t *testing.T) {
 	g := callgraph.New()
 	g.AddArc("main", "handler", 3)
 	g.AddArc("", "handler", 1) // spontaneous
-	g.MustNode("handler").SelfTicks = 40
+	g.SelfTicks[g.MustNode("handler")] = 40
 	scc.Analyze(g)
 	Run(g)
-	if !near(g.MustNode("main").ChildTicks, 30) {
-		t.Errorf("main = %v, want 30 (3 of 4 calls)", g.MustNode("main").ChildTicks)
+	if !near(g.ChildTicks[g.MustNode("main")], 30) {
+		t.Errorf("main = %v, want 30 (3 of 4 calls)", g.ChildTicks[g.MustNode("main")])
 	}
-	sp := g.Spontaneous[0]
-	if !near(sp.PropSelf, 10) {
-		t.Errorf("spontaneous share = %v, want 10", sp.PropSelf)
+	sp := g.Spontaneous()[0]
+	if !near(g.PropSelf[sp], 10) {
+		t.Errorf("spontaneous share = %v, want 10", g.PropSelf[sp])
 	}
 	if got := CheckConservation(g); got > eps {
 		t.Errorf("conservation error %v", got)
@@ -213,48 +215,47 @@ func TestFigure4Numbers(t *testing.T) {
 	Run(g)
 
 	ex := g.MustNode("EXAMPLE")
-	if !near(ex.SelfTicks, 0.50) {
-		t.Errorf("EXAMPLE self = %v, want 0.50", ex.SelfTicks)
+	if !near(g.SelfTicks[ex], 0.50) {
+		t.Errorf("EXAMPLE self = %v, want 0.50", g.SelfTicks[ex])
 	}
-	if !near(ex.ChildTicks, 3.00) {
-		t.Errorf("EXAMPLE descendants = %v, want 3.00", ex.ChildTicks)
+	if !near(g.ChildTicks[ex], 3.00) {
+		t.Errorf("EXAMPLE descendants = %v, want 3.00", g.ChildTicks[ex])
 	}
-	if ex.Calls() != 10 || ex.SelfCalls() != 4 {
-		t.Errorf("EXAMPLE called %d+%d, want 10+4", ex.Calls(), ex.SelfCalls())
+	if g.Calls(ex) != 10 || g.SelfCalls(ex) != 4 {
+		t.Errorf("EXAMPLE called %d+%d, want 10+4", g.Calls(ex), g.SelfCalls(ex))
 	}
 
-	find := func(from, to string) *callgraph.Arc {
-		for _, a := range g.Arcs() {
-			if !a.Spontaneous() && a.Caller.Name == from && a.Callee.Name == to {
-				return a
-			}
-		}
-		t.Fatalf("no arc %s->%s", from, to)
-		return nil
+	prop := func(from, to string) (float64, float64) {
+		a := mustArc(g, from, to)
+		return g.PropSelf[a], g.PropChild[a]
 	}
-	c1 := find("CALLER1", "EXAMPLE")
-	if !near(c1.PropSelf, 0.20) || !near(c1.PropChild, 1.20) {
-		t.Errorf("CALLER1 gets %.2f/%.2f, want 0.20/1.20", c1.PropSelf, c1.PropChild)
+	if s, c := prop("CALLER1", "EXAMPLE"); !near(s, 0.20) || !near(c, 1.20) {
+		t.Errorf("CALLER1 gets %.2f/%.2f, want 0.20/1.20", s, c)
 	}
-	c2 := find("CALLER2", "EXAMPLE")
-	if !near(c2.PropSelf, 0.30) || !near(c2.PropChild, 1.80) {
-		t.Errorf("CALLER2 gets %.2f/%.2f, want 0.30/1.80", c2.PropSelf, c2.PropChild)
+	if s, c := prop("CALLER2", "EXAMPLE"); !near(s, 0.30) || !near(c, 1.80) {
+		t.Errorf("CALLER2 gets %.2f/%.2f, want 0.30/1.80", s, c)
 	}
-	s1 := find("EXAMPLE", "SUB1")
-	if !near(s1.PropSelf, 1.50) || !near(s1.PropChild, 1.00) {
-		t.Errorf("SUB1 passes %.2f/%.2f, want 1.50/1.00", s1.PropSelf, s1.PropChild)
+	if s, c := prop("EXAMPLE", "SUB1"); !near(s, 1.50) || !near(c, 1.00) {
+		t.Errorf("SUB1 passes %.2f/%.2f, want 1.50/1.00", s, c)
 	}
-	s2 := find("EXAMPLE", "SUB2")
-	if !near(s2.PropSelf, 0.00) || !near(s2.PropChild, 0.50) {
-		t.Errorf("SUB2 passes %.2f/%.2f, want 0.00/0.50", s2.PropSelf, s2.PropChild)
+	if s, c := prop("EXAMPLE", "SUB2"); !near(s, 0.00) || !near(c, 0.50) {
+		t.Errorf("SUB2 passes %.2f/%.2f, want 0.00/0.50", s, c)
 	}
-	s3 := find("EXAMPLE", "SUB3")
-	if s3.PropSelf != 0 || s3.PropChild != 0 {
+	if s, c := prop("EXAMPLE", "SUB3"); s != 0 || c != 0 {
 		t.Error("never-traversed SUB3 arc propagated time")
 	}
 	if got := CheckConservation(g); got > eps {
 		t.Errorf("conservation error %v", got)
 	}
+}
+
+// mustArc returns the caller→callee arc's number in the analyzed graph.
+func mustArc(g *callgraph.Graph, caller, callee string) int32 {
+	a, ok := g.Arc(caller, callee)
+	if !ok {
+		panic("no arc " + caller + "->" + callee)
+	}
+	return a
 }
 
 // figure4Graph builds the call-graph fragment of the paper's Figure 4,
@@ -277,28 +278,27 @@ func figure4Graph() *callgraph.Graph {
 	g.AddArc("EXAMPLE", "SUB2", 1)
 	g.AddArc("OTHER", "SUB2", 4)
 	// SUB3: arc exists but never traversed (static), 0 of 5 calls.
-	st := g.AddArc("EXAMPLE", "SUB3", 0)
-	st.Static = true
+	g.Static[g.AddArc("EXAMPLE", "SUB3", 0)] = true
 	g.AddArc("OTHER", "SUB3", 5)
 
 	// Self times (seconds at Hz=1):
 	// EXAMPLE's own time.
-	g.MustNode("EXAMPLE").SelfTicks = 0.50
+	g.SelfTicks[g.MustNode("EXAMPLE")] = 0.50
 	// cycle1 members: self sums to 3.00; their descendants (DEEP)
 	// contribute 2.00, so the cycle passes (3.00+2.00)*20/40 = 2.50 to
 	// EXAMPLE, split 1.50 self / 1.00 descendants.
-	g.MustNode("SUB1").SelfTicks = 2.00
-	g.MustNode("PARTNER").SelfTicks = 1.00
+	g.SelfTicks[g.MustNode("SUB1")] = 2.00
+	g.SelfTicks[g.MustNode("PARTNER")] = 1.00
 	g.AddArc("SUB1", "DEEP", 8)
-	g.MustNode("DEEP").SelfTicks = 2.00
+	g.SelfTicks[g.MustNode("DEEP")] = 2.00
 	// SUB2: no self time; descendants only. 5 calls total, EXAMPLE's 1
 	// call earns 20%: 0.00 self, 0.50 descendants => SUB2's child time
 	// must be 2.50.
-	g.MustNode("SUB2").SelfTicks = 0.00
+	g.SelfTicks[g.MustNode("SUB2")] = 0.00
 	g.AddArc("SUB2", "SUB2LEAF", 3)
-	g.MustNode("SUB2LEAF").SelfTicks = 2.50
+	g.SelfTicks[g.MustNode("SUB2LEAF")] = 2.50
 	// SUB3 has some time of its own; none reaches EXAMPLE.
-	g.MustNode("SUB3").SelfTicks = 0.75
+	g.SelfTicks[g.MustNode("SUB3")] = 0.75
 	return g
 }
 
@@ -314,7 +314,7 @@ func TestConservationRandom(t *testing.T) {
 		for i := range names {
 			names[i] = "f" + string(rune('a'+i%26)) + string(rune('0'+i/26))
 			g.AddNode(names[i])
-			g.MustNode(names[i]).SelfTicks = float64(rng.Intn(100))
+			g.SelfTicks[g.MustNode(names[i])] = float64(rng.Intn(100))
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -342,9 +342,9 @@ func TestIdempotent(t *testing.T) {
 	g := figure4Graph()
 	scc.Analyze(g)
 	Run(g)
-	first := g.MustNode("EXAMPLE").ChildTicks
+	first := g.ChildTicks[g.MustNode("EXAMPLE")]
 	Run(g)
-	if got := g.MustNode("EXAMPLE").ChildTicks; got != first {
+	if got := g.ChildTicks[g.MustNode("EXAMPLE")]; got != first {
 		t.Errorf("second run changed ChildTicks: %v -> %v", first, got)
 	}
 }
@@ -359,7 +359,7 @@ func TestRecurrenceEquation(t *testing.T) {
 	for i := range names {
 		names[i] = string(rune('a' + i))
 		g.AddNode(names[i])
-		g.MustNode(names[i]).SelfTicks = float64(rng.Intn(50) + 1)
+		g.SelfTicks[g.MustNode(names[i])] = float64(rng.Intn(50) + 1)
 	}
 	// Edges only i -> j with i < j: guaranteed acyclic.
 	for i := 0; i < n; i++ {
@@ -371,14 +371,15 @@ func TestRecurrenceEquation(t *testing.T) {
 	}
 	scc.Analyze(g)
 	Run(g)
-	for _, r := range g.Nodes() {
-		want := r.SelfTicks
-		for _, a := range r.Out {
-			e := a.Callee
-			want += e.TotalTicks() * float64(a.Count) / float64(e.Calls())
+	total := func(v int32) float64 { return g.SelfTicks[v] + g.ChildTicks[v] }
+	for r := range int32(g.Len()) {
+		want := g.SelfTicks[r]
+		for _, a := range g.Out(r) {
+			e := g.Callee[a]
+			want += total(e) * float64(g.Count[a]) / float64(g.Calls(e))
 		}
-		if !near(r.TotalTicks(), want) {
-			t.Errorf("node %s: T = %v, recurrence gives %v", r.Name, r.TotalTicks(), want)
+		if !near(total(r), want) {
+			t.Errorf("node %s: T = %v, recurrence gives %v", g.Names[r], total(r), want)
 		}
 	}
 }
@@ -392,7 +393,7 @@ func randomCyclicGraph(n int, degree float64, seed int64) *callgraph.Graph {
 	for i := range names {
 		names[i] = fmt.Sprintf("f%d", i)
 		g.AddNode(names[i])
-		g.MustNode(names[i]).SelfTicks = float64(rng.Intn(100))
+		g.SelfTicks[g.MustNode(names[i])] = float64(rng.Intn(100))
 	}
 	for i := 0; i < int(float64(n)*degree); i++ {
 		from, to := rng.Intn(n), rng.Intn(n)

@@ -130,7 +130,7 @@ func chunkEdgeModel(n int) *model.Profile {
 	var total float64
 	for i := 0; i < n; i++ {
 		ticks := float64(i%7 + 1)
-		g.MustNode(name(i)).SelfTicks = ticks
+		g.SelfTicks[g.MustNode(name(i))] = ticks
 		total += ticks
 	}
 	g.TotalTicks = total

@@ -279,7 +279,7 @@ func edgeProfile() *model.Profile {
 	var total float64
 	for i := 0; i < n; i++ {
 		ticks := float64(i%7 + 1)
-		g.MustNode(name(i)).SelfTicks = ticks
+		g.SelfTicks[g.MustNode(name(i))] = ticks
 		total += ticks
 	}
 	g.TotalTicks = total
@@ -298,10 +298,10 @@ func hubProfile() *model.Profile {
 		g.AddArc("main", caller, 1)
 		g.AddArc(caller, "hub", int64(i%13+1))
 		g.AddArc("hub", callee, int64(i%11+1))
-		g.MustNode(callee).SelfTicks = float64(i % 17)
+		g.SelfTicks[g.MustNode(callee)] = float64(i % 17)
 		total += float64(i % 17)
 	}
-	g.MustNode("hub").SelfTicks = 5
+	g.SelfTicks[g.MustNode("hub")] = 5
 	g.TotalTicks = total + 5
 	return analyze(g)
 }

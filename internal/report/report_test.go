@@ -30,18 +30,17 @@ func figure4Graph() *callgraph.Graph {
 	g.AddArc("PARTNER", "SUB1", 7)
 	g.AddArc("EXAMPLE", "SUB2", 1)
 	g.AddArc("OTHER", "SUB2", 4)
-	st := g.AddArc("EXAMPLE", "SUB3", 0)
-	st.Static = true
+	g.Static[g.AddArc("EXAMPLE", "SUB3", 0)] = true
 	g.AddArc("OTHER", "SUB3", 5)
 	g.AddArc("SUB1", "DEEP", 8)
 	g.AddArc("SUB2", "SUB2LEAF", 3)
 
-	g.MustNode("EXAMPLE").SelfTicks = 0.50
-	g.MustNode("SUB1").SelfTicks = 2.00
-	g.MustNode("PARTNER").SelfTicks = 1.00
-	g.MustNode("DEEP").SelfTicks = 2.00
-	g.MustNode("SUB2LEAF").SelfTicks = 2.50
-	g.MustNode("SUB3").SelfTicks = 0.43
+	g.SelfTicks[g.MustNode("EXAMPLE")] = 0.50
+	g.SelfTicks[g.MustNode("SUB1")] = 2.00
+	g.SelfTicks[g.MustNode("PARTNER")] = 1.00
+	g.SelfTicks[g.MustNode("DEEP")] = 2.00
+	g.SelfTicks[g.MustNode("SUB2LEAF")] = 2.50
+	g.SelfTicks[g.MustNode("SUB3")] = 0.43
 	g.TotalTicks = 8.43
 	return g
 }
@@ -160,7 +159,7 @@ func TestSpontaneousParentShown(t *testing.T) {
 	g.Hz = 1
 	g.AddArc("", "handler", 2)
 	g.AddArc("main", "handler", 2)
-	g.MustNode("handler").SelfTicks = 4
+	g.SelfTicks[g.MustNode("handler")] = 4
 	g.TotalTicks = 4
 	out := render(t, g, Options{})
 	if !strings.Contains(out, "<spontaneous>") {
@@ -248,9 +247,9 @@ func TestFlatProfile(t *testing.T) {
 	g.AddArc("main", "cold", 1)
 	g.AddNode("unused")
 	g.AddNode("alsounused")
-	g.MustNode("hot").SelfTicks = 6
-	g.MustNode("warm").SelfTicks = 3
-	g.MustNode("main").SelfTicks = 1
+	g.SelfTicks[g.MustNode("hot")] = 6
+	g.SelfTicks[g.MustNode("warm")] = 3
+	g.SelfTicks[g.MustNode("main")] = 1
 	g.TotalTicks = 10
 	m := analyze(g)
 
@@ -295,8 +294,8 @@ func TestFlatSumsToTotal(t *testing.T) {
 	g := callgraph.New()
 	g.Hz = 1
 	g.AddArc("main", "f", 1)
-	g.MustNode("main").SelfTicks = 2
-	g.MustNode("f").SelfTicks = 5
+	g.SelfTicks[g.MustNode("main")] = 2
+	g.SelfTicks[g.MustNode("f")] = 5
 	g.TotalTicks = 8
 	g.LostTicks = 1
 	m := analyze(g)
@@ -319,8 +318,8 @@ func TestFlatPerCallColumns(t *testing.T) {
 	g.Hz = 1
 	g.AddArc("main", "f", 4)
 	g.AddArc("f", "leaf", 8)
-	g.MustNode("f").SelfTicks = 2 // 0.5 s/call self
-	g.MustNode("leaf").SelfTicks = 4
+	g.SelfTicks[g.MustNode("f")] = 2 // 0.5 s/call self
+	g.SelfTicks[g.MustNode("leaf")] = 4
 	g.TotalTicks = 6
 	m := analyze(g)
 	var buf bytes.Buffer
@@ -368,17 +367,17 @@ func TestIndexTieOrder(t *testing.T) {
 	cycle := []string{"A", "B", "foo", "foo ", "foo!"}
 	for i, name := range cycle {
 		g.AddArc(name, cycle[(i+1)%len(cycle)], 1)
-		g.MustNode(name).SelfTicks = 50
+		g.SelfTicks[g.MustNode(name)] = 50
 	}
 	g.AddArc("main", "<cycle 1>", 1)
 	g.AddArc("main", "foo <cycle1>", 1)
-	g.MustNode("<cycle 1>").SelfTicks = 1
-	g.MustNode("foo <cycle1>").SelfTicks = 1
+	g.SelfTicks[g.MustNode("<cycle 1>")] = 1
+	g.SelfTicks[g.MustNode("foo <cycle1>")] = 1
 	total := 252.0
 	for i := 0; i < 1500; i++ {
 		name := fmt.Sprintf("r%04d", i)
 		g.AddArc("main", name, 1)
-		g.MustNode(name).SelfTicks = float64(i % 3)
+		g.SelfTicks[g.MustNode(name)] = float64(i % 3)
 		total += float64(i % 3)
 	}
 	g.TotalTicks = total
@@ -491,8 +490,8 @@ func ExampleCallGraph() {
 	g := callgraph.New()
 	g.Hz = 1
 	g.AddArc("main", "work", 2)
-	g.MustNode("work").SelfTicks = 3
-	g.MustNode("main").SelfTicks = 1
+	g.SelfTicks[g.MustNode("work")] = 3
+	g.SelfTicks[g.MustNode("main")] = 1
 	g.TotalTicks = 4
 	scc.Analyze(g)
 	propagate.Run(g)

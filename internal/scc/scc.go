@@ -20,10 +20,9 @@
 // collapsing.
 //
 // The traversal is iterative (an explicit frame stack, so million-node
-// chains cannot overflow the goroutine stack) and allocation-light:
-// adjacency is flattened into a CSR index pair keyed by the stored
-// Node.ID — no map[*Node]int is ever built — and all per-run arrays
-// come from a pooled scratch, so the repeated re-analysis cyclebreak
+// chains cannot overflow the goroutine stack) and allocation-light: it
+// walks the graph's own int32 adjacency, and all per-run arrays come
+// from a pooled scratch, so the repeated re-analysis cyclebreak
 // performs after each arc removal costs no steady-state allocations
 // beyond the cycles it discovers.
 package scc
@@ -35,11 +34,9 @@ import (
 )
 
 // scratch is the reusable working set of one Analyze call. All slices
-// are sized to the graph (nodes or edges) and recycled through
-// scratchPool; only Cycle values and their member slices survive a run.
+// are sized to the graph's nodes and recycled through scratchPool; only
+// Cycle values and their member slices survive a run.
 type scratch struct {
-	outHead []int32 // CSR: node i's callee IDs are outList[outHead[i]:outHead[i+1]]
-	outList []int32
 	idx     []int32 // Tarjan discovery numbers; 0 = unvisited
 	low     []int32
 	onStack []bool
@@ -48,7 +45,7 @@ type scratch struct {
 }
 
 // frame is one suspended DFS visit: node v, resuming at position ai in
-// v's CSR adjacency range.
+// the graph's outgoing adjacency.
 type frame struct {
 	v  int32
 	ai int32
@@ -56,24 +53,18 @@ type frame struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// grow readies the scratch for n nodes and e edges, reusing prior
-// capacity. idx/low/onStack must start zeroed; stack and frames are
+// grow readies the scratch for n nodes, reusing prior capacity.
+// idx/low/onStack must start zeroed; stack and frames are
 // length-managed by the traversal.
-func (sc *scratch) grow(n, e int) {
-	sc.outHead = growInt32(sc.outHead, n+1)
-	sc.outList = growInt32(sc.outList, e)
+func (sc *scratch) grow(n int) {
 	sc.idx = growInt32(sc.idx, n)
 	sc.low = growInt32(sc.low, n)
-	for i := range sc.idx {
-		sc.idx[i] = 0
-	}
+	clear(sc.idx)
 	if cap(sc.onStack) < n {
 		sc.onStack = make([]bool, n)
 	} else {
 		sc.onStack = sc.onStack[:n]
-		for i := range sc.onStack {
-			sc.onStack[i] = false
-		}
+		clear(sc.onStack)
 	}
 	sc.stack = sc.stack[:0]
 	sc.frames = sc.frames[:0]
@@ -87,52 +78,34 @@ func growInt32(s []int32, n int) []int32 {
 }
 
 // Analyze finds strongly-connected components among the graph's nodes,
-// records multi-member components as cycles (setting Node.Cycle and
-// Graph.Cycles), and assigns Node.TopoNum. Static (count-zero) arcs
-// participate: they "may complete strongly connected components" (§4).
-// Self-arcs do not. Analyze may be called again after arcs are removed;
-// it clears previous results first, and the repeat run reuses pooled
-// scratch, so re-analysis is allocation-light.
+// records multi-member components as cycles (setting the CycleNum
+// column and Graph.Cycles), and assigns the TopoNum column. Static
+// (count-zero) arcs participate: they "may complete strongly connected
+// components" (§4). Self-arcs do not. Analyze may be called again after
+// arcs are removed; it clears previous results first, and the repeat
+// run reuses pooled scratch, so re-analysis is allocation-light.
 func Analyze(g *callgraph.Graph) {
-	nodes := g.Nodes()
-	n := len(nodes)
+	_, _, out, outStart := g.Adjacency()
+	callee := g.Callee
+	n := g.Len()
 	g.Cycles = nil
-	edges := 0
-	for _, nd := range nodes {
-		nd.Cycle = nil
-		nd.TopoNum = 0
-		edges += len(nd.Out)
-	}
+	clear(g.CycleNum)
+	clear(g.TopoNum)
 
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	sc.grow(n, edges)
-
-	// Adjacency in CSR form, excluding self-arcs, keyed by Node.ID (the
-	// creation index, so nodes[id] is the node itself).
-	pos := int32(0)
-	for i, nd := range nodes {
-		sc.outHead[i] = pos
-		for _, a := range nd.Out {
-			if a.Self() {
-				continue
-			}
-			sc.outList[pos] = int32(a.Callee.ID)
-			pos++
-		}
-	}
-	sc.outHead[n] = pos
+	sc.grow(n)
 
 	var (
 		counter int32
-		topo    int
+		topo    int32
 	)
 	visit := func(v int32) {
 		counter++
 		sc.idx[v], sc.low[v] = counter, counter
 		sc.stack = append(sc.stack, v)
 		sc.onStack[v] = true
-		sc.frames = append(sc.frames, frame{v: v, ai: sc.outHead[v]})
+		sc.frames = append(sc.frames, frame{v: v, ai: outStart[v]})
 	}
 
 	for s := 0; s < n; s++ {
@@ -144,8 +117,8 @@ func Analyze(g *callgraph.Graph) {
 			f := &sc.frames[len(sc.frames)-1]
 			v := f.v
 			descended := false
-			for f.ai < sc.outHead[v+1] {
-				w := sc.outList[f.ai]
+			for f.ai < outStart[v+1] {
+				w := callee[out[f.ai]]
 				f.ai++
 				if sc.idx[w] == 0 {
 					visit(w)
@@ -173,64 +146,60 @@ func Analyze(g *callgraph.Graph) {
 			// stack is a member. Components complete callee-first, so
 			// this numbering gives callers higher numbers.
 			topo++
-			var members []*callgraph.Node
+			var members []int32
 			for {
 				w := sc.stack[len(sc.stack)-1]
 				sc.stack = sc.stack[:len(sc.stack)-1]
 				sc.onStack[w] = false
-				nodes[w].TopoNum = topo
+				g.TopoNum[w] = topo
 				if w == v && members == nil {
 					// Single-member component: the overwhelmingly common
 					// case allocates nothing.
 					break
 				}
-				members = append(members, nodes[w])
+				members = append(members, w)
 				if w == v {
 					break
 				}
 			}
 			if len(members) > 1 {
-				// Reverse to creation (address) order for determinism.
+				// Reverse to discovery order for determinism.
 				for i, j := 0, len(members)-1; i < j; i, j = i+1, j-1 {
 					members[i], members[j] = members[j], members[i]
 				}
-				c := &callgraph.Cycle{Number: len(g.Cycles) + 1, Members: members}
+				num := int32(len(g.Cycles) + 1)
 				for _, m := range members {
-					m.Cycle = c
+					g.CycleNum[m] = num
 				}
-				g.Cycles = append(g.Cycles, c)
+				g.Cycles = append(g.Cycles, callgraph.Cycle{Number: int(num), Members: members})
 			}
 		}
 	}
 }
 
-// TopoOrder returns the graph's nodes sorted by ascending topological
-// number (callees before callers), the order in which time propagation
-// must visit them. Members of a cycle share a number and stay adjacent
-// in creation (address) order — a stable counting sort over the dense
-// component numbers, O(n) where the previous sort paid O(n log n) with
-// a comparator call per step.
-func TopoOrder(g *callgraph.Graph) []*callgraph.Node {
-	nodes := g.Nodes()
-	maxNum := 0
-	for _, n := range nodes {
-		if n.TopoNum > maxNum {
-			maxNum = n.TopoNum
-		}
+// TopoOrder returns the graph's node numbers sorted by ascending
+// topological number (callees before callers), the order in which time
+// propagation must visit them. Members of a cycle share a number and
+// stay adjacent in creation (address) order: a stable counting sort
+// over the dense component numbers, O(n).
+func TopoOrder(g *callgraph.Graph) []int32 {
+	maxNum := int32(0)
+	for _, t := range g.TopoNum {
+		maxNum = max(maxNum, t)
 	}
 	// starts[t] = where number t's run begins; +2 keeps the unanalyzed
 	// TopoNum 0 addressable.
 	starts := make([]int32, maxNum+2)
-	for _, n := range nodes {
-		starts[n.TopoNum+1]++
+	for _, t := range g.TopoNum {
+		starts[t+1]++
 	}
 	for t := 1; t < len(starts); t++ {
 		starts[t] += starts[t-1]
 	}
-	out := make([]*callgraph.Node, len(nodes))
-	for _, n := range nodes {
-		out[starts[n.TopoNum]] = n
-		starts[n.TopoNum]++
+	out := make([]int32, g.Len())
+	for v, t := range g.TopoNum {
+		out[starts[t]] = int32(v)
+		starts[t]++
 	}
 	return out
 }

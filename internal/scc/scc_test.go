@@ -23,17 +23,18 @@ func build(arcs [][2]string) *callgraph.Graph {
 func checkTopoInvariant(t *testing.T, g *callgraph.Graph) {
 	t.Helper()
 	for _, a := range g.Arcs() {
-		if a.Spontaneous() || a.Self() || a.IntraCycle() {
+		f, c := g.Caller[a], g.Callee[a]
+		if f < 0 || g.IsSelf(a) || g.IntraCycle(a) {
 			continue
 		}
-		if a.Caller.TopoNum <= a.Callee.TopoNum {
-			t.Errorf("arc %v: caller topo %d <= callee topo %d",
-				a, a.Caller.TopoNum, a.Callee.TopoNum)
+		if g.TopoNum[f] <= g.TopoNum[c] {
+			t.Errorf("arc %s->%s: caller topo %d <= callee topo %d",
+				g.Names[f], g.Names[c], g.TopoNum[f], g.TopoNum[c])
 		}
 	}
-	for _, n := range g.Nodes() {
-		if n.TopoNum == 0 {
-			t.Errorf("node %s not numbered", n.Name)
+	for v, n := range g.TopoNum {
+		if n == 0 {
+			t.Errorf("node %s not numbered", g.Names[v])
 		}
 	}
 }
@@ -46,9 +47,9 @@ func TestChainTopo(t *testing.T) {
 		t.Errorf("chain produced %d cycles", len(g.Cycles))
 	}
 	// d is the leaf: lowest number; a the root: highest.
-	if g.MustNode("d").TopoNum != 1 || g.MustNode("a").TopoNum != 4 {
+	if g.TopoNum[g.MustNode("d")] != 1 || g.TopoNum[g.MustNode("a")] != 4 {
 		t.Errorf("topo numbers: a=%d d=%d, want 4 and 1",
-			g.MustNode("a").TopoNum, g.MustNode("d").TopoNum)
+			g.TopoNum[g.MustNode("a")], g.TopoNum[g.MustNode("d")])
 	}
 }
 
@@ -70,7 +71,7 @@ func TestSelfLoopIsNotACycle(t *testing.T) {
 	if len(g.Cycles) != 0 {
 		t.Errorf("self-loop collapsed into a cycle: %+v", g.Cycles)
 	}
-	if g.MustNode("fact").InCycle() {
+	if g.CycleNum[g.MustNode("fact")] != 0 {
 		t.Error("self-recursive node marked as cycle member")
 	}
 }
@@ -90,23 +91,23 @@ func TestMutualRecursion(t *testing.T) {
 	if len(c.Members) != 2 {
 		t.Fatalf("cycle members = %d, want 2 (p, q)", len(c.Members))
 	}
-	if !g.MustNode("p").InCycle() || !g.MustNode("q").InCycle() {
+	if g.CycleNum[g.MustNode("p")] == 0 || g.CycleNum[g.MustNode("q")] == 0 {
 		t.Error("p or q not marked in-cycle")
 	}
-	if g.MustNode("p").Cycle != g.MustNode("q").Cycle {
+	if g.CycleNum[g.MustNode("p")] != g.CycleNum[g.MustNode("q")] {
 		t.Error("p and q in different cycles")
 	}
-	if g.MustNode("main").InCycle() || g.MustNode("leaf").InCycle() {
+	if g.CycleNum[g.MustNode("main")] != 0 || g.CycleNum[g.MustNode("leaf")] != 0 {
 		t.Error("main or leaf wrongly in a cycle")
 	}
 	// Members share a topological number; main above, leaf below.
-	if g.MustNode("p").TopoNum != g.MustNode("q").TopoNum {
+	if g.TopoNum[g.MustNode("p")] != g.TopoNum[g.MustNode("q")] {
 		t.Error("cycle members have different topo numbers")
 	}
-	if !(g.MustNode("main").TopoNum > g.MustNode("p").TopoNum) {
+	if !(g.TopoNum[g.MustNode("main")] > g.TopoNum[g.MustNode("p")]) {
 		t.Error("main not above the cycle")
 	}
-	if !(g.MustNode("p").TopoNum > g.MustNode("leaf").TopoNum) {
+	if !(g.TopoNum[g.MustNode("p")] > g.TopoNum[g.MustNode("leaf")]) {
 		t.Error("cycle not above leaf")
 	}
 	if c.Number != 1 {
@@ -141,7 +142,7 @@ func TestTwoDisjointCycles(t *testing.T) {
 	if g.Cycles[0].Number != 1 || g.Cycles[1].Number != 2 {
 		t.Errorf("cycle numbers = %d,%d", g.Cycles[0].Number, g.Cycles[1].Number)
 	}
-	if g.MustNode("a").Cycle == g.MustNode("x").Cycle {
+	if g.CycleNum[g.MustNode("a")] == g.CycleNum[g.MustNode("x")] {
 		t.Error("disjoint cycles merged")
 	}
 }
@@ -161,8 +162,7 @@ func TestStaticArcCompletesCycle(t *testing.T) {
 	// Dynamic arcs a->b->c; a static (count 0) arc c->a completes the
 	// cycle — the reason static construction precedes ordering (§4).
 	g := build([][2]string{{"a", "b"}, {"b", "c"}})
-	staticArc := g.AddArc("c", "a", 0)
-	staticArc.Static = true
+	g.Static[g.AddArc("c", "a", 0)] = true
 	Analyze(g)
 	if len(g.Cycles) != 1 || len(g.Cycles[0].Members) != 3 {
 		t.Fatalf("static arc did not complete the cycle: %+v", g.Cycles)
@@ -183,7 +183,7 @@ func TestReanalyzeAfterArcRemoval(t *testing.T) {
 		t.Errorf("cycle persists after removing its closing arc")
 	}
 	checkTopoInvariant(t, g)
-	if g.MustNode("a").InCycle() || g.MustNode("b").InCycle() {
+	if g.CycleNum[g.MustNode("a")] != 0 || g.CycleNum[g.MustNode("b")] != 0 {
 		t.Error("stale cycle membership after re-analysis")
 	}
 }
@@ -202,7 +202,7 @@ func TestTopoOrder(t *testing.T) {
 	order := TopoOrder(g)
 	pos := map[string]int{}
 	for i, n := range order {
-		pos[n.Name] = i
+		pos[g.Names[n]] = i
 	}
 	if !(pos["c"] < pos["b"] && pos["b"] < pos["a"]) {
 		t.Errorf("TopoOrder = %v, want callees first", pos)
@@ -229,21 +229,22 @@ func randomGraph(rng *rand.Rand, n int, p float64) *callgraph.Graph {
 }
 
 // reaches reports whether from reaches to using only nodes in members.
-func reaches(from, to *callgraph.Node, members map[*callgraph.Node]bool) bool {
-	seen := map[*callgraph.Node]bool{from: true}
-	queue := []*callgraph.Node{from}
+func reaches(g *callgraph.Graph, from, to int32, members map[int32]bool) bool {
+	seen := map[int32]bool{from: true}
+	queue := []int32{from}
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
 		if n == to {
 			return true
 		}
-		for _, a := range n.Out {
-			if a.Self() || !members[a.Callee] || seen[a.Callee] {
+		for _, a := range g.Out(n) {
+			c := g.Callee[a]
+			if !members[c] || seen[c] {
 				continue
 			}
-			seen[a.Callee] = true
-			queue = append(queue, a.Callee)
+			seen[c] = true
+			queue = append(queue, c)
 		}
 	}
 	return false
@@ -259,22 +260,22 @@ func TestRandomGraphProperties(t *testing.T) {
 
 		// (1) topological invariant
 		for _, a := range g.Arcs() {
-			if a.Self() || a.IntraCycle() || a.Spontaneous() {
+			if g.IsSelf(a) || g.IntraCycle(a) || g.Caller[a] < 0 {
 				continue
 			}
-			if a.Caller.TopoNum <= a.Callee.TopoNum {
+			if g.TopoNum[g.Caller[a]] <= g.TopoNum[g.Callee[a]] {
 				return false
 			}
 		}
 		// (2) cycles are strongly connected within their member set
 		for _, c := range g.Cycles {
-			members := map[*callgraph.Node]bool{}
+			members := map[int32]bool{}
 			for _, m := range c.Members {
 				members[m] = true
 			}
 			for _, u := range c.Members {
 				for _, v := range c.Members {
-					if u != v && !reaches(u, v, members) {
+					if u != v && !reaches(g, u, v, members) {
 						return false
 					}
 				}
@@ -282,11 +283,11 @@ func TestRandomGraphProperties(t *testing.T) {
 		}
 		// (3) maximality: any 2-cycle u<->v implies same component
 		for _, a := range g.Arcs() {
-			if a.Self() || a.Spontaneous() {
+			if g.IsSelf(a) || g.Caller[a] < 0 {
 				continue
 			}
-			for _, back := range a.Callee.Out {
-				if back.Callee == a.Caller && !a.IntraCycle() {
+			for _, back := range g.Out(g.Callee[a]) {
+				if g.Callee[back] == g.Caller[a] && !g.IntraCycle(a) {
 					return false
 				}
 			}
@@ -311,8 +312,8 @@ func TestLargeGraphIterativeTarjan(t *testing.T) {
 		prev = name
 	}
 	Analyze(g)
-	if g.MustNode("f0").TopoNum != n {
-		t.Errorf("root topo = %d, want %d", g.MustNode("f0").TopoNum, n)
+	if g.TopoNum[g.MustNode("f0")] != n {
+		t.Errorf("root topo = %d, want %d", g.TopoNum[g.MustNode("f0")], n)
 	}
 }
 
