@@ -51,7 +51,8 @@ stats-smoke:
 	rm -rf .stats-smoke
 
 # Regenerate the pinned presentation goldens (text reports and JSON
-# profiles) under testdata/golden. The -update flag lives in the root
+# profiles) under testdata/golden, and figures_output.txt (the figures
+# harness's summary table). The -update flag lives in the root
 # package's golden tests only, so restrict to '.'.
 .PHONY: golden
 golden:

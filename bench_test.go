@@ -255,10 +255,10 @@ func BenchmarkGmonRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := gmon.Write(&buf, p); err != nil {
+		if err := gmon.WriteVersion(&buf, p, gmon.Version1); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := gmon.Read(&buf); err != nil {
+		if _, err := gmon.Open(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -291,13 +291,13 @@ func workloadProfiles(b *testing.B) ([]*gmon.Profile, map[int][][]byte) {
 			}
 			suiteP = append(suiteP, p)
 			var buf bytes.Buffer
-			if err := gmon.Write(&buf, p); err != nil {
+			if err := gmon.WriteVersion(&buf, p, gmon.Version1); err != nil {
 				suiteErr = err
 				return
 			}
 			suiteEnc[gmon.Version1] = append(suiteEnc[gmon.Version1], append([]byte(nil), buf.Bytes()...))
 			buf.Reset()
-			if err := gmon.WriteV2(&buf, p); err != nil {
+			if err := gmon.WriteVersion(&buf, p, gmon.Version2); err != nil {
 				suiteErr = err
 				return
 			}
@@ -322,10 +322,9 @@ func BenchmarkGmonRead(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("v%d", version), func(b *testing.B) {
 			b.SetBytes(total)
-			var p gmon.Profile
 			for i := 0; i < b.N; i++ {
 				for _, e := range encs {
-					if err := gmon.ReadInto(bytes.NewReader(e), &p); err != nil {
+					if _, err := gmon.Open(bytes.NewReader(e)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -357,7 +356,7 @@ func BenchmarkGmonWrite(b *testing.B) {
 }
 
 // BenchmarkMergeAll sums 16 on-disk copies of a workload profile
-// through the streaming merge (4 workers), in both format versions —
+// through ReadFiles (4 workers), in both format versions —
 // the full decode+merge path behind `gprof a.out gmon.out.*`.
 func BenchmarkMergeAll(b *testing.B) {
 	ps, _ := workloadProfiles(b)
@@ -374,7 +373,7 @@ func BenchmarkMergeAll(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := gmon.MergeAllStreaming(context.Background(), names, 4); err != nil {
+				if _, err := gmon.ReadFiles(context.Background(), names, 4); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -660,7 +659,7 @@ func BenchmarkSamplingInterval(b *testing.B) {
 
 // --- parallel pipeline stages (the -jobs flag) -----------------------
 
-// BenchmarkMergeParallel measures the tree-parallel fan-in merge of 16
+// BenchmarkMergeParallel measures the worker fold of 16 in-memory
 // profiles at several worker-pool widths (jobs=1 is the sequential
 // fold). The acceptance target is >= 1.5x at 4 workers on a
 // multi-core host.
@@ -786,9 +785,8 @@ func BenchmarkGmonV3ReadWrite(b *testing.B) {
 	})
 	b.Run("read", func(b *testing.B) {
 		b.SetBytes(int64(len(enc)))
-		var q gmon.Profile
 		for i := 0; i < b.N; i++ {
-			if err := gmon.ReadInto(bytes.NewReader(enc), &q); err != nil {
+			if _, err := gmon.Open(bytes.NewReader(enc)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -71,8 +71,8 @@ func main() {
 		results := experiments.All()
 		if *md {
 			printMarkdown(results)
-		} else {
-			printSummary(results)
+		} else if err := experiments.WriteSummary(os.Stdout, results); err != nil {
+			exit(1, err)
 		}
 		for _, r := range results {
 			if !r.Pass {
@@ -93,18 +93,10 @@ func printOne(r experiments.Result) {
 	fmt.Printf("%s — %s\n", r.ID, r.Title)
 	fmt.Printf("  paper:    %s\n", r.Claim)
 	fmt.Printf("  measured: %s\n", r.Measure)
-	fmt.Printf("  status:   %s\n", status(r.Pass))
+	fmt.Printf("  status:   %s\n", r.Status())
 	if r.Detail != "" {
 		fmt.Println(strings.Repeat("-", 72))
 		fmt.Println(r.Detail)
-	}
-}
-
-func printSummary(results []experiments.Result) {
-	fmt.Printf("%-6s %-6s %s\n", "id", "status", "result")
-	for _, r := range results {
-		fmt.Printf("%-6s %-6s %s\n      paper: %s\n      measured: %s\n",
-			r.ID, status(r.Pass), r.Title, r.Claim, r.Measure)
 	}
 }
 
@@ -113,13 +105,6 @@ func printMarkdown(results []experiments.Result) {
 	fmt.Println("|---|---|---|---|---|")
 	for _, r := range results {
 		fmt.Printf("| %s | %s | %s | %s | %s |\n",
-			r.ID, r.Title, r.Claim, r.Measure, status(r.Pass))
+			r.ID, r.Title, r.Claim, r.Measure, r.Status())
 	}
-}
-
-func status(pass bool) string {
-	if pass {
-		return "PASS"
-	}
-	return "FAIL"
 }

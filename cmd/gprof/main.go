@@ -8,7 +8,7 @@
 //	gprof [flags] [a.out [gmon.out ...]]
 //
 // Multiple profile data files are summed, the paper's "profile of many
-// executions"; -jobs sets the worker-pool width of the tree-wise merge
+// executions"; -jobs sets the worker-pool width of the merge
 // and of the listing's render. The analysis stages between them are
 // serial, and the output is byte-identical at every width. Flags
 // expose the retrospective's later features: -k removes arcs, -C runs
@@ -126,7 +126,7 @@ func main() {
 		}
 	}
 	// Profiles load before the image: -sum needs no executable at all.
-	p, err := core.LoadProfiles(ctx, profiles, *jobs)
+	p, err := gmon.ReadFiles(ctx, profiles, *jobs)
 	if err != nil {
 		fail(err)
 	}

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"os"
 
@@ -31,7 +32,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	p, err := gmon.ReadFiles(profiles)
+	p, err := gmon.ReadFiles(context.Background(), profiles, 1)
 	if err != nil {
 		fatal(err)
 	}

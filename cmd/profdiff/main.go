@@ -142,7 +142,7 @@ func load(ctx context.Context, name, exe string, jobs int) (*model.Profile, erro
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.LoadProfiles(ctx, []string{name}, jobs)
+	p, err := gmon.ReadFiles(ctx, []string{name}, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ import (
 func profileBytes(t *testing.T, c *mon.Collector) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := gmon.Write(&buf, c.Snapshot()); err != nil {
+	if err := gmon.WriteVersion(&buf, c.Snapshot(), gmon.Version1); err != nil {
 		t.Fatalf("encode profile: %v", err)
 	}
 	return buf.Bytes()

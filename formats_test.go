@@ -23,10 +23,10 @@ func TestGmonV2SmallerThanV1OnWorkloads(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var v1, v2 bytes.Buffer
-		if err := gmon.Write(&v1, p); err != nil {
+		if err := gmon.WriteVersion(&v1, p, gmon.Version1); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := gmon.WriteV2(&v2, p); err != nil {
+		if err := gmon.WriteVersion(&v2, p, gmon.Version2); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if v2.Len() >= v1.Len() {
@@ -39,7 +39,7 @@ func TestGmonV2SmallerThanV1OnWorkloads(t *testing.T) {
 		// canonical sorted-arc order).
 		canon := p.Clone()
 		canon.SortArcs()
-		got, err := gmon.Read(bytes.NewReader(v2.Bytes()))
+		got, err := gmon.Open(bytes.NewReader(v2.Bytes()))
 		if err != nil {
 			t.Fatalf("%s: decode v2: %v", name, err)
 		}

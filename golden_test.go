@@ -2,8 +2,8 @@
 // profile, flat profile, index) is pinned byte-for-byte for every
 // workload at -jobs 1, so presentation refactors can prove they do not
 // drift. `make golden` (go test -run TestGolden -update .) regenerates
-// the files under testdata/golden; CI diffs freshly generated goldens
-// against the committed ones.
+// the files under testdata/golden and figures_output.txt; CI diffs
+// freshly generated goldens against the committed ones.
 package repro
 
 import (
@@ -16,12 +16,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/model"
 	"repro/internal/report"
 	"repro/internal/workloads"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files under testdata/golden")
+var update = flag.Bool("update", false, "rewrite golden files under testdata/golden and figures_output.txt")
 
 // goldenCase is one pinned pipeline run. Everything is deterministic:
 // the VM is a simulated machine with a cycle-driven clock and a seeded
@@ -190,4 +191,17 @@ func max(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestGoldenFigures pins figures_output.txt, the summary table
+// `figures -all` prints for every reproduced figure and claim, so the
+// committed record cannot fall behind what the harness measures. The
+// experiments run on the simulated machine, so the table is the same
+// on every host and at every -jobs width.
+func TestGoldenFigures(t *testing.T) {
+	var buf bytes.Buffer
+	if err := experiments.WriteSummary(&buf, experiments.All()); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "figures_output.txt", buf.Bytes())
 }

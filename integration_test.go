@@ -44,7 +44,7 @@ func TestToolWorkflow(t *testing.T) {
 	if res.ExitCode != 1 {
 		t.Fatalf("sort exited %d, want 1", res.ExitCode)
 	}
-	if err := gmon.WriteFile(data, p); err != nil {
+	if err := gmon.WriteFileVersion(data, p, gmon.Version1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,7 +53,7 @@ func TestToolWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := gmon.ReadFiles([]string{data})
+	p2, err := gmon.ReadFiles(context.Background(), []string{data}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +102,12 @@ func TestMultiRunWorkflow(t *testing.T) {
 			singleTicks = p.Hist.TotalTicks()
 		}
 		f := filepath.Join(dir, "gmon."+string(rune('0'+i)))
-		if err := gmon.WriteFile(f, p); err != nil {
+		if err := gmon.WriteFileVersion(f, p, gmon.Version1); err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, f)
 	}
-	total, err := gmon.ReadFiles(files)
+	total, err := gmon.ReadFiles(context.Background(), files, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

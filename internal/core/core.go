@@ -78,7 +78,7 @@ type Options struct {
 	// stage of Run that runs in parallel; attribution, SCC and
 	// propagation are serial at every width. The output is
 	// byte-identical at any value. CLIs default their -jobs flag to
-	// GOMAXPROCS and pass the same width to LoadProfiles for the merge.
+	// GOMAXPROCS and pass the same width to gmon.ReadFiles for the merge.
 	// It overrides Report.Jobs.
 	Jobs int
 	// Report controls rendering (thresholds, focus, headers).
@@ -279,15 +279,6 @@ func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Re
 		stacksSpan.End()
 	}
 	return res, nil
-}
-
-// LoadProfiles reads one or more profile data files and sums them into
-// a single profile, streaming each file through a pooled decode buffer
-// across a worker pool of the given width (jobs <= 1 reads
-// sequentially). It is the loading half of every tool's pipeline; the
-// result feeds Run.
-func LoadProfiles(ctx context.Context, names []string, jobs int) (*gmon.Profile, error) {
-	return gmon.MergeAllStreaming(ctx, names, jobs)
 }
 
 func finish(ctx context.Context, g *callgraph.Graph, opt Options) (*Result, error) {

@@ -17,6 +17,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -46,6 +47,30 @@ type Result struct {
 	Measure string // what we measured
 	Pass    bool
 	Detail  string // full output for the curious
+}
+
+// Status is "PASS" or "FAIL".
+func (r Result) Status() string {
+	if r.Pass {
+		return "PASS"
+	}
+	return "FAIL"
+}
+
+// WriteSummary writes the summary table `figures -all` prints, the
+// text figures_output.txt pins: one header line, then three lines per
+// result.
+func WriteSummary(w io.Writer, results []Result) error {
+	if _, err := fmt.Fprintf(w, "%-6s %-6s %s\n", "id", "status", "result"); err != nil {
+		return err
+	}
+	for _, r := range results {
+		if _, err := fmt.Fprintf(w, "%-6s %-6s %s\n      paper: %s\n      measured: %s\n",
+			r.ID, r.Status(), r.Title, r.Claim, r.Measure); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // jobs is the worker-pool width analyses run at.

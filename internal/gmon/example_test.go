@@ -17,10 +17,10 @@ func Example() {
 		Hz:   60,
 	}
 	var file bytes.Buffer
-	if err := gmon.Write(&file, run1); err != nil {
+	if err := gmon.WriteVersion(&file, run1, gmon.Version1); err != nil {
 		log.Fatal(err)
 	}
-	run2, err := gmon.Read(&file)
+	run2, err := gmon.Open(&file)
 	if err != nil {
 		log.Fatal(err)
 	}

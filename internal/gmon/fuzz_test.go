@@ -12,9 +12,12 @@ import (
 // FuzzRead hammers the profile decoder with arbitrary bytes: corrupt
 // headers, truncated sections, and overflowing varints must all surface
 // as errors — never a panic, and never an allocation sized by a lying
-// header (the chunked growth in ReadInto is what this exercises). Any
-// input that does decode must be a valid profile that survives a
-// re-encode round trip in both format versions.
+// header (binio.Records' bounded growth is what this exercises). Every
+// input decodes twice, through the zero-copy fixed reader that mapped
+// files take and through the streaming block reader that Open takes;
+// the two must both fail or return equal profiles. Any input that does
+// decode must be a valid profile that survives a re-encode round trip
+// in every format version.
 func FuzzRead(f *testing.F) {
 	seed := func(p *Profile, version int) {
 		var buf bytes.Buffer
@@ -68,9 +71,17 @@ func FuzzRead(f *testing.F) {
 	f.Add(v2overflow)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := Read(bytes.NewReader(data))
+		fixed := &Profile{}
+		_, fixedErr := read(nil, data, fixed)
+		p, err := Open(bytes.NewReader(data))
+		if (fixedErr == nil) != (err == nil) {
+			t.Fatalf("in-memory decode error %v, streaming decode error %v", fixedErr, err)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(fixed, p) {
+			t.Fatalf("in-memory and streaming decodes diverged:\n got %+v\nwant %+v", fixed, p)
 		}
 		if err := p.Validate(); err != nil {
 			t.Fatalf("decoder accepted an invalid profile: %v", err)
@@ -84,10 +95,10 @@ func FuzzRead(f *testing.F) {
 			flat = &cp
 		}
 		var v1 bytes.Buffer
-		if err := Write(&v1, p); err != nil {
+		if err := WriteVersion(&v1, p, Version1); err != nil {
 			t.Fatalf("re-encode v1: %v", err)
 		}
-		q, err := Read(bytes.NewReader(v1.Bytes()))
+		q, err := Open(bytes.NewReader(v1.Bytes()))
 		if err != nil {
 			t.Fatalf("decode re-encoded v1: %v", err)
 		}
@@ -100,7 +111,7 @@ func FuzzRead(f *testing.F) {
 		if err := WriteVersion(&v3, p, Version3); err != nil {
 			t.Fatalf("re-encode v3: %v", err)
 		}
-		s, err := Read(bytes.NewReader(v3.Bytes()))
+		s, err := Open(bytes.NewReader(v3.Bytes()))
 		if err != nil {
 			t.Fatalf("decode re-encoded v3: %v", err)
 		}
@@ -108,10 +119,10 @@ func FuzzRead(f *testing.F) {
 			t.Fatalf("v3 stack round trip diverged:\n got %+v\nwant %+v", s.Stacks, p.Stacks)
 		}
 		var v2 bytes.Buffer
-		if err := WriteV2(&v2, p); err != nil {
+		if err := WriteVersion(&v2, p, Version2); err != nil {
 			t.Fatalf("re-encode v2: %v", err)
 		}
-		r, err := Read(bytes.NewReader(v2.Bytes()))
+		r, err := Open(bytes.NewReader(v2.Bytes()))
 		if err != nil {
 			t.Fatalf("decode re-encoded v2: %v", err)
 		}
@@ -174,11 +185,11 @@ func FuzzMerge(f *testing.F) {
 	f.Add(enc(sample(), Version2), enc(empty, Version1))
 
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		p, err := Read(bytes.NewReader(a))
+		p, err := Open(bytes.NewReader(a))
 		if err != nil {
 			return
 		}
-		q, err := Read(bytes.NewReader(b))
+		q, err := Open(bytes.NewReader(b))
 		if err != nil {
 			return
 		}

@@ -2,6 +2,7 @@ package gmon
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -69,10 +70,10 @@ func TestValidate(t *testing.T) {
 func TestRoundTrip(t *testing.T) {
 	p := sample()
 	var buf bytes.Buffer
-	if err := Write(&buf, p); err != nil {
+	if err := WriteVersion(&buf, p, Version1); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	q, err := Read(&buf)
+	q, err := Open(&buf)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -99,10 +100,10 @@ func TestRoundTripProperty(t *testing.T) {
 			})
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, p); err != nil {
+		if err := WriteVersion(&buf, p, Version1); err != nil {
 			return false
 		}
-		q, err := Read(&buf)
+		q, err := Open(&buf)
 		if err != nil {
 			return false
 		}
@@ -135,7 +136,7 @@ func TestReadErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Read(bytes.NewReader(tc.data))
+			_, err := Open(bytes.NewReader(tc.data))
 			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 				t.Errorf("err = %v, want substring %q", err, tc.wantSub)
 			}
@@ -145,12 +146,12 @@ func TestReadErrors(t *testing.T) {
 
 func TestReadBadVersion(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, sample()); err != nil {
+	if err := WriteVersion(&buf, sample(), Version1); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
 	b[4] = 99 // version byte
-	_, err := Read(bytes.NewReader(b))
+	_, err := Open(bytes.NewReader(b))
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("err = %v, want version error", err)
 	}
@@ -159,7 +160,7 @@ func TestReadBadVersion(t *testing.T) {
 func TestWriteRejectsInvalid(t *testing.T) {
 	p := sample()
 	p.Hist.Step = 0
-	if err := Write(&bytes.Buffer{}, p); err == nil {
+	if err := WriteVersion(&bytes.Buffer{}, p, Version1); err == nil {
 		t.Error("Write accepted invalid profile")
 	}
 }
@@ -258,20 +259,20 @@ func TestFilesRoundTrip(t *testing.T) {
 	p2 := sample()
 	f1 := filepath.Join(dir, "gmon.1")
 	f2 := filepath.Join(dir, "gmon.2")
-	if err := WriteFile(f1, p1); err != nil {
+	if err := WriteFileVersion(f1, p1, Version1); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFile(f2, p2); err != nil {
+	if err := WriteFileVersion(f2, p2, Version1); err != nil {
 		t.Fatal(err)
 	}
-	total, err := ReadFiles([]string{f1, f2})
+	total, err := ReadFiles(context.Background(), []string{f1, f2}, 1)
 	if err != nil {
 		t.Fatalf("ReadFiles: %v", err)
 	}
 	if total.Hist.Counts[1] != 10 {
 		t.Errorf("merged bucket = %d, want 10", total.Hist.Counts[1])
 	}
-	if _, err := ReadFiles(nil); err == nil {
+	if _, err := ReadFiles(context.Background(), nil, 1); err == nil {
 		t.Error("ReadFiles(nil) succeeded")
 	}
 	if _, err := ReadFile(filepath.Join(dir, "missing")); err == nil {

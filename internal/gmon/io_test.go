@@ -23,7 +23,7 @@ const goldenV1Hex = "474d4f4e010000003c00000000000000001000000000000010100000000
 
 func TestWriteMatchesGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, sample()); err != nil {
+	if err := WriteVersion(&buf, sample(), Version1); err != nil {
 		t.Fatal(err)
 	}
 	want, err := hex.DecodeString(goldenV1Hex)
@@ -92,16 +92,16 @@ func TestV2RoundTripProperty(t *testing.T) {
 			p.Arcs = append(p.Arcs, Arc{FromPC: SpontaneousPC, SelfPC: 0x105, Count: 9})
 		}
 		var v2 bytes.Buffer
-		if err := WriteV2(&v2, p); err != nil {
+		if err := WriteVersion(&v2, p, Version2); err != nil {
 			t.Fatal(err)
 		}
 		canon := p.Clone()
 		canon.SortArcs()
-		got, err := Read(bytes.NewReader(v2.Bytes()))
+		got, err := Open(bytes.NewReader(v2.Bytes()))
 		if err != nil {
 			t.Fatalf("profile %d: decode v2: %v", i, err)
 		}
-		want, err := Read(bytes.NewReader(encode(t, canon)))
+		want, err := Open(bytes.NewReader(encode(t, canon)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,13 +109,13 @@ func TestV2RoundTripProperty(t *testing.T) {
 			t.Fatalf("profile %d: v2 round trip diverged:\n got %+v\nwant %+v", i, got, want)
 		}
 		var again bytes.Buffer
-		if err := WriteV2(&again, p); err != nil {
+		if err := WriteVersion(&again, p, Version2); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(again.Bytes(), v2.Bytes()) {
 			t.Fatalf("profile %d: v2 encoding not deterministic", i)
 		}
-		// WriteV2 must not have reordered the caller's arcs.
+		// The encoder must not have reordered the caller's arcs.
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -123,170 +123,68 @@ func TestV2RoundTripProperty(t *testing.T) {
 }
 
 func TestReadStatsSections(t *testing.T) {
-	p := sample()
-	p.SortArcs() // version 2 stores arcs in canonical order
-	for _, version := range []int{Version1, Version2} {
+	for _, version := range []int{Version1, Version2, Version3} {
+		p := sample()
+		if version == Version3 {
+			p = sampleV3()
+		}
+		p.SortArcs() // versions 2 and 3 store arcs in canonical order
 		var buf bytes.Buffer
 		if err := WriteVersion(&buf, p, version); err != nil {
 			t.Fatal(err)
 		}
 		total := int64(buf.Len())
-		got, st, err := ReadStats(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, p) {
-			t.Fatalf("v%d: ReadStats decoded %+v, want %+v", version, got, p)
-		}
-		if st.Version != version {
-			t.Errorf("v%d: stats report version %d", version, st.Version)
-		}
-		if st.HeaderBytes != 48 {
-			t.Errorf("v%d: header bytes = %d, want 48", version, st.HeaderBytes)
-		}
-		if sum := st.HeaderBytes + st.HistBytes + st.ArcBytes; sum != st.TotalBytes || sum != total {
-			t.Errorf("v%d: sections sum to %d, total %d, file %d", version, sum, st.TotalBytes, total)
-		}
-	}
-}
-
-// TestStreamingWriterReader drives the streaming halves directly:
-// record-at-a-time writes, batched reads, no whole-profile buffers.
-func TestStreamingWriterReader(t *testing.T) {
-	p := sample()
-	p.SortArcs()
-	for _, version := range []int{Version1, Version2} {
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, Header{
-			Version: version, Hz: p.Hz,
-			Low: p.Hist.Low, High: p.Hist.High, Step: p.Hist.Step,
-			NumBuckets: len(p.Hist.Counts), NumArcs: len(p.Arcs),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteCounts(p.Hist.Counts); err != nil {
-			t.Fatal(err)
-		}
-		for _, a := range p.Arcs {
-			if err := w.WriteArc(a); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		var whole bytes.Buffer
-		if err := WriteVersion(&whole, p, version); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), whole.Bytes()) {
-			t.Fatalf("v%d: streaming writer and Write disagree", version)
-		}
-
-		d, err := NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h := d.Header(); h.Version != version || h.NumArcs != len(p.Arcs) {
-			t.Fatalf("v%d: header = %+v", version, h)
-		}
-		counts, err := d.ReadCounts(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(counts, p.Hist.Counts) {
-			t.Fatalf("v%d: counts = %v", version, counts)
-		}
-		var arcs []Arc
-		batch := make([]Arc, 2)
-		for {
-			n, err := d.ReadArcs(batch)
-			if err == io.EOF {
-				break
+		for _, stream := range []bool{false, true} {
+			got := &Profile{}
+			var st FileStats
+			var err error
+			if stream {
+				st, err = read(bytes.NewReader(buf.Bytes()), nil, got)
+			} else {
+				st, err = read(nil, buf.Bytes(), got)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			arcs = append(arcs, batch[:n]...)
+			if !reflect.DeepEqual(got, p) {
+				t.Fatalf("v%d stream=%v: decoded %+v, want %+v", version, stream, got, p)
+			}
+			if st.Version != version {
+				t.Errorf("v%d: stats report version %d", version, st.Version)
+			}
+			header := int64(48)
+			if version == Version3 {
+				header = 52
+			}
+			if st.HeaderBytes != header {
+				t.Errorf("v%d: header bytes = %d, want %d", version, st.HeaderBytes, header)
+			}
+			if (st.StackBytes > 0) != (version == Version3) {
+				t.Errorf("v%d: stack bytes = %d", version, st.StackBytes)
+			}
+			if sum := st.HeaderBytes + st.HistBytes + st.ArcBytes + st.StackBytes; sum != st.TotalBytes || sum != total {
+				t.Errorf("v%d: sections sum to %d, total %d, file %d", version, sum, st.TotalBytes, total)
+			}
 		}
-		if !reflect.DeepEqual(arcs, p.Arcs) {
-			t.Fatalf("v%d: arcs = %v, want %v", version, arcs, p.Arcs)
-		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
-}
-
-func TestWriterEnforcesContract(t *testing.T) {
-	h := Header{Low: 0x100, High: 0x104, Step: 1, NumBuckets: 4, NumArcs: 1}
-	// Arcs before counts.
-	w, err := NewWriter(io.Discard, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteArc(Arc{SelfPC: 1}); err == nil {
-		t.Error("arc before counts accepted")
-	}
-	w.Close()
-	// Close with arcs owed.
-	w, err = NewWriter(io.Discard, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteCounts(make([]uint32, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err == nil || !strings.Contains(err.Error(), "never written") {
-		t.Errorf("short close error = %v", err)
-	}
-	// Too many arcs.
-	w, err = NewWriter(io.Discard, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteCounts(make([]uint32, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteArc(Arc{SelfPC: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteArc(Arc{SelfPC: 2}); err == nil {
-		t.Error("arc past the declared count accepted")
-	}
-	w.Close()
-	// V2 order enforcement.
-	w, err = NewWriter(io.Discard, Header{Version: Version2, Low: 0x100, High: 0x104, Step: 1, NumBuckets: 4, NumArcs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteCounts(make([]uint32, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteArc(Arc{FromPC: 9, SelfPC: 9, Count: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteArc(Arc{FromPC: 3, SelfPC: 3, Count: 1}); err == nil {
-		t.Error("out-of-order v2 arc accepted")
-	}
-	w.Close()
 }
 
 // TestLyingHeaderBoundedAlloc: a header declaring huge record counts
 // over a tiny body must fail with a truncation error without first
 // allocating room for the declared records.
 func TestLyingHeaderBoundedAlloc(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Header{Low: 0, High: 1 << 27, Step: 1, NumBuckets: 1 << 27, NumArcs: 1 << 27})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Close() // header only; both sections missing
-	header := buf.Bytes()[:48]
+	header := []byte("GMON")
+	header = binary.LittleEndian.AppendUint32(header, Version1)
+	header = binary.LittleEndian.AppendUint64(header, 60)    // hz
+	header = binary.LittleEndian.AppendUint64(header, 0)     // low
+	header = binary.LittleEndian.AppendUint64(header, 1<<27) // high
+	header = binary.LittleEndian.AppendUint64(header, 1)     // step
+	header = binary.LittleEndian.AppendUint32(header, 1<<27) // nbkt
+	header = binary.LittleEndian.AppendUint32(header, 1<<27) // narc
+	// Header only; both sections missing.
 
 	before := testingAllocs(func() {
-		if _, err := Read(bytes.NewReader(header)); err == nil {
+		if _, err := Open(bytes.NewReader(header)); err == nil {
 			t.Error("truncated 128M-record file decoded successfully")
 		}
 	})
@@ -306,8 +204,8 @@ func testingAllocs(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestMergeAllStreamingMatchesSequential: the pooled streaming merge
-// over any worker count equals the one-at-a-time fold bit for bit.
+// TestMergeAllStreamingMatchesSequential: ReadFiles' pooled-scratch
+// fold over any worker count equals the one-at-a-time fold bit for bit.
 func TestMergeAllStreamingMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dir := t.TempDir()
@@ -338,7 +236,7 @@ func TestMergeAllStreamingMatchesSequential(t *testing.T) {
 			}
 		}
 		for _, jobs := range []int{1, 2, 3, 8} {
-			got, err := MergeAllStreaming(context.Background(), names, jobs)
+			got, err := ReadFiles(context.Background(), names, jobs)
 			if err != nil {
 				t.Fatalf("trial %d jobs %d: %v", trial, jobs, err)
 			}
@@ -352,14 +250,14 @@ func TestMergeAllStreamingMatchesSequential(t *testing.T) {
 func TestMergeAllStreamingNamesBadFile(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "gmon.good")
-	if err := WriteFile(good, sample()); err != nil {
+	if err := WriteFileVersion(good, sample(), Version1); err != nil {
 		t.Fatal(err)
 	}
 	bad := filepath.Join(dir, "gmon.bad")
 	if err := os.WriteFile(bad, []byte("not a profile"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := MergeAllStreaming(context.Background(), []string{good, bad, good}, 4)
+	_, err := ReadFiles(context.Background(), []string{good, bad, good}, 4)
 	if err == nil || !strings.Contains(err.Error(), "gmon.bad") {
 		t.Errorf("error does not name the bad file: %v", err)
 	}
@@ -368,10 +266,10 @@ func TestMergeAllStreamingNamesBadFile(t *testing.T) {
 	odd.Hist.High += 4
 	odd.Hist.Counts = append(odd.Hist.Counts, 0, 0, 0, 0)
 	oddName := filepath.Join(dir, "gmon.odd")
-	if err := WriteFile(oddName, odd); err != nil {
+	if err := WriteFileVersion(oddName, odd, Version1); err != nil {
 		t.Fatal(err)
 	}
-	_, err = MergeAllStreaming(context.Background(), []string{good, good, oddName, good}, 3)
+	_, err = ReadFiles(context.Background(), []string{good, good, oddName, good}, 3)
 	if err == nil || !strings.Contains(err.Error(), "gmon.odd") {
 		t.Errorf("error does not name the incompatible file: %v", err)
 	}
@@ -386,7 +284,7 @@ func TestV2SmallerOnSortedProfiles(t *testing.T) {
 		p.SortArcs()
 		v1 := len(encode(t, p))
 		var buf bytes.Buffer
-		if err := WriteV2(&buf, p); err != nil {
+		if err := WriteVersion(&buf, p, Version2); err != nil {
 			t.Fatal(err)
 		}
 		if buf.Len() >= v1 {
@@ -401,24 +299,24 @@ func TestReadIntoReusesStorage(t *testing.T) {
 	p := sample()
 	enc := encode(t, p)
 	var dst Profile
-	if err := ReadInto(bytes.NewReader(enc), &dst); err != nil {
+	if _, err := read(bytes.NewReader(enc), nil, &dst); err != nil {
 		t.Fatal(err)
 	}
 	c0 := &dst.Hist.Counts[0]
 	a0 := &dst.Arcs[0]
-	if err := ReadInto(bytes.NewReader(enc), &dst); err != nil {
+	if _, err := read(bytes.NewReader(enc), nil, &dst); err != nil {
 		t.Fatal(err)
 	}
 	if &dst.Hist.Counts[0] != c0 || &dst.Arcs[0] != a0 {
-		t.Error("ReadInto reallocated storage that could have been reused")
+		t.Error("decoding into a used profile reallocated storage that could have been reused")
 	}
 	if !reflect.DeepEqual(&dst, p) {
 		t.Errorf("second decode = %+v, want %+v", &dst, p)
 	}
 }
 
-// sortArcs is exercised through WriteV2's copy-then-sort path; make
-// sure unsorted inputs really are left untouched.
+// sortArcs is exercised through the version-2 encoder's copy-then-sort
+// path; make sure unsorted inputs really are left untouched.
 func TestWriteV2LeavesInputAlone(t *testing.T) {
 	p := sample()
 	p.Arcs = []Arc{
@@ -426,10 +324,10 @@ func TestWriteV2LeavesInputAlone(t *testing.T) {
 		{FromPC: 0x102, SelfPC: 0x103, Count: 2},
 	}
 	orig := append([]Arc(nil), p.Arcs...)
-	if err := WriteV2(io.Discard, p); err != nil {
+	if err := WriteVersion(io.Discard, p, Version2); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(p.Arcs, orig) {
-		t.Errorf("WriteV2 mutated the caller's arcs: %v", p.Arcs)
+		t.Errorf("the version-2 encoder mutated the caller's arcs: %v", p.Arcs)
 	}
 }

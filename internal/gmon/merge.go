@@ -1,18 +1,20 @@
 // Parallel fan-in merge: the paper's "sum several runs" feature (§3)
-// scaled to many gmon.out files. Profiles merge tree-wise across a
-// worker pool; because bucket and arc counts combine by integer
-// addition (commutative and associative), Merge canonicalizes arc
-// order, and its duplicate-key rule keeps the runs of the leftmost
-// input that has a key, the result is bit-for-bit identical to a
-// sequential left-to-right merge no matter how the tree is shaped or
-// scheduled.
+// scaled to many gmon.out files. One worker fold serves in-memory
+// profiles (MergeAll) and files (ReadFiles): each worker sums its
+// inputs into its own accumulator, and the accumulators fold into the
+// first input's copy in worker order. Because bucket and arc counts
+// combine by integer addition (commutative and associative), Merge
+// canonicalizes arc order, and its duplicate-key rule keeps the runs of
+// the leftmost input that has a key, the result is bit-for-bit
+// identical to a sequential left-to-right merge no matter how many
+// workers run or which inputs each one takes.
 package gmon
 
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -32,146 +34,40 @@ func (p *Profile) checkMergeable(other *Profile) error {
 	return nil
 }
 
-// MergeAll sums k profiles into one, merging pairs tree-wise across a
-// worker pool of the given width (jobs <= 1 folds sequentially). The
-// inputs are not modified. The result is identical to merging the
-// profiles one at a time in slice order.
+// MergeAll sums k profiles into one across a worker pool of the given
+// width (jobs <= 1 folds sequentially). The inputs are not modified and
+// the result shares no storage with them. The result is identical to
+// merging the profiles one at a time in slice order.
 func MergeAll(ctx context.Context, profiles []*Profile, jobs int) (*Profile, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("gmon: no profiles to merge")
 	}
-	if jobs <= 1 || len(profiles) == 2 {
-		total := profiles[0].Clone()
-		for _, p := range profiles[1:] {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := total.Merge(p); err != nil {
-				return nil, err
-			}
-		}
-		return total, nil
+	total := profiles[0].Clone()
+	rest := profiles[1:]
+	err := fold(ctx, total, len(rest), jobs, nil, func(i int, _ *Profile) (*Profile, error) {
+		return rest[i], nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Each round halves the list: pair (2i, 2i+1) merges into a clone of
-	// the left element (first round only — later rounds own their
-	// intermediates), an odd tail carries over.
-	cur := profiles
-	owned := false
-	for len(cur) > 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		pairs := len(cur) / 2
-		next := make([]*Profile, (len(cur)+1)/2)
-		errs := make([]error, pairs)
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		workers := jobs
-		if workers > pairs {
-			workers = pairs
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					if ctx.Err() != nil {
-						continue
-					}
-					left := cur[2*i]
-					if !owned {
-						left = left.Clone()
-					}
-					errs[i] = left.Merge(cur[2*i+1])
-					next[i] = left
-				}
-			}()
-		}
-		for i := 0; i < pairs; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		if len(cur)%2 == 1 {
-			tail := cur[len(cur)-1]
-			if !owned {
-				tail = tail.Clone()
-			}
-			next[pairs] = tail
-		}
-		cur = next
-		owned = true
-	}
-	return cur[0], nil
+	return total, nil
 }
 
-// ReadFilesCtx reads several profile data files concurrently and sums
-// them across a worker pool, honoring ctx cancellation. Every profile
-// must be mergeable with the first; an incompatible or unreadable file
-// is reported by name. ReadFilesCtx(ctx, names, 1) is exactly
-// ReadFiles. It delegates to MergeAllStreaming, so summing k runs keeps
-// one decoded profile per worker, not k.
-func ReadFilesCtx(ctx context.Context, names []string, jobs int) (*Profile, error) {
-	return MergeAllStreaming(ctx, names, jobs)
-}
-
-// scratchPool holds the decode scratch profiles the streaming merge
-// reuses: each worker decodes every file it handles into one pooled
-// Profile whose histogram and arc storage persists across files.
-var scratchPool = sync.Pool{New: func() any { return new(Profile) }}
-
-// readFileInto decodes the named file into the scratch profile, reusing
-// its storage, and reports the bytes consumed. Errors are attributed to
-// the file. Files decode zero-copy through a read-only mapping where
-// the platform allows (readMapped), streaming otherwise; the OpenBytes/
-// OpenReader sniff makes gzip-compressed profile data work everywhere
-// files are summed (gprof -sum, profdiff, gprofd).
-func readFileInto(name string, p *Profile) (int64, error) {
-	if st, mapped, err := readMapped(name, p); mapped {
-		if err != nil {
-			return st.TotalBytes, fmt.Errorf("%s: %w", name, err)
-		}
-		return st.TotalBytes, nil
-	}
-	f, err := os.Open(name)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	d, err := OpenReader(f)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", name, err)
-	}
-	defer d.Close()
-	st, err := decodeInto(d, p)
-	if err != nil {
-		return st.TotalBytes, fmt.Errorf("%s: %w", name, err)
-	}
-	return st.TotalBytes, nil
-}
-
-// MergeAllStreaming reads the named profile data files and sums them
-// without materializing every profile at once: the first file becomes
-// the accumulator, and each worker streams its share of the rest
-// through a pooled decode scratch (histogram and arc buffers reused
-// file to file) into a per-worker partial sum. The result is identical
-// to the sequential left-to-right ReadFiles fold for any worker count —
-// counts sum and Merge canonicalizes arc order.
+// ReadFiles reads the named profile data files and sums them — the
+// paper's "profile of many executions" — across a worker pool of the
+// given width (jobs <= 1 reads sequentially), honoring ctx
+// cancellation. The first file becomes the accumulator, and each worker
+// decodes its share of the rest through a pooled scratch profile whose
+// storage persists file to file, so summing k runs keeps one decoded
+// profile per worker, not k. Every profile must be mergeable with the
+// first; an incompatible or unreadable file is reported by name.
 //
 // An obs.Trace carried by ctx records the whole merge as one "merge"
 // span plus a "gmon.read_file" span per input, and feeds the
 // gmon.files_read / gmon.bytes_read counters and the merge.workers
 // gauge; a canceled or failed merge marks the trace so partial stage
 // timings survive.
-func MergeAllStreaming(ctx context.Context, names []string, jobs int) (p *Profile, err error) {
+func ReadFiles(ctx context.Context, names []string, jobs int) (p *Profile, err error) {
 	tr := obs.FromContext(ctx)
 	defer tr.Span("merge").End()
 	defer func() {
@@ -187,106 +83,115 @@ func MergeAllStreaming(ctx context.Context, names []string, jobs int) (p *Profil
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	firstSpan := tr.Span("gmon.read_file")
+	readOne := func(name string, p *Profile) error {
+		span := tr.Span("gmon.read_file")
+		st, err := readFile(name, p)
+		span.End()
+		bytesC.Add(st.TotalBytes)
+		if err == nil {
+			filesC.Add(1)
+		}
+		return err
+	}
 	total := &Profile{}
-	n, err := readFileInto(names[0], total)
-	firstSpan.End()
-	bytesC.Add(n)
+	if err := readOne(names[0], total); err != nil {
+		return nil, err
+	}
+	rest := names[1:]
+	tr.Gauge("merge.workers").Set(int64(foldWidth(jobs, len(rest))))
+	err = fold(ctx, total, len(rest), jobs, rest, func(i int, scratch *Profile) (*Profile, error) {
+		return scratch, readOne(rest[i], scratch)
+	})
 	if err != nil {
 		return nil, err
 	}
-	filesC.Add(1)
-	rest := names[1:]
-	if len(rest) == 0 {
-		tr.Gauge("merge.workers").Set(1)
-		return total, nil
+	return total, nil
+}
+
+// scratchPool holds the decode scratch profiles fold hands its loaders:
+// each worker decodes every file it handles into one pooled Profile
+// whose histogram and arc storage persists across files.
+var scratchPool = sync.Pool{New: func() any { return new(Profile) }}
+
+// foldWidth is the number of workers fold runs for n inputs.
+func foldWidth(jobs, n int) int { return max(1, min(jobs, n)) }
+
+// fold sums n inputs into total across foldWidth(jobs, n) workers. load
+// returns input i, decoding it into the worker's pooled scratch profile
+// when it reads a file; names, when non-nil, names input i in the
+// errors fold raises itself. Each worker takes the next unclaimed input
+// and sums it into its own accumulator (a lone worker sums straight
+// into total), and the accumulators fold into total in worker order.
+func fold(ctx context.Context, total *Profile, n, jobs int, names []string, load func(i int, scratch *Profile) (*Profile, error)) error {
+	if n == 0 {
+		return nil
 	}
-	if jobs <= 1 {
-		tr.Gauge("merge.workers").Set(1)
+	workers := foldWidth(jobs, n)
+	accs := make([]*Profile, workers)
+	if workers == 1 {
+		accs[0] = total
+	}
+	errs := make([]error, workers)
+	var next atomic.Int64
+	work := func(w int) {
 		scratch := scratchPool.Get().(*Profile)
 		defer scratchPool.Put(scratch)
-		for _, name := range rest {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n || ctx.Err() != nil {
+				return
 			}
-			readSpan := tr.Span("gmon.read_file")
-			n, err := readFileInto(name, scratch)
-			readSpan.End()
-			bytesC.Add(n)
+			p, err := load(i, scratch)
 			if err != nil {
-				return nil, err
+				errs[w] = err
+				return
 			}
-			filesC.Add(1)
-			if err := total.Merge(scratch); err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
+			// Check against total's geometry here so the error names
+			// the incompatible input, not a partial sum.
+			if err = total.checkMergeable(p); err == nil {
+				if accs[w] == nil {
+					accs[w] = p.Clone()
+				} else {
+					err = accs[w].Merge(p)
+				}
+			}
+			if err != nil {
+				if names != nil {
+					err = fmt.Errorf("%s: %w", names[i], err)
+				}
+				errs[w] = err
+				return
 			}
 		}
-		return total, nil
 	}
-	workers := jobs
-	if workers > len(rest) {
-		workers = len(rest)
+	if workers == 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(w)
+			}()
+		}
+		wg.Wait()
 	}
-	tr.Gauge("merge.workers").Set(int64(workers))
-	accs := make([]*Profile, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			scratch := scratchPool.Get().(*Profile)
-			defer scratchPool.Put(scratch)
-			for i := range idx {
-				if ctx.Err() != nil || errs[w] != nil {
-					continue
-				}
-				name := rest[i]
-				readSpan := tr.Span("gmon.read_file")
-				n, err := readFileInto(name, scratch)
-				readSpan.End()
-				bytesC.Add(n)
-				if err != nil {
-					errs[w] = err
-					continue
-				}
-				filesC.Add(1)
-				// Check against the first file's geometry here so the
-				// error names the incompatible input, not an
-				// intermediate sum.
-				if err := total.checkMergeable(scratch); err != nil {
-					errs[w] = fmt.Errorf("%s: %w", name, err)
-					continue
-				}
-				if accs[w] == nil {
-					accs[w] = scratch.Clone()
-				} else if err := accs[w].Merge(scratch); err != nil {
-					errs[w] = fmt.Errorf("%s: %w", name, err)
-				}
-			}
-		}(w)
-	}
-	for i := range rest {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for _, acc := range accs {
-		if acc == nil {
+		if acc == nil || acc == total {
 			continue
 		}
 		if err := total.Merge(acc); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return total, nil
+	return nil
 }

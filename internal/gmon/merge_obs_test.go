@@ -21,7 +21,7 @@ func writeProfiles(t *testing.T, n int) []string {
 	names := make([]string, n)
 	for i := range names {
 		names[i] = filepath.Join(dir, "gmon."+string(rune('a'+i)))
-		if err := WriteFile(names[i], randomProfile(rng)); err != nil {
+		if err := WriteFileVersion(names[i], randomProfile(rng), Version1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,7 +45,7 @@ func TestMergeRecordsTrace(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
 		tr := obs.New()
 		ctx := obs.NewContext(context.Background(), tr)
-		if _, err := MergeAllStreaming(ctx, names, jobs); err != nil {
+		if _, err := ReadFiles(ctx, names, jobs); err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
 		r := tr.Report()
@@ -95,7 +95,7 @@ func TestMergeCancelPartialReport(t *testing.T) {
 	// Err() call #1 is the pre-read check; #2 is the first loop
 	// iteration, so exactly one file is read before the abort.
 	ctx := &failAfterCtx{Context: obs.NewContext(context.Background(), tr), after: 1}
-	_, err := MergeAllStreaming(ctx, names, 1)
+	_, err := ReadFiles(ctx, names, 1)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -39,15 +39,15 @@ func randomProfile(rng *rand.Rand) *Profile {
 func encode(t *testing.T, p *Profile) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, p); err != nil {
+	if err := WriteVersion(&buf, p, Version1); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	return buf.Bytes()
 }
 
-// TestMergeAllMatchesSequential is the merge-determinism property: a
-// tree-parallel merge of a shuffled profile list equals the sequential
-// fold bit-for-bit, for every list length and worker count tried.
+// TestMergeAllMatchesSequential is the merge-determinism property: the
+// worker fold of a shuffled profile list equals the sequential fold
+// bit-for-bit, for every list length and worker count tried.
 func TestMergeAllMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, k := range []int{1, 2, 3, 5, 8, 16, 33} {
@@ -71,13 +71,13 @@ func TestMergeAllMatchesSequential(t *testing.T) {
 			}
 			// Shuffling changes nothing: counts sum and arcs sort.
 			if !bytes.Equal(encode(t, got), want) {
-				t.Errorf("k=%d jobs=%d: tree-parallel merge of shuffled list differs from sequential", k, jobs)
+				t.Errorf("k=%d jobs=%d: worker fold of shuffled list differs from sequential", k, jobs)
 			}
 		}
 	}
 	// Duplicate (FromPC, SelfPC) keys, in file order: which duplicate
 	// of the first profile's run carries the later counts is fixed by
-	// the first profile alone, so every tree shape agrees — but only
+	// the first profile alone, so every worker split agrees — but only
 	// for the list order given, since the first profile's runs survive.
 	for _, k := range []int{2, 3, 5, 8, 16, 33} {
 		ps := make([]*Profile, k)
@@ -95,29 +95,37 @@ func TestMergeAllMatchesSequential(t *testing.T) {
 				t.Fatalf("k=%d jobs=%d duplicates: %v", k, jobs, err)
 			}
 			if !bytes.Equal(encode(t, got), want) {
-				t.Errorf("k=%d jobs=%d: tree-parallel merge with duplicate keys differs from sequential", k, jobs)
+				t.Errorf("k=%d jobs=%d: worker fold with duplicate keys differs from sequential", k, jobs)
 			}
 		}
 	}
 }
 
 // TestMergeAllLeavesInputsAlone: the inputs must not accumulate into
-// each other (the sequential ReadFiles path mutates only the profile it
-// read itself).
+// each other, and the result must share no storage with them — not
+// even when a single input leaves nothing to sum — so mutating the
+// result leaves every input as it was.
 func TestMergeAllLeavesInputsAlone(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ps := []*Profile{randomProfile(rng), randomProfile(rng), randomProfile(rng)}
-	before := make([][]byte, len(ps))
-	for i, p := range ps {
-		before[i] = encode(t, p)
-	}
-	for _, jobs := range []int{1, 4} {
-		if _, err := MergeAll(context.Background(), ps, jobs); err != nil {
-			t.Fatal(err)
+	for _, inputs := range [][]*Profile{ps, ps[:1]} {
+		before := make([][]byte, len(inputs))
+		for i, p := range inputs {
+			before[i] = encode(t, p)
 		}
-		for i, p := range ps {
-			if !bytes.Equal(encode(t, p), before[i]) {
-				t.Errorf("jobs=%d: MergeAll mutated input %d", jobs, i)
+		for _, jobs := range []int{1, 4} {
+			got, err := MergeAll(context.Background(), inputs, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Hist.Counts[0] += 1000
+			if len(got.Arcs) > 0 {
+				got.Arcs[0].Count += 1000
+			}
+			for i, p := range inputs {
+				if !bytes.Equal(encode(t, p), before[i]) {
+					t.Errorf("%d inputs, jobs=%d: MergeAll or a write to its result changed input %d", len(inputs), jobs, i)
+				}
 			}
 		}
 	}
@@ -154,48 +162,48 @@ func TestMergeAllCancellation(t *testing.T) {
 	}
 }
 
-// TestReadFilesCtxMatchesReadFiles: the concurrent reader returns the
-// same bytes as the sequential one and attributes incompatible files by
-// name.
+// TestReadFilesCtxMatchesReadFiles: reading files across workers
+// returns the same bytes as reading them sequentially and attributes
+// incompatible files by name.
 func TestReadFilesCtxMatchesReadFiles(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(11))
 	var names []string
 	for i := 0; i < 9; i++ {
 		name := filepath.Join(dir, "gmon."+string(rune('a'+i)))
-		if err := WriteFile(name, randomProfile(rng)); err != nil {
+		if err := WriteFileVersion(name, randomProfile(rng), Version1); err != nil {
 			t.Fatal(err)
 		}
 		names = append(names, name)
 	}
-	want, err := ReadFiles(names)
+	want, err := ReadFiles(context.Background(), names, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFilesCtx(context.Background(), names, 4)
+	got, err := ReadFiles(context.Background(), names, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(encode(t, want), encode(t, got)) {
-		t.Error("parallel ReadFilesCtx differs from sequential ReadFiles")
+		t.Error("ReadFiles at 4 workers differs from ReadFiles at 1")
 	}
 
 	// A geometry mismatch names the offending file.
 	odd := randomProfile(rng)
 	odd.Hz = 100
 	oddName := filepath.Join(dir, "gmon.odd")
-	if err := WriteFile(oddName, odd); err != nil {
+	if err := WriteFileVersion(oddName, odd, Version1); err != nil {
 		t.Fatal(err)
 	}
-	_, err = ReadFilesCtx(context.Background(), append(names, oddName), 4)
+	_, err = ReadFiles(context.Background(), append(names, oddName), 4)
 	if err == nil || !strings.Contains(err.Error(), "gmon.odd") {
 		t.Errorf("mismatch error does not name the file: %v", err)
 	}
 
-	if _, err := ReadFilesCtx(context.Background(), nil, 4); err == nil {
+	if _, err := ReadFiles(context.Background(), nil, 4); err == nil {
 		t.Error("empty name list accepted")
 	}
-	if _, err := ReadFilesCtx(context.Background(), []string{filepath.Join(dir, "missing")}, 4); err == nil {
+	if _, err := ReadFiles(context.Background(), []string{filepath.Join(dir, "missing")}, 4); err == nil {
 		t.Error("missing file accepted")
 	}
 }

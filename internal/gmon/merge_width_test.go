@@ -34,12 +34,12 @@ func TestMergeAllStreamingWidthIndependentDuplicates(t *testing.T) {
 	names := []string{v1, v2, v1, v1, v2, v1, v2, v2}
 	var want []byte
 	for _, jobs := range []int{1, 2, 4} {
-		sum, err := gmon.MergeAllStreaming(context.Background(), names, jobs)
+		sum, err := gmon.ReadFiles(context.Background(), names, jobs)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
 		var buf bytes.Buffer
-		if err := gmon.WriteV2(&buf, sum); err != nil {
+		if err := gmon.WriteVersion(&buf, sum, gmon.Version2); err != nil {
 			t.Fatal(err)
 		}
 		if want == nil {

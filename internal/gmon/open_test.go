@@ -3,7 +3,7 @@ package gmon
 import (
 	"bytes"
 	"compress/gzip"
-	"io"
+	"context"
 	"os"
 	"reflect"
 	"testing"
@@ -59,7 +59,7 @@ func TestOpenReaderSniff(t *testing.T) {
 // panics, and the sniff never misreads garbage as a profile.
 func TestOpenReaderErrors(t *testing.T) {
 	var v1 bytes.Buffer
-	if err := Write(&v1, sample()); err != nil {
+	if err := WriteVersion(&v1, sample(), Version1); err != nil {
 		t.Fatal(err)
 	}
 	gz := gzipped(t, v1.Bytes())
@@ -76,45 +76,6 @@ func TestOpenReaderErrors(t *testing.T) {
 		if _, err := Open(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
-	}
-}
-
-// TestOpenReaderStreams: the streaming surface works through the gzip
-// transport too, and Close tears down the decompressor.
-func TestOpenReaderStreams(t *testing.T) {
-	p := sample()
-	var raw bytes.Buffer
-	if err := WriteV2(&raw, p); err != nil {
-		t.Fatal(err)
-	}
-	d, err := OpenReader(bytes.NewReader(gzipped(t, raw.Bytes())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Header().Version; got != Version2 {
-		t.Fatalf("sniffed version %d, want %d", got, Version2)
-	}
-	if _, err := d.ReadCounts(nil); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, err := d.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	canon := p.Clone()
-	canon.SortArcs()
-	if n != len(canon.Arcs) {
-		t.Fatalf("streamed %d arcs, want %d", n, len(canon.Arcs))
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -145,18 +106,18 @@ func TestMergeStreamingGzip(t *testing.T) {
 	p := sample()
 	dir := t.TempDir()
 	raw := dir + "/raw.out"
-	if err := WriteFile(raw, p); err != nil {
+	if err := WriteFileVersion(raw, p, Version1); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, p); err != nil {
+	if err := WriteVersion(&buf, p, Version1); err != nil {
 		t.Fatal(err)
 	}
 	gzName := dir + "/gz.out"
 	if err := os.WriteFile(gzName, gzipped(t, buf.Bytes()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFiles([]string{raw, gzName})
+	got, err := ReadFiles(context.Background(), []string{raw, gzName}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,14 @@ package gmon
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/binio"
 )
@@ -32,7 +34,7 @@ func TestV3RoundTrip(t *testing.T) {
 	if err := WriteVersion(&buf, p, Version3); err != nil {
 		t.Fatal(err)
 	}
-	q, err := Read(bytes.NewReader(buf.Bytes()))
+	q, err := Open(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestV3DowngradeDropsStacks(t *testing.T) {
 		if !bytes.Equal(with.Bytes(), without.Bytes()) {
 			t.Errorf("v%d encoding of a stacked profile differs from the stack-less encoding", version)
 		}
-		q, err := Read(bytes.NewReader(with.Bytes()))
+		q, err := Open(bytes.NewReader(with.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +96,7 @@ func TestV3RoundTripProperty(t *testing.T) {
 		if err := WriteVersion(&buf, p, Version3); err != nil {
 			t.Fatal(err)
 		}
-		q, err := Read(bytes.NewReader(buf.Bytes()))
+		q, err := Open(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -111,152 +113,104 @@ func TestV3RoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestV3StreamingWriterReader: a v3 file fed to the stream decoder one
+// byte per Read, so every record straddles block refills, decodes to
+// the same profile and section sizes as the in-memory decode; a stream
+// cut inside the stack section fails as truncated; and a reused
+// scratch profile drops its stacks when the next file has none.
 func TestV3StreamingWriterReader(t *testing.T) {
 	p := sampleV3()
 	p.SortArcs()
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Header{
-		Version: Version3, Hz: p.Hz,
-		Low: p.Hist.Low, High: p.Hist.High, Step: p.Hist.Step,
-		NumBuckets: len(p.Hist.Counts), NumArcs: len(p.Arcs), NumStacks: len(p.Stacks),
-	})
-	if err != nil {
+	if err := WriteVersion(&buf, p, Version3); err != nil {
 		t.Fatal(err)
-	}
-	if err := w.WriteCounts(p.Hist.Counts); err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range p.Arcs {
-		if err := w.WriteArc(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, s := range p.Stacks {
-		if err := w.WriteStack(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var whole bytes.Buffer
-	if err := WriteVersion(&whole, p, Version3); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), whole.Bytes()) {
-		t.Fatal("streaming v3 writer and WriteVersion disagree")
 	}
 
-	d, err := NewReader(bytes.NewReader(buf.Bytes()))
+	var whole Profile
+	wst, err := read(nil, buf.Bytes(), &whole)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := d.Header(); h.Version != Version3 || h.NumStacks != len(p.Stacks) {
-		t.Fatalf("header = %+v", h)
-	}
-	if _, err := d.ReadCounts(nil); err != nil {
+	var streamed Profile
+	sst, err := read(iotest.OneByteReader(bytes.NewReader(buf.Bytes())), nil, &streamed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Stacks before the arc section is drained must fail.
-	if _, err := d.ReadStacks(make([]StackSample, 1)); err == nil {
-		t.Error("stacks read before arcs accepted")
+	if !reflect.DeepEqual(streamed.Stacks, p.Stacks) {
+		t.Fatalf("stacks = %+v, want %+v", streamed.Stacks, p.Stacks)
 	}
-	d.Close()
+	if !reflect.DeepEqual(&streamed, &whole) {
+		t.Fatalf("stream decode %+v, in-memory decode %+v", &streamed, &whole)
+	}
+	if sst != wst {
+		t.Errorf("stream stats %+v, in-memory stats %+v", sst, wst)
+	}
+	if sst.StackBytes <= 0 {
+		t.Errorf("StackBytes = %d, want > 0", sst.StackBytes)
+	}
+	if sst.TotalBytes != int64(buf.Len()) {
+		t.Errorf("TotalBytes = %d, want %d", sst.TotalBytes, buf.Len())
+	}
 
-	// Fresh reader, batch size 2 to exercise chunk boundaries.
-	d, err = NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	cut := buf.Bytes()[:buf.Len()-1]
+	if _, err := read(iotest.OneByteReader(bytes.NewReader(cut)), nil, &Profile{}); !errors.Is(err, io.ErrUnexpectedEOF) ||
+		!strings.Contains(err.Error(), "stack") {
+		t.Errorf("stream cut in the stack section: err = %v", err)
+	}
+
+	var v2 bytes.Buffer
+	if err := WriteVersion(&v2, sample(), Version2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ReadCounts(nil); err != nil {
+	if _, err := read(bytes.NewReader(v2.Bytes()), nil, &streamed); err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if _, err := d.ReadArcs(make([]Arc, 2)); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-	}
-	var stacks []StackSample
-	batch := make([]StackSample, 2)
-	for {
-		n, err := d.ReadStacks(batch)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		stacks = append(stacks, batch[:n]...)
-	}
-	if !reflect.DeepEqual(stacks, p.Stacks) {
-		t.Fatalf("stacks = %+v, want %+v", stacks, p.Stacks)
-	}
-	st := d.Stats()
-	if st.StackBytes <= 0 {
-		t.Errorf("StackBytes = %d, want > 0", st.StackBytes)
-	}
-	if st.TotalBytes != int64(buf.Len()) {
-		t.Errorf("TotalBytes = %d, want %d", st.TotalBytes, buf.Len())
+	if len(streamed.Stacks) != 0 {
+		t.Errorf("reused profile kept %d stacks from the previous file", len(streamed.Stacks))
 	}
 }
 
+// TestV3WriterContract: the version-3 encoder refuses a stack table it
+// could not write in strictly increasing order — a repeated PC
+// sequence, which the reader would refuse too — and stack records that
+// break the format's bounds, and it orders an unsorted table itself.
 func TestV3WriterContract(t *testing.T) {
-	h := Header{Version: Version3, Low: 0, High: 0, Step: 1, NumStacks: 2}
-	// Stacks below version 3.
-	if _, err := NewWriter(io.Discard, Header{Version: Version2, Low: 0, High: 0, Step: 1, NumStacks: 1}); err == nil {
-		t.Error("v2 header declaring stacks accepted")
+	withStacks := func(stacks ...StackSample) *Profile {
+		p := sample()
+		p.Stacks = stacks
+		return p
 	}
-	// Stack before counts.
-	w, err := NewWriter(io.Discard, h)
+	bad := map[string]*Profile{
+		"duplicate stack":  withStacks(StackSample{PCs: []int64{5, 7}, Count: 1}, StackSample{PCs: []int64{5, 7}, Count: 2}),
+		"empty stack":      withStacks(StackSample{PCs: nil, Count: 1}),
+		"overdeep stack":   withStacks(StackSample{PCs: make([]int64, MaxStackDepth+1), Count: 1}),
+		"zero-count stack": withStacks(StackSample{PCs: []int64{6}, Count: 0}),
+		"negative pc":      withStacks(StackSample{PCs: []int64{-1}, Count: 1}),
+	}
+	for name, p := range bad {
+		if err := WriteVersion(io.Discard, p, Version3); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	for _, version := range []int{0, Version3 + 1} {
+		if err := WriteVersion(io.Discard, sample(), version); err == nil {
+			t.Errorf("write version %d accepted", version)
+		}
+	}
+	unsorted := withStacks(StackSample{PCs: []int64{5, 7}, Count: 1}, StackSample{PCs: []int64{5, 6}, Count: 1})
+	var buf bytes.Buffer
+	if err := WriteVersion(&buf, unsorted, Version3); err != nil {
+		t.Fatal(err)
+	}
+	q, err := Open(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteStack(StackSample{PCs: []int64{1}, Count: 1}); err == nil {
-		t.Error("stack before counts accepted")
+	if want := []StackSample{unsorted.Stacks[1], unsorted.Stacks[0]}; !reflect.DeepEqual(q.Stacks, want) {
+		t.Errorf("stacks = %+v, want %+v", q.Stacks, want)
 	}
-	w.Close()
-	// Out-of-order and duplicate stacks.
-	fresh := func() *Writer {
-		w, err := NewWriter(io.Discard, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteCounts(nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteStack(StackSample{PCs: []int64{5, 7}, Count: 1}); err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	w = fresh()
-	if err := w.WriteStack(StackSample{PCs: []int64{5, 6}, Count: 1}); err == nil {
-		t.Error("out-of-order stack accepted")
-	}
-	w = fresh()
-	if err := w.WriteStack(StackSample{PCs: []int64{5, 7}, Count: 2}); err == nil {
-		t.Error("duplicate stack accepted")
-	}
-	// Bad records.
-	w = fresh()
-	if err := w.WriteStack(StackSample{PCs: nil, Count: 1}); err == nil {
-		t.Error("empty stack accepted")
-	}
-	if err := w.WriteStack(StackSample{PCs: make([]int64, MaxStackDepth+1), Count: 1}); err == nil {
-		t.Error("overdeep stack accepted")
-	}
-	if err := w.WriteStack(StackSample{PCs: []int64{6}, Count: 0}); err == nil {
-		t.Error("zero-count stack accepted")
-	}
-	if err := w.WriteStack(StackSample{PCs: []int64{-1}, Count: 1}); err == nil {
-		t.Error("negative pc accepted")
-	}
-	// Close with stacks owed.
-	w = fresh()
-	if err := w.Close(); err == nil || !strings.Contains(err.Error(), "never written") {
-		t.Errorf("short close error = %v", err)
+	if unsorted.Stacks[0].PCs[1] != 7 {
+		t.Error("the encoder sorted the caller's stack table")
 	}
 }
 
@@ -301,7 +255,7 @@ func TestV3HostileInputs(t *testing.T) {
 		{"duplicate records", v3Bytes(2, uv(nil, 7, 1, 1, 0, 1, 1)), "out of order"},
 	}
 	for _, tc := range cases {
-		_, err := Read(bytes.NewReader(tc.data))
+		_, err := Open(bytes.NewReader(tc.data))
 		if err == nil {
 			t.Errorf("%s: decoded successfully", tc.name)
 			continue
@@ -319,7 +273,7 @@ func TestV3HostileInputs(t *testing.T) {
 func TestV3LyingStackCountBoundedAlloc(t *testing.T) {
 	data := v3Bytes(1<<27, nil)
 	grew := testingAllocs(func() {
-		if _, err := Read(bytes.NewReader(data)); err == nil {
+		if _, err := Open(bytes.NewReader(data)); err == nil {
 			t.Error("truncated 128M-stack file decoded successfully")
 		}
 	})
@@ -377,7 +331,7 @@ func TestV3OpenReaderGzip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(p, q) {
-			t.Fatal("v3 via OpenReader diverged")
+			t.Fatal("v3 via Open diverged")
 		}
 	}
 }

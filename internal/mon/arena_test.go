@@ -98,7 +98,7 @@ func TestResetClearsEverything(t *testing.T) {
 	}
 	encode := func() []byte {
 		var buf bytes.Buffer
-		if err := gmon.Write(&buf, c.Snapshot()); err != nil {
+		if err := gmon.WriteVersion(&buf, c.Snapshot(), gmon.Version1); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

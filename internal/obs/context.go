@@ -6,7 +6,7 @@ import "context"
 type traceKey struct{}
 
 // NewContext returns ctx carrying t. The pipeline's ctx-taking stages
-// (core.Run, gmon.MergeAllStreaming, callgraph.BuildCtx,
+// (core.Run, gmon.ReadFiles, callgraph.BuildCtx,
 // propagate.RunCtx) pick it up with FromContext, so enabling
 // observability is one line in a CLI and zero signature changes in the
 // library. A nil t returns ctx unchanged.

@@ -16,7 +16,7 @@
 // pointer check per call site and allocates nothing
 // (testing.AllocsPerRun-verified; see BenchmarkObsSpanOverhead). The
 // trace rides the context (NewContext / FromContext), so the pipeline
-// stages that already take a ctx — core.Run, gmon.MergeAllStreaming,
+// stages that already take a ctx — core.Run, gmon.ReadFiles,
 // propagate.RunCtx, callgraph.BuildCtx — need no signature changes.
 //
 // An enabled span is a value, not a closure: starting and ending one

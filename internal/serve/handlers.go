@@ -128,7 +128,7 @@ func (s *Server) handleExe(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleIngest accepts one gmon.out upload: either format version,
-// gzip or identity transport (sniffed by gmon.OpenReader — no
+// gzip or identity transport (sniffed by gmon.Open — no
 // Content-Encoding negotiation needed), keyed by fingerprint. Malformed
 // bodies are 4xx; a full shard queue is 429 with Retry-After.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {

@@ -29,7 +29,7 @@ func offlineMerge(t *testing.T, profiles []*gmon.Profile) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := gmon.Write(&buf, merged); err != nil {
+	if err := gmon.WriteVersion(&buf, merged, gmon.Version1); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -55,7 +55,7 @@ func offlineFlat(t *testing.T, im *object.Image, profiles []*gmon.Profile) []byt
 func encodeGmon(t *testing.T, p *gmon.Profile) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := gmon.Write(&buf, p); err != nil {
+	if err := gmon.WriteVersion(&buf, p, gmon.Version1); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -9,10 +9,9 @@
 //
 // The ingestion hot path is built to survive thousands of agents:
 //
-//   - every upload decodes through gmon.OpenReader, whose
-//     declared-count contract and chunked growth mean a lying header
-//     cannot drive a large allocation, under an http.MaxBytesReader
-//     body cap;
+//   - every upload decodes through gmon.Open, whose bounded section
+//     growth means a lying header cannot drive a large allocation,
+//     under an http.MaxBytesReader body cap;
 //   - each fingerprint owns a shard: one merge-worker goroutine and a
 //     bounded queue of decoded profiles, so merging never blocks the
 //     HTTP handler and memory is bounded by queue depth × body cap;

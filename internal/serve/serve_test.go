@@ -189,7 +189,7 @@ func TestIngestAndQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wantBuf bytes.Buffer
-	if err := gmon.Write(&wantBuf, want); err != nil {
+	if err := gmon.WriteVersion(&wantBuf, want, gmon.Version1); err != nil {
 		t.Fatal(err)
 	}
 	got := mustStatus(t, get(t, ts, "/v1/gmon?sync=1&fp="+fp), http.StatusOK)
@@ -204,7 +204,7 @@ func TestIngestAndQuery(t *testing.T) {
 		t.Fatalf("decoding v2 merged profile: %v", err)
 	}
 	var rebuf bytes.Buffer
-	if err := gmon.Write(&rebuf, decoded); err != nil {
+	if err := gmon.WriteVersion(&rebuf, decoded, gmon.Version1); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rebuf.Bytes(), wantBuf.Bytes()) {
@@ -267,10 +267,10 @@ func TestWindowSelection(t *testing.T) {
 		return mustStatus(t, get(t, ts, "/v1/gmon?sync=1&fp="+fp+"&window="+window), http.StatusOK)
 	}
 	var b1, b2 bytes.Buffer
-	if err := gmon.Write(&b1, p1); err != nil {
+	if err := gmon.WriteVersion(&b1, p1, gmon.Version1); err != nil {
 		t.Fatal(err)
 	}
-	if err := gmon.Write(&b2, p2); err != nil {
+	if err := gmon.WriteVersion(&b2, p2, gmon.Version1); err != nil {
 		t.Fatal(err)
 	}
 	if got := gmonAt("prev"); !bytes.Equal(got, b1.Bytes()) {
@@ -287,7 +287,7 @@ func TestWindowSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	var bm bytes.Buffer
-	if err := gmon.Write(&bm, merged); err != nil {
+	if err := gmon.WriteVersion(&bm, merged, gmon.Version1); err != nil {
 		t.Fatal(err)
 	}
 	if got := gmonAt("all"); !bytes.Equal(got, bm.Bytes()) {

@@ -350,7 +350,7 @@ func (s *shard) whileCurrent(sel windowSel, now time.Time, key string, fn func()
 // A single-window selection is served zero-copy: the window aggregate
 // itself, counted as read until the caller calls release, and
 // protected by copy-on-write in merge while it is. The returned profile
-// must be treated read-only (gmon.Write and core.Run never mutate
+// must be treated read-only (gmon.WriteVersion and core.Run never mutate
 // their input profile), and release must be called once the caller is
 // done reading it: neither an analysis nor an encoding keeps the
 // profile. release is never nil.

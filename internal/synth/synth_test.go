@@ -51,7 +51,7 @@ func TestRoundTrip(t *testing.T) {
 	w := Generate(Tier(3000, 3))
 	for _, version := range []int{gmon.Version1, gmon.Version2} {
 		enc := encode(t, w, version)
-		p, err := gmon.Read(bytes.NewReader(enc))
+		p, err := gmon.Open(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatalf("v%d: decode: %v", version, err)
 		}

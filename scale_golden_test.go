@@ -43,7 +43,7 @@ func TestScaleListingPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := core.LoadProfiles(ctx, []string{data}, jobs)
+		p, err := gmon.ReadFiles(ctx, []string{data}, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
