@@ -12,6 +12,21 @@ race:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	go vet ./... && go test -race ./...
 
+# The linearity gate alone, verbose, so one command prints every row's
+# time and byte ratios with the host's GOMAXPROCS and CPU count. The
+# rows run each stage at n and 2n: gmon.ReadFile (v1, 2^20 buckets and
+# arcs), gmon.MergeAll (width 1, four profiles of 2^15 arcs),
+# object.ReadImageFile (2^20 words), callgraph.BuildCtx, scc.Analyze,
+# propagate.RunCtx and model.Build (synth.Tier(5*10^4, 1)), the full
+# listing and the index alone (synth.Tier(10^4, 1), the index's names
+# shuffled) and gprofd's window fold, gmon.Profile.Merge
+# (synth.Tier(5*10^4, 1)). A row fails when the median CPU-time ratio
+# t(2n)/t(n) over 11 pairs exceeds 3, or the heap bytes of one run at
+# 2n exceed 2.5x those at n; linear reads 2 on both.
+.PHONY: linear
+linear:
+	go test -run 'TestStagesScaleLinearly' -v -count=1 ./internal/core
+
 .PHONY: bench
 bench:
 	go test -bench=. -benchmem ./...

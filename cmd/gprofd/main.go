@@ -65,7 +65,7 @@ func main() {
 		maxBody = flag.Int64("maxbody", serve.DefaultMaxBodyBytes, "upload body size cap in bytes")
 		shards  = flag.Int("maxshards", serve.DefaultMaxShards, "maximum registered fingerprints")
 		jobs    = flag.Int("jobs", 0, "render worker width for queries (0 = GOMAXPROCS)")
-		qcache  = flag.Int("querycache", serve.DefaultQueryCache, "memo slots, one per query shape: fingerprint and window selection, for the analysis or for each /v1/gmon format; a slot holds only its latest data version")
+		qcache  = flag.Int("querycache", serve.DefaultQueryCache, "analysis memo slots, one per query shape (fingerprint and window selection); a slot holds only its latest data version")
 		pprofA  = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060; empty = off)")
 		selfP   = flag.Duration("selfprofile", 0, "capture gprofd's own CPU profile this often and serve it at /v1/self (0 = on demand only)")
 		selfC   = flag.Duration("selfcapture", 0, "duration of each self-profile capture window (0 = 1s, clamped to half the interval)")

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/cputime"
 	"repro/internal/gmon"
 	"repro/internal/object"
 	"repro/internal/symtab"
@@ -319,30 +318,4 @@ func fuzzInput(data []byte) (*symtab.Table, *gmon.Profile) {
 		p.Arcs = append(p.Arcs, gmon.Arc{FromPC: from, SelfPC: self, Count: count})
 	}
 	return symtab.FromSyms(syms), p
-}
-
-// TestBuildScalesLinearly is the graph layer's scaling gate: building
-// the call graph of a synthetic program with 2n routines must cost at
-// most 3x that of n routines. Linear cost reads 2x; anything quadratic
-// reads 4x. The builds are timed in pairs by cputime.PairRatio, and
-// the gate reads the median pair's ratio.
-func TestBuildScalesLinearly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing gate")
-	}
-	const n = 50000
-	build := func(nodes int) func() {
-		w := synth.Generate(synth.Tier(nodes, 1))
-		tab, p := w.Table(), w.Prof
-		return func() {
-			if _, err := BuildCtx(context.Background(), tab, p, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ratio, ratios := cputime.PairRatio(build(n), build(2*n))
-	t.Logf("build: n=%d, pair ratios t(2n)/t(n) %.2f, median %.2f", n, ratios, ratio)
-	if ratio > 3 {
-		t.Errorf("building %d routines took a median %.2fx the time for %d, more than 3x", 2*n, ratio, n)
-	}
 }

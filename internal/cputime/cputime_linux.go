@@ -2,7 +2,7 @@
 
 // Package cputime reads the calling thread's CPU clock, for timing
 // gates that must not charge a test for the spells in which other
-// processes held the CPU.
+// processes held the CPU, and the heap bytes a run allocates.
 package cputime
 
 import (

@@ -3,6 +3,7 @@ package cputime
 import (
 	"runtime"
 	"runtime/debug"
+	"runtime/metrics"
 	"slices"
 	"time"
 )
@@ -47,4 +48,32 @@ func timeRun(f func()) time.Duration {
 	start := Thread()
 	f()
 	return Thread() - start
+}
+
+// heapAllocs is the runtime metric of the bytes allocated on the heap
+// since the program started.
+const heapAllocs = "/gc/heap/allocs:bytes"
+
+// Allocated returns the heap bytes one run of f allocates. It collects
+// twice first, which empties every sync.Pool (the first collection
+// moves a pool's items to its victim cache, the second drops them), so
+// f pays for whatever it draws from a pool; the collector stays off
+// while f runs, so no collection can empty a pool midway. The count is
+// read after a further collection, which flushes the per-P allocation
+// caches into the total. A function that fills a lazily built
+// structure on its first call should be called once before.
+func Allocated(f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	runtime.GC()
+	before := readAllocs()
+	f()
+	runtime.GC()
+	return readAllocs() - before
+}
+
+func readAllocs() uint64 {
+	s := []metrics.Sample{{Name: heapAllocs}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }

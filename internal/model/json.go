@@ -175,7 +175,7 @@ func (p *Profile) fromWire(w *wireProfile) error {
 		}
 		p.Arcs[k] = a
 	}
-	p.links = newLinks(p, func(c, j int) int32 { return names[p.Cycles[c].Members[j]] })
+	p.links = newLinks(p)
 	return nil
 }
 

@@ -20,6 +20,7 @@
 package model
 
 import (
+	"sort"
 	"sync"
 
 	"repro/internal/order"
@@ -83,16 +84,11 @@ type Profile struct {
 	Stacks *StackView
 
 	// links is the index layout of Arcs and Cycles; Build and Decode
-	// set it, and Links lays it out for a profile assembled by hand.
+	// set it, and Links lays it out for a profile assembled by hand,
+	// under linksOnce, because a cached profile is rendered by many
+	// goroutines at once.
 	links     *Links
 	linksOnce sync.Once
-	// byName maps a routine name to its position in Routines and
-	// byNumber a cycle number to its position in Cycles. They are built
-	// at the first lookup, under lookupOnce, because a cached profile is
-	// rendered by many goroutines at once.
-	byName     map[string]int32
-	byNumber   map[int]int32
-	lookupOnce sync.Once
 }
 
 // Routine is one routine's analyzed numbers.
@@ -218,47 +214,31 @@ func (p *Profile) Routine(name string) (*Routine, bool) {
 }
 
 // RoutinePos returns the named routine's position in Routines, if
-// present. The name table is built at the first lookup: the renderers
-// never look a name up, so only callers that start from a name pay for
-// it.
+// present: a binary search of the name order. Where names repeat it
+// is the last position with the name.
 func (p *Profile) RoutinePos(name string) (int, bool) {
-	p.lookupOnce.Do(p.index)
-	i, ok := p.byName[name]
+	i, ok := find(p.Routines, p.Links().ByName(), name)
 	return int(i), ok
 }
 
-// CycleByNumber returns the numbered cycle, if present.
-func (p *Profile) CycleByNumber(n int) (*Cycle, bool) {
-	p.lookupOnce.Do(p.index)
-	i, ok := p.byNumber[n]
-	if !ok {
-		return nil, false
+// find returns the last position in byName, routines' positions sorted
+// by name and then position, of a routine with the name, if any.
+func find(routines []Routine, byName []int32, name string) (int32, bool) {
+	k := sort.Search(len(byName), func(k int) bool { return routines[byName[k]].Name > name })
+	if k == 0 || routines[byName[k-1]].Name != name {
+		return 0, false
 	}
-	return &p.Cycles[i], true
-}
-
-// index builds the name and cycle-number tables.
-func (p *Profile) index() {
-	p.byName = make(map[string]int32, len(p.Routines))
-	for i := range p.Routines {
-		p.byName[p.Routines[i].Name] = int32(i)
-	}
-	p.byNumber = make(map[int]int32, len(p.Cycles))
-	for i := range p.Cycles {
-		p.byNumber[p.Cycles[i].Number] = int32(i)
-	}
+	return byName[k-1], true
 }
 
 // Links returns the profile's index layout. Build and Decode lay it
 // out; a profile assembled by hand gets it at the first call, with its
-// cycle members resolved by name and its routines sorted by name.
+// routines sorted by name and its cycle members resolved in that
+// order.
 func (p *Profile) Links() *Links {
 	p.linksOnce.Do(func() {
 		if p.links == nil {
-			p.links = newLinks(p, func(c, j int) int32 {
-				i, _ := p.RoutinePos(p.Cycles[c].Members[j])
-				return int32(i)
-			})
+			p.links = newLinks(p)
 		}
 	})
 	return p.links
@@ -304,10 +284,10 @@ func (l *Links) ByName() []int32 { return l.byName }
 
 // newLinks lays out a decoded or hand-assembled profile's arcs by a
 // counting sort on each endpoint, which keeps every routine's arcs in
-// model order, and records each cycle's members and the routines' name
-// order; member(c, j) is the position of the j-th member of
-// p.Cycles[c]. Build takes all of these from the graph instead.
-func newLinks(p *Profile, member func(c, j int) int32) *Links {
+// model order, and records the routines' name order and each cycle's
+// members, found in it by name; a member that names no routine reads
+// as position 0. Build takes all of these from the graph instead.
+func newLinks(p *Profile) *Links {
 	n := len(p.Routines)
 	names := make([]string, n)
 	for i := range p.Routines {
@@ -351,8 +331,9 @@ func newLinks(p *Profile, member func(c, j int) int32) *Links {
 		}
 	}
 	for c := range p.Cycles {
-		for j := range p.Cycles[c].Members {
-			l.members = append(l.members, member(c, j))
+		for _, name := range p.Cycles[c].Members {
+			i, _ := find(p.Routines, byName, name)
+			l.members = append(l.members, i)
 		}
 		l.memberStart[c+1] = int32(len(l.members))
 	}

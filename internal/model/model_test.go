@@ -65,9 +65,8 @@ func TestBuildInvariants(t *testing.T) {
 	if a.Cycle == 0 || a.Cycle != b.Cycle {
 		t.Errorf("a.Cycle=%d b.Cycle=%d, want same non-zero", a.Cycle, b.Cycle)
 	}
-	c, ok := p.CycleByNumber(a.Cycle)
-	if !ok || len(c.Members) != 2 {
-		t.Fatalf("cycle %d missing or wrong members: %+v", a.Cycle, c)
+	if len(p.Cycles) != 1 || p.Cycles[0].Number != a.Cycle || len(p.Cycles[0].Members) != 2 {
+		t.Fatalf("cycle %d missing or wrong members: %+v", a.Cycle, p.Cycles)
 	}
 	// Self-recursion split: a's 3 self-calls are not in Calls.
 	if a.SelfCalls != 3 {

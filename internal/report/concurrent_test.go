@@ -10,11 +10,12 @@ import (
 	"repro/internal/report"
 )
 
-// renderAll writes the answers of m's lookups by name and by cycle
-// number, which build the profile's lookup tables on first use, and
-// then every rendering of m the shared-profile test compares. The
-// lookups come first, so that the goroutines reach the tables together
-// rather than one after another through the renderers' buffer pool.
+// renderAll writes the answers of m's lookups by name, which lay out
+// a hand-assembled profile's index on first use, with each routine's
+// cycle, and then every rendering of m the shared-profile test
+// compares. The lookups come first, so that the goroutines reach the
+// layout together rather than one after another through the
+// renderers' buffer pool.
 func renderAll(t *testing.T, m *model.Profile, focus []string) []byte {
 	var b bytes.Buffer
 	for _, name := range focus {
@@ -23,7 +24,10 @@ func renderAll(t *testing.T, m *model.Profile, focus []string) []byte {
 			t.Errorf("routine %q not found", name)
 			continue
 		}
-		c, _ := m.CycleByNumber(r.Cycle)
+		var c *model.Cycle
+		if r.Cycle != 0 {
+			c = &m.Cycles[r.Cycle-1]
+		}
 		fmt.Fprintf(&b, "%s %d %v\n", name, r.Index, c)
 	}
 	if err := report.CallGraph(&b, m, report.Options{Jobs: 2}); err != nil {
@@ -49,8 +53,8 @@ func renderAll(t *testing.T, m *model.Profile, focus []string) []byte {
 // fresh model.Build profile, a fresh model.Decode profile, and a
 // profile assembled by hand, with no index laid out yet. Every
 // goroutine runs the call graph (plain and focused), flat, index and
-// DOT renderers and the name and cycle lookups, racing the on-demand
-// lookup tables and index layout into existence, and all must write
+// DOT renderers and the name lookups, racing the on-demand index
+// layout into existence, and all must write
 // the same bytes as a serial render of a built profile. Run under
 // -race.
 func TestSharedProfileConcurrentRenders(t *testing.T) {

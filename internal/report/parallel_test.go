@@ -2,6 +2,7 @@ package report_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -11,10 +12,12 @@ import (
 	"time"
 
 	"repro/internal/callgraph"
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/propagate"
 	"repro/internal/report"
 	"repro/internal/scc"
+	"repro/internal/synth"
 )
 
 // widths are the render widths every parallel test compares; 1 is the
@@ -253,4 +256,15 @@ func TestParallelRenderWriteError(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > base {
 		t.Errorf("%d goroutines after failed renders, %d before", n, base)
 	}
+}
+
+// synthModel returns the model of the analysis of synth.Tier(nodes, 1).
+func synthModel(t *testing.T, nodes int) *model.Profile {
+	t.Helper()
+	w := synth.Generate(synth.Tier(nodes, 1))
+	res, err := core.Run(context.Background(), core.TableSource{Table: w.Table()}, w.Prof, core.Options{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Model
 }

@@ -383,7 +383,7 @@ func TestIndexTieOrder(t *testing.T) {
 	g.TotalTicks = total
 	m := analyze(g)
 	r, _ := m.Routine("<cycle 1>")
-	c, _ := m.CycleByNumber(1)
+	c := &m.Cycles[0]
 	if c.Index >= r.Index {
 		t.Fatalf("fixture: cycle entry [%d] should precede the routine [%d]", c.Index, r.Index)
 	}

@@ -21,11 +21,16 @@ const FingerprintHeader = "X-Gprof-Fingerprint"
 func (s *Server) routes() {
 	s.handle("/v1/exe", s.handleExe)
 	s.handle("/v1/ingest", s.handleIngest)
-	s.handle("/v1/flat", s.queryText("flat", (*core.Result).WriteFlat))
-	s.handle("/v1/callgraph", s.queryText("callgraph", (*core.Result).WriteCallGraph))
-	s.handle("/v1/profile", s.handleProfile)
-	s.handle("/v1/folded", s.queryText("folded", (*core.Result).WriteFolded))
-	s.handle("/v1/pprof", s.handlePprof)
+	s.handle("/v1/flat", s.query("flat", textPlain, (*core.Result).WriteFlat))
+	s.handle("/v1/callgraph", s.query("callgraph", textPlain, (*core.Result).WriteCallGraph))
+	// The analyzed gprof.profile.v1 JSON document: the same bytes
+	// gprof -json writes.
+	s.handle("/v1/profile", s.query("profile", "application/json", (*core.Result).WriteJSON))
+	s.handle("/v1/folded", s.query("folded", textPlain, (*core.Result).WriteFolded))
+	// The stacks view as a gzipped pprof protobuf, what a flame-graph
+	// UI or go tool pprof would fetch; 404 when the uploads carried no
+	// stack samples (pre-v3 collectors).
+	s.handle("/v1/pprof", s.query("pprof", "application/octet-stream", (*core.Result).WritePprof))
 	s.handle("/v1/diff", s.handleDiff)
 	s.handle("/v1/gmon", s.handleGmon)
 	s.handle("/v1/stats", s.handleStats)
@@ -220,11 +225,14 @@ func (s *Server) queryShard(w http.ResponseWriter, r *http.Request) (*shard, win
 
 var errNoData = fmt.Errorf("no profile data in the selected window(s)")
 
-// queryText builds a handler serving one of the Result text reports
-// (the flat profile or the call graph profile) through the incremental
-// path: analysis memoization and a per-entry memo of the rendered
-// bytes, both invalidated by the shard's fold version.
-func (s *Server) queryText(endpoint string, render func(*core.Result, io.Writer) error) http.HandlerFunc {
+// textPlain is the Content-Type of the text reports.
+const textPlain = "text/plain; charset=utf-8"
+
+// query builds a handler serving one rendering of the selected
+// windows' analysis through the incremental path: analysis memoization
+// and a per-entry memo of the rendered bytes, both invalidated by the
+// shard's fold version.
+func (s *Server) query(endpoint, contentType string, render func(*core.Result, io.Writer) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		sh, sel, ok := s.queryShard(w, r)
 		if !ok {
@@ -240,30 +248,9 @@ func (s *Server) queryText(endpoint string, render func(*core.Result, io.Writer)
 			s.queryFail(w, sh, err)
 			return
 		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Header().Set("Content-Type", contentType)
 		w.Write(body)
 	}
-}
-
-// handleProfile serves the merged windows as an analyzed
-// gprof.profile.v1 JSON document — the same bytes gprof -json writes.
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	sh, sel, ok := s.queryShard(w, r)
-	if !ok {
-		return
-	}
-	e, err := s.analyzed(r.Context(), sh, sel)
-	if err != nil {
-		s.queryFail(w, sh, err)
-		return
-	}
-	body, err := e.bytesFor("profile", (*core.Result).WriteJSON)
-	if err != nil {
-		s.queryFail(w, sh, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
 }
 
 // DiffResponse is the /v1/diff payload: per-routine deltas between two
@@ -323,28 +310,6 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handlePprof serves the merged windows' stacks view as a gzipped
-// pprof protobuf — what a flame-graph UI or go tool pprof would fetch.
-// 404 when the uploads carried no stack samples (pre-v3 collectors).
-func (s *Server) handlePprof(w http.ResponseWriter, r *http.Request) {
-	sh, sel, ok := s.queryShard(w, r)
-	if !ok {
-		return
-	}
-	e, err := s.analyzed(r.Context(), sh, sel)
-	if err != nil {
-		s.queryFail(w, sh, err)
-		return
-	}
-	body, err := e.bytesFor("pprof", (*core.Result).WritePprof)
-	if err != nil {
-		s.queryFail(w, sh, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(body)
-}
-
 // handleGmon serves the merged windows as raw profile data (?v=2 for
 // the compressed format, ?v=3 to include the stack-sample section) —
 // the bytes an offline gmon.MergeAll over the same uploads would
@@ -361,7 +326,7 @@ func (s *Server) handleGmon(w http.ResponseWriter, r *http.Request) {
 	case "3":
 		version = gmon.Version3
 	}
-	body, err := s.gmonBytes(sh, sel, version)
+	body, err := s.gmonBytes(r.Context(), sh, sel, version)
 	if err != nil {
 		s.queryFail(w, sh, err)
 		return

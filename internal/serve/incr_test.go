@@ -234,7 +234,10 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	if err := sh.sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	snap, key2, release := sh.snapshot(windowSel{kind: selAll}, s.cfg.Now())
+	snap, key2, release, err := sh.snapshot(context.Background(), windowSel{kind: selAll}, s.cfg.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer release()
 	if key2 == key {
 		t.Error("fold did not change the snapshot key")
@@ -264,7 +267,10 @@ func TestSnapshotHeldAcrossFold(t *testing.T) {
 	if err := sh.sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	held, _, release := sh.snapshot(windowSel{kind: selAll}, s.cfg.Now())
+	held, _, release, err := sh.snapshot(context.Background(), windowSel{kind: selAll}, s.cfg.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := encodeGmon(t, held)
 
 	mustStatus(t, ingest(t, ts, fp, encodeProfile(t, p2, gmon.Version1, false)), http.StatusAccepted)
@@ -323,7 +329,10 @@ func TestStaleFlightKeepsNewerEntry(t *testing.T) {
 	slot := s.runSlot(fp, all)
 
 	// The cold analysis of version 1 starts: snapshot, then core.Run.
-	held, staleKey, release := sh.snapshot(all, s.cfg.Now())
+	held, staleKey, release, err := sh.snapshot(context.Background(), all, s.cfg.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := core.Run(context.Background(), core.TableSource{Table: sh.tab}, held, s.runOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -358,12 +367,12 @@ func TestStaleFlightKeepsNewerEntry(t *testing.T) {
 }
 
 // TestMemoBoundedAcrossUploads is the memo's bound: with room for two
-// slots, a dozen upload-then-query cycles of two query shapes (a
-// quiesced flat profile and a v3 encoding) evict nothing, because
-// each cycle's answers replace the previous cycle's in place, so the
-// memo never holds more than the two shapes' current answers; no fold
-// clones, because no query overlaps one; and every answer equals an
-// offline MergeAll + core.Run of the uploads so far.
+// slots, a dozen upload-then-query cycles (a quiesced flat profile and
+// a v3 encoding, which is not memoized) evict nothing, because each
+// cycle's analysis replaces the previous cycle's in place, so the memo
+// never holds more than the current answer; no fold clones, because no
+// query overlaps one; and every answer equals an offline MergeAll +
+// core.Run of the uploads so far.
 func TestMemoBoundedAcrossUploads(t *testing.T) {
 	im, imageBytes := sortImage(t)
 	clock := newFakeClock()

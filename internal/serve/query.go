@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"strconv"
 	"sync"
 
 	"repro/internal/core"
@@ -30,13 +29,11 @@ import (
 //     cold queries — same slot, same selection key — share one merge
 //     and one core.Run instead of N duplicates.
 //
-// The /v1/gmon encodings use the same slots, one per (format version,
-// fingerprint, selection). An unchanged shard therefore serves repeat
-// queries with one LRU lookup and a buffer write; any fold bumps the
-// shard version and the next query misses and rebuilds, so served
-// bytes are always what an offline gmon.MergeAll + core.Run over the
-// same uploads would produce (the invariant the incremental tests
-// byte-compare at every interleaving).
+// Any fold bumps the shard version and the next query misses and
+// rebuilds, so served bytes are always what an offline gmon.MergeAll +
+// core.Run over the same uploads would produce (the invariant the
+// incremental tests byte-compare at every interleaving). The /v1/gmon
+// encodings are not memoized: each request merges and encodes.
 
 // analysisEntry is one finished analysis: the core.Run result and the
 // rendered response bodies, memoized per endpoint on first demand so a
@@ -140,12 +137,6 @@ func (s *Server) runSlot(fp string, sel windowSel) string {
 	return "run|" + fp + "|" + sel.key() + "|" + s.optKey
 }
 
-// gmonSlot names the memo slot of a raw encoding of fp's windows
-// under sel in one format version.
-func gmonSlot(version int, fp string, sel windowSel) string {
-	return "gmon|" + strconv.Itoa(version) + "|" + fp + "|" + sel.key()
-}
-
 // flightKey names one cold computation: a slot at one selection key.
 func flightKey(slot, selKey string) string { return slot + "@" + selKey }
 
@@ -155,9 +146,9 @@ func flightKey(slot, selKey string) string { return slot + "@" + selKey }
 // key, checked under the shard lock so that no fold lands between the
 // check and the store: a slow computation of an older version never
 // displaces a newer one, and is served to its own callers uncached.
-func (s *Server) keep(sh *shard, sel windowSel, slot, selKey string, val any) any {
+func (s *Server) keep(sh *shard, sel windowSel, slot, selKey string, val *analysisEntry) *analysisEntry {
 	kept := val
-	sh.whileCurrent(sel, s.cfg.Now(), selKey, func() { kept = s.queries.Put(slot, selKey, val) })
+	sh.whileCurrent(sel, s.cfg.Now(), selKey, func() { kept = s.queries.Put(slot, selKey, val).(*analysisEntry) })
 	return kept
 }
 
@@ -181,7 +172,10 @@ func (s *Server) analyzed(ctx context.Context, sh *shard, sel windowSel) (*analy
 		// A fold since the lookup gives the merge a newer key; the
 		// analysis is of that data and is kept under the key that
 		// names it.
-		p, selKey, release := sh.snapshot(sel, now)
+		p, selKey, release, err := sh.snapshot(context.Background(), sel, now)
+		if err != nil {
+			return nil, err
+		}
 		if p == nil {
 			return nil, errNoData
 		}
@@ -192,7 +186,7 @@ func (s *Server) analyzed(ctx context.Context, sh *shard, sel windowSel) (*analy
 		if err != nil {
 			return nil, err
 		}
-		return s.keep(sh, sel, slot, selKey, &analysisEntry{res: res}).(*analysisEntry), nil
+		return s.keep(sh, sel, slot, selKey, &analysisEntry{res: res}), nil
 	})
 	if coalesced {
 		s.metrics.coalesced.Add(1)
@@ -200,29 +194,21 @@ func (s *Server) analyzed(ctx context.Context, sh *shard, sel windowSel) (*analy
 	return e, err
 }
 
-// gmonBytes returns the (possibly cached) raw encoding of the selected
-// windows' merge in the given format version. The encodings share the
-// analysis LRU in slots of their own and, like analyses, merge only on
-// a miss.
-func (s *Server) gmonBytes(sh *shard, sel windowSel, version int) ([]byte, error) {
-	now := s.cfg.Now()
-	selKey := sh.selectionKey(sel, now)
-	if selKey == "" {
-		return nil, errNoData
+// gmonBytes returns the raw encoding of the selected windows' merge in
+// the given format version. Nothing repeats this request, so it is not
+// memoized: every call snapshots, encodes and releases.
+func (s *Server) gmonBytes(ctx context.Context, sh *shard, sel windowSel, version int) ([]byte, error) {
+	p, _, release, err := sh.snapshot(ctx, sel, s.cfg.Now())
+	if err != nil {
+		return nil, err
 	}
-	slot := gmonSlot(version, sh.fp, sel)
-	if v, ok := s.queries.Get(slot, selKey); ok {
-		return v.([]byte), nil
-	}
-	p, selKey, release := sh.snapshot(sel, now)
+	defer release()
 	if p == nil {
 		return nil, errNoData
 	}
 	var buf bytes.Buffer
-	err := gmon.WriteVersion(&buf, p, version)
-	release()
-	if err != nil {
+	if err := gmon.WriteVersion(&buf, p, version); err != nil {
 		return nil, err
 	}
-	return s.keep(sh, sel, slot, selKey, buf.Bytes()).([]byte), nil
+	return buf.Bytes(), nil
 }

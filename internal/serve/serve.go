@@ -81,12 +81,10 @@ type Config struct {
 	// QueryCache bounds the analysis-memoization LRU, in query
 	// shapes: one slot per (fingerprint, window selection, normalized
 	// options) for finished core.Run results with their rendered
-	// flat/callgraph/JSON bodies, and one per (format version,
-	// fingerprint, window selection) for raw-merge encodings. A slot
-	// holds only the answer for the selection's current window
-	// versions; a fold makes the next query replace it in place, so
-	// uploads alone never grow the memo. Non-positive means
-	// DefaultQueryCache.
+	// bodies. A slot holds only the answer for the selection's current
+	// window versions; a fold makes the next query replace it in
+	// place, so uploads alone never grow the memo. /v1/gmon encodings
+	// are not memoized. Non-positive means DefaultQueryCache.
 	QueryCache int
 	// Now is the clock, injectable for tests. Nil means time.Now.
 	Now func() time.Time

@@ -340,12 +340,12 @@ func (s *shard) whileCurrent(sel windowSel, now time.Time, key string, fn func()
 	}
 }
 
-// snapshot merges the selected windows into one profile, folding
-// clones in ascending window order — the same fold gmon.MergeAll
-// performs, so the result is byte-identical to an offline merge of the
-// uploads. It returns the profile and the selection key naming its
-// content; both are empty when no selected window holds data. The key
-// differs from an earlier selectionKey when a fold landed in between.
+// snapshot merges the selected windows into one profile with
+// gmon.MergeAll in ascending window order, so the result is
+// byte-identical to an offline merge of the uploads. It returns the
+// profile and the selection key naming its content; both are empty
+// when no selected window holds data. The key differs from an earlier
+// selectionKey when a fold landed in between.
 //
 // A single-window selection is served zero-copy: the window aggregate
 // itself, counted as read until the caller calls release, and
@@ -354,13 +354,13 @@ func (s *shard) whileCurrent(sel windowSel, now time.Time, key string, fn func()
 // their input profile), and release must be called once the caller is
 // done reading it: neither an analysis nor an encoding keeps the
 // profile. release is never nil.
-func (s *shard) snapshot(sel windowSel, now time.Time) (p *gmon.Profile, key string, release func()) {
+func (s *shard) snapshot(ctx context.Context, sel windowSel, now time.Time) (p *gmon.Profile, key string, release func(), err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	included, key := s.includedLocked(sel, now)
 	switch len(included) {
 	case 0:
-		return nil, "", func() {}
+		return nil, "", func() {}, nil
 	case 1:
 		// The bytes equal an offline MergeAll of the window's uploads,
 		// which for one window is exactly the aggregate.
@@ -375,15 +375,17 @@ func (s *shard) snapshot(sel windowSel, now time.Time) (p *gmon.Profile, key str
 				w.readers--
 			}
 			s.mu.Unlock()
-		}
+		}, nil
 	}
-	total := included[0].prof.Clone()
-	for _, w := range included[1:] {
-		if err := total.Merge(w.prof); err != nil {
-			continue // unreachable: geometry is enforced per shard
-		}
+	profs := make([]*gmon.Profile, len(included))
+	for i, w := range included {
+		profs[i] = w.prof
 	}
-	return total, key, func() {}
+	total, err := gmon.MergeAll(ctx, profs, 1)
+	if err != nil {
+		return nil, "", func() {}, err
+	}
+	return total, key, func() {}, nil
 }
 
 // windowStarts lists the retained window starts, ascending.
