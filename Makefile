@@ -191,28 +191,32 @@ pprof-smoke:
 	grep -q pricey .pprof-smoke/top.txt
 	rm -rf .pprof-smoke
 
-# Production-observability smoke: start gprofd with the self-profile
-# loop on, replay the corpus with the observability prober (-metrics:
-# concurrent /metrics scrapes must parse and validate, /healthz and
-# /readyz must hold 200), then take two /metrics dumps across a second
+# Production-observability smoke: start gprofd, replay the corpus with
+# the observability prober (-metrics: concurrent /metrics scrapes must
+# parse and validate, /healthz and /readyz must hold 200) while fetching
+# /v1/self as pprof — each request captures one second on demand, and
+# an idle capture answers 503, so curl retries until one lands under
+# the replay's load. Then take two /metrics dumps across a second
 # replay and metricscheck them — per-file structural validation plus
-# cross-dump counter/histogram monotonicity. Finally fetch /v1/self as
-# pprof and round-trip it through pprofcheck, and /debug/flightrec
-# through tracecheck. A second gprofd runs traced (-stats, -tracefile,
-# -runreport) under a replay and is stopped with SIGINT, the signal that
-# lets it write its summary and files; tracecheck validates both files.
+# cross-dump counter/histogram monotonicity — round-trip the self
+# profile through pprofcheck, and /debug/flightrec through tracecheck.
+# A second gprofd runs traced (-stats, -tracefile, -runreport) under a
+# replay and is stopped with SIGINT, the signal that lets it write its
+# summary and files; tracecheck validates both files.
 .PHONY: metrics-smoke
 metrics-smoke:
 	rm -rf .metrics-smoke && mkdir -p .metrics-smoke
 	go build -o .metrics-smoke/ ./cmd/gprofd ./cmd/gprofload ./cmd/metricscheck ./cmd/pprofcheck ./cmd/tracecheck
-	./.metrics-smoke/gprofd -addr 127.0.0.1:7427 -selfprofile 300ms & echo $$! > .metrics-smoke/pid
+	./.metrics-smoke/gprofd -addr 127.0.0.1:7427 & echo $$! > .metrics-smoke/pid
 	rc=0; \
+	curl -sf --retry 10 --retry-delay 1 --retry-connrefused 'http://127.0.0.1:7427/v1/self?view=pprof' \
+		-o .metrics-smoke/self.pb.gz & spid=$$!; \
 	./.metrics-smoke/gprofload -addr http://127.0.0.1:7427 -agents 8 -duration 3s -metrics -verify || rc=$$?; \
+	wait $$spid || rc=$$?; \
 	curl -sf http://127.0.0.1:7427/metrics > .metrics-smoke/m1.prom || rc=$$?; \
 	./.metrics-smoke/gprofload -addr http://127.0.0.1:7427 -agents 4 -uploads 25 -metrics || rc=$$?; \
 	curl -sf http://127.0.0.1:7427/metrics > .metrics-smoke/m2.prom || rc=$$?; \
 	./.metrics-smoke/metricscheck .metrics-smoke/m1.prom .metrics-smoke/m2.prom || rc=$$?; \
-	curl -sf 'http://127.0.0.1:7427/v1/self?view=pprof' > .metrics-smoke/self.pb.gz || rc=$$?; \
 	./.metrics-smoke/pprofcheck .metrics-smoke/self.pb.gz > /dev/null || rc=$$?; \
 	curl -sf http://127.0.0.1:7427/debug/flightrec > .metrics-smoke/flight.json || rc=$$?; \
 	./.metrics-smoke/tracecheck .metrics-smoke/flight.json || rc=$$?; \

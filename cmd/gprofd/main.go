@@ -37,8 +37,10 @@
 // cmd/metricscheck), /healthz and /readyz are the liveness and
 // readiness probes (readiness flips to 503 when SIGINT starts the
 // drain, ahead of the connection drain), /debug/flightrec dumps the
-// always-on span ring as Chrome trace JSON, and -selfprofile starts
-// the dogfood loop serving gprofd's own CPU profile at /v1/self.
+// always-on span ring as Chrome trace JSON, and each GET /v1/self
+// captures gprofd's own CPU profile for one second and serves it
+// through gprofd's own rendering pipeline (503 when the process was
+// idle and the capture held no samples).
 package main
 
 import (
@@ -67,8 +69,6 @@ func main() {
 		jobs    = flag.Int("jobs", 0, "render worker width for queries (0 = GOMAXPROCS)")
 		qcache  = flag.Int("querycache", serve.DefaultQueryCache, "analysis memo slots, one per query shape (fingerprint and window selection); a slot holds only its latest data version")
 		pprofA  = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060; empty = off)")
-		selfP   = flag.Duration("selfprofile", 0, "capture gprofd's own CPU profile this often and serve it at /v1/self (0 = on demand only)")
-		selfC   = flag.Duration("selfcapture", 0, "duration of each self-profile capture window (0 = 1s, clamped to half the interval)")
 	)
 	var o obs.CLI
 	o.Register(flag.CommandLine)
@@ -96,8 +96,6 @@ func main() {
 		Jobs:         *jobs,
 		QueryCache:   *qcache,
 		Trace:        o.Trace(),
-		SelfProfile:  *selfP,
-		SelfCapture:  *selfC,
 	})
 	if ferr := o.Finish(err); ferr != nil && err == nil {
 		err = ferr

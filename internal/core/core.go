@@ -38,8 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"repro/internal/callgraph"
 	"repro/internal/cyclebreak"
@@ -83,38 +81,6 @@ type Options struct {
 	Jobs int
 	// Report controls rendering (thresholds, focus, headers).
 	Report report.Options
-}
-
-// CacheKey returns a normalized fingerprint of every option that can
-// change Run's output — the analysis switches (Static, RemoveArcs,
-// AutoBreak, MaxBreakArcs) and the rendering options. Jobs is
-// deliberately excluded: worker-pool width never changes the result
-// (the jobs-invariance tests pin byte-identical output). Two Options
-// values with equal CacheKeys therefore produce byte-identical reports for
-// the same source and profile, which is what lets a serving layer
-// memoize finished analyses per (fingerprint, data version, CacheKey).
-func (o Options) CacheKey() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "static=%t;autobreak=%t;maxbreak=%d", o.Static, o.AutoBreak, o.MaxBreakArcs)
-	if len(o.RemoveArcs) > 0 {
-		// RemoveArcs is a set: deletion order never changes which arcs
-		// survive, so the key sorts it.
-		ids := make([]string, len(o.RemoveArcs))
-		for i, a := range o.RemoveArcs {
-			ids[i] = a.String()
-		}
-		sort.Strings(ids)
-		fmt.Fprintf(&b, ";remove=%q", ids)
-	}
-	r := o.Report
-	fmt.Fprintf(&b, ";min=%g;noheaders=%t", r.MinPercent, r.NoHeaders)
-	if len(r.Focus) > 0 {
-		fmt.Fprintf(&b, ";focus=%q", r.Focus)
-	}
-	if len(r.Exclude) > 0 {
-		fmt.Fprintf(&b, ";exclude=%q", r.Exclude)
-	}
-	return b.String()
 }
 
 // Validate rejects contradictory settings instead of silently ignoring

@@ -60,21 +60,6 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkHistogramMerge folds one populated histogram into another —
-// the per-scrape or per-window aggregation cost.
-func BenchmarkHistogramMerge(b *testing.B) {
-	src := &Histogram{}
-	for i := int64(0); i < 100_000; i++ {
-		src.Observe(i * 31)
-	}
-	dst := &Histogram{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst.Merge(src)
-	}
-}
-
 // BenchmarkExposition renders a production-shaped registry (a few
 // hundred series including labeled histograms) — the cost of one
 // /metrics scrape.

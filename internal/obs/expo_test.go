@@ -80,14 +80,15 @@ func TestExpositionRoundTrip(t *testing.T) {
 
 // TestExpositionUnderConcurrentWrites scrapes while writers mutate: the
 // output must still validate (the +Inf == _count invariant is the
-// interesting one).
+// interesting one), and once the writers stop the totals are exact.
 func TestExpositionUnderConcurrentWrites(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("hot_ns", "contended histogram")
 	c := r.Counter("hot_total", "contended counter")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	writes := make([]int64, 4)
+	for w := range writes {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -99,6 +100,7 @@ func TestExpositionUnderConcurrentWrites(t *testing.T) {
 				default:
 					h.Observe(v % 100_000)
 					c.Add(1)
+					writes[w]++
 					v += 7919
 				}
 			}
@@ -119,6 +121,13 @@ func TestExpositionUnderConcurrentWrites(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	var total int64
+	for _, n := range writes {
+		total += n
+	}
+	if _, buckets, _ := h.Snapshot(); h.Count() != total || buckets != total || c.Value() != total {
+		t.Errorf("after %d writes: histogram count %d, bucket total %d, counter %d", total, h.Count(), buckets, c.Value())
+	}
 }
 
 // TestExpositionValidateRejects feeds Validate the malformed shapes

@@ -5,24 +5,23 @@ import (
 	"sync/atomic"
 )
 
-// Histogram is a mergeable, log-bucketed distribution of non-negative
-// int64 observations (latencies in ns, sizes in bytes, queue depths).
-// Observe is lock-free and allocation-free: three atomic adds into a
+// Histogram is a log-bucketed distribution of non-negative int64
+// observations (latencies in ns, sizes in bytes, queue depths).
+// Observe is lock-free and allocation-free: two atomic adds into a
 // fixed bucket array, nothing else — cheap enough to sit on every
-// request of a production service. Count and Sum are exact; quantiles
-// are estimated from the buckets with a bounded relative error.
+// request of a production service. Count and Sum are exact; a reader
+// of the exposition estimates quantiles from the buckets.
 //
 // Bucketing is log-linear: each power-of-two octave is split into
 // histSub linear sub-buckets, so a bucket's width is at most 1/histSub
-// of its lower bound and Quantile over-reports by at most a factor of
-// (1 + 1/histSub). Values below histSub get exact unit buckets. The
-// geometry is fixed and shared by every Histogram, which is what makes
-// Merge a plain bucket-wise add with no resampling.
+// of its lower bound, and a quantile read as its bucket's upper bound
+// over-reports by at most a factor of (1 + 1/histSub). Values below
+// histSub get exact unit buckets. The geometry is fixed and shared by
+// every Histogram.
 //
 // A nil *Histogram — what a nil Registry hands out — is a no-op,
 // matching Counter and Gauge.
 type Histogram struct {
-	name    string
 	sum     atomic.Int64
 	buckets [numHistBuckets]atomic.Int64
 }
@@ -50,7 +49,7 @@ func histBucket(v int64) int {
 }
 
 // histUpper returns the largest value that lands in bucket i (the
-// bucket's inclusive upper bound) — what Quantile reports.
+// bucket's inclusive upper bound) — its exposition `le` bound.
 func histUpper(i int) int64 {
 	if i < histSub {
 		return int64(i)
@@ -94,65 +93,6 @@ func (h *Histogram) Sum() int64 {
 		return 0
 	}
 	return h.sum.Load()
-}
-
-// Name returns the registered name ("" for nil).
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
-// Merge adds every observation recorded in o into h. Bucket geometry is
-// global, so this is an exact bucket-wise sum: merged quantiles are as
-// accurate as if every value had been observed on h directly. Merging a
-// histogram that is concurrently observing folds in some consistent
-// prefix of its updates.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.sum.Add(o.sum.Load())
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) as the upper bound of
-// the bucket holding the rank-ceil(q*n) observation: the estimate never
-// undershoots the true value and overshoots by at most 1/histSub of it
-// (plus 1 for integer rounding). Returns 0 when nothing was observed.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	var total int64
-	var snap [numHistBuckets]int64
-	for i := range h.buckets {
-		snap[i] = h.buckets[i].Load()
-		total += snap[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q*float64(total) + 0.9999999)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum int64
-	for i, n := range snap {
-		cum += n
-		if cum >= rank {
-			return histUpper(i)
-		}
-	}
-	return histUpper(numHistBuckets - 1)
 }
 
 // HistogramBucket is one non-empty bucket in a snapshot: Count

@@ -65,9 +65,6 @@ func New() *Trace {
 	}
 }
 
-// Enabled reports whether the trace records anything.
-func (t *Trace) Enabled() bool { return t != nil }
-
 // Recorder returns the trace's span store (nil for a nil Trace), for a
 // component that records spans itself — gprofd records its request and
 // fold spans here when a trace is attached.
@@ -139,8 +136,7 @@ func sortEvents(ev []Event) {
 // "gmon.bytes_read"). A nil *Counter — what a nil Trace hands out — is
 // a no-op, so call sites never branch on the observability state.
 type Counter struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
 
 // Add increments the counter.
@@ -158,14 +154,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Name returns the registered name ("" for nil).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Counter returns the named counter, registering it on first use.
 // Returns nil (a valid no-op counter) on a nil Trace. The lookup takes
 // the registry lock: hoist it out of hot loops and Add on the result.
@@ -177,7 +165,7 @@ func (t *Trace) Counter(name string) *Counter {
 	defer t.mu.Unlock()
 	c, ok := t.counters[name]
 	if !ok {
-		c = &Counter{name: name}
+		c = &Counter{}
 		t.counters[name] = c
 	}
 	return c
@@ -186,8 +174,7 @@ func (t *Trace) Counter(name string) *Counter {
 // Gauge is a named last-value-wins measurement (e.g. "merge.workers",
 // "render.workers"). A nil *Gauge is a no-op.
 type Gauge struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
 
 // Set records the gauge's current value.
@@ -213,14 +200,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Name returns the registered name ("" for nil).
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
-}
-
 // Gauge returns the named gauge, registering it on first use. Returns
 // nil (a valid no-op gauge) on a nil Trace.
 func (t *Trace) Gauge(name string) *Gauge {
@@ -231,7 +210,7 @@ func (t *Trace) Gauge(name string) *Gauge {
 	defer t.mu.Unlock()
 	g, ok := t.gauges[name]
 	if !ok {
-		g = &Gauge{name: name}
+		g = &Gauge{}
 		t.gauges[name] = g
 	}
 	return g

@@ -131,7 +131,7 @@ func TestNilTraceIsInert(t *testing.T) {
 	var tr *Trace
 	tr.Span("x").End()
 	tr.Fail(errors.New("boom"))
-	if tr.Err() != nil || tr.Enabled() || tr.Events() != nil || tr.Wall() != 0 {
+	if tr.Err() != nil || tr.Events() != nil || tr.Wall() != 0 {
 		t.Error("nil trace leaked state")
 	}
 	rep := tr.Report()

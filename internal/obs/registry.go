@@ -158,7 +158,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	if m, ok := f.series[key]; ok {
 		return m.(*Counter)
 	}
-	c := &Counter{name: name}
+	c := &Counter{}
 	f.series[key] = c
 	return c
 }
@@ -176,7 +176,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	if m, ok := f.series[key]; ok {
 		return m.(*Gauge)
 	}
-	g := &Gauge{name: name}
+	g := &Gauge{}
 	f.series[key] = g
 	return g
 }
@@ -195,7 +195,7 @@ func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 	if m, ok := f.series[key]; ok {
 		return m.(*Histogram)
 	}
-	h := &Histogram{name: name}
+	h := &Histogram{}
 	f.series[key] = h
 	return h
 }

@@ -180,7 +180,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.rate.add(now.Unix())
 	s.metrics.profiles.Add(1)
 	s.metrics.profileBytes.Add(body.n)
 	writeJSON(w, http.StatusAccepted, struct {
@@ -319,12 +318,17 @@ func (s *Server) handleGmon(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	version := gmon.Version1
-	switch r.URL.Query().Get("v") {
+	var version int
+	switch v := r.URL.Query().Get("v"); v {
+	case "", "1":
+		version = gmon.Version1
 	case "2":
 		version = gmon.Version2
 	case "3":
 		version = gmon.Version3
+	default:
+		s.fail(w, http.StatusBadRequest, "unknown format version v=%q (want 1, 2, or 3)", v)
+		return
 	}
 	body, err := s.gmonBytes(r.Context(), sh, sel, version)
 	if err != nil {

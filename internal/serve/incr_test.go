@@ -326,7 +326,7 @@ func TestStaleFlightKeepsNewerEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := windowSel{kind: selAll}
-	slot := s.runSlot(fp, all)
+	slot := runSlot(sh, all)
 
 	// The cold analysis of version 1 starts: snapshot, then core.Run.
 	held, staleKey, release, err := sh.snapshot(context.Background(), all, s.cfg.Now())
@@ -353,14 +353,14 @@ func TestStaleFlightKeepsNewerEntry(t *testing.T) {
 	if got := s.keep(sh, all, slot, staleKey, stale); got != stale {
 		t.Error("keep of a stale version did not hand back its own result")
 	}
-	if _, ok := s.queries.Get(slot, staleKey); ok {
+	if _, ok := s.queries.get(slot, staleKey); ok {
 		t.Error("the stale version landed in the slot")
 	}
-	hits0, _, _ := s.queries.Stats()
+	hits0 := s.metrics.cacheHits.Value()
 	if got := mustStatus(t, get(t, ts, "/v1/flat?fp="+fp), http.StatusOK); !bytes.Equal(got, want) {
 		t.Error("after the stale flight finished, the slot no longer serves the merge of both uploads")
 	}
-	hits, _, evictions := s.queries.Stats()
+	hits, evictions := s.metrics.cacheHits.Value(), s.metrics.cacheEvictions.Value()
 	if hits != hits0+1 || evictions != 0 {
 		t.Errorf("repeat query: %d hits, %d evictions, want 1/0", hits-hits0, evictions)
 	}
@@ -437,14 +437,14 @@ func TestMultiWindowWarmHit(t *testing.T) {
 		hidden[w], w.prof = w.prof, nil
 	}
 	sh.mu.Unlock()
-	hits0, misses0, _ := s.queries.Stats()
+	hits0, misses0 := s.metrics.cacheHits.Value(), s.metrics.cacheMisses.Value()
 	const warm = 3
 	for i := 0; i < warm; i++ {
 		if e, err := s.analyzed(ctx, sh, all); err != nil || e != first {
 			t.Fatalf("warm query: entry %p err %v, want the cached %p", e, err, first)
 		}
 	}
-	hits, misses, _ := s.queries.Stats()
+	hits, misses := s.metrics.cacheHits.Value(), s.metrics.cacheMisses.Value()
 	if hits-hits0 != warm || misses != misses0 {
 		t.Errorf("%d warm queries: %d hits, %d misses, want %d/0", warm, hits-hits0, misses-misses0, warm)
 	}

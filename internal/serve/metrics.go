@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 
 	"repro/internal/obs"
@@ -14,9 +15,9 @@ import (
 // handlers, shards, and self-profiler record into, exposed in
 // Prometheus text format at GET /metrics. It is the server's one count
 // source — /v1/stats reads its series rather than keeping counters of
-// its own — and holds a fixed set of counters, gauges, and mergeable
-// histograms, so a gprofd that runs for months pays a few atomic adds
-// per request and constant memory.
+// its own — and holds a fixed set of counters, gauges, and
+// log-bucketed histograms, so a gprofd that runs for months pays a few
+// atomic adds per request and constant memory.
 
 // serverMetrics owns the registry plus the hot-path series resolved
 // once at startup; per-(endpoint, status) series are cached in a map so
@@ -35,13 +36,20 @@ type serverMetrics struct {
 	queries      *obs.Counter
 	coalesced    *obs.Counter
 	cowClones    *obs.Counter
+	// The analysis memo: lookups that hit or missed, and slots evicted.
+	cacheHits      *obs.Counter
+	cacheMisses    *obs.Counter
+	cacheEvictions *obs.Counter
+
 	selfCaptures *obs.Counter
 	selfEmpty    *obs.Counter
 	selfErrors   *obs.Counter
 
-	// Scrape-time runtime gauges, refreshed by handleMetrics.
+	// Runtime gauges, set by refreshRuntime on every /metrics and
+	// /v1/stats read.
 	uptime     *obs.Gauge
 	heapAlloc  *obs.Gauge
+	heapSys    *obs.Gauge
 	goroutines *obs.Gauge
 	shards     *obs.Gauge
 	ready      *obs.Gauge
@@ -98,6 +106,12 @@ func newServerMetrics() *serverMetrics {
 			"cold queries that joined another request's analysis"),
 		cowClones: reg.Counter("gprofd_snapshot_cow_clones_total",
 			"folds that cloned a window aggregate a query held zero-copy"),
+		cacheHits: reg.Counter("gprofd_analysis_cache_hits_total",
+			"query lookups answered by a memoized analysis"),
+		cacheMisses: reg.Counter("gprofd_analysis_cache_misses_total",
+			"query lookups that found no analysis of the current data"),
+		cacheEvictions: reg.Counter("gprofd_analysis_cache_evictions_total",
+			"memo slots evicted to admit a new query shape"),
 		selfCaptures: reg.Counter("gprofd_selfprofile_captures_total",
 			"self-profile captures attempted"),
 		selfEmpty: reg.Counter("gprofd_selfprofile_empty_total",
@@ -108,6 +122,8 @@ func newServerMetrics() *serverMetrics {
 			"seconds since the server started"),
 		heapAlloc: reg.Gauge("gprofd_heap_alloc_bytes",
 			"Go heap bytes currently allocated"),
+		heapSys: reg.Gauge("gprofd_heap_sys_bytes",
+			"Go heap bytes obtained from the operating system"),
 		goroutines: reg.Gauge("gprofd_goroutines",
 			"goroutines currently live"),
 		shards: reg.Gauge("gprofd_shards",
@@ -135,10 +151,10 @@ func (m *serverMetrics) endpointSeries(endpoint string, code int) *endpointSerie
 	es = &endpointSeries{
 		requests: m.reg.Counter("gprofd_http_requests_total",
 			"HTTP requests served, by endpoint and status code",
-			"endpoint", endpoint, "code", itoaCode(code)),
+			"endpoint", endpoint, "code", strconv.Itoa(code)),
 		duration: m.reg.Histogram("gprofd_http_request_duration_ns",
 			"request latency in nanoseconds, by endpoint and status code",
-			"endpoint", endpoint, "code", itoaCode(code)),
+			"endpoint", endpoint, "code", strconv.Itoa(code)),
 	}
 	m.mu.Lock()
 	if prev, ok := m.series[key]; ok {
@@ -173,38 +189,6 @@ func (m *serverMetrics) endpointBytes(endpoint string) *endpointBytes {
 	}
 	m.mu.Unlock()
 	return eb
-}
-
-// itoaCode formats the handful of status codes gprofd emits without
-// pulling strconv into the hot path's inliner budget.
-func itoaCode(code int) string {
-	switch code {
-	case 200:
-		return "200"
-	case 202:
-		return "202"
-	case 400:
-		return "400"
-	case 404:
-		return "404"
-	case 405:
-		return "405"
-	case 409:
-		return "409"
-	case 413:
-		return "413"
-	case 429:
-		return "429"
-	case 500:
-		return "500"
-	case 503:
-		return "503"
-	case 507:
-		return "507"
-	}
-	// Rare codes take the slow path; the result is cached per series.
-	buf := [3]byte{byte('0' + code/100%10), byte('0' + code/10%10), byte('0' + code%10)}
-	return string(buf[:])
 }
 
 // endpointLabel maps a request path to its metric label and request
@@ -284,24 +268,32 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 	})
 }
 
-// handleMetrics serves the registry in Prometheus text exposition
-// format, refreshing the scrape-time runtime gauges first.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "GET /metrics")
-		return
-	}
+// refreshRuntime reads the runtime once — one ReadMemStats, which
+// stops the world briefly — and sets the runtime gauges that /metrics
+// and /v1/stats both report.
+func (s *Server) refreshRuntime() {
 	m := s.metrics
 	m.uptime.Set(int64(s.cfg.Now().Sub(s.start).Seconds()))
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
 	m.heapAlloc.Set(int64(mem.HeapAlloc))
+	m.heapSys.Set(int64(mem.HeapSys))
 	m.goroutines.Set(int64(runtime.NumGoroutine()))
 	s.mu.Lock()
 	m.shards.Set(int64(len(s.shards)))
 	s.mu.Unlock()
+}
+
+// handleMetrics serves the registry in Prometheus text exposition
+// format, refreshing the runtime gauges first.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		s.fail(w, http.StatusMethodNotAllowed, "GET /metrics")
+		return
+	}
+	s.refreshRuntime()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	obs.WriteExposition(w, m.reg)
+	obs.WriteExposition(w, s.metrics.reg)
 }
 
 // handleHealthz is liveness: the process is up and serving HTTP. Always

@@ -202,7 +202,8 @@ func selfCaptureStub(t *testing.T, samples []model.FrameSample) func(time.Durati
 
 // TestSelfProfileEndpoint stubs the capture and exercises every
 // /v1/self view, including the pprof round-trip through the in-repo
-// decoder — the dogfood loop minus the runtime profiler itself.
+// decoder — the on-demand self-profile minus the runtime profiler
+// itself.
 func TestSelfProfileEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, Config{Window: time.Second})
 	s.self.captureFn = selfCaptureStub(t, []model.FrameSample{
@@ -210,7 +211,6 @@ func TestSelfProfileEndpoint(t *testing.T) {
 		{Frames: []string{"foldWindow", "mergeLoop", "main"}, Count: 3},
 	})
 
-	// First request captures on demand (no background loop configured).
 	flat := mustStatus(t, get(t, ts, "/v1/self"), http.StatusOK)
 	if !strings.Contains(string(flat), "serveHTTP") || !strings.Contains(string(flat), "10 samples") {
 		t.Errorf("flat self view missing data:\n%s", flat)
@@ -253,15 +253,36 @@ func TestSelfProfileEndpoint(t *testing.T) {
 	mustStatus(t, get(t, ts, "/v1/self?view=bogus"), http.StatusBadRequest)
 
 	exp := scrape(t, tsURL{ts.URL})
-	if v, ok := exp.Sample("gprofd_selfprofile_captures_total"); !ok || v < 1 {
-		t.Errorf("selfprofile captures = %v (present %v), want >= 1", v, ok)
+	// One capture per view; the unknown view is refused before any.
+	if v, ok := exp.Sample("gprofd_selfprofile_captures_total"); !ok || v != 4 {
+		t.Errorf("selfprofile captures = %v (present %v), want 4", v, ok)
+	}
+}
+
+// TestSelfProfileFreshCapture checks that every /v1/self request
+// captures anew: when the samples change between two requests, the
+// second response shows the new ones and none of the old.
+func TestSelfProfileFreshCapture(t *testing.T) {
+	s, ts := newTestServer(t, Config{Window: time.Second})
+	s.self.captureFn = selfCaptureStub(t, []model.FrameSample{
+		{Frames: []string{"ingestBurst", "main"}, Count: 4},
+	})
+	if flat := mustStatus(t, get(t, ts, "/v1/self"), http.StatusOK); !strings.Contains(string(flat), "ingestBurst") {
+		t.Errorf("first capture not served:\n%s", flat)
+	}
+	s.self.captureFn = selfCaptureStub(t, []model.FrameSample{
+		{Frames: []string{"queryBurst", "main"}, Count: 6},
+	})
+	flat := mustStatus(t, get(t, ts, "/v1/self"), http.StatusOK)
+	if !strings.Contains(string(flat), "queryBurst") || !strings.Contains(string(flat), "6 samples") ||
+		strings.Contains(string(flat), "ingestBurst") {
+		t.Errorf("second request did not serve a fresh capture:\n%s", flat)
 	}
 }
 
 // TestSelfProfileEmptyCapture pins the idle-process behavior: a capture
-// with no samples keeps /v1/self at 503 (and counts as empty) instead
-// of publishing a blank profile; a later productive capture replaces it
-// and sticks even when the next capture is empty again.
+// with no samples answers 503 and counts as empty, also right after a
+// productive capture — nothing captured earlier is served in its place.
 func TestSelfProfileEmptyCapture(t *testing.T) {
 	s, ts := newTestServer(t, Config{Window: time.Second})
 	empty := selfCaptureStub(t, nil)
@@ -271,37 +292,18 @@ func TestSelfProfileEmptyCapture(t *testing.T) {
 	s.self.captureFn = selfCaptureStub(t, []model.FrameSample{
 		{Frames: []string{"busy", "main"}, Count: 2},
 	})
-	s.self.captureOnce()
 	mustStatus(t, get(t, ts, "/v1/self"), http.StatusOK)
 
-	// Idle again: the last productive capture keeps serving.
 	s.self.captureFn = empty
-	s.self.captureOnce()
-	flat := mustStatus(t, get(t, ts, "/v1/self"), http.StatusOK)
-	if !strings.Contains(string(flat), "busy") {
-		t.Errorf("stale-but-productive capture not retained:\n%s", flat)
-	}
+	mustStatus(t, get(t, ts, "/v1/self"), http.StatusServiceUnavailable)
 	exp := scrape(t, tsURL{ts.URL})
-	if v, ok := exp.Sample("gprofd_selfprofile_empty_total"); !ok || v < 2 {
-		t.Errorf("selfprofile empty = %v (present %v), want >= 2", v, ok)
-	}
-}
-
-// TestSelfProfileLoop starts the real background loop (real runtime
-// captures) and shuts it down again — a deadlock/leak check for the
-// start/stop path; capture productivity is inherently load-dependent
-// and asserted elsewhere with stubs.
-func TestSelfProfileLoop(t *testing.T) {
-	s := New(Config{SelfProfile: 20 * time.Millisecond, SelfCapture: 5 * time.Millisecond})
-	time.Sleep(60 * time.Millisecond)
-	done := make(chan struct{})
-	go func() { s.Close(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close with active self-profile loop did not return")
-	}
-	if got := s.metrics.selfCaptures.Value(); got < 1 {
-		t.Errorf("loop ran %d captures, want >= 1", got)
+	for name, want := range map[string]float64{
+		"gprofd_selfprofile_captures_total": 3,
+		"gprofd_selfprofile_empty_total":    2,
+		"gprofd_selfprofile_errors_total":   0,
+	} {
+		if v, ok := exp.Sample(name); !ok || v != want {
+			t.Errorf("%s = %v (present %v), want %v", name, v, ok, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -16,8 +17,8 @@ import (
 // TestStatsOneSource drives a scripted request mix — a 400, an unknown
 // fingerprint, a 429 from a depth-1 queue, a fold after a finished
 // query (which clones nothing) and a coalesced cold query — and checks
-// that every /v1/stats count equals the /metrics series or LRU counter
-// it projects, and the script's expected value.
+// that every /v1/stats count and runtime reading equals the /metrics
+// series it projects, and each count the script's expected value.
 func TestStatsOneSource(t *testing.T) {
 	im, imageBytes := sortImage(t)
 	s, ts := newTestServer(t, Config{QueueDepth: 1})
@@ -61,7 +62,7 @@ func TestStatsOneSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := flightKey(s.runSlot(fp, windowSel{kind: selAll}), selKey)
+	key := flightKey(runSlot(live, windowSel{kind: selAll}), selKey)
 	f := &flight{done: make(chan struct{}), val: &analysisEntry{res: res}}
 	close(f.done)
 	s.flights.mu.Lock()
@@ -79,7 +80,14 @@ func TestStatsOneSource(t *testing.T) {
 	if err := json.Unmarshal(mustStatus(t, get(t, ts, "/v1/stats"), http.StatusOK), &st); err != nil {
 		t.Fatal(err)
 	}
-	exp := scrape(t, tsURL{ts.URL})
+	// The registry as /v1/stats left it: a scrape would refresh the
+	// runtime gauges again before rendering them.
+	var raw bytes.Buffer
+	obs.WriteExposition(&raw, s.metrics.reg)
+	exp, err := obs.ParseExposition(&raw)
+	if err != nil {
+		t.Fatal(err)
+	}
 	series := func(name string, labels ...string) int64 {
 		v, ok := exp.Sample(name, labels...)
 		if !ok {
@@ -87,7 +95,6 @@ func TestStatsOneSource(t *testing.T) {
 		}
 		return int64(v)
 	}
-	aHits, aMisses, aEvict := s.queries.Stats()
 	for _, c := range []struct {
 		field            string
 		stats, src, want int64
@@ -101,14 +108,18 @@ func TestStatsOneSource(t *testing.T) {
 		{"queries", st.Queries, series("gprofd_queries_total"), 4},
 		{"coalesced_queries", st.CoalescedQueries, series("gprofd_coalesced_queries_total"), 1},
 		{"snapshot_cow_clones", st.SnapshotCOWClones, series("gprofd_snapshot_cow_clones_total"), 0},
-		{"analysis_cache_hits", st.AnalysisCacheHits, int64(aHits), 1},
-		{"analysis_cache_misses", st.AnalysisCacheMisses, int64(aMisses), 2},
-		{"analysis_cache_evictions", st.AnalysisCacheEvictions, int64(aEvict), 0},
+		{"analysis_cache_hits", st.AnalysisCacheHits, series("gprofd_analysis_cache_hits_total"), 1},
+		{"analysis_cache_misses", st.AnalysisCacheMisses, series("gprofd_analysis_cache_misses_total"), 2},
+		{"analysis_cache_evictions", st.AnalysisCacheEvictions, series("gprofd_analysis_cache_evictions_total"), 0},
+		// Runtime readings: no scripted value.
+		{"heap_alloc_bytes", int64(st.HeapAllocBytes), series("gprofd_heap_alloc_bytes"), -1},
+		{"heap_sys_bytes", int64(st.HeapSysBytes), series("gprofd_heap_sys_bytes"), -1},
+		{"num_goroutine", int64(st.NumGoroutine), series("gprofd_goroutines"), -1},
 	} {
 		if c.stats != c.src {
 			t.Errorf("%s = %d, but its source reads %d", c.field, c.stats, c.src)
 		}
-		if c.stats != c.want {
+		if c.want >= 0 && c.stats != c.want {
 			t.Errorf("%s = %d, want %d", c.field, c.stats, c.want)
 		}
 	}

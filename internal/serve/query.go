@@ -16,15 +16,15 @@ import (
 //
 //  1. analysis memoization (Server.analyzed): the finished core.Run —
 //     the model plus lazily rendered flat/callgraph/JSON bytes — is
-//     kept in one memo slot per query shape: fingerprint, window
-//     selection and normalized options. The slot also stores the
-//     selection key the analysis was computed from (shard.selectionKey:
-//     each included window's start and fold version), which is
-//     resolved before any merge; a lookup hits only when the stored
-//     key equals the current one, so a hit merges nothing. A finished
-//     analysis overwrites its slot in place, and only while its key is
-//     still current, so the memo holds at most one analysis per shape
-//     and never one that no query can hit again;
+//     kept in one memo slot per query shape: fingerprint and window
+//     selection. The slot also stores the selection key the analysis
+//     was computed from (shard.selectionKey: each included window's
+//     start and fold version), which is resolved before any merge; a
+//     lookup hits only when the stored key equals the current one, so
+//     a hit merges nothing. A finished analysis overwrites its slot in
+//     place, and only while its key is still current, so the memo
+//     holds at most one analysis per shape and never one that no query
+//     can hit again;
 //  2. single-flight coalescing (flightGroup): concurrent identical
 //     cold queries — same slot, same selection key — share one merge
 //     and one core.Run instead of N duplicates.
@@ -125,16 +125,16 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (*analysisEn
 	}
 }
 
-// runOptions is the server's fixed analysis configuration; its
-// CacheKey is precomputed in New.
+// runOptions is the server's fixed analysis configuration: every
+// query runs under it, so it is no part of a memo slot's name.
 func (s *Server) runOptions() core.Options {
 	return core.Options{Jobs: s.cfg.Jobs}
 }
 
-// runSlot names the memo slot of an analysis of fp's windows under
+// runSlot names the memo slot of an analysis of sh's windows under
 // sel: the query shape, with no data version in it.
-func (s *Server) runSlot(fp string, sel windowSel) string {
-	return "run|" + fp + "|" + sel.key() + "|" + s.optKey
+func runSlot(sh *shard, sel windowSel) string {
+	return "run|" + sh.fp + "|" + sel.key(sh.window)
 }
 
 // flightKey names one cold computation: a slot at one selection key.
@@ -148,7 +148,7 @@ func flightKey(slot, selKey string) string { return slot + "@" + selKey }
 // displaces a newer one, and is served to its own callers uncached.
 func (s *Server) keep(sh *shard, sel windowSel, slot, selKey string, val *analysisEntry) *analysisEntry {
 	kept := val
-	sh.whileCurrent(sel, s.cfg.Now(), selKey, func() { kept = s.queries.Put(slot, selKey, val).(*analysisEntry) })
+	sh.whileCurrent(sel, s.cfg.Now(), selKey, func() { kept = s.queries.put(slot, selKey, val) })
 	return kept
 }
 
@@ -157,17 +157,20 @@ func (s *Server) keep(sh *shard, sel windowSel, slot, selKey string, val *analys
 // selection key, so any fold into a selected window makes the next
 // query miss and reanalyze, and its analysis replaces the old one in
 // the same slot; an unchanged shard hits without merging. Cold misses
-// merge and analyze in a single flight.
+// merge and analyze in a single flight. Every lookup counts one hit or
+// one miss in /metrics.
 func (s *Server) analyzed(ctx context.Context, sh *shard, sel windowSel) (*analysisEntry, error) {
 	now := s.cfg.Now()
 	selKey := sh.selectionKey(sel, now)
 	if selKey == "" {
 		return nil, errNoData
 	}
-	slot := s.runSlot(sh.fp, sel)
-	if v, ok := s.queries.Get(slot, selKey); ok {
-		return v.(*analysisEntry), nil
+	slot := runSlot(sh, sel)
+	if v, ok := s.queries.get(slot, selKey); ok {
+		s.metrics.cacheHits.Add(1)
+		return v, nil
 	}
+	s.metrics.cacheMisses.Add(1)
 	e, err, coalesced := s.flights.do(ctx, flightKey(slot, selKey), func() (*analysisEntry, error) {
 		// A fold since the lookup gives the merge a newer key; the
 		// analysis is of that data and is kept under the key that

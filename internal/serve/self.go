@@ -2,11 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
@@ -14,63 +15,28 @@ import (
 	"repro/internal/report"
 )
 
-// The dogfood loop: gprofd profiles itself with the same machinery it
-// serves to everyone else. A background goroutine periodically captures
-// the process's own Go runtime CPU profile, decodes it with the in-repo
-// pprof reader (internal/pprofenc — no go tool pprof), converts the
-// name-resolved stacks into the gprof.profile.v2 stacks model, and
-// serves the result at GET /v1/self as a flat table, folded stacks, a
-// re-encoded pprof protobuf, or the model JSON. The operator question
-// "where does gprofd itself spend its time?" is answered by gprofd.
+// Self-profiling on demand: gprofd profiles itself with the same
+// machinery it serves to everyone else. Each GET /v1/self captures the
+// process's own Go runtime CPU profile for selfWindow, decodes it with
+// the in-repo pprof reader (internal/pprofenc — no go tool pprof),
+// converts the name-resolved stacks into the gprof.profile.v2 stacks
+// model, and renders the one view asked for: a flat table, folded
+// stacks, a re-encoded pprof protobuf, or the model JSON. The operator
+// question "where does gprofd itself spend its time?" is answered by
+// gprofd, when it is asked.
 
-// selfViews is one capture rendered every way /v1/self serves it,
-// built once at capture time so the handler only writes bytes.
-type selfSnapshot struct {
-	capturedAt time.Time
-	window     time.Duration
-	samples    int64
-	profile    *model.Profile
+// selfWindow is the duration of one /v1/self capture.
+const selfWindow = time.Second
 
-	flat   []byte
-	folded []byte
-	pprof  []byte
-}
-
-// selfProfiler owns the capture loop. Captures are serialized by mu —
-// the Go runtime allows one active CPU profile per process — and the
-// newest capture that actually held samples is kept in latest, so an
-// idle stretch does not blank out the endpoint.
+// selfProfiler serializes captures — the Go runtime allows one active
+// CPU profile per process.
 type selfProfiler struct {
-	srv      *Server
-	interval time.Duration // 0: no loop; /v1/self captures on demand
-	window   time.Duration
+	mu sync.Mutex
 
 	// captureFn runs one CPU capture of duration d and returns the raw
 	// pprof bytes. Injectable so tests feed deterministic profiles
 	// without racing the runtime profiler.
 	captureFn func(d time.Duration) ([]byte, error)
-
-	mu     sync.Mutex // serializes captures
-	latest atomic.Pointer[selfSnapshot]
-	stop   chan struct{}
-	done   chan struct{}
-}
-
-func newSelfProfiler(srv *Server, interval, window time.Duration) *selfProfiler {
-	if window <= 0 {
-		window = time.Second
-	}
-	if interval > 0 && window > interval/2 {
-		window = interval / 2
-	}
-	return &selfProfiler{
-		srv:       srv,
-		interval:  interval,
-		window:    window,
-		captureFn: captureCPUProfile,
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-	}
 }
 
 // captureCPUProfile is the production captureFn: one runtime/pprof CPU
@@ -87,100 +53,36 @@ func captureCPUProfile(d time.Duration) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// startLoop begins periodic capture; no-op when interval is zero.
-func (sp *selfProfiler) startLoop() {
-	if sp.interval <= 0 {
-		close(sp.done)
-		return
-	}
-	go func() {
-		defer close(sp.done)
-		t := time.NewTicker(sp.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-sp.stop:
-				return
-			case <-t.C:
-				sp.captureOnce()
-			}
-		}
-	}()
-}
+var errSelfEmpty = errors.New("self profile capture held no samples (idle process); retry under load")
 
-// stopLoop halts the loop and waits for an in-flight capture to finish.
-func (sp *selfProfiler) stopLoop() {
-	select {
-	case <-sp.stop:
-	default:
-		close(sp.stop)
-	}
-	if sp.interval > 0 {
-		<-sp.done
-	}
-}
-
-// captureOnce runs one capture → decode → model → render cycle. A
-// capture with no samples (idle process) keeps the previous snapshot;
-// only captures carrying data replace it.
-func (sp *selfProfiler) captureOnce() {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	m := sp.srv.metrics
+// captureSelf runs one capture → decode → model cycle. A capture with
+// no samples is errSelfEmpty: an idle process has nothing to show.
+func (s *Server) captureSelf() (*model.Profile, error) {
+	s.self.mu.Lock()
+	defer s.self.mu.Unlock()
+	m := s.metrics
 	m.selfCaptures.Add(1)
-	fs := sp.srv.rec.Start("selfprofile capture")
-	raw, err := sp.captureFn(sp.window)
-	fs.End()
+	sp := s.rec.Start("selfprofile capture")
+	raw, err := s.self.captureFn(selfWindow)
+	sp.End()
+	var d *pprofenc.Decoded
+	if err == nil {
+		d, err = pprofenc.Decode(bytes.NewReader(raw))
+	}
 	if err != nil {
 		m.selfErrors.Add(1)
-		return
-	}
-	snap, err := buildSelfSnapshot(raw, sp.srv.cfg.Now(), sp.window)
-	if err != nil {
-		m.selfErrors.Add(1)
-		return
-	}
-	if snap.samples == 0 {
-		m.selfEmpty.Add(1)
-		return
-	}
-	sp.latest.Store(snap)
-}
-
-// buildSelfSnapshot decodes one raw pprof capture and renders every
-// /v1/self view from it.
-func buildSelfSnapshot(raw []byte, now time.Time, window time.Duration) (*selfSnapshot, error) {
-	d, err := pprofenc.Decode(bytes.NewReader(raw))
-	if err != nil {
-		return nil, fmt.Errorf("decoding self profile: %w", err)
+		return nil, err
 	}
 	prof, samples := selfModel(d)
-	snap := &selfSnapshot{
-		capturedAt: now,
-		window:     window,
-		samples:    samples,
-		profile:    prof,
-	}
 	if samples == 0 {
-		return snap, nil
+		m.selfEmpty.Add(1)
+		return nil, errSelfEmpty
 	}
 	if err := prof.Validate(); err != nil {
+		m.selfErrors.Add(1)
 		return nil, fmt.Errorf("self profile failed validation: %w", err)
 	}
-	var flat bytes.Buffer
-	writeSelfFlat(&flat, snap)
-	snap.flat = flat.Bytes()
-	var folded bytes.Buffer
-	if err := report.Folded(&folded, prof); err != nil {
-		return nil, fmt.Errorf("rendering folded self profile: %w", err)
-	}
-	snap.folded = folded.Bytes()
-	var pb bytes.Buffer
-	if err := pprofenc.Encode(&pb, prof); err != nil {
-		return nil, fmt.Errorf("re-encoding self profile: %w", err)
-	}
-	snap.pprof = pb.Bytes()
-	return snap, nil
+	return prof, nil
 }
 
 // selfModel converts a decoded runtime CPU profile into the stacks-only
@@ -228,10 +130,10 @@ func selfModel(d *pprofenc.Decoded) (*model.Profile, int64) {
 // writeSelfFlat renders the per-routine rollup as a flat table: the
 // measured self/inclusive split BuildStacks guarantees, ordered by
 // decreasing inclusive time.
-func writeSelfFlat(w *bytes.Buffer, snap *selfSnapshot) {
-	v := snap.profile.Stacks
+func writeSelfFlat(w io.Writer, p *model.Profile, capturedAt time.Time) error {
+	v := p.Stacks
 	fmt.Fprintf(w, "gprofd self profile: %d samples over %s (captured %s)\n",
-		v.Samples, snap.window, snap.capturedAt.UTC().Format(time.RFC3339))
+		v.Samples, selfWindow, capturedAt.UTC().Format(time.RFC3339))
 	fmt.Fprintf(w, "%7s %7s %8s %8s  %s\n", "incl%", "self%", "incl", "self", "routine")
 	total := float64(v.Samples)
 	for _, r := range v.Routines {
@@ -239,40 +141,42 @@ func writeSelfFlat(w *bytes.Buffer, snap *selfSnapshot) {
 			100*float64(r.InclusiveTicks)/total, 100*float64(r.SelfTicks)/total,
 			r.InclusiveTicks, r.SelfTicks, r.Name)
 	}
+	return nil
 }
 
-// handleSelf serves the most recent self-profile capture. With no
-// background loop (or before its first productive capture) the handler
-// captures on demand, so `curl /v1/self` always works; 503 only when a
-// capture cannot produce samples.
+// handleSelf captures gprofd's own CPU profile and serves the one view
+// asked for; 503 when the capture yields no samples or the profiler is
+// busy.
 func (s *Server) handleSelf(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.fail(w, http.StatusMethodNotAllowed, "GET /v1/self")
 		return
 	}
-	snap := s.self.latest.Load()
-	if snap == nil {
-		s.self.captureOnce()
-		snap = s.self.latest.Load()
-	}
-	if snap == nil {
-		s.fail(w, http.StatusServiceUnavailable,
-			"self profile has no samples yet (idle process or profiler busy); retry under load")
-		return
-	}
+	var render func(io.Writer, *model.Profile) error
+	contentType := textPlain
 	switch view := r.URL.Query().Get("view"); view {
 	case "", "flat":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write(snap.flat)
+		render = func(w io.Writer, p *model.Profile) error { return writeSelfFlat(w, p, s.cfg.Now()) }
 	case "folded":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write(snap.folded)
+		render = report.Folded
 	case "pprof":
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(snap.pprof)
+		render, contentType = pprofenc.Encode, "application/octet-stream"
 	case "json":
-		writeJSON(w, http.StatusOK, snap.profile)
+		render, contentType = model.Encode, "application/json"
 	default:
 		s.fail(w, http.StatusBadRequest, "unknown view %q (want flat, folded, pprof, or json)", view)
+		return
 	}
+	prof, err := s.captureSelf()
+	if err != nil {
+		s.fail(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	}
+	var buf bytes.Buffer
+	if err := render(&buf, prof); err != nil {
+		s.fail(w, http.StatusInternalServerError, "rendering self profile: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", contentType)
+	w.Write(buf.Bytes())
 }

@@ -27,12 +27,11 @@
 // gmon.MergeAll over the same uploads — the property the gprofd-smoke
 // target asserts.
 //
-// Every event is counted once, in the always-on /metrics registry (or,
-// for the analysis cache, in its own core.LRU counters); /v1/stats projects
-// those sources into typed fields. Each request and each fold records
-// one span into one recorder: a bounded flight-recorder ring by
-// default, or Config.Trace's growing recorder when a CLI trace is
-// attached.
+// Every event is counted once, in the always-on /metrics registry;
+// /v1/stats projects its series into typed fields. Each request and
+// each fold records one span into one recorder: a bounded
+// flight-recorder ring by default, or Config.Trace's growing recorder
+// when a CLI trace is attached.
 package serve
 
 import (
@@ -43,7 +42,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -79,12 +77,12 @@ type Config struct {
 	// Zero means GOMAXPROCS.
 	Jobs int
 	// QueryCache bounds the analysis-memoization LRU, in query
-	// shapes: one slot per (fingerprint, window selection, normalized
-	// options) for finished core.Run results with their rendered
-	// bodies. A slot holds only the answer for the selection's current
-	// window versions; a fold makes the next query replace it in
-	// place, so uploads alone never grow the memo. /v1/gmon encodings
-	// are not memoized. Non-positive means DefaultQueryCache.
+	// shapes: one slot per (fingerprint, window selection) for
+	// finished core.Run results with their rendered bodies. A slot
+	// holds only the answer for the selection's current window
+	// versions; a fold makes the next query replace it in place, so
+	// uploads alone never grow the memo. /v1/gmon encodings are not
+	// memoized. Non-positive means DefaultQueryCache.
 	QueryCache int
 	// Now is the clock, injectable for tests. Nil means time.Now.
 	Now func() time.Time
@@ -92,14 +90,6 @@ type Config struct {
 	// go to its growing recorder instead of the bounded ring that
 	// /debug/flightrec dumps.
 	Trace *obs.Trace
-	// SelfProfile, when positive, starts the dogfood loop: the server
-	// captures its own Go runtime CPU profile this often and serves the
-	// latest capture at /v1/self. Zero leaves the loop off; /v1/self
-	// then captures on demand.
-	SelfProfile time.Duration
-	// SelfCapture is the duration of each self-profile capture window.
-	// Zero means one second, clamped to half the SelfProfile interval.
-	SelfCapture time.Duration
 }
 
 // flightTrackSpans is how many spans each track of the default
@@ -143,14 +133,13 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
-	queries *core.LRU   // finished analyses + rendered bodies, one slot per query shape
+	queries *lru        // finished analyses + rendered bodies, one slot per query shape
 	flights flightGroup // single-flight coalescing of cold analyses
-	optKey  string      // CacheKey of the server's fixed core.Options
 	start   time.Time
 
 	metrics   *serverMetrics      // always-on /metrics registry
 	rec       *obs.FlightRecorder // the one span recorder, dumped at /debug/flightrec
-	self      *selfProfiler       // dogfood loop behind /v1/self
+	self      selfProfiler        // serializes /v1/self captures
 	endpoints map[string]string   // registered path -> its request span name
 	handler   http.Handler        // mux wrapped in the metrics middleware
 	draining  atomic.Bool         // flips /readyz to 503
@@ -158,8 +147,6 @@ type Server struct {
 	mu     sync.Mutex
 	shards map[string]*shard
 	closed bool
-
-	rate rateTracker // recent_profiles_per_second
 }
 
 // New creates a Server with the given configuration.
@@ -170,19 +157,17 @@ func New(cfg Config) *Server {
 		start:  cfg.Now(),
 		shards: make(map[string]*shard),
 	}
-	s.queries = core.NewLRU(cfg.QueryCache)
-	s.optKey = s.runOptions().CacheKey()
 	s.metrics = newServerMetrics()
+	s.queries = newLRU(cfg.QueryCache, s.metrics.cacheEvictions)
+	s.self.captureFn = captureCPUProfile
 	s.rec = cfg.Trace.Recorder()
 	if s.rec == nil {
 		s.rec = obs.NewFlightRecorder(flightTrackSpans)
 	}
-	s.self = newSelfProfiler(s, cfg.SelfProfile, cfg.SelfCapture)
 	s.mux = http.NewServeMux()
 	s.endpoints = make(map[string]string)
 	s.routes()
 	s.handler = s.instrument(s.mux)
-	s.self.startLoop()
 	return s
 }
 
@@ -205,12 +190,10 @@ func (s *Server) BeginDrain() {
 func (s *Server) Ready() bool { return !s.draining.Load() }
 
 // Close stops every shard worker after draining its queue, after
-// flipping readiness off and stopping the self-profile loop. Uploads
-// arriving during or after Close are rejected with 503; queries keep
-// working against the merged windows.
+// flipping readiness off. Uploads arriving during or after Close are
+// rejected with 503; queries keep working against the merged windows.
 func (s *Server) Close() {
 	s.BeginDrain()
-	s.self.stopLoop()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

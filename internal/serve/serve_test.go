@@ -311,6 +311,27 @@ func TestWindowSelection(t *testing.T) {
 	mustStatus(t, get(t, ts, "/v1/flat?fp="+fp+"&window=current"), http.StatusNotFound)
 }
 
+// TestWindowSpellingsShareSlot checks that two starts inside one
+// window name one memo slot: the second spelling is a cache hit, not a
+// second analysis of the same window.
+func TestWindowSpellingsShareSlot(t *testing.T) {
+	_, imageBytes := sortImage(t)
+	clock := newFakeClock()
+	s, ts := newTestServer(t, Config{Window: time.Minute, Now: clock.Now})
+	fp := registerExe(t, ts, imageBytes)
+	mustStatus(t, ingest(t, ts, fp, encodeProfile(t, sortProfile(t, 1), gmon.Version1, false)), http.StatusAccepted)
+	start := clock.Now().Unix() - clock.Now().Unix()%60
+	first := mustStatus(t, get(t, ts, fmt.Sprintf("/v1/flat?sync=1&fp=%s&window=%d", fp, start)), http.StatusOK)
+	hits0, misses0 := s.metrics.cacheHits.Value(), s.metrics.cacheMisses.Value()
+	again := mustStatus(t, get(t, ts, fmt.Sprintf("/v1/flat?fp=%s&window=%d", fp, start+1)), http.StatusOK)
+	if !bytes.Equal(again, first) {
+		t.Error("two spellings of one window answered differently")
+	}
+	if hits, misses := s.metrics.cacheHits.Value()-hits0, s.metrics.cacheMisses.Value()-misses0; hits != 1 || misses != 0 {
+		t.Errorf("second spelling: %d hits, %d misses, want 1/0", hits, misses)
+	}
+}
+
 // TestWindowEviction checks Retain bounds the windows a shard keeps.
 func TestWindowEviction(t *testing.T) {
 	_, imageBytes := sortImage(t)
@@ -402,6 +423,29 @@ func TestRequestErrors(t *testing.T) {
 	mustStatus(t, get(t, ts, "/v1/flat?fp="+fp+"&window=bogus"), http.StatusBadRequest)
 	mustStatus(t, get(t, ts, "/v1/flat?fp="+fp), http.StatusNotFound) // registered but no data
 	mustStatus(t, get(t, ts, "/v1/diff?fp="+fp+"&old=bogus"), http.StatusBadRequest)
+}
+
+// TestGmonFormatParam checks /v1/gmon's v= parameter: empty and 1 serve
+// format version 1, and a version gprofd does not write is refused
+// rather than answered in version 1.
+func TestGmonFormatParam(t *testing.T) {
+	_, imageBytes := sortImage(t)
+	_, ts := newTestServer(t, Config{})
+	fp := registerExe(t, ts, imageBytes)
+	p := sortProfile(t, 1)
+	mustStatus(t, ingest(t, ts, fp, encodeProfile(t, p, gmon.Version1, false)), http.StatusAccepted)
+	var v1 bytes.Buffer
+	if err := gmon.WriteVersion(&v1, p, gmon.Version1); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"", "1"} {
+		if got := mustStatus(t, get(t, ts, "/v1/gmon?sync=1&fp="+fp+"&v="+v), http.StatusOK); !bytes.Equal(got, v1.Bytes()) {
+			t.Errorf("v=%q is not format version 1", v)
+		}
+	}
+	for _, v := range []string{"4", "0", "v2", "2.0"} {
+		mustStatus(t, get(t, ts, "/v1/gmon?fp="+fp+"&v="+v), http.StatusBadRequest)
+	}
 }
 
 // TestMaxShards checks the registry bound: one fingerprint fits, the
@@ -499,6 +543,10 @@ func TestParseWindow(t *testing.T) {
 		{"1700000000", selAt, true},
 		{"-5", 0, false},
 		{"latest", 0, false},
+		{"0x10", 0, false},
+		{"60abc", 0, false},
+		{"60.5", 0, false},
+		{"60 70", 0, false},
 	} {
 		sel, err := parseWindow(tc.in)
 		if tc.ok != (err == nil) {

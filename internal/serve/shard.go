@@ -256,9 +256,11 @@ type windowSel struct {
 }
 
 // key names the selection itself, not the data it resolves to: the
-// window-selection part of a memo slot.
-func (sel windowSel) key() string {
-	return strconv.Itoa(sel.kind) + ":" + strconv.FormatInt(sel.start, 10)
+// window-selection part of a memo slot. A start names the window of
+// the given width that holds it, so every spelling of one window names
+// one slot.
+func (sel windowSel) key(width int64) string {
+	return strconv.Itoa(sel.kind) + ":" + strconv.FormatInt(sel.start-sel.start%width, 10)
 }
 
 const (
@@ -280,8 +282,8 @@ func parseWindow(s string) (windowSel, error) {
 	case "prev":
 		return windowSel{kind: selPrev}, nil
 	}
-	var start int64
-	if _, err := fmt.Sscanf(s, "%d", &start); err != nil || start < 0 {
+	start, err := strconv.ParseInt(s, 10, 64)
+	if err != nil || start < 0 {
 		return windowSel{}, fmt.Errorf("bad window selector %q (want all, current, prev, or a unix-seconds window start)", s)
 	}
 	return windowSel{kind: selAt, start: start}, nil

@@ -1,49 +1,9 @@
 package serve
 
-import (
-	"net/http"
-	"runtime"
-	"sync"
-)
+import "net/http"
 
 // StatsSchema tags every /v1/stats response.
 const StatsSchema = "gprofd.stats.v1"
-
-// rateWindow is how many whole seconds the recent-rate estimate
-// averages over.
-const rateWindow = 10
-
-// rateTracker keeps per-second accept counts in a small ring so
-// /v1/stats can report a recent profiles/sec figure alongside the
-// lifetime average.
-type rateTracker struct {
-	mu    sync.Mutex
-	slots [rateWindow + 2]struct{ sec, n int64 }
-}
-
-func (t *rateTracker) add(sec int64) {
-	i := sec % int64(len(t.slots))
-	t.mu.Lock()
-	if t.slots[i].sec != sec {
-		t.slots[i].sec, t.slots[i].n = sec, 0
-	}
-	t.slots[i].n++
-	t.mu.Unlock()
-}
-
-// recent averages the accept rate over the last rateWindow whole
-// seconds (the current partial second is excluded).
-func (t *rateTracker) recent(now int64) float64 {
-	var sum int64
-	t.mu.Lock()
-	for _, s := range t.slots {
-		if s.sec >= now-rateWindow && s.sec < now {
-			sum += s.n
-		}
-	}
-	t.mu.Unlock()
-	return float64(sum) / rateWindow
-}
 
 // ShardStats is one fingerprint's row in the stats payload.
 type ShardStats struct {
@@ -59,37 +19,34 @@ type ShardStats struct {
 }
 
 // Stats is the /v1/stats payload (schema gprofd.stats.v1): ingest
-// accounting, the profiles/sec headline both lifetime and over the
-// last few seconds, the Go heap (the soak test's bounded-RSS check
-// reads it), and per-shard queue depths. Every count is a projection
-// of one source — a /metrics series or the analysis cache's own LRU
-// counters — so the two surfaces cannot disagree.
+// accounting, the lifetime profiles/sec headline, the Go heap (the
+// soak test's bounded-RSS check reads it), and per-shard queue depths.
+// Every count and runtime reading is a projection of one /metrics
+// series, so the two surfaces cannot disagree.
 type Stats struct {
 	Schema        string  `json:"schema"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 
-	ProfilesAccepted        int64   `json:"profiles_accepted"`
-	BytesIngested           int64   `json:"bytes_ingested"`
-	RejectedBadRequest      int64   `json:"rejected_bad_request"`
-	RejectedBackpressure    int64   `json:"rejected_backpressure"`
-	ExecutablesRegistered   int64   `json:"executables_registered"`
-	Queries                 int64   `json:"queries"`
-	ProfilesPerSecond       float64 `json:"profiles_per_second"`
-	RecentProfilesPerSecond float64 `json:"recent_profiles_per_second"`
+	ProfilesAccepted      int64   `json:"profiles_accepted"`
+	BytesIngested         int64   `json:"bytes_ingested"`
+	RejectedBadRequest    int64   `json:"rejected_bad_request"`
+	RejectedBackpressure  int64   `json:"rejected_backpressure"`
+	ExecutablesRegistered int64   `json:"executables_registered"`
+	Queries               int64   `json:"queries"`
+	ProfilesPerSecond     float64 `json:"profiles_per_second"`
 
-	// The incremental query path's accounting: the analysis layer
-	// (memoized core.Run results, rendered bodies and raw-merge
-	// encodings), how many cold queries were coalesced into another
-	// request's analysis, and how many folds cloned a window a query
-	// held.
+	// The incremental query path's accounting: the analysis memo's
+	// lookups and evictions (gprofd_analysis_cache_*_total), how many
+	// cold queries were coalesced into another request's analysis, and
+	// how many folds cloned a window a query held.
 	AnalysisCacheHits      int64 `json:"analysis_cache_hits"`
 	AnalysisCacheMisses    int64 `json:"analysis_cache_misses"`
 	AnalysisCacheEvictions int64 `json:"analysis_cache_evictions"`
 	CoalescedQueries       int64 `json:"coalesced_queries"`
 	SnapshotCOWClones      int64 `json:"snapshot_cow_clones"`
 
-	// The dogfood loop's accounting (additive in gprofd.stats.v1; see
-	// /v1/self and the gprofd.metrics.v1 selfprofile counters).
+	// The /v1/self captures' accounting (additive in
+	// gprofd.stats.v1; the gprofd.metrics.v1 selfprofile counters).
 	SelfProfileCaptures int64 `json:"selfprofile_captures,omitempty"`
 	SelfProfileEmpty    int64 `json:"selfprofile_empty,omitempty"`
 	SelfProfileErrors   int64 `json:"selfprofile_errors,omitempty"`
@@ -103,37 +60,33 @@ type Stats struct {
 
 // Snapshot assembles the current stats payload.
 func (s *Server) Snapshot() Stats {
-	now := s.cfg.Now()
-	uptime := now.Sub(s.start).Seconds()
+	uptime := s.cfg.Now().Sub(s.start).Seconds()
 	m := s.metrics
-	aHits, aMisses, aEvict := s.queries.Stats()
 	st := Stats{
-		Schema:                  StatsSchema,
-		UptimeSeconds:           uptime,
-		ProfilesAccepted:        m.profiles.Value(),
-		BytesIngested:           m.profileBytes.Value(),
-		RejectedBadRequest:      m.badRequests.Value(),
-		RejectedBackpressure:    m.backpressure.Value(),
-		ExecutablesRegistered:   m.executables.Value(),
-		Queries:                 m.queries.Value(),
-		RecentProfilesPerSecond: s.rate.recent(now.Unix()),
-		AnalysisCacheHits:       int64(aHits),
-		AnalysisCacheMisses:     int64(aMisses),
-		AnalysisCacheEvictions:  int64(aEvict),
-		CoalescedQueries:        m.coalesced.Value(),
-		SnapshotCOWClones:       m.cowClones.Value(),
-		SelfProfileCaptures:     m.selfCaptures.Value(),
-		SelfProfileEmpty:        m.selfEmpty.Value(),
-		SelfProfileErrors:       m.selfErrors.Value(),
+		Schema:                 StatsSchema,
+		UptimeSeconds:          uptime,
+		ProfilesAccepted:       m.profiles.Value(),
+		BytesIngested:          m.profileBytes.Value(),
+		RejectedBadRequest:     m.badRequests.Value(),
+		RejectedBackpressure:   m.backpressure.Value(),
+		ExecutablesRegistered:  m.executables.Value(),
+		Queries:                m.queries.Value(),
+		AnalysisCacheHits:      m.cacheHits.Value(),
+		AnalysisCacheMisses:    m.cacheMisses.Value(),
+		AnalysisCacheEvictions: m.cacheEvictions.Value(),
+		CoalescedQueries:       m.coalesced.Value(),
+		SnapshotCOWClones:      m.cowClones.Value(),
+		SelfProfileCaptures:    m.selfCaptures.Value(),
+		SelfProfileEmpty:       m.selfEmpty.Value(),
+		SelfProfileErrors:      m.selfErrors.Value(),
 	}
 	if uptime > 0 {
 		st.ProfilesPerSecond = float64(st.ProfilesAccepted) / uptime
 	}
-	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
-	st.HeapAllocBytes = mem.HeapAlloc
-	st.HeapSysBytes = mem.HeapSys
-	st.NumGoroutine = runtime.NumGoroutine()
+	s.refreshRuntime()
+	st.HeapAllocBytes = uint64(m.heapAlloc.Value())
+	st.HeapSysBytes = uint64(m.heapSys.Value())
+	st.NumGoroutine = int(m.goroutines.Value())
 	shards := s.allShards()
 	st.Shards = make([]ShardStats, 0, len(shards))
 	for _, sh := range shards {
