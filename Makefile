@@ -17,7 +17,8 @@ race:
 # rows run each stage at n and 2n: gmon.ReadFile (v1, 2^20 buckets and
 # arcs), gmon.MergeAll (width 1, four profiles of 2^15 arcs),
 # object.ReadImageFile (2^20 words), callgraph.BuildCtx, scc.Analyze,
-# propagate.RunCtx and model.Build (synth.Tier(5*10^4, 1)), the full
+# propagate.RunCtx, model.Build and core.RunFrom on its base's
+# structure (synth.Tier(5*10^4, 1)), the full
 # listing and the index alone (synth.Tier(10^4, 1), the index's names
 # shuffled) and gprofd's window fold, gmon.Profile.Merge
 # (synth.Tier(5*10^4, 1)). A row fails when the median CPU-time ratio
@@ -85,7 +86,9 @@ golden:
 # the column call graph's component analysis, cycle breaking,
 # propagation and listing numbers against the pointer-graph reference,
 # floats bit for bit, on small graphs with cycles, self, spontaneous
-# and static arcs, and removed arcs.
+# and static arcs, and removed arcs; FuzzRunFrom checks that an
+# analysis built on an earlier one's structure renders the bytes of a
+# fresh one, and reuses it exactly when the record keys match.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test -run xxx -fuzz 'FuzzRead$$' -fuzztime 20s ./internal/gmon
@@ -95,6 +98,7 @@ fuzz-smoke:
 	go test -run xxx -fuzz 'FuzzFixed$$' -fuzztime 20s ./internal/report
 	go test -run xxx -fuzz 'FuzzListingOrder$$' -fuzztime 20s ./internal/model
 	go test -run xxx -fuzz 'FuzzAnalyze$$' -fuzztime 20s ./internal/core
+	go test -run xxx -fuzz 'FuzzRunFrom$$' -fuzztime 20s ./internal/core
 
 # End-to-end smoke of the continuous-profiling service: start gprofd,
 # replay the workload corpus from concurrent agents via gprofload, and

@@ -131,6 +131,13 @@ type Graph struct {
 	dead   int
 	dirty  bool
 
+	// keys and recArc tie a graph BuildCtx made to the profile's arc
+	// records: record r's (FromPC, SelfPC), and the arc its count sums
+	// into, or -1 once that arc is removed. A freeze renumbers recArc
+	// with the arcs. A graph built by hand has neither.
+	keys   []recKey
+	recArc []int32
+
 	// nodes and arcIdx are the name-keyed API's indices: nodes by name,
 	// and arcs by endpoint pair, so that merging a repeated pair is
 	// O(1). BuildCtx does not need them, so each is built on the first
@@ -541,6 +548,17 @@ func (g *Graph) freeze() {
 		}
 	}
 	g.deriveIn(arcStart)
+	g.sumCalls()
+	if g.recArc != nil {
+		recArc := make([]int32, len(g.recArc))
+		for r, a := range g.recArc {
+			recArc[r] = -1
+			if a >= 0 {
+				recArc[r] = pos[a]
+			}
+		}
+		g.recArc = recArc
+	}
 	g.frozen, g.dead, g.dirty = live, 0, false
 	g.arcIdx = nil
 }
@@ -563,27 +581,35 @@ func permute[T any](col []T, pos []int32, live int) []T {
 	return out
 }
 
-// deriveIn lays out each node's incoming non-self arcs and sums its
-// call counts, from arcs in listing order with node v's arcs at
-// arcStart[v]:arcStart[v+1].
+// deriveIn lays out each node's incoming non-self arcs, from arcs in
+// listing order with node v's arcs at arcStart[v]:arcStart[v+1].
 func (g *Graph) deriveIn(arcStart []int32) {
 	n := len(g.Names)
 	g.inStart = make([]int32, n+1)
 	g.in = make([]int32, 0, len(g.Callee))
-	g.calls = make([]int64, n)
-	g.selfCalls = make([]int64, n)
 	for v := 0; v < n; v++ {
 		g.inStart[v] = int32(len(g.in))
 		for a := arcStart[v]; a < arcStart[v+1]; a++ {
-			if g.Caller[a] == int32(v) {
-				g.selfCalls[v] += g.Count[a]
-				continue
+			if g.Caller[a] != int32(v) {
+				g.in = append(g.in, a)
 			}
-			g.in = append(g.in, a)
-			g.calls[v] += g.Count[a]
 		}
 	}
 	g.inStart[n] = int32(len(g.in))
+}
+
+// sumCalls sums each node's incoming non-self and self traversal
+// counts.
+func (g *Graph) sumCalls() {
+	g.calls = make([]int64, len(g.Names))
+	g.selfCalls = make([]int64, len(g.Names))
+	for a, t := range g.Callee {
+		if g.Caller[a] == t {
+			g.selfCalls[t] += g.Count[a]
+		} else {
+			g.calls[t] += g.Count[a]
+		}
+	}
 }
 
 // BuildCtx assembles the dynamic call graph for a profile against a
@@ -600,7 +626,11 @@ func (g *Graph) deriveIn(arcStart []int32) {
 // run serially and the graph is identical at any width. The parameter
 // stays for callers that pass one width to every stage.
 //
-// Construction is one linear pass with no map, for every input:
+// BuildCtx builds the graph's structure from the records' addresses
+// (newShape) and then fills its values from the counts and the
+// histogram (Shape.Fill), the one path by which every graph of a
+// profile is made. Construction is linear with no map, for every
+// input:
 //
 //   - one node per distinct routine name, in the table's node order
 //     (symtab.Table.NodeIndex), so a node's number is the routine's
@@ -620,21 +650,88 @@ func (g *Graph) deriveIn(arcStart []int32) {
 // The graph comes back frozen; the name-keyed indices (Node, AddArc,
 // ...) are built on first use.
 func BuildCtx(ctx context.Context, tab *symtab.Table, p *gmon.Profile, jobs int) (*Graph, error) {
+	s, err := newShape(ctx, tab, p)
+	if err != nil {
+		return nil, err
+	}
+	return s.Fill(ctx, tab, p)
+}
+
+// Shape is the structural half of a graph BuildCtx made: everything
+// that depends on which arc records the profile holds and in what
+// order, but not on their counts or on the histogram. It holds the
+// records' keys, the arc each record sums into, the nodes' names and
+// name order, the arcs' endpoints, Sites and Static columns, the in
+// and out adjacency, and the TopoNum and CycleNum columns and cycle
+// members scc assigned. A Shape is never written once made, so any
+// number of graphs, on any number of goroutines, may share it.
+type Shape struct {
+	// g holds the structural columns; its value columns are nil.
+	g Graph
+}
+
+// recKey is an arc record's key: the call site and the callee.
+type recKey struct{ from, self int64 }
+
+// Shape returns g's structure, sharing its structural columns, for
+// Fill to build further graphs on. g must be one BuildCtx made, edited
+// since only by AddStatic, RemoveArc, DeleteArc and scc, so that every
+// count is a record's, and neither g's structure nor its edits may
+// change afterwards. It returns nil for a graph built by hand.
+func (g *Graph) Shape() *Shape {
+	if g.recArc == nil {
+		return nil
+	}
+	g.Freeze()
+	s := &Shape{g: *g}
+	s.g.SelfTicks, s.g.ChildTicks, s.g.Index = nil, nil, nil
+	s.g.Count, s.g.PropSelf, s.g.PropChild = nil, nil, nil
+	s.g.calls, s.g.selfCalls = nil, nil
+	s.g.nodes, s.g.arcIdx = nil, nil
+	s.g.Cycles = make([]Cycle, len(g.Cycles))
+	for i, c := range g.Cycles {
+		s.g.Cycles[i] = Cycle{Number: c.Number, Members: c.Members}
+	}
+	return s
+}
+
+// Matches reports whether p's arc records have exactly the keys, in
+// the same order, that s was built from: then s is the structure of
+// p's graph, whatever p's counts and histogram.
+func (s *Shape) Matches(p *gmon.Profile) bool {
+	if len(p.Arcs) != len(s.g.keys) {
+		return false
+	}
+	for r := range p.Arcs {
+		if k := s.g.keys[r]; p.Arcs[r].FromPC != k.from || p.Arcs[r].SelfPC != k.self {
+			return false
+		}
+	}
+	return true
+}
+
+// Fill returns a graph with s's structure and p's values: self ticks
+// attributed from p's histogram through tab, the table s was built
+// against, and arc counts summed from p's records, which must match s
+// (Matches). The graph shares s's columns and owns fresh value
+// columns and its own copy of the cycles, so analyzing it (propagate,
+// model.Build) writes nothing s holds; editing its structure is not
+// allowed.
+func (s *Shape) Fill(ctx context.Context, tab *symtab.Table, p *gmon.Profile) (*Graph, error) {
+	if len(p.Arcs) != len(s.g.recArc) {
+		return nil, fmt.Errorf("callgraph: %d arc records, the shape has %d", len(p.Arcs), len(s.g.recArc))
+	}
 	tr := obs.FromContext(ctx)
-	nn := tab.NumNodes()
-	g := &Graph{
-		Hz:         p.ClockHz(),
-		byName:     tab.NameOrder(),
-		Names:      make([]string, nn),
-		SelfTicks:  make([]float64, nn),
-		ChildTicks: make([]float64, nn),
-		TopoNum:    make([]int32, nn),
-		CycleNum:   make([]int32, nn),
-		Index:      make([]int32, nn),
-	}
-	for i, s := range tab.Syms() {
-		g.Names[tab.NodeIndex(i)] = s.Name
-	}
+	g := s.g
+	nn, na := len(g.Names), len(g.Callee)
+	g.Hz = p.ClockHz()
+	g.SelfTicks = make([]float64, nn)
+	g.ChildTicks = make([]float64, nn)
+	g.Index = make([]int32, nn)
+	g.Count = make([]int64, na)
+	g.PropSelf = make([]float64, na)
+	g.PropChild = make([]float64, na)
+	g.Cycles = slices.Clone(s.g.Cycles)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -648,10 +745,33 @@ func BuildCtx(ctx context.Context, tab *symtab.Table, p *gmon.Profile, jobs int)
 	g.LostTicks = lost
 	attrSpan.End()
 	g.TotalTicks = float64(p.Hist.TotalTicks())
+	tr.Counter("graph.arc_records").Add(int64(len(p.Arcs)))
+	for r, a := range s.g.recArc {
+		if a >= 0 {
+			g.Count[a] += p.Arcs[r].Count
+		}
+	}
+	g.sumCalls()
+	return &g, nil
+}
+
+// newShape builds the structure of p's graph against tab, leaving
+// TopoNum and CycleNum zero for scc to assign.
+func newShape(ctx context.Context, tab *symtab.Table, p *gmon.Profile) (*Shape, error) {
+	nn := tab.NumNodes()
+	s := &Shape{g: Graph{
+		byName:   tab.NameOrder(),
+		Names:    make([]string, nn),
+		TopoNum:  make([]int32, nn),
+		CycleNum: make([]int32, nn),
+	}}
+	g := &s.g
+	for i, sym := range tab.Syms() {
+		g.Names[tab.NodeIndex(i)] = sym.Name
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tr.Counter("graph.arc_records").Add(int64(len(p.Arcs)))
 
 	// Resolve every record to (caller node + 1, callee node); 0 marks a
 	// spontaneous caller, so a record's from is its caller's row.
@@ -659,10 +779,12 @@ func BuildCtx(ctx context.Context, tab *symtab.Table, p *gmon.Profile, jobs int)
 	if len(recs) > math.MaxInt32/2 {
 		return nil, fmt.Errorf("callgraph: %d arc records, more than %d", len(recs), math.MaxInt32/2)
 	}
+	g.keys = make([]recKey, len(recs))
 	from := make([]int32, len(recs))
 	to := make([]int32, len(recs))
 	head := make([]int32, nn+2)
 	for r := range recs {
+		g.keys[r] = recKey{recs[r].FromPC, recs[r].SelfPC}
 		ci, ok := tab.FindIndex(recs[r].SelfPC)
 		if !ok {
 			return nil, fmt.Errorf("callgraph: arc callee pc %#x is not in any routine", recs[r].SelfPC)
@@ -719,32 +841,30 @@ func BuildCtx(ctx context.Context, tab *symtab.Table, p *gmon.Profile, jobs int)
 	// Place the arcs in increasing leader index: each at its callee's
 	// next slot and, unless it is a self arc, at its caller row's next
 	// slot. A follower's leader comes before it, so its arc already
-	// exists, and rank (reusing byCaller) maps a leader to its arc.
-	// inCur and outCur are the write cursors.
+	// exists. recArc (reusing byCaller) maps each record to its arc, a
+	// leader's before any follower reads it. inCur and outCur are the
+	// write cursors.
 	g.Caller = make([]int32, numArcs)
 	g.Callee = make([]int32, numArcs)
-	g.Count = make([]int64, numArcs)
 	g.Sites = make([]int32, numArcs)
 	g.Static = make([]bool, numArcs)
-	g.PropSelf = make([]float64, numArcs)
-	g.PropChild = make([]float64, numArcs)
 	g.out = make([]int32, g.outStart[nn+1])
 	inCur := append([]int32(nil), arcStart[:nn]...)
 	outCur := append([]int32(nil), g.outStart[:nn+1]...)
-	rank := byCaller
+	g.recArc = byCaller
 	for r, f := range from {
 		if f < 0 {
-			a := rank[-f-1]
-			g.Count[a] += recs[r].Count
+			a := g.recArc[-f-1]
+			g.recArc[r] = a
 			g.Sites[a]++
 			continue
 		}
 		t := to[r]
 		a := inCur[t]
 		inCur[t]++
-		rank[r] = a
+		g.recArc[r] = a
 		g.Caller[a], g.Callee[a] = f-1, t
-		g.Count[a], g.Sites[a] = recs[r].Count, 1
+		g.Sites[a] = 1
 		if f-1 != t {
 			g.out[outCur[f]] = a
 			outCur[f]++
@@ -752,5 +872,5 @@ func BuildCtx(ctx context.Context, tab *symtab.Table, p *gmon.Profile, jobs int)
 	}
 	g.deriveIn(arcStart)
 	g.frozen = numArcs
-	return g, nil
+	return s, nil
 }

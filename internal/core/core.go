@@ -26,11 +26,23 @@
 // executable again and again builds its symbol table once and passes
 // it as a TableSource, as gprofd does.
 //
-// A Result keeps only the model it renders from: the call graph's
-// columns are unreachable once model.Build returns, so a memoized
-// Result costs the model and nothing more. Run is the one stage list;
-// a caller that wants the analysis itself reads the model's routines,
-// arcs and cycles.
+// An analysis has a structural half and a value half. The structure —
+// the nodes, the arcs and their adjacency, the cycles and topological
+// numbers of steps 1-4 — depends only on which arc records the profile
+// holds and in what order; the values — self times, counts, propagated
+// times, listing order — on the counts and the histogram. Summing more
+// runs of one program changes only the values (§3), so RunFrom builds
+// on an earlier Result: when the options and source are the same and
+// the record keys are exactly the earlier profile's, it fills the
+// earlier structure with the new values and skips steps 1-4's
+// construction. Run is RunFrom with no base. gprofd passes each memo
+// slot's previous analysis as the base.
+//
+// A Result keeps the model it renders from and the structure a later
+// RunFrom may reuse (callgraph.Shape: shared, never written); the call
+// graph's value columns are unreachable once model.Build returns. Run
+// is the one stage list; a caller that wants the analysis itself reads
+// the model's routines, arcs and cycles.
 package core
 
 import (
@@ -38,6 +50,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/callgraph"
 	"repro/internal/cyclebreak"
@@ -176,7 +189,38 @@ type Result struct {
 	opt Options
 	// tr is the trace Run's context carried, for the render gauge.
 	tr *obs.Trace
+	// shared is the structure this analysis ran on, which a later
+	// RunFrom of the same query shape may reuse; nil after AutoBreak.
+	// reused reports that it came from the base.
+	shared *structure
+	reused bool
 }
+
+// structure is the half of an analysis that depends only on which arc
+// records the profile holds, with the options and the source that
+// shaped it: the call graph's Shape after static arcs, arc removal and
+// scc, and the number of arcs removed.
+type structure struct {
+	src     Source
+	tab     *symtab.Table
+	static  bool
+	remove  []cyclebreak.ArcID
+	shape   *callgraph.Shape
+	removed int
+}
+
+// fits reports whether s is the structure of p's analysis under opt
+// against src: the same source and structural options, and exactly the
+// same record keys. AutoBreak picks its arcs by count, so it never
+// fits.
+func (s *structure) fits(src Source, p *gmon.Profile, opt Options) bool {
+	return s != nil && !opt.AutoBreak && s.src == src && s.static == opt.Static &&
+		slices.Equal(s.remove, opt.RemoveArcs) && s.shape.Matches(p)
+}
+
+// Reused reports whether RunFrom built this analysis on its base's
+// structure instead of rebuilding the graph and its cycles.
+func (r *Result) Reused() bool { return r.reused }
 
 // Run post-processes a profile against a source of symbols. It is the
 // entry point behind every tool: ctx cancels the long stages
@@ -189,7 +233,22 @@ type Result struct {
 // inspectable with -stats or -tracefile. On cancellation the spans
 // recorded so far survive in the trace: Run marks it failed and the
 // partial run report stays diagnosable.
-func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Result, err error) {
+//
+// Run is RunFrom with no base.
+func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (*Result, error) {
+	return RunFrom(ctx, nil, src, p, opt)
+}
+
+// RunFrom is Run for a profile whose structure an earlier analysis,
+// base, may already hold: when base ran against the same source under
+// the same Static and RemoveArcs, without AutoBreak, and p's arc
+// records have exactly base's keys in base's order, RunFrom skips the
+// load, the graph's structure and scc, and fills base's structure with
+// p's counts and histogram (callgraph.Shape.Fill). Otherwise it runs
+// the whole pipeline, as Run does. Either way the Result renders the
+// same bytes as Run's, and base is only read, so any number of
+// analyses may share one base at once. base may be nil.
+func RunFrom(ctx context.Context, base *Result, src Source, p *gmon.Profile, opt Options) (res *Result, err error) {
 	tr := obs.FromContext(ctx)
 	defer func() {
 		if err != nil {
@@ -208,24 +267,47 @@ func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Re
 	if opt.Static && !src.supportsStatic() {
 		return nil, fmt.Errorf("%w: Static requires an image-backed source", ErrBadOptions)
 	}
-	loadSpan := tr.Span("load")
-	tab, static, err := src.load(opt.Static)
-	loadSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	graphSpan := tr.Span("graph")
-	g, err := callgraph.BuildCtx(ctx, tab, p, opt.jobs())
-	graphSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	if opt.Static {
-		g.AddStatic(static)
+	var (
+		g   *callgraph.Graph
+		tab *symtab.Table
+	)
+	if base != nil && base.shared.fits(src, p, opt) {
+		st := base.shared
+		graphSpan := tr.Span("graph")
+		g, err = st.shape.Fill(ctx, st.tab, p)
+		graphSpan.End()
+		if err != nil {
+			return nil, err
+		}
+		tab = st.tab
+		res = &Result{opt: opt, tr: tr, RemovedArcs: st.removed, shared: st, reused: true}
+	} else {
+		var static []object.StaticArc
+		loadSpan := tr.Span("load")
+		tab, static, err = src.load(opt.Static)
+		loadSpan.End()
+		if err != nil {
+			return nil, err
+		}
+		graphSpan := tr.Span("graph")
+		g, err = callgraph.BuildCtx(ctx, tab, p, opt.jobs())
+		graphSpan.End()
+		if err != nil {
+			return nil, err
+		}
+		if opt.Static {
+			g.AddStatic(static)
+		}
+		res = analyzeCycles(ctx, g, opt)
+		if !opt.AutoBreak {
+			// AutoBreak picks its arcs by count, so its structure is
+			// this profile's alone.
+			res.shared = &structure{src: src, tab: tab, static: opt.Static,
+				remove: slices.Clone(opt.RemoveArcs), shape: g.Shape(), removed: res.RemovedArcs}
+		}
 	}
 	tr.Gauge("graph.nodes").Set(int64(g.Len()))
-	res, err = finish(ctx, g, opt)
-	if err != nil {
+	if err := analyzeValues(ctx, g, res); err != nil {
 		return nil, err
 	}
 	if len(p.Stacks) > 0 {
@@ -247,7 +329,10 @@ func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (res *Re
 	return res, nil
 }
 
-func finish(ctx context.Context, g *callgraph.Graph, opt Options) (*Result, error) {
+// analyzeCycles runs the structural stages on a built graph: it removes
+// the requested arcs, finds the cycles and, with AutoBreak, breaks
+// them. It returns a Result without a model.
+func analyzeCycles(ctx context.Context, g *callgraph.Graph, opt Options) *Result {
 	tr := obs.FromContext(ctx)
 	res := &Result{opt: opt, tr: tr}
 	for _, id := range opt.RemoveArcs {
@@ -258,7 +343,6 @@ func finish(ctx context.Context, g *callgraph.Graph, opt Options) (*Result, erro
 	sCCSpan := tr.Span("scc")
 	scc.Analyze(g)
 	sCCSpan.End()
-	tr.Gauge("graph.cycles").Set(int64(len(g.Cycles)))
 	if opt.AutoBreak {
 		breakSpan := tr.Span("cyclebreak")
 		sug := cyclebreak.Suggest(g, cyclebreak.Options{MaxArcs: opt.MaxBreakArcs})
@@ -266,19 +350,28 @@ func finish(ctx context.Context, g *callgraph.Graph, opt Options) (*Result, erro
 		res.RemovedArcs += cyclebreak.Apply(g, sug.Arcs)
 		breakSpan.End()
 	}
+	return res
+}
+
+// analyzeValues runs the stages that read the counts and the histogram on a
+// graph whose structure is final: propagation, its check, and the
+// model, which it stores in res.
+func analyzeValues(ctx context.Context, g *callgraph.Graph, res *Result) error {
+	tr := obs.FromContext(ctx)
+	tr.Gauge("graph.cycles").Set(int64(len(g.Cycles)))
 	propSpan := tr.Span("propagate")
-	err := propagate.RunCtx(ctx, g, opt.jobs())
+	err := propagate.RunCtx(ctx, g, res.opt.jobs())
 	propSpan.End()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := sanity(g); err != nil {
-		return nil, err
+		return err
 	}
 	modelSpan := tr.Span("model-build")
 	res.Model = model.Build(g)
 	modelSpan.End()
-	return res, nil
+	return nil
 }
 
 // sanity verifies the propagation invariant on every analysis, so an

@@ -98,6 +98,27 @@ var stageRows = []stageRow{
 		}
 		return func() error { model.Build(g); return nil }
 	}},
+	// gprofd's cold query after a fold that added no arc: the values
+	// refilled on the structure of the previous analysis.
+	{"core.RunFrom", 50000, func(t *testing.T, n int) func() error {
+		w := synth.Generate(synth.Tier(n, 1))
+		src := core.TableSource{Table: w.Table()}
+		base, err := core.Run(context.Background(), src, w.Prof, core.Options{Jobs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := w.Prof.Clone()
+		for i := range p.Arcs {
+			p.Arcs[i].Count += int64(i % 3)
+		}
+		return func() error {
+			res, err := core.RunFrom(context.Background(), base, src, p, core.Options{Jobs: 1})
+			if err == nil && !res.Reused() {
+				t.Fatal("RunFrom rebuilt a structure it could reuse")
+			}
+			return err
+		}
+	}},
 	// The full listing, each part inline on the calling goroutine.
 	{"report.listing", 10000, func(t *testing.T, n int) func() error {
 		m := analyze(t, synth.Generate(synth.Tier(n, 1)))

@@ -390,14 +390,14 @@ func refRun(g *refGraph, opt Options) (removed int, sug *cyclebreak.Suggestion) 
 	return removed, sug
 }
 
-// checkSameAnalysis runs finish on g and refRun on ref, built alike,
+// checkSameAnalysis runs analyzeCycles and analyzeValues on g and refRun on ref, built alike,
 // and compares every result of the analysis: topological numbers,
 // cycles with their members in order, listing indices, call counts,
 // and the propagated times bit for bit.
 func checkSameAnalysis(t *testing.T, g *callgraph.Graph, ref *refGraph, opt Options) {
 	t.Helper()
-	res, err := finish(context.Background(), g, opt)
-	if err != nil {
+	res := analyzeCycles(context.Background(), g, opt)
+	if err := analyzeValues(context.Background(), g, res); err != nil {
 		t.Fatal(err)
 	}
 	removed, sug := refRun(ref, opt)

@@ -265,7 +265,9 @@ type Options struct {
 	// endpoint) over /v1/flat, /v1/profile, /v1/folded, and /v1/pprof,
 	// requiring 200s with schema-valid bodies (404 is tolerated before a
 	// fingerprint has merged data — or merged stack data, for the stack
-	// endpoints). Readers run until the upload phase finishes.
+	// endpoints). Readers run until the upload phase finishes; then
+	// each fingerprint is quiesced with ?sync=1 and its flat profile
+	// read once more, a read the analysis memo answers.
 	Readers int
 	// Metrics, when set, adds an observability prober alongside the
 	// agents: every ~100ms it scrapes /metrics (the body must parse as
@@ -471,6 +473,25 @@ func (c *Client) Run(ctx context.Context, corpus *Corpus, opts Options) (*Result
 	wg.Wait()
 	close(stopReaders)
 	rg.Wait()
+	if opts.Readers > 0 {
+		// Every read above may have raced a fold. Quiesce each
+		// fingerprint, then ask each reader shape once more: with
+		// nothing folding in between, a working memo answers it.
+		for i := range corpus.Items {
+			fp := corpus.Items[i].Fingerprint
+			for _, path := range []string{"/v1/flat?sync=1&fp=", readEndpoints[0].path} {
+				status, body, err := c.get(ctx, path+fp)
+				switch {
+				case err != nil || status != http.StatusOK && status != http.StatusNotFound:
+					readErrs.Add(1)
+				case status == http.StatusOK && readEndpoints[0].validate(body) != nil:
+					readErrs.Add(1)
+				case status == http.StatusOK:
+					reads.Add(1)
+				}
+			}
+		}
+	}
 	close(stopScraper)
 	<-scraperDone
 	res.Elapsed = time.Since(start)

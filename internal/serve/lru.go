@@ -37,16 +37,22 @@ func newLRU(capacity int, evictions *obs.Counter) *lru {
 }
 
 // get returns the value slot holds for version, marking the slot most
-// recently used. An empty slot, or one holding another version, misses.
+// recently used. An empty slot, or one holding another version, misses;
+// a miss still returns the slot's incumbent, if any, which the caller
+// may build the new version on but must not serve.
 func (l *lru) get(slot, version string) (*analysisEntry, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	el, ok := l.bySlot[slot]
-	if !ok || el.Value.(*lruEntry).version != version {
+	if !ok {
 		return nil, false
 	}
+	e := el.Value.(*lruEntry)
+	if e.version != version {
+		return e.val, false
+	}
 	l.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
+	return e.val, true
 }
 
 // put stores val in slot for version and returns the value now cached

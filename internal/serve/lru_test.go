@@ -34,7 +34,7 @@ func TestLRUBasics(t *testing.T) {
 }
 
 // TestLRUVersionedSlot pins the slot contract: a lookup of another
-// version misses, a new version overwrites its slot in place without
+// version misses and returns the incumbent, a new version overwrites its slot in place without
 // evicting anything, and the old version is gone.
 func TestLRUVersionedSlot(t *testing.T) {
 	evictions := &obs.Counter{}
@@ -42,8 +42,8 @@ func TestLRUVersionedSlot(t *testing.T) {
 	a1, b1, a2 := &analysisEntry{}, &analysisEntry{}, &analysisEntry{}
 	l.put("a", "v1", a1)
 	l.put("b", "v1", b1)
-	if _, ok := l.get("a", "v2"); ok {
-		t.Error("a lookup of version v2 hit the slot holding v1")
+	if v, ok := l.get("a", "v2"); ok || v != a1 {
+		t.Errorf("get(a, v2) = %p, %v, want a miss returning the incumbent %p", v, ok, a1)
 	}
 	if got := l.put("a", "v2", a2); got != a2 {
 		t.Errorf("put of a new version returned %p, want the new value %p", got, a2)

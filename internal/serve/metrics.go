@@ -36,10 +36,12 @@ type serverMetrics struct {
 	queries      *obs.Counter
 	coalesced    *obs.Counter
 	cowClones    *obs.Counter
-	// The analysis memo: lookups that hit or missed, and slots evicted.
-	cacheHits      *obs.Counter
-	cacheMisses    *obs.Counter
-	cacheEvictions *obs.Counter
+	// The analysis memo: lookups that hit or missed, slots evicted, and
+	// the misses whose analysis reused its slot's structure.
+	cacheHits       *obs.Counter
+	cacheMisses     *obs.Counter
+	cacheEvictions  *obs.Counter
+	structureReuses *obs.Counter
 
 	selfCaptures *obs.Counter
 	selfEmpty    *obs.Counter
@@ -112,6 +114,8 @@ func newServerMetrics() *serverMetrics {
 			"query lookups that found no analysis of the current data"),
 		cacheEvictions: reg.Counter("gprofd_analysis_cache_evictions_total",
 			"memo slots evicted to admit a new query shape"),
+		structureReuses: reg.Counter("gprofd_analysis_structure_reuses_total",
+			"cold analyses that reused their slot's graph structure and cycles"),
 		selfCaptures: reg.Counter("gprofd_selfprofile_captures_total",
 			"self-profile captures attempted"),
 		selfEmpty: reg.Counter("gprofd_selfprofile_empty_total",

@@ -166,11 +166,19 @@ func (s *Server) analyzed(ctx context.Context, sh *shard, sel windowSel) (*analy
 		return nil, errNoData
 	}
 	slot := runSlot(sh, sel)
-	if v, ok := s.queries.get(slot, selKey); ok {
+	v, ok := s.queries.get(slot, selKey)
+	if ok {
 		s.metrics.cacheHits.Add(1)
 		return v, nil
 	}
 	s.metrics.cacheMisses.Add(1)
+	// The slot's incumbent analyzed an older version of the same
+	// selection; while no fold added an arc, its structure is the new
+	// version's too.
+	var base *core.Result
+	if v != nil {
+		base = v.res
+	}
 	e, err, coalesced := s.flights.do(ctx, flightKey(slot, selKey), func() (*analysisEntry, error) {
 		// A fold since the lookup gives the merge a newer key; the
 		// analysis is of that data and is kept under the key that
@@ -184,10 +192,13 @@ func (s *Server) analyzed(ctx context.Context, sh *shard, sel windowSel) (*analy
 		}
 		// Detached context: the shared run serves every waiter (and the
 		// cache), so no single request's cancellation may abort it.
-		res, err := core.Run(context.Background(), core.TableSource{Table: sh.tab}, p, s.runOptions())
+		res, err := core.RunFrom(context.Background(), base, core.TableSource{Table: sh.tab}, p, s.runOptions())
 		release() // the Result keeps nothing of p
 		if err != nil {
 			return nil, err
+		}
+		if res.Reused() {
+			s.metrics.structureReuses.Add(1)
 		}
 		return s.keep(sh, sel, slot, selKey, &analysisEntry{res: res}), nil
 	})
