@@ -24,7 +24,9 @@ import (
 //     a hit merges nothing. A finished analysis overwrites its slot in
 //     place, and only while its key is still current, so the memo
 //     holds at most one analysis per shape and never one that no query
-//     can hit again;
+//     can hit again. A miss analyzes from the slot's incumbent
+//     (core.RunFrom), which keeps its graph structure and cycles when
+//     the fold added no arc;
 //  2. single-flight coalescing (flightGroup): concurrent identical
 //     cold queries — same slot, same selection key — share one merge
 //     and one core.Run instead of N duplicates.
@@ -173,8 +175,8 @@ func (s *Server) analyzed(ctx context.Context, sh *shard, sel windowSel) (*analy
 	}
 	s.metrics.cacheMisses.Add(1)
 	// The slot's incumbent analyzed an older version of the same
-	// selection; while no fold added an arc, its structure is the new
-	// version's too.
+	// selection; RunFrom reuses its structure when the merged records'
+	// keys are still the ones it was built from.
 	var base *core.Result
 	if v != nil {
 		base = v.res
