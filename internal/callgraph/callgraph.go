@@ -131,11 +131,10 @@ type Graph struct {
 	dead   int
 	dirty  bool
 
-	// keys and recArc tie a graph BuildCtx made to the profile's arc
-	// records: record r's (FromPC, SelfPC), and the arc its count sums
-	// into, or -1 once that arc is removed. A freeze renumbers recArc
-	// with the arcs. A graph built by hand has neither.
-	keys   []recKey
+	// recArc ties a graph BuildCtx made to the profile's arc records:
+	// the arc record r's count sums into, or -1 once that arc is
+	// removed. A freeze renumbers it with the arcs. A graph built by
+	// hand has none.
 	recArc []int32
 
 	// nodes and arcIdx are the name-keyed API's indices: nodes by name,
@@ -668,22 +667,28 @@ func BuildCtx(ctx context.Context, tab *symtab.Table, p *gmon.Profile, jobs int)
 type Shape struct {
 	// g holds the structural columns; its value columns are nil.
 	g Graph
+	// keys are the records' (FromPC, SelfPC), in record order.
+	keys []recKey
 }
 
 // recKey is an arc record's key: the call site and the callee.
 type recKey struct{ from, self int64 }
 
-// Shape returns g's structure, sharing its structural columns, for
-// Fill to build further graphs on. g must be one BuildCtx made, edited
-// since only by AddStatic, RemoveArc, DeleteArc and scc, so that every
-// count is a record's, and neither g's structure nor its edits may
-// change afterwards. It returns nil for a graph built by hand.
-func (g *Graph) Shape() *Shape {
-	if g.recArc == nil {
+// Shape returns g's structure, sharing its structural columns and
+// copying the keys of p's records, for Fill to build further graphs
+// on. g must be one BuildCtx made from p, edited since only by
+// AddStatic, RemoveArc, DeleteArc and scc, so that every count is a
+// record's, and neither g's structure nor its edits may change
+// afterwards. It returns nil for a graph built by hand.
+func (g *Graph) Shape(p *gmon.Profile) *Shape {
+	if g.recArc == nil || len(g.recArc) != len(p.Arcs) {
 		return nil
 	}
 	g.Freeze()
-	s := &Shape{g: *g}
+	s := &Shape{g: *g, keys: make([]recKey, len(p.Arcs))}
+	for r := range p.Arcs {
+		s.keys[r] = recKey{p.Arcs[r].FromPC, p.Arcs[r].SelfPC}
+	}
 	s.g.SelfTicks, s.g.ChildTicks, s.g.Index = nil, nil, nil
 	s.g.Count, s.g.PropSelf, s.g.PropChild = nil, nil, nil
 	s.g.calls, s.g.selfCalls = nil, nil
@@ -699,11 +704,11 @@ func (g *Graph) Shape() *Shape {
 // the same order, that s was built from: then s is the structure of
 // p's graph, whatever p's counts and histogram.
 func (s *Shape) Matches(p *gmon.Profile) bool {
-	if len(p.Arcs) != len(s.g.keys) {
+	if len(p.Arcs) != len(s.keys) {
 		return false
 	}
 	for r := range p.Arcs {
-		if k := s.g.keys[r]; p.Arcs[r].FromPC != k.from || p.Arcs[r].SelfPC != k.self {
+		if k := s.keys[r]; p.Arcs[r].FromPC != k.from || p.Arcs[r].SelfPC != k.self {
 			return false
 		}
 	}
@@ -779,12 +784,10 @@ func newShape(ctx context.Context, tab *symtab.Table, p *gmon.Profile) (*Shape, 
 	if len(recs) > math.MaxInt32/2 {
 		return nil, fmt.Errorf("callgraph: %d arc records, more than %d", len(recs), math.MaxInt32/2)
 	}
-	g.keys = make([]recKey, len(recs))
 	from := make([]int32, len(recs))
 	to := make([]int32, len(recs))
 	head := make([]int32, nn+2)
 	for r := range recs {
-		g.keys[r] = recKey{recs[r].FromPC, recs[r].SelfPC}
 		ci, ok := tab.FindIndex(recs[r].SelfPC)
 		if !ok {
 			return nil, fmt.Errorf("callgraph: arc callee pc %#x is not in any routine", recs[r].SelfPC)

@@ -35,14 +35,16 @@
 // on an earlier Result: when the options and source are the same and
 // the record keys are exactly the earlier profile's, it fills the
 // earlier structure with the new values and skips steps 1-4's
-// construction. Run is RunFrom with no base. gprofd passes each memo
-// slot's previous analysis as the base.
+// construction. gprofd passes each memo slot's previous analysis as
+// the base.
 //
-// A Result keeps the model it renders from and the structure a later
-// RunFrom may reuse (callgraph.Shape: shared, never written); the call
-// graph's value columns are unreachable once model.Build returns. Run
-// is the one stage list; a caller that wants the analysis itself reads
-// the model's routines, arcs and cycles.
+// A Result of Run keeps only the model it renders from: the call
+// graph's columns are unreachable once model.Build returns, so a
+// one-shot analysis pays for no structure it will not reuse. A Result
+// of RunFrom also keeps that structure (callgraph.Shape, with a copy
+// of the record keys; shared, never written) for a later RunFrom. Run
+// and RunFrom are one stage list; a caller that wants the analysis
+// itself reads the model's routines, arcs and cycles.
 package core
 
 import (
@@ -190,8 +192,8 @@ type Result struct {
 	// tr is the trace Run's context carried, for the render gauge.
 	tr *obs.Trace
 	// shared is the structure this analysis ran on, which a later
-	// RunFrom of the same query shape may reuse; nil after AutoBreak.
-	// reused reports that it came from the base.
+	// RunFrom of the same query shape may reuse; nil after Run or
+	// AutoBreak. reused reports that it came from the base.
 	shared *structure
 	reused bool
 }
@@ -234,9 +236,10 @@ func (r *Result) Reused() bool { return r.reused }
 // recorded so far survive in the trace: Run marks it failed and the
 // partial run report stays diagnosable.
 //
-// Run is RunFrom with no base.
+// Run keeps no structure for a later RunFrom; it is RunFrom with no
+// base for a caller that analyzes a profile once.
 func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (*Result, error) {
-	return RunFrom(ctx, nil, src, p, opt)
+	return run(ctx, nil, false, src, p, opt)
 }
 
 // RunFrom is Run for a profile whose structure an earlier analysis,
@@ -247,8 +250,16 @@ func Run(ctx context.Context, src Source, p *gmon.Profile, opt Options) (*Result
 // p's counts and histogram (callgraph.Shape.Fill). Otherwise it runs
 // the whole pipeline, as Run does. Either way the Result renders the
 // same bytes as Run's, and base is only read, so any number of
-// analyses may share one base at once. base may be nil.
-func RunFrom(ctx context.Context, base *Result, src Source, p *gmon.Profile, opt Options) (res *Result, err error) {
+// analyses may share one base at once. base may be nil. Unless
+// AutoBreak is set, the Result keeps its structure for the next
+// RunFrom.
+func RunFrom(ctx context.Context, base *Result, src Source, p *gmon.Profile, opt Options) (*Result, error) {
+	return run(ctx, base, true, src, p, opt)
+}
+
+// run is Run and RunFrom: it builds on base's structure when that fits
+// p, and keeps its own structure in the Result when keep is set.
+func run(ctx context.Context, base *Result, keep bool, src Source, p *gmon.Profile, opt Options) (res *Result, err error) {
 	tr := obs.FromContext(ctx)
 	defer func() {
 		if err != nil {
@@ -299,11 +310,13 @@ func RunFrom(ctx context.Context, base *Result, src Source, p *gmon.Profile, opt
 			g.AddStatic(static)
 		}
 		res = analyzeCycles(ctx, g, opt)
-		if !opt.AutoBreak {
-			// AutoBreak picks its arcs by count, so its structure is
-			// this profile's alone.
-			res.shared = &structure{src: src, tab: tab, static: opt.Static,
-				remove: slices.Clone(opt.RemoveArcs), shape: g.Shape(), removed: res.RemovedArcs}
+		// AutoBreak picks its arcs by count, so its structure is this
+		// profile's alone.
+		if keep && !opt.AutoBreak {
+			if sh := g.Shape(p); sh != nil {
+				res.shared = &structure{src: src, tab: tab, static: opt.Static,
+					remove: slices.Clone(opt.RemoveArcs), shape: sh, removed: res.RemovedArcs}
+			}
 		}
 	}
 	tr.Gauge("graph.nodes").Set(int64(g.Len()))

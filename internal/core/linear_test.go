@@ -103,7 +103,7 @@ var stageRows = []stageRow{
 	{"core.RunFrom", 50000, func(t *testing.T, n int) func() error {
 		w := synth.Generate(synth.Tier(n, 1))
 		src := core.TableSource{Table: w.Table()}
-		base, err := core.Run(context.Background(), src, w.Prof, core.Options{Jobs: 1})
+		base, err := core.RunFrom(context.Background(), nil, src, w.Prof, core.Options{Jobs: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,7 +73,7 @@ func rendered(t testing.TB, res *Result) (js, all []byte) {
 func checkRunFrom(t testing.TB, src Source, base, p *gmon.Profile, opt Options) bool {
 	t.Helper()
 	ctx := context.Background()
-	b, err := Run(ctx, src, base, opt)
+	b, err := RunFrom(ctx, nil, src, base, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestRunFromMatchesRun(t *testing.T) {
 			t.Error("the same image did not reuse")
 		}
 		ctx := context.Background()
-		b, err := Run(ctx, src, p0, Options{})
+		b, err := RunFrom(ctx, nil, src, p0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,6 +211,21 @@ func TestRunFromMatchesRun(t *testing.T) {
 			t.Error("another image reused the structure")
 		}
 	})
+	t.Run("one-shot base", func(t *testing.T) {
+		// Run keeps no structure, so nothing can build on its Result.
+		ctx := context.Background()
+		b, err := Run(ctx, src, p0, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunFrom(ctx, b, src, recounted(p0, 9), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Reused() {
+			t.Error("RunFrom reused the structure of a Run")
+		}
+	})
 }
 
 // TestRunFromConcurrent runs analyses of several profiles from one base
@@ -221,7 +236,7 @@ func TestRunFromConcurrent(t *testing.T) {
 	src := ImageSource{Image: im}
 	ctx := context.Background()
 	for _, opt := range reuseOptions[:2] {
-		base, err := Run(ctx, src, p0, opt.opt)
+		base, err := RunFrom(ctx, nil, src, p0, opt.opt)
 		if err != nil {
 			t.Fatal(err)
 		}

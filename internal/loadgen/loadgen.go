@@ -265,9 +265,10 @@ type Options struct {
 	// endpoint) over /v1/flat, /v1/profile, /v1/folded, and /v1/pprof,
 	// requiring 200s with schema-valid bodies (404 is tolerated before a
 	// fingerprint has merged data — or merged stack data, for the stack
-	// endpoints). Readers run until the upload phase finishes; then
-	// each fingerprint is quiesced with ?sync=1 and its flat profile
-	// read once more, a read the analysis memo answers.
+	// endpoints). Readers run until the upload phase finishes; then,
+	// outside Elapsed and Reads, each fingerprint is quiesced with
+	// ?sync=1 and its flat profile read once more, a read the analysis
+	// memo answers (a failure counts in ReadErrors).
 	Readers int
 	// Metrics, when set, adds an observability prober alongside the
 	// agents: every ~100ms it scrapes /metrics (the body must parse as
@@ -473,25 +474,6 @@ func (c *Client) Run(ctx context.Context, corpus *Corpus, opts Options) (*Result
 	wg.Wait()
 	close(stopReaders)
 	rg.Wait()
-	if opts.Readers > 0 {
-		// Every read above may have raced a fold. Quiesce each
-		// fingerprint, then ask each reader shape once more: with
-		// nothing folding in between, a working memo answers it.
-		for i := range corpus.Items {
-			fp := corpus.Items[i].Fingerprint
-			for _, path := range []string{"/v1/flat?sync=1&fp=", readEndpoints[0].path} {
-				status, body, err := c.get(ctx, path+fp)
-				switch {
-				case err != nil || status != http.StatusOK && status != http.StatusNotFound:
-					readErrs.Add(1)
-				case status == http.StatusOK && readEndpoints[0].validate(body) != nil:
-					readErrs.Add(1)
-				case status == http.StatusOK:
-					reads.Add(1)
-				}
-			}
-		}
-	}
 	close(stopScraper)
 	<-scraperDone
 	res.Elapsed = time.Since(start)
@@ -506,6 +488,9 @@ func (c *Client) Run(ctx context.Context, corpus *Corpus, opts Options) (*Result
 		res.PerSecond = float64(res.Uploads) / res.Elapsed.Seconds()
 		res.ReadsPerSecond = float64(res.Reads) / res.Elapsed.Seconds()
 	}
+	if opts.Readers > 0 {
+		res.ReadErrors += c.settle(ctx, corpus)
+	}
 	for i := range corpus.Items {
 		row := make([]int64, len(counts[i]))
 		for j := range counts[i] {
@@ -514,6 +499,30 @@ func (c *Client) Run(ctx context.Context, corpus *Corpus, opts Options) (*Result
 		res.counts[corpus.Items[i].Fingerprint] = row
 	}
 	return res, nil
+}
+
+// settle runs after the readers stop, outside the timed run: every
+// read may have raced a fold, so it quiesces each fingerprint with
+// ?sync=1 and then reads its flat profile once more, a read a working
+// analysis memo answers with nothing folding in between. It returns
+// the reads that failed; cancellation ends it quietly, as it ends the
+// readers.
+func (c *Client) settle(ctx context.Context, corpus *Corpus) (errs int64) {
+	for i := range corpus.Items {
+		fp := corpus.Items[i].Fingerprint
+		for _, path := range []string{"/v1/flat?sync=1&fp=", readEndpoints[0].path} {
+			status, body, err := c.get(ctx, path+fp)
+			switch {
+			case ctx.Err() != nil:
+				return errs
+			case err != nil || status != http.StatusOK && status != http.StatusNotFound:
+				errs++
+			case status == http.StatusOK && readEndpoints[0].validate(body) != nil:
+				errs++
+			}
+		}
+	}
+	return errs
 }
 
 // upload POSTs one pre-encoded profile body.

@@ -128,6 +128,17 @@ func TestMixedReaders(t *testing.T) {
 	if st.AnalysisCacheHits+st.AnalysisCacheMisses == 0 {
 		t.Error("reads did not touch the analysis cache accounting")
 	}
+	// The settle pass after the readers makes a hit certain, however
+	// the timed reads fell against the folds.
+	if st.AnalysisCacheHits == 0 {
+		t.Error("no analysis cache hit after the settle pass")
+	}
+	// Cancelled, the settle pass stops at once and counts no failure.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if n := client.settle(cancelled, corpus); n != 0 {
+		t.Errorf("a cancelled settle pass counted %d failed reads", n)
+	}
 }
 
 // TestBackpressureRetry replays against a server with a one-deep queue
