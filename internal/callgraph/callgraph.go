@@ -761,7 +761,8 @@ func (s *Shape) Fill(ctx context.Context, tab *symtab.Table, p *gmon.Profile) (*
 }
 
 // newShape builds the structure of p's graph against tab, leaving
-// TopoNum and CycleNum zero for scc to assign.
+// TopoNum and CycleNum zero for scc to assign. It copies no record
+// key: only Graph.Shape does, for a caller that keeps the structure.
 func newShape(ctx context.Context, tab *symtab.Table, p *gmon.Profile) (*Shape, error) {
 	nn := tab.NumNodes()
 	s := &Shape{g: Graph{
