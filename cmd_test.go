@@ -279,6 +279,7 @@ func TestCommandJobsEquivalence(t *testing.T) {
 	}{
 		{"service", nil},
 		{"parser", []string{"-s", "-C"}},
+		{"service", []string{"-k", "retry/dispatch"}},
 	}
 	for _, tc := range cases {
 		run(t, dir, "vmrun", "-p", "-workload", tc.workload, "-o", "gmon.1")

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cyclebreak"
 	"repro/internal/experiments"
 	"repro/internal/model"
 	"repro/internal/report"
@@ -39,11 +40,20 @@ func goldenCases() []goldenCase {
 	for _, w := range workloads.Names() {
 		cases = append(cases, goldenCase{name: w, workload: w, opt: core.Options{Jobs: 1}})
 	}
-	// Option variants: static arcs complete the graph; the breaking
-	// heuristic rewrites it. Both change the listing shape.
+	// Option variants: static arcs complete the graph; arc removal and
+	// the breaking heuristic rewrite it. Each changes the listing shape.
 	cases = append(cases,
 		goldenCase{name: "parser-static", workload: "parser", opt: core.Options{Jobs: 1, Static: true}},
 		goldenCase{name: "service-autobreak", workload: "service", opt: core.Options{Jobs: 1, AutoBreak: true}},
+		// -k removes the arc that closes service's one cycle.
+		goldenCase{name: "service-remove", workload: "service", opt: core.Options{Jobs: 1,
+			RemoveArcs: []cyclebreak.ArcID{{Caller: "retry", Callee: "dispatch"}}}},
+		// -s -k -C together: the static _start/main arc enters and -k
+		// takes it out again (named twice), -k drops main/serve, and
+		// the heuristic breaks the cycle.
+		goldenCase{name: "service-static-remove-autobreak", workload: "service", opt: core.Options{Jobs: 1,
+			Static: true, AutoBreak: true, RemoveArcs: []cyclebreak.ArcID{
+				{Caller: "_start", Callee: "main"}, {Caller: "main", Callee: "serve"}, {Caller: "_start", Callee: "main"}}}},
 	)
 	return cases
 }
