@@ -16,9 +16,10 @@ race:
 # time and byte ratios with the host's GOMAXPROCS and CPU count. The
 # rows run each stage at n and 2n: gmon.ReadFile (v1, 2^20 buckets and
 # arcs), gmon.MergeAll (width 1, four profiles of 2^15 arcs),
-# object.ReadImageFile (2^20 words), callgraph.BuildCtx, scc.Analyze,
-# propagate.RunCtx, model.Build and core.RunFrom on its base's
-# structure (synth.Tier(5*10^4, 1)), the full
+# object.ReadImageFile (2^20 words), callgraph.BuildCtx,
+# callgraph.BuildWith (a static arc per arc plus n new pairs, n/100
+# pairs removed), scc.Analyze, propagate.RunCtx, model.Build and
+# core.RunFrom on its base's structure (synth.Tier(5*10^4, 1)), the full
 # listing and the index alone (synth.Tier(10^4, 1), the index's names
 # shuffled) and gprofd's window fold, gmon.Profile.Merge
 # (synth.Tier(5*10^4, 1)). A row fails when the median CPU-time ratio

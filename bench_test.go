@@ -116,20 +116,23 @@ func BenchmarkMcountFastPath(b *testing.B) {
 
 func randomGraph(n int, degree float64, seed int64) *callgraph.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := callgraph.New()
+	var gb callgraph.Builder
 	names := make([]string, n)
+	self := make([]float64, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("f%d", i)
-		g.AddNode(names[i])
-		g.SelfTicks[g.MustNode(names[i])] = float64(rng.Intn(100))
+		gb.Node(names[i])
+		self[i] = float64(rng.Intn(100))
 	}
 	edges := int(float64(n) * degree)
 	for i := 0; i < edges; i++ {
 		from, to := rng.Intn(n), rng.Intn(n)
 		if from != to {
-			g.AddArc(names[from], names[to], int64(rng.Intn(20)+1))
+			gb.Arc(names[from], names[to], int64(rng.Intn(20)+1))
 		}
 	}
+	g := gb.Graph()
+	copy(g.SelfTicks, self)
 	return g
 }
 

@@ -21,42 +21,118 @@ func build(tab *symtab.Table, p *gmon.Profile) (*Graph, error) {
 	return BuildCtx(context.Background(), tab, p, 1)
 }
 
-// refBuild is the map-keyed construction BuildCtx replaced, kept as
-// its oracle: nodes by name, histogram ticks through a name map, each
-// record's endpoints found by a binary search over the whole table,
-// and arcs merged through AddArc's endpoint-pair index as records
-// arrive, then laid out by Freeze.
-func refBuild(tab *symtab.Table, p *gmon.Profile) (*Graph, error) {
+// refGraph is the reference's view of a graph: node columns, the arcs
+// in listing order, and each node's in- and out-arcs.
+type refGraph struct {
+	names            []string
+	self             []float64
+	arcs             []arcDesc // listing order
+	in, out          [][]arcDesc
+	spont            []arcDesc
+	calls, selfCalls []int64
+	lost, total      float64
+	hz               int64
+	removed          int
+}
+
+// refBuild is the map-keyed construction BuildWith replaced, kept as
+// its oracle and sharing no code with it: nodes by name in symbol
+// order, histogram ticks summed per name, each record's endpoints
+// found by a binary search over the whole table, records then static
+// arcs merged through an endpoint-pair map in first-record order, the
+// removal set dropped by pair, and the listing order a stable sort of
+// the first-record order by callee.
+func refBuild(tab *symtab.Table, p *gmon.Profile, static []object.StaticArc, remove []ArcID) (*refGraph, error) {
 	syms := tab.Syms()
-	g := New()
-	g.Hz = p.ClockHz()
+	node := map[string]int32{}
+	g := &refGraph{hz: p.ClockHz(), total: float64(p.Hist.TotalTicks())}
 	for _, s := range syms {
-		g.AddNode(s.Name)
-	}
-	ticks, lost := refAttribute(syms, &p.Hist)
-	byName := map[string]float64{}
-	for i, v := range ticks {
-		if v != 0 {
-			byName[syms[i].Name] += v
+		if _, ok := node[s.Name]; !ok {
+			node[s.Name] = int32(len(g.names))
+			g.names = append(g.names, s.Name)
 		}
 	}
-	for name, v := range byName {
-		g.SelfTicks[g.MustNode(name)] = v
+	n := len(g.names)
+	g.self = make([]float64, n)
+	ticks, lost := refAttribute(syms, &p.Hist)
+	for i, v := range ticks {
+		if v != 0 {
+			g.self[node[syms[i].Name]] += v
+		}
 	}
-	g.LostTicks = lost
-	g.TotalTicks = float64(p.Hist.TotalTicks())
+	g.lost = lost
+	type pair struct{ from, to int32 }
+	at := map[pair]int{}
+	var first []arcDesc // first-record order
+	add := func(from, to int32, count int64, static bool) {
+		if i, ok := at[pair{from, to}]; ok {
+			if !static {
+				first[i].count += count
+				first[i].sites++
+			}
+			return
+		}
+		at[pair{from, to}] = len(first)
+		first = append(first, arcDesc{from: from, to: to, count: count, sites: 1, static: static})
+	}
 	for _, rec := range p.Arcs {
 		ci, ok := refFind(syms, rec.SelfPC)
 		if !ok {
 			return nil, fmt.Errorf("callgraph: arc callee pc %#x is not in any routine", rec.SelfPC)
 		}
-		from := ""
+		from := int32(-1)
 		if rec.FromPC >= 0 {
 			if fi, ok := refFind(syms, rec.FromPC); ok {
-				from = syms[fi].Name
+				from = node[syms[fi].Name]
 			}
 		}
-		g.AddArc(from, syms[ci].Name, rec.Count)
+		add(from, node[syms[ci].Name], rec.Count, false)
+	}
+	for _, sa := range static {
+		to, ok := node[sa.Callee]
+		from := int32(-1)
+		if ok && sa.Caller != "" {
+			from, ok = node[sa.Caller]
+		}
+		if !ok {
+			return nil, fmt.Errorf("callgraph: static arc %s/%s names a routine not in the symbol table", sa.Caller, sa.Callee)
+		}
+		add(from, to, 0, true)
+	}
+	gone := make([]bool, len(first))
+	for _, id := range remove {
+		from, okf := node[id.Caller]
+		to, okt := node[id.Callee]
+		if i, ok := at[pair{from, to}]; id.Caller != "" && okf && okt && ok && !gone[i] {
+			gone[i] = true
+			g.removed++
+		}
+	}
+	var kept []arcDesc
+	for i, a := range first {
+		if !gone[i] {
+			kept = append(kept, a)
+		}
+	}
+	g.arcs = slices.Clone(kept)
+	slices.SortStableFunc(g.arcs, func(x, y arcDesc) int { return cmp.Compare(x.to, y.to) })
+	g.in, g.out = make([][]arcDesc, n), make([][]arcDesc, n)
+	g.calls, g.selfCalls = make([]int64, n), make([]int64, n)
+	for _, a := range g.arcs {
+		if a.from == a.to {
+			g.selfCalls[a.to] += a.count
+			continue
+		}
+		g.calls[a.to] += a.count
+		g.in[a.to] = append(g.in[a.to], a)
+	}
+	for _, a := range kept {
+		switch {
+		case a.from < 0:
+			g.spont = append(g.spont, a)
+		case a.from != a.to:
+			g.out[a.from] = append(g.out[a.from], a)
+		}
 	}
 	return g, nil
 }
@@ -101,76 +177,115 @@ func refAttribute(syms []object.Sym, h *gmon.Histogram) ([]float64, float64) {
 }
 
 // arcDesc is an arc as the comparison sees it: caller (-1 when
-// spontaneous), callee, count and merged call sites.
+// spontaneous), callee, count, merged call sites and the static mark.
 type arcDesc struct {
 	from, to int32
 	count    int64
 	sites    int32
+	static   bool
 }
 
 func describe(g *Graph, arcs []int32) []arcDesc {
 	out := make([]arcDesc, len(arcs))
 	for i, a := range arcs {
-		out[i] = arcDesc{from: g.Caller[a], to: g.Callee[a], count: g.Count[a], sites: g.Sites[a]}
+		out[i] = arcDesc{from: g.Caller[a], to: g.Callee[a], count: g.Count[a], sites: g.Sites[a], static: g.Static[a]}
 	}
 	return out
 }
 
-// checkSameBuild compares BuildCtx against refBuild on one input: the
+// checkSameBuild compares BuildWith against refBuild on one input: the
 // same error, or the same nodes with bit-identical self ticks and call
-// totals, the same in-list, out-list, self arc and Spontaneous
-// sequences, and the same arc columns in listing order.
-func checkSameBuild(t *testing.T, tab *symtab.Table, p *gmon.Profile) {
+// totals, the same in-list, out-list and Spontaneous sequences, the
+// same arc columns in listing order, and the same removal count.
+func checkSameBuild(t *testing.T, tab *symtab.Table, p *gmon.Profile, static []object.StaticArc, remove []ArcID) {
 	t.Helper()
-	got, gotErr := build(tab, p)
-	want, wantErr := refBuild(tab, p)
+	got, gotErr := BuildWith(context.Background(), tab, p, static, remove)
+	want, wantErr := refBuild(tab, p, static, remove)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("error %v, reference %v", gotErr, wantErr)
 	}
 	if wantErr != nil {
 		return
 	}
-	if got.Len() != want.Len() {
-		t.Fatalf("%d nodes, reference %d", got.Len(), want.Len())
+	if got.Len() != len(want.names) {
+		t.Fatalf("%d nodes, reference %d", got.Len(), len(want.names))
 	}
-	for v := range int32(want.Len()) {
-		name := want.Names[v]
+	for v := range int32(got.Len()) {
+		name := want.names[v]
 		if got.Names[v] != name {
 			t.Fatalf("node %d is %s, reference %s", v, got.Names[v], name)
 		}
-		if math.Float64bits(got.SelfTicks[v]) != math.Float64bits(want.SelfTicks[v]) {
-			t.Fatalf("%s: self ticks %v, reference %v", name, got.SelfTicks[v], want.SelfTicks[v])
+		if math.Float64bits(got.SelfTicks[v]) != math.Float64bits(want.self[v]) {
+			t.Fatalf("%s: self ticks %v, reference %v", name, got.SelfTicks[v], want.self[v])
 		}
-		if g, r := describe(got, got.In(v)), describe(want, want.In(v)); !slices.Equal(g, r) {
-			t.Fatalf("%s: In %v, reference %v", name, g, r)
+		if g := describe(got, got.In(v)); !slices.Equal(g, want.in[v]) {
+			t.Fatalf("%s: In %v, reference %v", name, g, want.in[v])
 		}
-		if g, r := describe(got, got.Out(v)), describe(want, want.Out(v)); !slices.Equal(g, r) {
-			t.Fatalf("%s: Out %v, reference %v", name, g, r)
+		if g := describe(got, got.Out(v)); !slices.Equal(g, want.out[v]) {
+			t.Fatalf("%s: Out %v, reference %v", name, g, want.out[v])
 		}
-		if got.Calls(v) != want.Calls(v) || got.SelfCalls(v) != want.SelfCalls(v) {
-			t.Fatalf("%s: calls %d+%d, reference %d+%d", name, got.Calls(v), got.SelfCalls(v), want.Calls(v), want.SelfCalls(v))
+		if got.Calls(v) != want.calls[v] || got.SelfCalls(v) != want.selfCalls[v] {
+			t.Fatalf("%s: calls %d+%d, reference %d+%d", name, got.Calls(v), got.SelfCalls(v), want.calls[v], want.selfCalls[v])
 		}
 	}
-	if g, r := describe(got, got.Spontaneous()), describe(want, want.Spontaneous()); !slices.Equal(g, r) {
-		t.Fatalf("Spontaneous %v, reference %v", g, r)
+	if g := describe(got, got.Spontaneous()); !slices.Equal(g, want.spont) {
+		t.Fatalf("Spontaneous %v, reference %v", g, want.spont)
 	}
-	all := func(g *Graph) []int32 {
-		ids := make([]int32, g.NumArcs())
-		for a := range ids {
-			ids[a] = int32(a)
-		}
-		return ids
+	all := make([]int32, got.NumArcs())
+	for a := range all {
+		all[a] = int32(a)
 	}
-	if g, r := describe(got, all(got)), describe(want, all(want)); !slices.Equal(g, r) {
-		t.Fatalf("arcs %v, reference %v", g, r)
+	if g := describe(got, all); !slices.Equal(g, want.arcs) {
+		t.Fatalf("arcs %v, reference %v", g, want.arcs)
 	}
-	if math.Float64bits(got.LostTicks) != math.Float64bits(want.LostTicks) || got.TotalTicks != want.TotalTicks || got.Hz != want.Hz {
+	if math.Float64bits(got.LostTicks) != math.Float64bits(want.lost) || got.TotalTicks != want.total || got.Hz != want.hz {
 		t.Fatalf("ticks lost %v total %v hz %d, reference %v %v %d",
-			got.LostTicks, got.TotalTicks, got.Hz, want.LostTicks, want.TotalTicks, want.Hz)
+			got.LostTicks, got.TotalTicks, got.Hz, want.lost, want.total, want.hz)
 	}
-	if got.NumArcs() != want.NumArcs() {
-		t.Fatalf("NumArcs %d, reference %d", got.NumArcs(), want.NumArcs())
+	if got.Removed != want.removed {
+		t.Fatalf("Removed %d, reference %d", got.Removed, want.removed)
 	}
+}
+
+// staticAndRemovals draws a static call graph and a removal set for a
+// graph g built from the same table: static arcs that repeat g's arcs,
+// repeat each other and add new pairs, and removals of dynamic arcs,
+// of a static-only pair, of a pair named twice, of a spontaneous pair
+// and of pairs with no arc.
+func staticAndRemovals(g *Graph, rng *rand.Rand) ([]object.StaticArc, []ArcID) {
+	name := func(v int32) string {
+		if v < 0 {
+			return ""
+		}
+		return g.Names[v]
+	}
+	var static []object.StaticArc
+	var remove []ArcID
+	n := int32(g.Len())
+	for a := range int32(g.NumArcs()) {
+		id := ArcID{Caller: name(g.Caller[a]), Callee: name(g.Callee[a])}
+		switch rng.Intn(8) {
+		case 0:
+			static = append(static, object.StaticArc{Caller: id.Caller, Callee: id.Callee})
+		case 1:
+			remove = append(remove, id)
+		}
+	}
+	for range 1 + n/4 {
+		sa := object.StaticArc{Caller: name(rng.Int31n(n)), Callee: name(rng.Int31n(n))}
+		static = append(static, sa, sa)
+		switch rng.Intn(4) {
+		case 0:
+			remove = append(remove, ArcID{Caller: sa.Caller, Callee: sa.Callee})
+		case 1:
+			remove = append(remove, ArcID{Caller: name(rng.Int31n(n)), Callee: name(rng.Int31n(n))})
+		}
+	}
+	remove = append(remove, ArcID{Callee: name(rng.Int31n(n))}, ArcID{Caller: "nosuch", Callee: name(0)})
+	if len(remove) > 0 {
+		remove = append(remove, remove[0])
+	}
+	return static, remove
 }
 
 // TestBuildMatchesMapReference checks the linear construction against
@@ -186,8 +301,17 @@ func TestBuildMatchesMapReference(t *testing.T) {
 		rand.New(rand.NewSource(1)).Shuffle(len(p.Arcs), func(i, j int) {
 			p.Arcs[i], p.Arcs[j] = p.Arcs[j], p.Arcs[i]
 		})
-		checkSameBuild(t, w.Table(), &p)
-		checkSameBuild(t, w.Table(), w.Prof)
+		checkSameBuild(t, w.Table(), &p, nil, nil)
+		checkSameBuild(t, w.Table(), w.Prof, nil, nil)
+	})
+	t.Run("synth-static-remove", func(t *testing.T) {
+		w := synth.Generate(synth.Tier(20000, 1))
+		g, err := build(w.Table(), w.Prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		static, remove := staticAndRemovals(g, rand.New(rand.NewSource(2)))
+		checkSameBuild(t, w.Table(), w.Prof, static, remove)
 	})
 
 	// a, b and a again, a gap at 30..39, then c: the two a's collapse
@@ -252,40 +376,58 @@ func TestBuildMatchesMapReference(t *testing.T) {
 						return cmp.Or(cmp.Compare(x.FromPC, y.FromPC), cmp.Compare(x.SelfPC, y.SelfPC))
 					})
 				}
-				checkSameBuild(t, tab, p)
+				checkSameBuild(t, tab, p, nil, nil)
+				g, err := build(tab, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				static, remove := staticAndRemovals(g, rand.New(rand.NewSource(step)))
+				checkSameBuild(t, tab, p, static, remove)
 			})
 		}
 	}
 	t.Run("unknown-callee", func(t *testing.T) {
 		p := &gmon.Profile{Hist: hist(1), Arcs: append(slices.Clone(arcs[:5]), gmon.Arc{FromPC: 3, SelfPC: 33, Count: 1})}
-		checkSameBuild(t, tab, p)
+		checkSameBuild(t, tab, p, nil, nil)
 		if _, err := build(tab, p); err == nil {
 			t.Error("callee in a gap accepted")
 		}
 	})
+	t.Run("unknown-static", func(t *testing.T) {
+		p := &gmon.Profile{Hist: hist(1), Arcs: slices.Clone(arcs[:5])}
+		static := []object.StaticArc{{Caller: "a", Callee: "c"}, {Caller: "ghost", Callee: "b"}}
+		checkSameBuild(t, tab, p, static, nil)
+		if _, err := BuildWith(context.Background(), tab, p, static, nil); err == nil {
+			t.Error("static arc from a routine the table lacks accepted")
+		}
+	})
 	t.Run("no-arcs", func(t *testing.T) {
-		checkSameBuild(t, tab, &gmon.Profile{Hist: hist(2)})
+		checkSameBuild(t, tab, &gmon.Profile{Hist: hist(2)}, nil, nil)
+		checkSameBuild(t, tab, &gmon.Profile{Hist: hist(2)}, []object.StaticArc{{Caller: "c", Callee: "a"}},
+			[]ArcID{{Caller: "a", Callee: "b"}})
 	})
 }
 
 // FuzzBuild checks the linear construction against the map-keyed
-// reference on arbitrary small tables (duplicate names, gaps) and
+// reference on arbitrary small tables (duplicate names, gaps),
 // arbitrary arc records, spontaneous, out-of-text and unknown-callee
-// ones included.
+// ones included, and arbitrary static arcs and removal sets.
 func FuzzBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 0, 3, 1, 1, 2, 0, 3, 5, 1, 2, 9, 9, 9, 12, 4, 7, 0, 4, 2, 12, 12, 3, 30, 5, 1})
 	f.Add([]byte{9, 1, 7, 2, 7, 3, 7, 1, 7, 2, 7, 0, 7, 1, 7, 2, 7, 3, 7, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
 		20, 24, 1, 20, 24, 2, 0, 30, 3, 50, 40, 1, 20, 24, 5, 255, 10, 1, 7, 9, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tab, p := fuzzInput(data)
-		checkSameBuild(t, tab, p)
+		tab, p, static, remove := fuzzInput(data)
+		checkSameBuild(t, tab, p, static, remove)
 	})
 }
 
 // fuzzInput decodes a small validated symbol table, a histogram over
-// it and a list of arc records from data; bytes past the end read as 0.
-func fuzzInput(data []byte) (*symtab.Table, *gmon.Profile) {
+// it, static arcs between its routines, a removal set over its names
+// and others, and a list of arc records from data; bytes past the end
+// read as 0.
+func fuzzInput(data []byte) (*symtab.Table, *gmon.Profile, []object.StaticArc, []ArcID) {
 	next := func() int64 {
 		if len(data) == 0 {
 			return 0
@@ -310,6 +452,30 @@ func fuzzInput(data []byte) (*symtab.Table, *gmon.Profile) {
 		h.Counts[i] = uint32(next())
 	}
 	p := &gmon.Profile{Hist: h, Hz: 1 + next()}
+	// Names a..e; the empty name for 5 (spontaneous) and f for 6 (no
+	// routine).
+	name := func(b int64) string {
+		switch b %= 7; b {
+		case 5:
+			return ""
+		case 6:
+			return "f"
+		default:
+			return string(rune('a' + b))
+		}
+	}
+	var static []object.StaticArc
+	for n := next() % 4; n > 0; n-- {
+		caller, callee := syms[next()%int64(len(syms))].Name, syms[next()%int64(len(syms))].Name
+		if next()%4 == 0 {
+			caller = ""
+		}
+		static = append(static, object.StaticArc{Caller: caller, Callee: callee})
+	}
+	var remove []ArcID
+	for n := next() % 4; n > 0; n-- {
+		remove = append(remove, ArcID{Caller: name(next()), Callee: name(next())})
+	}
 	for len(data) > 0 {
 		from, self, count := next()-8, next()-2, next()
 		if from == -8 {
@@ -317,5 +483,5 @@ func fuzzInput(data []byte) (*symtab.Table, *gmon.Profile) {
 		}
 		p.Arcs = append(p.Arcs, gmon.Arc{FromPC: from, SelfPC: self, Count: count})
 	}
-	return symtab.FromSyms(syms), p
+	return symtab.FromSyms(syms), p, static, remove
 }

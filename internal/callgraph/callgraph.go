@@ -1,8 +1,9 @@
-// Package callgraph builds and manipulates the dynamic call graph of a
-// profiled execution: nodes are routines, directed arcs represent calls
-// from call sites to routines (paper §2).
+// Package callgraph builds the dynamic call graph of a profiled
+// execution: nodes are routines, directed arcs represent calls from
+// call sites to routines (paper §2).
 //
-// The graph is assembled from three sources:
+// The graph is assembled from four inputs, all given before it is
+// laid out:
 //
 //   - the symbol table contributes one node per routine, so routines that
 //     were never called still appear (the flat profile lists them, §5.1);
@@ -11,7 +12,9 @@
 //   - the static call graph recovered from the executable contributes
 //     arcs with a traversal count of zero, which "are never responsible
 //     for any time propagation" but "may affect the structure of the
-//     graph" by completing strongly-connected components (§4).
+//     graph" by completing strongly-connected components (§4);
+//   - the retrospective's "set of arcs to be removed from the analysis"
+//     leaves the arcs it names out.
 //
 // Arcs whose caller could not be identified are "spontaneous": their
 // Caller is -1, they contribute to the callee's call count, and they
@@ -22,7 +25,9 @@
 // indexed by that number: the analysis is integers and floats keyed by
 // routine (§4), and the passes that compute them (scc, propagate,
 // model) walk the columns and one int32 compressed-row adjacency in
-// each direction.
+// each direction. The structure (nodes, arcs, adjacency) is fixed when
+// the graph is built and never edited; only the analysis passes write
+// their own columns.
 package callgraph
 
 import (
@@ -40,19 +45,14 @@ import (
 	"repro/internal/symtab"
 )
 
-// Graph is a dynamic call graph, optionally augmented with static arcs.
+// Graph is a dynamic call graph, optionally augmented with static arcs
+// and with a set of arcs removed.
 //
 // Arcs are kept in listing order: grouped by callee in node order, and
 // each callee's arcs in the order they were first recorded (first
-// record for BuildCtx, first AddArc for a graph built by hand). That is
-// the order the model lists them in, so an arc's number is its
-// position in model.Profile.Arcs.
-//
-// An edit (AddNode, AddArc, AddStatic, RemoveArc, DeleteArc) appends to
-// or marks the columns and leaves the graph unfrozen; Freeze, which
-// every analysis pass and every adjacency accessor calls first, puts
-// the arcs back in listing order and re-derives the adjacency. Arc
-// numbers an edit returns are valid until that freeze.
+// record for BuildCtx, static arcs after every record; first Arc or
+// Static call for a Builder). That is the order the model lists them
+// in, so an arc's number is its position in model.Profile.Arcs.
 type Graph struct {
 	// Node columns, indexed by node number: creation order, which is
 	// the symbol table's node order (address order) for a graph
@@ -83,8 +83,7 @@ type Graph struct {
 	// Arc columns, indexed by arc number.
 
 	// Caller and Callee are the arc's endpoints; Caller is -1 for a
-	// spontaneous arc, and Callee is -1 for an arc removed since the
-	// last freeze.
+	// spontaneous arc.
 	Caller []int32
 	Callee []int32
 	// Count is the arc's traversal count.
@@ -112,8 +111,11 @@ type Graph struct {
 	LostTicks float64
 	// Hz is the clock rate: ticks/Hz = seconds.
 	Hz int64
+	// Removed is the number of arcs the removal set left out: each
+	// named pair that had an arc counts once.
+	Removed int
 
-	// Derived by freeze. Node v's incoming arcs are
+	// Laid out by place. Node v's incoming arcs are
 	// in[inStart[v]:inStart[v+1]]. Outgoing arcs are keyed by caller
 	// plus one: row 0 holds the spontaneous arcs and row v+1 node v's
 	// arcs, out[outStart[r]:outStart[r+1]], each row in the order its
@@ -124,30 +126,14 @@ type Graph struct {
 	out, outStart    []int32
 	calls, selfCalls []int64
 
-	// frozen is the number of arcs in listing order at the last freeze;
-	// arcs from it on were appended since. dead counts arcs removed
-	// since, and dirty is set by any edit.
-	frozen int
-	dead   int
-	dirty  bool
-
 	// recArc ties a graph BuildCtx made to the profile's arc records:
-	// the arc record r's count sums into, or -1 once that arc is
-	// removed. A freeze renumbers it with the arcs. A graph built by
-	// hand has none.
+	// the arc record r's count sums into, or -1 when the removal set
+	// took that arc out. A graph built by hand has none.
 	recArc []int32
 
-	// nodes and arcIdx are the name-keyed API's indices: nodes by name,
-	// and arcs by endpoint pair, so that merging a repeated pair is
-	// O(1). BuildCtx does not need them, so each is built on the first
-	// name-keyed call that does, and a graph that is only analyzed
-	// never holds them. A freeze renumbers the arcs and drops arcIdx.
-	nodes  map[string]int32
-	arcIdx map[arcKey]int32
-
 	// byName is the nodes' name order (see NameOrder): the symbol
-	// table's for a graph BuildCtx made, sorted on first use for one
-	// built by hand, and dropped by AddNode.
+	// table's for a graph BuildCtx made, sorted by Builder.Graph for
+	// one built by hand.
 	byName []int32
 }
 
@@ -210,9 +196,6 @@ func arcKeyOf(from, to int32) arcKey {
 	return arcKey(uint64(uint32(from+1))<<32 | uint64(uint32(to)))
 }
 
-// New creates an empty graph.
-func New() *Graph { return &Graph{} }
-
 // Hertz returns the effective clock rate.
 func (g *Graph) Hertz() int64 {
 	if g.Hz > 0 {
@@ -226,37 +209,27 @@ func (g *Graph) Len() int { return len(g.Names) }
 
 // NumArcs returns the number of distinct arcs (merged by endpoint
 // pair), including spontaneous, self and static arcs.
-func (g *Graph) NumArcs() int { return len(g.Callee) - g.dead }
+func (g *Graph) NumArcs() int { return len(g.Callee) }
 
 // In returns node v's incoming arcs, self arcs left out, in the order
 // they were first recorded. The caller must not modify the result.
-func (g *Graph) In(v int32) []int32 {
-	g.Freeze()
-	return g.in[g.inStart[v]:g.inStart[v+1]]
-}
+func (g *Graph) In(v int32) []int32 { return g.in[g.inStart[v]:g.inStart[v+1]] }
 
 // Out returns node v's outgoing arcs, self arcs left out, in the order
 // they were first recorded. The caller must not modify the result.
-func (g *Graph) Out(v int32) []int32 {
-	g.Freeze()
-	return g.out[g.outStart[v+1]:g.outStart[v+2]]
-}
+func (g *Graph) Out(v int32) []int32 { return g.out[g.outStart[v+1]:g.outStart[v+2]] }
 
 // Spontaneous returns the arcs with unidentifiable callers, in the
 // order they were first recorded. The caller must not modify the
 // result.
-func (g *Graph) Spontaneous() []int32 {
-	g.Freeze()
-	return g.out[g.outStart[0]:g.outStart[1]]
-}
+func (g *Graph) Spontaneous() []int32 { return g.out[g.outStart[0]:g.outStart[1]] }
 
 // Adjacency returns the compressed-row layout In and Out read: node
 // v's incoming arcs are in[inStart[v]:inStart[v+1]] and its outgoing
 // arcs out[outStart[v]:outStart[v+1]]. The slices are never written
-// after a freeze, so they may be shared; the caller must not modify
+// after the build, so they may be shared; the caller must not modify
 // them.
 func (g *Graph) Adjacency() (in, inStart, out, outStart []int32) {
-	g.Freeze()
 	return g.in, g.inStart, g.out, g.outStart[1:]
 }
 
@@ -264,16 +237,10 @@ func (g *Graph) Adjacency() (in, inStart, out, outStart []int32) {
 // self-recursive calls: the sum of the counts on incoming non-self
 // arcs (§3.1: "call counts for routines can be determined by summing
 // the counts on arcs directed into that routine").
-func (g *Graph) Calls(v int32) int64 {
-	g.Freeze()
-	return g.calls[v]
-}
+func (g *Graph) Calls(v int32) int64 { return g.calls[v] }
 
 // SelfCalls returns routine v's count of self-recursive calls.
-func (g *Graph) SelfCalls(v int32) int64 {
-	g.Freeze()
-	return g.selfCalls[v]
-}
+func (g *Graph) SelfCalls(v int32) int64 { return g.selfCalls[v] }
 
 // IsSelf reports whether arc a is self-recursive.
 func (g *Graph) IsSelf(a int32) bool { return g.Caller[a] == g.Callee[a] }
@@ -286,161 +253,27 @@ func (g *Graph) IntraCycle(a int32) bool {
 	return f >= 0 && g.CycleNum[f] != 0 && g.CycleNum[f] == g.CycleNum[g.Callee[a]]
 }
 
-// Node returns the named node, if present. The first call to any
-// name-keyed method builds the name index, so even Node must not run
-// concurrently with another call on the same graph.
-func (g *Graph) Node(name string) (int32, bool) {
-	if g.nodes == nil {
-		g.nodes = make(map[string]int32, len(g.Names))
-		for i, n := range g.Names {
-			g.nodes[n] = int32(i)
-		}
-	}
-	v, ok := g.nodes[name]
-	return v, ok
-}
-
-// MustNode returns the named node or panics; for tests.
-func (g *Graph) MustNode(name string) int32 {
-	v, ok := g.Node(name)
-	if !ok {
-		panic("callgraph: no node " + name)
-	}
-	return v
-}
-
-// Arc returns the caller→callee arc, if present; a caller name of ""
-// names a spontaneous arc.
-func (g *Graph) Arc(caller, callee string) (int32, bool) {
-	to, ok := g.Node(callee)
-	if !ok {
-		return 0, false
-	}
-	from := int32(-1)
-	if caller != "" {
-		if from, ok = g.Node(caller); !ok {
-			return 0, false
-		}
-	}
-	a, ok := g.arcIndex()[arcKeyOf(from, to)]
-	return a, ok
-}
-
-// arcIndex returns the endpoint-pair index, building it over the live
-// arcs if a freeze dropped it.
-func (g *Graph) arcIndex() map[arcKey]int32 {
-	if g.arcIdx == nil {
-		g.arcIdx = make(map[arcKey]int32, g.NumArcs())
-		for a, t := range g.Callee {
-			if t >= 0 {
-				g.arcIdx[arcKeyOf(g.Caller[a], t)] = int32(a)
-			}
-		}
-	}
-	return g.arcIdx
-}
-
 // NameOrder returns the node numbers sorted by name, then by number:
 // the order every listing breaks its ties in. A graph built from a
-// symbol table shares the table's order; one built by hand sorts its
-// names at the first call after a node was added. The caller must not
-// modify the result.
-func (g *Graph) NameOrder() []int32 {
-	if g.byName == nil {
-		g.byName = order.ByName(g.Names)
-	}
-	return g.byName
-}
+// symbol table shares the table's order. The caller must not modify
+// the result.
+func (g *Graph) NameOrder() []int32 { return g.byName }
 
-// AddNode creates (or returns) the node for name.
-func (g *Graph) AddNode(name string) int32 {
-	if v, ok := g.Node(name); ok {
-		return v
+// lookup returns the node named name: a binary search over the name
+// order, so resolving k names costs O(k log n) and allocates nothing.
+func (g *Graph) lookup(name string) (int32, bool) {
+	i, ok := slices.BinarySearchFunc(g.byName, name, func(v int32, name string) int {
+		return strings.Compare(g.Names[v], name)
+	})
+	if !ok {
+		return -1, false
 	}
-	v := int32(len(g.Names))
-	g.nodes[name] = v
-	g.Names = append(g.Names, name)
-	g.SelfTicks = append(g.SelfTicks, 0)
-	g.ChildTicks = append(g.ChildTicks, 0)
-	g.TopoNum = append(g.TopoNum, 0)
-	g.CycleNum = append(g.CycleNum, 0)
-	g.Index = append(g.Index, 0)
-	g.byName = nil
-	g.dirty = true
-	return v
-}
-
-// AddArc records count traversals of caller→callee, merging with an
-// existing arc for the pair if present. A caller name of "" records a
-// spontaneous arc. It returns the arc's number, valid until the next
-// freeze.
-func (g *Graph) AddArc(caller, callee string, count int64) int32 {
-	to := g.AddNode(callee)
-	from := int32(-1)
-	if caller != "" {
-		from = g.AddNode(caller)
-	}
-	g.dirty = true
-	k := arcKeyOf(from, to)
-	idx := g.arcIndex()
-	if a, ok := idx[k]; ok {
-		g.Count[a] += count
-		g.Sites[a]++
-		return a
-	}
-	a := int32(len(g.Callee))
-	idx[k] = a
-	g.Caller = append(g.Caller, from)
-	g.Callee = append(g.Callee, to)
-	g.Count = append(g.Count, count)
-	g.Sites = append(g.Sites, 1)
-	g.Static = append(g.Static, false)
-	g.PropSelf = append(g.PropSelf, 0)
-	g.PropChild = append(g.PropChild, 0)
-	return a
-}
-
-// AddStatic merges statically discovered arcs into the graph: an arc
-// already present dynamically is left untouched ("no action is
-// required"); a new one is added with count zero, marked Static (§4).
-func (g *Graph) AddStatic(arcs []object.StaticArc) {
-	for _, sa := range arcs {
-		if _, ok := g.Arc(sa.Caller, sa.Callee); ok {
-			continue
-		}
-		g.Static[g.AddArc(sa.Caller, sa.Callee, 0)] = true
-	}
-}
-
-// RemoveArc deletes the caller→callee arc if present, returning whether
-// it was removed. This implements the retrospective's "option to specify
-// a set of arcs to be removed from the analysis" for separating
-// abstractions trapped in a cycle.
-func (g *Graph) RemoveArc(caller, callee string) bool {
-	if caller == "" {
-		return false
-	}
-	a, ok := g.Arc(caller, callee)
-	if ok {
-		g.DeleteArc(a)
-	}
-	return ok
-}
-
-// DeleteArc removes arc a, a live arc's number.
-func (g *Graph) DeleteArc(a int32) {
-	if g.arcIdx != nil {
-		delete(g.arcIdx, arcKeyOf(g.Caller[a], g.Callee[a]))
-	}
-	g.Callee[a] = -1
-	g.dead++
-	g.dirty = true
+	return g.byName[i], true
 }
 
 // Arcs returns every arc exactly once, ordered by (caller, callee) name
 // with spontaneous arcs first.
 func (g *Graph) Arcs() []int32 {
-	g.Freeze()
 	name := func(v int32) string {
 		if v < 0 {
 			return ""
@@ -457,109 +290,118 @@ func (g *Graph) Arcs() []int32 {
 	return arcs
 }
 
-// Clone returns a copy of g whose columns can be edited and analyzed
-// without touching g. Cycle member lists are shared, since nothing
-// writes one in place.
-func (g *Graph) Clone() *Graph {
-	g.Freeze()
-	c := *g
-	c.Names, c.SelfTicks, c.ChildTicks = slices.Clone(g.Names), slices.Clone(g.SelfTicks), slices.Clone(g.ChildTicks)
-	c.TopoNum, c.CycleNum, c.Index = slices.Clone(g.TopoNum), slices.Clone(g.CycleNum), slices.Clone(g.Index)
-	c.Caller, c.Callee, c.Count = slices.Clone(g.Caller), slices.Clone(g.Callee), slices.Clone(g.Count)
-	c.Sites, c.Static = slices.Clone(g.Sites), slices.Clone(g.Static)
-	c.PropSelf, c.PropChild = slices.Clone(g.PropSelf), slices.Clone(g.PropChild)
-	c.Cycles = slices.Clone(g.Cycles)
-	c.nodes, c.arcIdx = nil, nil
-	return &c
+// ArcID names one arc by its endpoints' names.
+type ArcID struct {
+	Caller string
+	Callee string
 }
 
-// Freeze puts the arcs in listing order and derives the adjacency and
-// call totals, if an edit has left the graph unfrozen. Arcs keep their
-// callee's order, arcs added since the last freeze coming after the
-// older ones in the order they were added, and removed arcs are
-// dropped. Each caller's row keeps its order the same way. Freeze
-// allocates every derived slice afresh, so a slice Adjacency returned
-// before stays as it was.
-func (g *Graph) Freeze() {
-	if g.dirty {
-		g.freeze()
-	}
-}
+func (a ArcID) String() string { return a.Caller + "/" + a.Callee }
 
-func (g *Graph) freeze() {
-	n, na := len(g.Names), len(g.Callee)
-	live := na - g.dead
-
-	// A stable counting sort of the live arcs by callee: pos maps an
-	// old arc number to its new one, or -1 for a removed arc.
-	arcStart := make([]int32, n+1)
-	for _, t := range g.Callee {
-		if t >= 0 {
-			arcStart[t+1]++
+// removalSet resolves the named arcs through node to the removal set
+// place reads, or nil when none resolves. A spontaneous arc is never
+// removed, and a name no node has removes nothing.
+func removalSet(remove []ArcID, node func(string) (int32, bool)) map[arcKey]bool {
+	var set map[arcKey]bool
+	for _, id := range remove {
+		if id.Caller == "" {
+			continue
 		}
-	}
-	prefixSum(arcStart)
-	cursor := append([]int32(nil), arcStart[:n]...)
-	pos := make([]int32, na)
-	for a, t := range g.Callee {
-		pos[a] = -1
-		if t >= 0 {
-			pos[a] = cursor[t]
-			cursor[t]++
-		}
-	}
-	oldOut, oldOutStart := g.out, g.outStart
-	oldCaller := g.Caller
-	g.Caller = permute(g.Caller, pos, live)
-	g.Callee = permute(g.Callee, pos, live)
-	g.Count = permute(g.Count, pos, live)
-	g.Sites = permute(g.Sites, pos, live)
-	g.Static = permute(g.Static, pos, live)
-	g.PropSelf = permute(g.PropSelf, pos, live)
-	g.PropChild = permute(g.PropChild, pos, live)
-
-	// Each caller's row: the arcs it had at the last freeze, in their
-	// order, then the ones appended since, in theirs.
-	g.outStart = make([]int32, n+2)
-	for a, f := range g.Caller {
-		if f != g.Callee[a] {
-			g.outStart[f+2]++
-		}
-	}
-	prefixSum(g.outStart)
-	g.out = make([]int32, g.outStart[n+1])
-	fill := append([]int32(nil), g.outStart[:n+1]...)
-	place := func(old int) {
-		if a := pos[old]; a >= 0 {
-			f := oldCaller[old] + 1
-			g.out[fill[f]] = a
-			fill[f]++
-		}
-	}
-	for r := 0; r+1 < len(oldOutStart); r++ {
-		for _, a := range oldOut[oldOutStart[r]:oldOutStart[r+1]] {
-			place(int(a))
-		}
-	}
-	for a := g.frozen; a < na; a++ {
-		if p := pos[a]; p >= 0 && g.Caller[p] != g.Callee[p] {
-			place(a)
-		}
-	}
-	g.deriveIn(arcStart)
-	g.sumCalls()
-	if g.recArc != nil {
-		recArc := make([]int32, len(g.recArc))
-		for r, a := range g.recArc {
-			recArc[r] = -1
-			if a >= 0 {
-				recArc[r] = pos[a]
+		f, okf := node(id.Caller)
+		t, okt := node(id.Callee)
+		if okf && okt {
+			if set == nil {
+				set = make(map[arcKey]bool, len(remove))
 			}
+			set[arcKeyOf(f, t)] = false
 		}
-		g.recArc = recArc
 	}
-	g.frozen, g.dead, g.dirty = live, 0, false
-	g.arcIdx = nil
+	return set
+}
+
+// Builder makes a graph by hand from (caller, callee, count) triples,
+// for the paper's figures and for tests. Nodes are numbered as their
+// names first appear: at Node, and for an arc its callee before its
+// caller. Graph lays the arcs out through the same placement pass as
+// BuildCtx, so each callee's arcs and each caller's row keep the order
+// their pairs were first given, and a repeated pair merges into one arc
+// whose Count sums and whose Sites grows by one.
+type Builder struct {
+	names  []string
+	node   map[string]int32
+	from   []int32 // caller node + 1, or 0 when spontaneous
+	to     []int32
+	count  []int64
+	static []bool
+	remove []ArcID
+}
+
+// Node declares the named node, if it is new, and returns its number
+// in the graph Graph builds.
+func (b *Builder) Node(name string) int32 {
+	if v, ok := b.node[name]; ok {
+		return v
+	}
+	if b.node == nil {
+		b.node = make(map[string]int32)
+	}
+	v := int32(len(b.names))
+	b.node[name] = v
+	b.names = append(b.names, name)
+	return v
+}
+
+// Arc records count traversals of caller→callee; a caller of ""
+// records a spontaneous arc.
+func (b *Builder) Arc(caller, callee string, count int64) { b.add(caller, callee, count, false) }
+
+// Static records an arc of the static call graph: a new pair becomes
+// an arc with count zero, marked Static, and a pair that already has
+// an arc is left untouched (§4).
+func (b *Builder) Static(caller, callee string) { b.add(caller, callee, 0, true) }
+
+// Remove puts caller→callee in the removal set: Graph leaves the arc
+// out, if there is one.
+func (b *Builder) Remove(caller, callee string) {
+	b.remove = append(b.remove, ArcID{Caller: caller, Callee: callee})
+}
+
+func (b *Builder) add(caller, callee string, count int64, static bool) {
+	t := b.Node(callee)
+	f := int32(0)
+	if caller != "" {
+		f = b.Node(caller) + 1
+	}
+	b.from = append(b.from, f)
+	b.to = append(b.to, t)
+	b.count = append(b.count, count)
+	b.static = append(b.static, static)
+}
+
+// Graph builds the graph. Its value columns are zero but for Count;
+// the caller sets SelfTicks, TotalTicks and Hz as it needs them.
+func (b *Builder) Graph() *Graph {
+	n := len(b.names)
+	g := &Graph{
+		Names:      slices.Clone(b.names),
+		SelfTicks:  make([]float64, n),
+		ChildTicks: make([]float64, n),
+		TopoNum:    make([]int32, n),
+		CycleNum:   make([]int32, n),
+		Index:      make([]int32, n),
+		byName:     order.ByName(b.names),
+	}
+	recArc := g.place(slices.Clone(b.from), slices.Clone(b.to), b.static, removalSet(b.remove, g.lookup))
+	g.Count = make([]int64, g.NumArcs())
+	g.PropSelf = make([]float64, g.NumArcs())
+	g.PropChild = make([]float64, g.NumArcs())
+	for r, a := range recArc {
+		if a >= 0 {
+			g.Count[a] += b.count[r]
+		}
+	}
+	g.sumCalls()
+	return g
 }
 
 // prefixSum turns counts into running totals in place.
@@ -567,17 +409,6 @@ func prefixSum(s []int32) {
 	for i := 1; i < len(s); i++ {
 		s[i] += s[i-1]
 	}
-}
-
-// permute returns col's live elements at their new positions.
-func permute[T any](col []T, pos []int32, live int) []T {
-	out := make([]T, live)
-	for a, p := range pos {
-		if p >= 0 {
-			out[p] = col[a]
-		}
-	}
-	return out
 }
 
 // deriveIn lays out each node's incoming non-self arcs, from arcs in
@@ -625,11 +456,26 @@ func (g *Graph) sumCalls() {
 // run serially and the graph is identical at any width. The parameter
 // stays for callers that pass one width to every stage.
 //
-// BuildCtx builds the graph's structure from the records' addresses
+// BuildCtx is BuildWith with no static arcs and no removals.
+func BuildCtx(ctx context.Context, tab *symtab.Table, p *gmon.Profile, jobs int) (*Graph, error) {
+	return BuildWith(ctx, tab, p, nil, nil)
+}
+
+// BuildWith is BuildCtx with the profile's static call graph and the
+// retrospective's removal set, the two other inputs that fix a graph's
+// structure. A static arc is one more record, placed after the
+// profile's, with count zero: it adds an arc, marked Static, only for a
+// pair no record or earlier static arc has. Every record of a pair in
+// remove is left out, static ones included; a spontaneous pair is
+// never removed, and each pair that had an arc counts once in Removed.
+// Static arcs must name routines of the table; a removal that names no
+// routine removes nothing.
+//
+// BuildWith builds the graph's structure from the records' addresses
 // (newShape) and then fills its values from the counts and the
 // histogram (Shape.Fill), the one path by which every graph of a
-// profile is made. Construction is linear with no map, for every
-// input:
+// profile is made. Construction is linear, and maps only a non-empty
+// removal set:
 //
 //   - one node per distinct routine name, in the table's node order
 //     (symtab.Table.NodeIndex), so a node's number is the routine's
@@ -637,7 +483,9 @@ func (g *Graph) sumCalls() {
 //     table's name order is the graph's;
 //   - histogram ticks attributed by table index and summed per node;
 //   - each arc record resolved to a caller node (or spontaneous) and a
-//     callee node through the table's O(1) address lookup;
+//     callee node through the table's O(1) address lookup, and each
+//     static arc's and removed pair's names by binary search over the
+//     table's name order;
 //   - records grouped by caller with a stable counting sort, and
 //     repeated (caller, callee) pairs within a group merged through a
 //     per-callee marker, so counts and Sites sum as call sites merge;
@@ -645,18 +493,15 @@ func (g *Graph) sumCalls() {
 //     first-record index, so every callee's arcs and every caller's row
 //     are in first-occurrence record order, whatever order the records
 //     arrive in.
-//
-// The graph comes back frozen; the name-keyed indices (Node, AddArc,
-// ...) are built on first use.
-func BuildCtx(ctx context.Context, tab *symtab.Table, p *gmon.Profile, jobs int) (*Graph, error) {
-	s, err := newShape(ctx, tab, p)
+func BuildWith(ctx context.Context, tab *symtab.Table, p *gmon.Profile, static []object.StaticArc, remove []ArcID) (*Graph, error) {
+	s, err := newShape(ctx, tab, p, static, remove)
 	if err != nil {
 		return nil, err
 	}
 	return s.Fill(ctx, tab, p)
 }
 
-// Shape is the structural half of a graph BuildCtx made: everything
+// Shape is the structural half of a graph BuildWith made: everything
 // that depends on which arc records the profile holds and in what
 // order, but not on their counts or on the histogram. It holds the
 // records' keys, the arc each record sums into, the nodes' names and
@@ -676,15 +521,13 @@ type recKey struct{ from, self int64 }
 
 // Shape returns g's structure, sharing its structural columns and
 // copying the keys of p's records, for Fill to build further graphs
-// on. g must be one BuildCtx made from p, edited since only by
-// AddStatic, RemoveArc, DeleteArc and scc, so that every count is a
-// record's, and neither g's structure nor its edits may change
-// afterwards. It returns nil for a graph built by hand.
+// on. g must be one BuildWith made from p and analyzed since only by
+// scc, and its structure must not change afterwards. It returns nil
+// for a graph built by hand.
 func (g *Graph) Shape(p *gmon.Profile) *Shape {
 	if g.recArc == nil || len(g.recArc) != len(p.Arcs) {
 		return nil
 	}
-	g.Freeze()
 	s := &Shape{g: *g, keys: make([]recKey, len(p.Arcs))}
 	for r := range p.Arcs {
 		s.keys[r] = recKey{p.Arcs[r].FromPC, p.Arcs[r].SelfPC}
@@ -692,7 +535,6 @@ func (g *Graph) Shape(p *gmon.Profile) *Shape {
 	s.g.SelfTicks, s.g.ChildTicks, s.g.Index = nil, nil, nil
 	s.g.Count, s.g.PropSelf, s.g.PropChild = nil, nil, nil
 	s.g.calls, s.g.selfCalls = nil, nil
-	s.g.nodes, s.g.arcIdx = nil, nil
 	s.g.Cycles = make([]Cycle, len(g.Cycles))
 	for i, c := range g.Cycles {
 		s.g.Cycles[i] = Cycle{Number: c.Number, Members: c.Members}
@@ -720,8 +562,7 @@ func (s *Shape) Matches(p *gmon.Profile) bool {
 // against, and arc counts summed from p's records, which must match s
 // (Matches). The graph shares s's columns and owns fresh value
 // columns and its own copy of the cycles, so analyzing it (propagate,
-// model.Build) writes nothing s holds; editing its structure is not
-// allowed.
+// model.Build) writes nothing s holds.
 func (s *Shape) Fill(ctx context.Context, tab *symtab.Table, p *gmon.Profile) (*Graph, error) {
 	if len(p.Arcs) != len(s.g.recArc) {
 		return nil, fmt.Errorf("callgraph: %d arc records, the shape has %d", len(p.Arcs), len(s.g.recArc))
@@ -750,7 +591,6 @@ func (s *Shape) Fill(ctx context.Context, tab *symtab.Table, p *gmon.Profile) (*
 	g.LostTicks = lost
 	attrSpan.End()
 	g.TotalTicks = float64(p.Hist.TotalTicks())
-	tr.Counter("graph.arc_records").Add(int64(len(p.Arcs)))
 	for r, a := range s.g.recArc {
 		if a >= 0 {
 			g.Count[a] += p.Arcs[r].Count
@@ -760,10 +600,11 @@ func (s *Shape) Fill(ctx context.Context, tab *symtab.Table, p *gmon.Profile) (*
 	return &g, nil
 }
 
-// newShape builds the structure of p's graph against tab, leaving
-// TopoNum and CycleNum zero for scc to assign. It copies no record
-// key: only Graph.Shape does, for a caller that keeps the structure.
-func newShape(ctx context.Context, tab *symtab.Table, p *gmon.Profile) (*Shape, error) {
+// newShape builds the structure of p's graph against tab, with the
+// static arcs and the removal set, leaving TopoNum and CycleNum zero
+// for scc to assign. It copies no record key: only Graph.Shape does,
+// for a caller that keeps the structure.
+func newShape(ctx context.Context, tab *symtab.Table, p *gmon.Profile, static []object.StaticArc, remove []ArcID) (*Shape, error) {
 	nn := tab.NumNodes()
 	s := &Shape{g: Graph{
 		byName:   tab.NameOrder(),
@@ -779,15 +620,15 @@ func newShape(ctx context.Context, tab *symtab.Table, p *gmon.Profile) (*Shape, 
 		return nil, err
 	}
 
-	// Resolve every record to (caller node + 1, callee node); 0 marks a
-	// spontaneous caller, so a record's from is its caller's row.
+	// Resolve every record, then every static arc, to (caller node + 1,
+	// callee node); 0 marks a spontaneous caller, so a record's from is
+	// its caller's row.
 	recs := p.Arcs
-	if len(recs) > math.MaxInt32/2 {
-		return nil, fmt.Errorf("callgraph: %d arc records, more than %d", len(recs), math.MaxInt32/2)
+	if n := len(recs) + len(static); n > math.MaxInt32/2 {
+		return nil, fmt.Errorf("callgraph: %d arc records, more than %d", n, math.MaxInt32/2)
 	}
-	from := make([]int32, len(recs))
-	to := make([]int32, len(recs))
-	head := make([]int32, nn+2)
+	from := make([]int32, len(recs)+len(static))
+	to := make([]int32, len(recs)+len(static))
 	for r := range recs {
 		ci, ok := tab.FindIndex(recs[r].SelfPC)
 		if !ok {
@@ -799,12 +640,50 @@ func newShape(ctx context.Context, tab *symtab.Table, p *gmon.Profile) (*Shape, 
 				from[r] = int32(tab.NodeIndex(fi)) + 1
 			}
 		}
-		head[from[r]+1]++
 	}
+	var isStatic []bool
+	if len(static) > 0 {
+		isStatic = make([]bool, len(from))
+	}
+	for i, sa := range static {
+		r := len(recs) + i
+		t, ok := g.lookup(sa.Callee)
+		f := int32(-1)
+		if ok && sa.Caller != "" {
+			f, ok = g.lookup(sa.Caller)
+		}
+		if !ok {
+			return nil, fmt.Errorf("callgraph: static arc %s/%s names a routine not in the symbol table", sa.Caller, sa.Callee)
+		}
+		from[r], to[r], isStatic[r] = f+1, t, true
+	}
+	recArc := g.place(from, to, isStatic, removalSet(remove, g.lookup))
+	g.recArc = recArc[:len(recs):len(recs)]
+	return s, nil
+}
+
+// place is the one placement pass every graph's structure comes from.
+// Record r is a call of node to[r] from node from[r]-1, or a
+// spontaneous one when from[r] is 0; static[r], when static is not
+// nil, marks it static. Records of one (caller, callee) pair merge into
+// one arc: the pair's first record is its leader, which gives the arc
+// its place and its Static mark, and each later record adds a call site
+// unless it is static. The records of a pair in removed make no arc;
+// removed's value for each such pair is set, and Removed counts them.
+//
+// place sets the endpoint, Sites and Static columns and the adjacency,
+// and returns each record's arc, or -1 for a removed one. It
+// overwrites from and to.
+func (g *Graph) place(from, to []int32, static []bool, removed map[arcKey]bool) []int32 {
+	nn := len(g.Names)
 
 	// Stable counting sort of record indices by caller.
+	head := make([]int32, nn+2)
+	for _, f := range from {
+		head[f+1]++
+	}
 	prefixSum(head)
-	byCaller := make([]int32, len(recs))
+	byCaller := make([]int32, len(from))
 	for r, f := range from {
 		byCaller[head[f]] = int32(r)
 		head[f]++
@@ -815,8 +694,9 @@ func newShape(ctx context.Context, tab *symtab.Table, p *gmon.Profile) (*Shape, 
 	// first record, the leader. mark[t] holds one plus the group
 	// position of the latest leader into callee t; a position before
 	// the group's start is another caller's, so marks never need
-	// clearing. A follower's from becomes -(leader+1). arcStart counts
-	// each callee's arcs and outStart each row's non-self arcs.
+	// clearing. A follower's from becomes -(leader+1), and a removed
+	// leader's to becomes -1. arcStart counts each callee's arcs and
+	// outStart each row's non-self arcs.
 	arcStart := make([]int32, nn+1)
 	g.outStart = head[:nn+2]
 	clear(g.outStart)
@@ -833,6 +713,17 @@ func newShape(ctx context.Context, tab *symtab.Table, p *gmon.Profile) (*Shape, 
 			continue
 		}
 		mark[t] = int32(j) + 1
+		if len(removed) > 0 {
+			k := arcKeyOf(f-1, t)
+			if hit, ok := removed[k]; ok {
+				if !hit {
+					removed[k] = true
+					g.Removed++
+				}
+				to[r] = -1
+				continue
+			}
+		}
 		numArcs++
 		arcStart[t+1]++
 		if f-1 != t {
@@ -855,26 +746,32 @@ func newShape(ctx context.Context, tab *symtab.Table, p *gmon.Profile) (*Shape, 
 	g.out = make([]int32, g.outStart[nn+1])
 	inCur := append([]int32(nil), arcStart[:nn]...)
 	outCur := append([]int32(nil), g.outStart[:nn+1]...)
-	g.recArc = byCaller
+	recArc := byCaller
 	for r, f := range from {
 		if f < 0 {
-			a := g.recArc[-f-1]
-			g.recArc[r] = a
-			g.Sites[a]++
+			a := recArc[-f-1]
+			recArc[r] = a
+			if a >= 0 && (static == nil || !static[r]) {
+				g.Sites[a]++
+			}
 			continue
 		}
 		t := to[r]
+		if t < 0 {
+			recArc[r] = -1
+			continue
+		}
 		a := inCur[t]
 		inCur[t]++
-		g.recArc[r] = a
+		recArc[r] = a
 		g.Caller[a], g.Callee[a] = f-1, t
 		g.Sites[a] = 1
+		g.Static[a] = static != nil && static[r]
 		if f-1 != t {
 			g.out[outCur[f]] = a
 			outCur[f]++
 		}
 	}
 	g.deriveIn(arcStart)
-	g.frozen = numArcs
-	return s, nil
+	return recArc
 }

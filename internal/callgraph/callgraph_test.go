@@ -1,6 +1,7 @@
 package callgraph
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -9,40 +10,83 @@ import (
 	"repro/internal/symtab"
 )
 
-func TestAddNodeIdempotent(t *testing.T) {
-	g := New()
-	a := g.AddNode("f")
-	b := g.AddNode("f")
-	if a != b {
-		t.Error("AddNode created a duplicate")
+// node returns the named node's number, or panics.
+func node(g *Graph, name string) int32 {
+	v := slices.Index(g.Names, name)
+	if v < 0 {
+		panic("callgraph: no node " + name)
 	}
-	if g.Len() != 1 {
+	return int32(v)
+}
+
+func TestAddNodeIdempotent(t *testing.T) {
+	var b Builder
+	x := b.Node("f")
+	y := b.Node("f")
+	if x != y {
+		t.Error("Node created a duplicate")
+	}
+	if g := b.Graph(); g.Len() != 1 {
 		t.Errorf("Len = %d", g.Len())
 	}
 }
 
 func TestAddArcMerges(t *testing.T) {
-	g := New()
-	a1 := g.AddArc("x", "y", 3)
-	a2 := g.AddArc("x", "y", 4)
-	if a1 != a2 {
+	var b Builder
+	b.Arc("x", "y", 3)
+	b.Arc("x", "y", 4)
+	g := b.Graph()
+	if g.NumArcs() != 1 {
 		t.Fatal("same-pair arcs not merged")
 	}
-	if g.Count[a1] != 7 || g.Sites[a1] != 2 {
-		t.Errorf("arc = count %d sites %d, want 7/2", g.Count[a1], g.Sites[a1])
+	if g.Count[0] != 7 || g.Sites[0] != 2 {
+		t.Errorf("arc = count %d sites %d, want 7/2", g.Count[0], g.Sites[0])
 	}
-	if len(g.In(g.MustNode("y"))) != 1 || len(g.Out(g.MustNode("x"))) != 1 {
+	if len(g.In(node(g, "y"))) != 1 || len(g.Out(node(g, "x"))) != 1 {
 		t.Error("duplicate arc entries in adjacency lists")
 	}
 }
 
+// TestBuilderOrders pins the orders AddArc had, which the listing's
+// tie-breaks and the figures depend on: nodes numbered callee before
+// caller as names first appear, arcs grouped by callee in the order
+// their pairs were first given, and each caller's row in that order.
+func TestBuilderOrders(t *testing.T) {
+	var b Builder
+	b.Arc("m", "q", 1)
+	b.Node("lone")
+	b.Arc("m", "p", 1)
+	b.Arc("", "p", 1)
+	b.Arc("p", "q", 1)
+	b.Arc("m", "q", 1)
+	g := b.Graph()
+	if want := []string{"q", "m", "lone", "p"}; !slices.Equal(g.Names, want) {
+		t.Errorf("nodes %q, want %q", g.Names, want)
+	}
+	var arcs []string
+	for a := range int32(g.NumArcs()) {
+		from := "-"
+		if g.Caller[a] >= 0 {
+			from = g.Names[g.Caller[a]]
+		}
+		arcs = append(arcs, from+">"+g.Names[g.Callee[a]])
+	}
+	if want := []string{"m>q", "p>q", "m>p", "->p"}; !slices.Equal(arcs, want) {
+		t.Errorf("arcs %q, want %q", arcs, want)
+	}
+	if out := g.Out(node(g, "m")); !slices.Equal(out, []int32{0, 2}) {
+		t.Errorf("m's row %v, want [0 2]", out)
+	}
+}
+
 func TestCallsAndSelfCalls(t *testing.T) {
-	g := New()
-	g.AddArc("a", "f", 4)
-	g.AddArc("b", "f", 6)
-	g.AddArc("f", "f", 5)
-	g.AddArc("", "f", 2) // spontaneous counts as a call
-	f := g.MustNode("f")
+	var b Builder
+	b.Arc("a", "f", 4)
+	b.Arc("b", "f", 6)
+	b.Arc("f", "f", 5)
+	b.Arc("", "f", 2) // spontaneous counts as a call
+	g := b.Graph()
+	f := node(g, "f")
 	if g.Calls(f) != 12 {
 		t.Errorf("Calls = %d, want 12", g.Calls(f))
 	}
@@ -52,25 +96,27 @@ func TestCallsAndSelfCalls(t *testing.T) {
 }
 
 func TestSpontaneousTracking(t *testing.T) {
-	g := New()
-	a := g.AddArc("", "h", 1)
-	if g.Caller[a] != -1 {
+	var b Builder
+	b.Arc("", "h", 1)
+	g := b.Graph()
+	if g.NumArcs() != 1 || g.Caller[0] != -1 {
 		t.Error("arc not spontaneous")
 	}
-	if sp := g.Spontaneous(); len(sp) != 1 || sp[0] != a {
+	if sp := g.Spontaneous(); len(sp) != 1 || sp[0] != 0 {
 		t.Error("Spontaneous list wrong")
 	}
-	if len(g.In(g.MustNode("h"))) != 1 {
+	if len(g.In(node(g, "h"))) != 1 {
 		t.Error("spontaneous arc missing from the callee's in-list")
 	}
 }
 
 func TestArcsSorted(t *testing.T) {
-	g := New()
-	g.AddArc("z", "a", 1)
-	g.AddArc("a", "z", 1)
-	g.AddArc("a", "b", 1)
-	g.AddArc("", "b", 1)
+	var b Builder
+	b.Arc("z", "a", 1)
+	b.Arc("a", "z", 1)
+	b.Arc("a", "b", 1)
+	b.Arc("", "b", 1)
+	g := b.Graph()
 	arcs := g.Arcs()
 	if len(arcs) != 4 {
 		t.Fatalf("arcs = %d", len(arcs))
@@ -84,56 +130,58 @@ func TestArcsSorted(t *testing.T) {
 	}
 }
 
+// TestRemoveArc checks the removal set: a named pair's arc is left
+// out and counts once however often it is named, and a pair with an
+// unknown endpoint or a spontaneous caller removes nothing.
 func TestRemoveArc(t *testing.T) {
-	g := New()
-	g.AddArc("a", "b", 1)
-	g.AddArc("a", "c", 1)
-	if !g.RemoveArc("a", "b") {
-		t.Fatal("RemoveArc failed")
+	var b Builder
+	b.Arc("a", "b", 1)
+	b.Arc("a", "c", 1)
+	b.Arc("", "c", 1)
+	b.Remove("a", "b")
+	b.Remove("a", "b")
+	b.Remove("a", "nosuch")
+	b.Remove("ghost", "b")
+	b.Remove("", "c")
+	g := b.Graph()
+	if g.Removed != 1 {
+		t.Errorf("Removed = %d, want 1", g.Removed)
 	}
-	if g.RemoveArc("a", "b") {
-		t.Error("second removal succeeded")
-	}
-	if g.RemoveArc("a", "nosuch") || g.RemoveArc("ghost", "b") {
-		t.Error("removal with unknown endpoint succeeded")
-	}
-	if len(g.Out(g.MustNode("a"))) != 1 || len(g.In(g.MustNode("b"))) != 0 {
+	if len(g.Out(node(g, "a"))) != 1 || len(g.In(node(g, "b"))) != 0 || len(g.Spontaneous()) != 1 {
 		t.Error("adjacency lists not updated")
 	}
 }
 
-// TestNumArcsAfterRemove checks that NumArcs counts live arcs: removing
-// one, as -k and the cycle-breaking heuristic do, lowers it by one.
+// TestNumArcsAfterRemove checks that NumArcs counts the arcs left: a
+// removal, as -k and the cycle-breaking heuristic make, lowers it by
+// one.
 func TestNumArcsAfterRemove(t *testing.T) {
 	tab, p := buildTestProfile()
 	g, err := build(tab, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.nodes != nil || g.arcIdx != nil {
-		t.Error("Build built the name-keyed indices")
-	}
 	if g.NumArcs() != 2 {
 		t.Fatalf("NumArcs = %d, want 2", g.NumArcs())
 	}
-	if !g.RemoveArc("main", "leaf") {
-		t.Fatal("RemoveArc failed")
+	g, err = BuildWith(context.Background(), tab, p, nil, []ArcID{{Caller: "main", Callee: "leaf"}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if g.NumArcs() != 1 {
-		t.Errorf("NumArcs after removal = %d, want 1", g.NumArcs())
+	if g.NumArcs() != 1 || g.Removed != 1 {
+		t.Errorf("NumArcs after removal = %d, Removed %d, want 1 and 1", g.NumArcs(), g.Removed)
 	}
-	h := New()
-	h.AddArc("a", "b", 1)
-	h.AddArc("a", "c", 1)
-	h.AddArc("a", "b", 1)
-	h.RemoveArc("a", "c")
-	h.RemoveArc("a", "c")
-	if h.NumArcs() != 1 {
-		t.Errorf("hand-built NumArcs = %d, want 1", h.NumArcs())
+	var b Builder
+	b.Arc("a", "b", 1)
+	b.Arc("a", "c", 1)
+	b.Arc("a", "b", 1)
+	if h := b.Graph(); h.NumArcs() != 2 || len(h.Arcs()) != 2 {
+		t.Errorf("hand-built: NumArcs = %d, Arcs = %d, want 2", h.NumArcs(), len(h.Arcs()))
 	}
-	h.AddArc("a", "c", 1)
-	if h.NumArcs() != 2 || len(h.Arcs()) != 2 {
-		t.Errorf("after re-adding: NumArcs = %d, Arcs = %d, want 2", h.NumArcs(), len(h.Arcs()))
+	b.Remove("a", "c")
+	b.Remove("a", "c")
+	if h := b.Graph(); h.NumArcs() != 1 || h.Removed != 1 {
+		t.Errorf("hand-built after removal: NumArcs = %d, Removed %d, want 1 and 1", h.NumArcs(), h.Removed)
 	}
 }
 
@@ -169,7 +217,7 @@ func TestBuild(t *testing.T) {
 	if g.Hertz() != 60 {
 		t.Errorf("Hz = %d", g.Hertz())
 	}
-	leaf := g.MustNode("leaf")
+	leaf := node(g, "leaf")
 	if g.SelfTicks[leaf] != 30 {
 		t.Errorf("leaf self = %v", g.SelfTicks[leaf])
 	}
@@ -177,7 +225,7 @@ func TestBuild(t *testing.T) {
 	if in := g.In(leaf); len(in) != 1 || g.Count[in[0]] != 10 || g.Sites[in[0]] != 2 {
 		t.Errorf("leaf's in-list = %v", in)
 	}
-	main := g.MustNode("main")
+	main := node(g, "main")
 	if g.Calls(main) != 1 { // the spontaneous arc
 		t.Errorf("main calls = %d", g.Calls(main))
 	}
@@ -202,7 +250,7 @@ func TestBuildUnknownCallSiteIsSpontaneous(t *testing.T) {
 		t.Fatal(err)
 	}
 	var spont int64
-	for _, a := range g.In(g.MustNode("leaf")) {
+	for _, a := range g.In(node(g, "leaf")) {
 		if g.Caller[a] < 0 {
 			spont += g.Count[a]
 		}
@@ -214,45 +262,51 @@ func TestBuildUnknownCallSiteIsSpontaneous(t *testing.T) {
 
 func TestAddStatic(t *testing.T) {
 	tab, p := buildTestProfile()
-	g, err := build(tab, p)
+	static := []object.StaticArc{
+		{Caller: "main", Callee: "leaf", Site: 103}, // exists dynamically: no-op
+		{Caller: "main", Callee: "cold", Site: 105}, // new: count 0, static
+		{Caller: "main", Callee: "cold", Site: 106}, // repeated: still one arc
+	}
+	g, err := BuildWith(context.Background(), tab, p, static, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.AddStatic([]object.StaticArc{
-		{Caller: "main", Callee: "leaf", Site: 103}, // exists dynamically: no-op
-		{Caller: "main", Callee: "cold", Site: 105}, // new: count 0, static
-	})
-	leaf := g.In(g.MustNode("leaf"))
-	if len(leaf) != 1 || g.Static[leaf[0]] {
+	leaf := g.In(node(g, "leaf"))
+	if len(leaf) != 1 || g.Static[leaf[0]] || g.Sites[leaf[0]] != 2 {
 		t.Error("existing dynamic arc was disturbed")
 	}
-	cold := g.In(g.MustNode("cold"))
-	if len(cold) != 1 || !g.Static[cold[0]] || g.Count[cold[0]] != 0 {
+	cold := g.In(node(g, "cold"))
+	if len(cold) != 1 || !g.Static[cold[0]] || g.Count[cold[0]] != 0 || g.Sites[cold[0]] != 1 {
 		t.Errorf("static arc wrong: %v", cold)
 	}
-
-	// A static arc into a routine the table lacks adds a node, and the
-	// graph's name order, the table's until then, takes it in.
 	if got := g.NameOrder(); !slices.Equal(got, tab.NameOrder()) {
 		t.Errorf("built graph's name order %v, table's %v", got, tab.NameOrder())
 	}
-	g.AddStatic([]object.StaticArc{{Caller: "main", Callee: "aardvark", Site: 105}})
-	var names []string
-	for _, id := range g.NameOrder() {
-		names = append(names, g.Names[id])
+
+	// A removal takes a static arc out like any other.
+	g, err = BuildWith(context.Background(), tab, p, static, []ArcID{{Caller: "main", Callee: "cold"}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := []string{"aardvark", "cold", "leaf", "main"}; !slices.Equal(names, want) {
-		t.Errorf("name order after a static arc added a node: %q, want %q", names, want)
+	if len(g.In(node(g, "cold"))) != 0 || g.Removed != 1 {
+		t.Errorf("removed static arc: in-list %v, Removed %d", g.In(node(g, "cold")), g.Removed)
+	}
+
+	// A static arc into a routine the table lacks is rejected: the
+	// graph's nodes are the table's.
+	if _, err := BuildWith(context.Background(), tab, p, []object.StaticArc{{Caller: "main", Callee: "aardvark"}}, nil); err == nil {
+		t.Error("static arc into an unknown routine accepted")
 	}
 }
 
 func TestCycleAccessors(t *testing.T) {
-	g := New()
-	g.AddArc("out", "p", 2)
-	g.AddArc("p", "q", 5)
-	g.AddArc("q", "p", 4)
-	g.AddArc("p", "p", 3)
-	p, q := g.MustNode("p"), g.MustNode("q")
+	var b Builder
+	b.Arc("out", "p", 2)
+	b.Arc("p", "q", 5)
+	b.Arc("q", "p", 4)
+	b.Arc("p", "p", 3)
+	g := b.Graph()
+	p, q := node(g, "p"), node(g, "q")
 	g.Cycles = []Cycle{{Number: 1, Members: []int32{p, q}}}
 	g.CycleNum[p], g.CycleNum[q] = 1, 1
 	g.SelfTicks[p], g.SelfTicks[q] = 10, 20
@@ -269,12 +323,12 @@ func TestCycleAccessors(t *testing.T) {
 }
 
 func TestIntraCycleSelfArcDistinction(t *testing.T) {
-	g := New()
-	g.AddArc("p", "q", 1)
-	g.AddArc("q", "p", 1)
-	g.AddArc("p", "p", 1)
-	p, q := g.MustNode("p"), g.MustNode("q")
-	g.Freeze()
+	var b Builder
+	b.Arc("p", "q", 1)
+	b.Arc("q", "p", 1)
+	b.Arc("p", "p", 1)
+	g := b.Graph()
+	p, q := node(g, "p"), node(g, "q")
 	g.CycleNum[p], g.CycleNum[q] = 1, 1
 	for _, a := range g.Arcs() {
 		switch {
@@ -296,17 +350,8 @@ func TestIntraCycleSelfArcDistinction(t *testing.T) {
 }
 
 func TestHertzDefault(t *testing.T) {
-	g := New()
-	if g.Hertz() != gmon.DefaultHz {
+	var b Builder
+	if g := b.Graph(); g.Hertz() != gmon.DefaultHz {
 		t.Errorf("default Hz = %d", g.Hertz())
 	}
-}
-
-func TestMustNodePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNode did not panic")
-		}
-	}()
-	New().MustNode("ghost")
 }

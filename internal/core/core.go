@@ -4,17 +4,16 @@
 // The pipeline, in order:
 //
 //  1. map the profile's addresses to routines (symtab) and build the
-//     dynamic call graph with self times attributed from the histogram
-//     (callgraph.BuildCtx);
-//  2. optionally merge the static call graph scanned from the executable
-//     — zero-count arcs that may complete cycles (object.Scan +
-//     Graph.AddStatic);
-//  3. delete any arcs the user asked to remove, and/or run the bounded
-//     cycle-breaking heuristic (cyclebreak);
-//  4. find strongly-connected components and topological numbers
+//     dynamic call graph with self times attributed from the histogram,
+//     optionally with the static call graph scanned from the executable
+//     — zero-count arcs that may complete cycles (object.Scan) — and
+//     without the arcs the user asked to remove (callgraph.BuildWith);
+//  2. find strongly-connected components and topological numbers
 //     (scc.Analyze);
-//  5. propagate time from descendants to ancestors (propagate.RunCtx);
-//  6. render the flat profile, the call graph profile, and the index
+//  3. optionally run the bounded cycle-breaking heuristic (cyclebreak)
+//     and build the graph once more without the arcs it chose;
+//  4. propagate time from descendants to ancestors (propagate.RunCtx);
+//  5. render the flat profile, the call graph profile, and the index
 //     (report).
 //
 // Run is the entry point: it analyzes a profile against a Source — an
@@ -28,13 +27,13 @@
 //
 // An analysis has a structural half and a value half. The structure —
 // the nodes, the arcs and their adjacency, the cycles and topological
-// numbers of steps 1-4 — depends only on which arc records the profile
+// numbers of steps 1-3 — depends only on which arc records the profile
 // holds and in what order; the values — self times, counts, propagated
 // times, listing order — on the counts and the histogram. Summing more
 // runs of one program changes only the values (§3), so RunFrom builds
 // on an earlier Result: when the options and source are the same and
 // the record keys are exactly the earlier profile's, it fills the
-// earlier structure with the new values and skips steps 1-4's
+// earlier structure with the new values and skips steps 1-3's
 // construction. gprofd passes each memo slot's previous analysis as
 // the base.
 //
@@ -200,15 +199,14 @@ type Result struct {
 
 // structure is the half of an analysis that depends only on which arc
 // records the profile holds, with the options and the source that
-// shaped it: the call graph's Shape after static arcs, arc removal and
-// scc, and the number of arcs removed.
+// shaped it: the call graph's Shape, static arcs and arc removal
+// included, after scc.
 type structure struct {
-	src     Source
-	tab     *symtab.Table
-	static  bool
-	remove  []cyclebreak.ArcID
-	shape   *callgraph.Shape
-	removed int
+	src    Source
+	tab    *symtab.Table
+	static bool
+	remove []cyclebreak.ArcID
+	shape  *callgraph.Shape
 }
 
 // fits reports whether s is the structure of p's analysis under opt
@@ -291,7 +289,7 @@ func run(ctx context.Context, base *Result, keep bool, src Source, p *gmon.Profi
 			return nil, err
 		}
 		tab = st.tab
-		res = &Result{opt: opt, tr: tr, RemovedArcs: st.removed, shared: st, reused: true}
+		res = &Result{opt: opt, tr: tr, shared: st, reused: true}
 	} else {
 		var static []object.StaticArc
 		loadSpan := tr.Span("load")
@@ -300,25 +298,30 @@ func run(ctx context.Context, base *Result, keep bool, src Source, p *gmon.Profi
 		if err != nil {
 			return nil, err
 		}
+		build := func(remove []cyclebreak.ArcID) (*callgraph.Graph, error) {
+			return callgraph.BuildWith(ctx, tab, p, static, remove)
+		}
 		graphSpan := tr.Span("graph")
-		g, err = callgraph.BuildCtx(ctx, tab, p, opt.jobs())
+		g, err = build(opt.RemoveArcs)
 		graphSpan.End()
 		if err != nil {
 			return nil, err
 		}
-		if opt.Static {
-			g.AddStatic(static)
+		res = &Result{opt: opt, tr: tr}
+		if g, err = analyzeCycles(ctx, g, res, build); err != nil {
+			return nil, err
 		}
-		res = analyzeCycles(ctx, g, opt)
 		// AutoBreak picks its arcs by count, so its structure is this
 		// profile's alone.
 		if keep && !opt.AutoBreak {
 			if sh := g.Shape(p); sh != nil {
 				res.shared = &structure{src: src, tab: tab, static: opt.Static,
-					remove: slices.Clone(opt.RemoveArcs), shape: sh, removed: res.RemovedArcs}
+					remove: slices.Clone(opt.RemoveArcs), shape: sh}
 			}
 		}
 	}
+	res.RemovedArcs = g.Removed
+	tr.Counter("graph.arc_records").Add(int64(len(p.Arcs)))
 	tr.Gauge("graph.nodes").Set(int64(g.Len()))
 	if err := analyzeValues(ctx, g, res); err != nil {
 		return nil, err
@@ -342,28 +345,33 @@ func run(ctx context.Context, base *Result, keep bool, src Source, p *gmon.Profi
 	return res, nil
 }
 
-// analyzeCycles runs the structural stages on a built graph: it removes
-// the requested arcs, finds the cycles and, with AutoBreak, breaks
-// them. It returns a Result without a model.
-func analyzeCycles(ctx context.Context, g *callgraph.Graph, opt Options) *Result {
+// analyzeCycles finds the cycles of g, the graph build made with the
+// removal set res.opt.RemoveArcs, and with AutoBreak breaks them: the
+// heuristic picks its arcs on g, stored as res.Suggestion, and build
+// makes the graph once more with them added to the removal set. It
+// returns the graph whose structure is final.
+func analyzeCycles(ctx context.Context, g *callgraph.Graph, res *Result,
+	build func(remove []cyclebreak.ArcID) (*callgraph.Graph, error)) (*callgraph.Graph, error) {
 	tr := obs.FromContext(ctx)
-	res := &Result{opt: opt, tr: tr}
-	for _, id := range opt.RemoveArcs {
-		if g.RemoveArc(id.Caller, id.Callee) {
-			res.RemovedArcs++
-		}
-	}
 	sCCSpan := tr.Span("scc")
 	scc.Analyze(g)
 	sCCSpan.End()
-	if opt.AutoBreak {
-		breakSpan := tr.Span("cyclebreak")
-		sug := cyclebreak.Suggest(g, cyclebreak.Options{MaxArcs: opt.MaxBreakArcs})
-		res.Suggestion = &sug
-		res.RemovedArcs += cyclebreak.Apply(g, sug.Arcs)
-		breakSpan.End()
+	if !res.opt.AutoBreak {
+		return g, nil
 	}
-	return res
+	breakSpan := tr.Span("cyclebreak")
+	defer breakSpan.End()
+	sug := cyclebreak.Suggest(g, cyclebreak.Options{MaxArcs: res.opt.MaxBreakArcs})
+	res.Suggestion = &sug
+	if len(sug.Arcs) == 0 {
+		return g, nil
+	}
+	g, err := build(append(slices.Clip(res.opt.RemoveArcs), sug.Arcs...))
+	if err != nil {
+		return nil, err
+	}
+	scc.Analyze(g)
+	return g, nil
 }
 
 // analyzeValues runs the stages that read the counts and the histogram on a

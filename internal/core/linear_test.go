@@ -11,6 +11,7 @@ import (
 	"repro/internal/callgraph"
 	"repro/internal/core"
 	"repro/internal/cputime"
+	"repro/internal/cyclebreak"
 	"repro/internal/gmon"
 	"repro/internal/isa"
 	"repro/internal/model"
@@ -80,6 +81,39 @@ var stageRows = []stageRow{
 		w := synth.Generate(synth.Tier(n, 1))
 		tab := w.Table()
 		return func() error { _, err := callgraph.BuildCtx(context.Background(), tab, w.Prof, 1); return err }
+	}},
+	// The build under -s and -k: a static arc for every arc and for n
+	// new pairs, and n/100 pairs removed. Resolving a name by a scan
+	// of the table reads near 4.
+	{"callgraph.BuildWith", 50000, func(t *testing.T, n int) func() error {
+		w := synth.Generate(synth.Tier(n, 1))
+		tab := w.Table()
+		g, err := callgraph.BuildCtx(context.Background(), tab, w.Prof, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := func(v int32) string {
+			if v < 0 {
+				return ""
+			}
+			return g.Names[v]
+		}
+		var static []object.StaticArc
+		for a := range int32(g.NumArcs()) {
+			static = append(static, object.StaticArc{Caller: name(g.Caller[a]), Callee: name(g.Callee[a])})
+		}
+		nn := g.Len()
+		for i := range n {
+			static = append(static, object.StaticArc{Caller: name(int32(i % nn)), Callee: name(int32((i*7 + 3) % nn))})
+		}
+		var remove []cyclebreak.ArcID
+		for a := 0; len(remove) < n/100; a += 97 {
+			remove = append(remove, cyclebreak.ArcID{Caller: name(g.Caller[a]), Callee: name(g.Callee[a])})
+		}
+		return func() error {
+			_, err := callgraph.BuildWith(context.Background(), tab, w.Prof, static, remove)
+			return err
+		}
 	}},
 	{"scc.Analyze", 50000, func(t *testing.T, n int) func() error {
 		g := graph(t, n)

@@ -390,19 +390,41 @@ func refRun(g *refGraph, opt Options) (removed int, sug *cyclebreak.Suggestion) 
 	return removed, sug
 }
 
-// checkSameAnalysis runs analyzeCycles and analyzeValues on g and refRun on ref, built alike,
-// and compares every result of the analysis: topological numbers,
-// cycles with their members in order, listing indices, call counts,
-// and the propagated times bit for bit.
-func checkSameAnalysis(t *testing.T, g *callgraph.Graph, ref *refGraph, opt Options) {
+// arcIndex maps each (caller, callee) name pair of g to its arc; a
+// spontaneous caller is "".
+func arcIndex(g *callgraph.Graph) map[[2]string]int32 {
+	idx := make(map[[2]string]int32, g.NumArcs())
+	for a := range int32(g.NumArcs()) {
+		caller := ""
+		if f := g.Caller[a]; f >= 0 {
+			caller = g.Names[f]
+		}
+		idx[[2]string{caller, g.Names[g.Callee[a]]}] = a
+	}
+	return idx
+}
+
+// checkSameAnalysis runs the graph's build, analyzeCycles and
+// analyzeValues, as run does, and refRun on ref, built alike, and
+// compares every result of the analysis: topological numbers, cycles
+// with their members in order, listing indices, call counts, and the
+// propagated times bit for bit.
+func checkSameAnalysis(t *testing.T, build func([]cyclebreak.ArcID) (*callgraph.Graph, error), ref *refGraph, opt Options) {
 	t.Helper()
-	res := analyzeCycles(context.Background(), g, opt)
+	g, err := build(opt.RemoveArcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{opt: opt}
+	if g, err = analyzeCycles(context.Background(), g, res, build); err != nil {
+		t.Fatal(err)
+	}
 	if err := analyzeValues(context.Background(), g, res); err != nil {
 		t.Fatal(err)
 	}
 	removed, sug := refRun(ref, opt)
-	if res.RemovedArcs != removed {
-		t.Fatalf("removed %d arcs, reference %d", res.RemovedArcs, removed)
+	if g.Removed != removed {
+		t.Fatalf("removed %d arcs, reference %d", g.Removed, removed)
 	}
 	if (res.Suggestion == nil) != (sug == nil) ||
 		sug != nil && (!slices.Equal(res.Suggestion.Arcs, sug.Arcs) || !slices.Equal(res.Suggestion.Counts, sug.Counts) || res.Suggestion.Complete != sug.Complete) {
@@ -447,6 +469,7 @@ func checkSameAnalysis(t *testing.T, g *callgraph.Graph, ref *refGraph, opt Opti
 		}
 	}
 	arcs := 0
+	idx := arcIndex(g)
 	for _, r := range ref.nodes {
 		for _, ra := range r.in {
 			arcs++
@@ -454,7 +477,7 @@ func checkSameAnalysis(t *testing.T, g *callgraph.Graph, ref *refGraph, opt Opti
 			if ra.caller != nil {
 				caller = ra.caller.name
 			}
-			a, ok := g.Arc(caller, ra.callee.name)
+			a, ok := idx[[2]string{caller, ra.callee.name}]
 			if !ok {
 				t.Fatalf("arc %s->%s missing", caller, ra.callee.name)
 			}
@@ -488,15 +511,21 @@ func FuzzAnalyze(f *testing.F) {
 			data = data[1:]
 			return int(b)
 		}
-		g, ref := callgraph.New(), newRefGraph()
+		var b callgraph.Builder
+		ref := newRefGraph()
 		n := 1 + next()%10
 		names := make([]string, n)
+		self := make([]float64, n)
+		var total float64
 		for i := range names {
 			names[i] = string(rune('a' + (i*7)%n))
-			v := g.AddNode(names[i])
+			v := b.Node(names[i])
 			ref.node(names[i])
-			g.SelfTicks[v] = ticks[next()%len(ticks)]
-			ref.nodes[v].self = g.SelfTicks[v]
+			self[v] = ticks[next()%len(ticks)]
+			ref.nodes[v].self = self[v]
+		}
+		for _, s := range self {
+			total += s
 		}
 		name := func(b int) string { return names[b%n] }
 		caller := func(b int) string {
@@ -507,14 +536,16 @@ func FuzzAnalyze(f *testing.F) {
 		}
 		for k := next() % 24; k > 0; k-- {
 			from, to, count := caller(next()), name(next()), int64(next()%6)
-			g.AddArc(from, to, count)
+			b.Arc(from, to, count)
 			ref.addArc(from, to, count)
 		}
 		var static []object.StaticArc
 		for k := next() % 4; k > 0; k-- {
 			static = append(static, object.StaticArc{Caller: name(next()), Callee: name(next())})
 		}
-		g.AddStatic(static)
+		for _, sa := range static {
+			b.Static(sa.Caller, sa.Callee)
+		}
 		ref.addStatic(static)
 		var opt Options
 		for k := next() % 3; k > 0; k-- {
@@ -523,10 +554,17 @@ func FuzzAnalyze(f *testing.F) {
 		if b := next(); b%2 == 1 {
 			opt.AutoBreak, opt.MaxBreakArcs = true, b/2%4
 		}
-		for _, s := range g.SelfTicks {
-			g.TotalTicks += s
+		build := func(remove []cyclebreak.ArcID) (*callgraph.Graph, error) {
+			rb := b
+			for _, id := range remove {
+				rb.Remove(id.Caller, id.Callee)
+			}
+			g := rb.Graph()
+			copy(g.SelfTicks, self)
+			g.TotalTicks = total
+			return g, nil
 		}
-		checkSameAnalysis(t, g, ref, opt)
+		checkSameAnalysis(t, build, ref, opt)
 	})
 }
 
@@ -535,8 +573,11 @@ func FuzzAnalyze(f *testing.F) {
 // out, its cycles broken by the heuristic and not.
 func TestAnalyzeMatchesReference(t *testing.T) {
 	w := synth.Generate(synth.Tier(3000, 1))
+	build := func(remove []cyclebreak.ArcID) (*callgraph.Graph, error) {
+		return callgraph.BuildWith(context.Background(), w.Table(), w.Prof, nil, remove)
+	}
 	for _, auto := range []bool{false, true} {
-		g, err := callgraph.BuildCtx(context.Background(), w.Table(), w.Prof, 1)
+		g, err := build(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -553,15 +594,14 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 		}
 		// The reference's out lists must be in the graph's first-record
 		// order, not the callee order the loop above adds arcs in.
-		for _, r := range ref.nodes {
-			v := g.MustNode(r.name)
-			out := g.Out(v)
+		idx := arcIndex(g)
+		for v, r := range ref.nodes {
+			out := g.Out(int32(v))
 			slices.SortFunc(r.out, func(x, y *refArc) int {
-				xa, _ := g.Arc(r.name, x.callee.name)
-				ya, _ := g.Arc(r.name, y.callee.name)
+				xa, ya := idx[[2]string{r.name, x.callee.name}], idx[[2]string{r.name, y.callee.name}]
 				return slices.Index(out, xa) - slices.Index(out, ya)
 			})
 		}
-		checkSameAnalysis(t, g, ref, Options{AutoBreak: auto})
+		checkSameAnalysis(t, build, ref, Options{AutoBreak: auto})
 	}
 }

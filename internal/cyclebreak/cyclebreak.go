@@ -11,8 +11,10 @@
 //
 // The underlying problem is minimum feedback arc set. The heuristic here
 // is greedy: while any multi-member cycle remains and the bound is not
-// exhausted, delete the lowest-count dynamic arc internal to a cycle
-// (ties broken lexicographically), then re-run the component analysis.
+// exhausted, mask out the lowest-count dynamic arc internal to a cycle
+// (ties broken lexicographically), then re-run the component analysis
+// without it. The caller builds the final graph with the chosen arcs in
+// its removal set.
 // Deleting low-count arcs loses the least information, matching the
 // retrospective's observation that "the information lost by omitting
 // these arcs was far less than the information gained by separating the
@@ -28,12 +30,7 @@ import (
 )
 
 // ArcID names one arc by its endpoints.
-type ArcID struct {
-	Caller string
-	Callee string
-}
-
-func (a ArcID) String() string { return a.Caller + "/" + a.Callee }
+type ArcID = callgraph.ArcID
 
 // ParseArcID parses "caller/callee" (the gprof -k option's syntax).
 func ParseArcID(s string) (ArcID, error) {
@@ -68,38 +65,42 @@ type Suggestion struct {
 }
 
 // Suggest computes a set of arcs whose removal breaks every multi-member
-// cycle, without modifying g: it works on a column copy of the graph.
+// cycle, without modifying g: it masks arcs out of g's structure and
+// analyzes the components into its own TopoNum, CycleNum and Cycles.
 func Suggest(g *callgraph.Graph, opt Options) Suggestion {
 	max := opt.MaxArcs
 	if max <= 0 {
 		max = DefaultMaxArcs
 	}
-	shadow := g.Clone()
+	shadow := *g
+	shadow.TopoNum = make([]int32, g.Len())
+	shadow.CycleNum = make([]int32, g.Len())
+	removed := make([]bool, g.NumArcs())
 	var sug Suggestion
 	for len(sug.Arcs) < max {
-		scc.Analyze(shadow)
-		victim, ok := pickVictim(shadow)
+		scc.AnalyzeWithout(&shadow, removed)
+		victim, ok := pickVictim(&shadow, removed)
 		if !ok {
 			sug.Complete = true
 			return sug
 		}
-		sug.Arcs = append(sug.Arcs, ArcID{shadow.Names[shadow.Caller[victim]], shadow.Names[shadow.Callee[victim]]})
-		sug.Counts = append(sug.Counts, shadow.Count[victim])
-		shadow.DeleteArc(victim)
+		sug.Arcs = append(sug.Arcs, ArcID{Caller: g.Names[g.Caller[victim]], Callee: g.Names[g.Callee[victim]]})
+		sug.Counts = append(sug.Counts, g.Count[victim])
+		removed[victim] = true
 	}
-	scc.Analyze(shadow)
+	scc.AnalyzeWithout(&shadow, removed)
 	sug.Complete = len(shadow.Cycles) == 0
 	return sug
 }
 
-// pickVictim returns the cheapest intra-cycle arc, or false when the
-// graph is acyclic: the lowest count, then the lowest caller and callee
-// names. Static (count-zero) arcs are the cheapest of all: they carry
-// no dynamic information.
-func pickVictim(g *callgraph.Graph) (int32, bool) {
+// pickVictim returns the cheapest intra-cycle arc not yet removed, or
+// false when the graph is acyclic: the lowest count, then the lowest
+// caller and callee names. Static (count-zero) arcs are the cheapest of
+// all: they carry no dynamic information.
+func pickVictim(g *callgraph.Graph, removed []bool) (int32, bool) {
 	best := int32(-1)
 	for a := range int32(g.NumArcs()) {
-		if g.IsSelf(a) || !g.IntraCycle(a) {
+		if removed[a] || g.IsSelf(a) || !g.IntraCycle(a) {
 			continue
 		}
 		if best < 0 || less(g, a, best) {
@@ -117,18 +118,4 @@ func less(g *callgraph.Graph, a, b int32) bool {
 		return ca < cb
 	}
 	return g.Names[g.Callee[a]] < g.Names[g.Callee[b]]
-}
-
-// Apply removes the named arcs from g and re-runs the component
-// analysis. It returns the number of arcs actually removed (arcs no
-// longer present are skipped, matching gprof's tolerant -k handling).
-func Apply(g *callgraph.Graph, arcs []ArcID) int {
-	removed := 0
-	for _, id := range arcs {
-		if g.RemoveArc(id.Caller, id.Callee) {
-			removed++
-		}
-	}
-	scc.Analyze(g)
-	return removed
 }

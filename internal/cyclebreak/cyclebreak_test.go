@@ -19,7 +19,7 @@ func TestParseArcID(t *testing.T) {
 			t.Errorf("ParseArcID(%q) succeeded", bad)
 		}
 	}
-	if got := (ArcID{"a", "b"}).String(); got != "a/b" {
+	if got := (ArcID{Caller: "a", Callee: "b"}).String(); got != "a/b" {
 		t.Errorf("String = %q", got)
 	}
 }
@@ -27,11 +27,12 @@ func TestParseArcID(t *testing.T) {
 func TestSuggestPicksLowCountArc(t *testing.T) {
 	// Kernel-style scenario: a hot two-way interaction plus one rare
 	// back-arc closing the cycle. The heuristic must pick the rare arc.
-	g := callgraph.New()
-	g.AddArc("syscall", "fsread", 1000)
-	g.AddArc("fsread", "buffer", 900)
-	g.AddArc("buffer", "disk", 800)
-	g.AddArc("disk", "syscall", 3) // rare upcall closing the cycle
+	var b callgraph.Builder
+	b.Arc("syscall", "fsread", 1000)
+	b.Arc("fsread", "buffer", 900)
+	b.Arc("buffer", "disk", 800)
+	b.Arc("disk", "syscall", 3) // rare upcall closing the cycle
+	g := b.Graph()
 	scc.Analyze(g)
 	if len(g.Cycles) != 1 {
 		t.Fatalf("setup: cycles = %d", len(g.Cycles))
@@ -40,7 +41,7 @@ func TestSuggestPicksLowCountArc(t *testing.T) {
 	if !sug.Complete {
 		t.Fatal("heuristic did not complete")
 	}
-	if len(sug.Arcs) != 1 || sug.Arcs[0] != (ArcID{"disk", "syscall"}) {
+	if len(sug.Arcs) != 1 || sug.Arcs[0] != (ArcID{Caller: "disk", Callee: "syscall"}) {
 		t.Errorf("suggested %v, want the low-count disk/syscall arc", sug.Arcs)
 	}
 	if sug.Counts[0] != 3 {
@@ -53,33 +54,46 @@ func TestSuggestPicksLowCountArc(t *testing.T) {
 	}
 }
 
+// apply builds b's graph with arcs added to its removal set and
+// analyzes it, as core does with a suggestion.
+func apply(b *callgraph.Builder, arcs []ArcID) *callgraph.Graph {
+	for _, id := range arcs {
+		b.Remove(id.Caller, id.Callee)
+	}
+	g := b.Graph()
+	scc.Analyze(g)
+	return g
+}
+
 func TestApplyBreaksCycle(t *testing.T) {
-	g := callgraph.New()
-	g.AddArc("a", "b", 10)
-	g.AddArc("b", "a", 2)
-	g.AddArc("main", "a", 1)
-	sug := Suggest(g, Options{})
-	if n := Apply(g, sug.Arcs); n != len(sug.Arcs) {
-		t.Errorf("Apply removed %d of %d", n, len(sug.Arcs))
+	var b callgraph.Builder
+	b.Arc("a", "b", 10)
+	b.Arc("b", "a", 2)
+	b.Arc("main", "a", 1)
+	sug := Suggest(b.Graph(), Options{})
+	g := apply(&b, sug.Arcs)
+	if g.Removed != len(sug.Arcs) {
+		t.Errorf("removed %d of %d", g.Removed, len(sug.Arcs))
 	}
 	if len(g.Cycles) != 0 {
-		t.Error("cycle survives Apply")
+		t.Error("cycle survives the removal")
 	}
-	// Applying the same arcs again removes nothing.
-	if n := Apply(g, sug.Arcs); n != 0 {
-		t.Errorf("second Apply removed %d", n)
+	// Naming the same arcs again removes nothing more.
+	if g := apply(&b, sug.Arcs); g.Removed != len(sug.Arcs) {
+		t.Errorf("second removal: removed %d, want %d", g.Removed, len(sug.Arcs))
 	}
 }
 
 func TestBoundRespected(t *testing.T) {
 	// Many independent 2-cycles need one removal each; a bound of 2
 	// cannot finish.
-	g := callgraph.New()
+	var b callgraph.Builder
 	names := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	for i := 0; i+1 < len(names); i += 2 {
-		g.AddArc(names[i], names[i+1], 5)
-		g.AddArc(names[i+1], names[i], 5)
+		b.Arc(names[i], names[i+1], 5)
+		b.Arc(names[i+1], names[i], 5)
 	}
+	g := b.Graph()
 	sug := Suggest(g, Options{MaxArcs: 2})
 	if sug.Complete {
 		t.Error("claimed completion with bound 2 over 4 cycles")
@@ -96,35 +110,35 @@ func TestBoundRespected(t *testing.T) {
 func TestStaticArcPreferred(t *testing.T) {
 	// A cycle closed by both a dynamic arc and a static (count 0) arc:
 	// removing the static arc loses nothing, so it must go first.
-	g := callgraph.New()
-	g.AddArc("a", "b", 50)
-	g.Static[g.AddArc("b", "a", 0)] = true
-	sug := Suggest(g, Options{})
+	var b callgraph.Builder
+	b.Arc("a", "b", 50)
+	b.Static("b", "a")
+	sug := Suggest(b.Graph(), Options{})
 	if !sug.Complete || len(sug.Arcs) != 1 {
 		t.Fatalf("sug = %+v", sug)
 	}
-	if sug.Arcs[0] != (ArcID{"b", "a"}) || sug.Counts[0] != 0 {
+	if sug.Arcs[0] != (ArcID{Caller: "b", Callee: "a"}) || sug.Counts[0] != 0 {
 		t.Errorf("picked %v (count %d), want the static b/a arc", sug.Arcs[0], sug.Counts[0])
 	}
 }
 
 func TestAcyclicGraphNeedsNothing(t *testing.T) {
-	g := callgraph.New()
-	g.AddArc("a", "b", 1)
-	g.AddArc("b", "c", 1)
-	sug := Suggest(g, Options{})
+	var b callgraph.Builder
+	b.Arc("a", "b", 1)
+	b.Arc("b", "c", 1)
+	sug := Suggest(b.Graph(), Options{})
 	if !sug.Complete || len(sug.Arcs) != 0 {
 		t.Errorf("acyclic graph got suggestions: %+v", sug)
 	}
 }
 
 func TestThreeCycleNeedsOneArc(t *testing.T) {
-	g := callgraph.New()
-	g.AddArc("a", "b", 10)
-	g.AddArc("b", "c", 10)
-	g.AddArc("c", "a", 1)
-	sug := Suggest(g, Options{})
-	if !sug.Complete || len(sug.Arcs) != 1 || sug.Arcs[0] != (ArcID{"c", "a"}) {
+	var b callgraph.Builder
+	b.Arc("a", "b", 10)
+	b.Arc("b", "c", 10)
+	b.Arc("c", "a", 1)
+	sug := Suggest(b.Graph(), Options{})
+	if !sug.Complete || len(sug.Arcs) != 1 || sug.Arcs[0] != (ArcID{Caller: "c", Callee: "a"}) {
 		t.Errorf("sug = %+v, want single c/a removal", sug)
 	}
 }
@@ -135,25 +149,24 @@ func TestSuggestionAlwaysSufficient(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%15) + 2
-		g := callgraph.New()
+		var b callgraph.Builder
 		names := make([]string, n)
 		for i := range names {
 			names[i] = "v" + string(rune('a'+i))
-			g.AddNode(names[i])
+			b.Node(names[i])
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if i != j && rng.Float64() < 0.25 {
-					g.AddArc(names[i], names[j], int64(rng.Intn(100)+1))
+					b.Arc(names[i], names[j], int64(rng.Intn(100)+1))
 				}
 			}
 		}
-		sug := Suggest(g, Options{MaxArcs: n * n})
+		sug := Suggest(b.Graph(), Options{MaxArcs: n * n})
 		if !sug.Complete {
 			return false
 		}
-		Apply(g, sug.Arcs)
-		return len(g.Cycles) == 0
+		return len(apply(&b, sug.Arcs).Cycles) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -165,13 +178,13 @@ func TestSuggestionAlwaysSufficient(t *testing.T) {
 // count never exceeds the count of any single hot arc kept in a simple
 // ring; a sanity check of "information lost is far less than gained".
 func TestLostInformationIsSmall(t *testing.T) {
-	g := callgraph.New()
+	var b callgraph.Builder
 	// ring of hot arcs with a single cold one
-	g.AddArc("a", "b", 500)
-	g.AddArc("b", "c", 400)
-	g.AddArc("c", "d", 300)
-	g.AddArc("d", "a", 2)
-	sug := Suggest(g, Options{})
+	b.Arc("a", "b", 500)
+	b.Arc("b", "c", 400)
+	b.Arc("c", "d", 300)
+	b.Arc("d", "a", 2)
+	sug := Suggest(b.Graph(), Options{})
 	var lost int64
 	for _, c := range sug.Counts {
 		lost += c

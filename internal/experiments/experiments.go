@@ -147,8 +147,8 @@ func IDs() []string {
 // fig1Graph reconstructs a ten-node acyclic call graph in the spirit of
 // Figure 1 (the published figure is a diagram; the property it
 // illustrates is what matters). Node names follow the figure's numbers.
-func fig1Graph() *callgraph.Graph {
-	g := callgraph.New()
+func fig1Graph() *callgraph.Builder {
+	var b callgraph.Builder
 	for _, a := range [][2]string{
 		{"n10", "n9"}, {"n10", "n8"},
 		{"n9", "n7"}, {"n8", "n7"}, {"n8", "n6"},
@@ -157,16 +157,16 @@ func fig1Graph() *callgraph.Graph {
 		{"n5", "n2"}, {"n4", "n2"},
 		{"n3", "n1"}, {"n2", "n1"},
 	} {
-		g.AddArc(a[0], a[1], 1)
+		b.Arc(a[0], a[1], 1)
 	}
-	return g
+	return &b
 }
 
 // Fig1 — topological numbering of an acyclic call graph: "the
 // topological numbering ensures that all edges in the graph go from
 // higher numbered nodes to lower numbered nodes."
 func Fig1() Result {
-	g := fig1Graph()
+	g := fig1Graph().Graph()
 	scc.Analyze(g)
 	violations := 0
 	var b strings.Builder
@@ -200,8 +200,9 @@ func Fig1() Result {
 // mutually recursive"; after collapsing the cycle, the condensed graph
 // is topologically numbered again.
 func Fig23() Result {
-	g := fig1Graph()
-	g.AddArc("n3", "n7", 1) // make n3 and n7 mutually recursive (Figure 2)
+	gb := fig1Graph()
+	gb.Arc("n3", "n7", 1) // make n3 and n7 mutually recursive (Figure 2)
+	g := gb.Graph()
 	scc.Analyze(g)
 	var b strings.Builder
 	pass := len(g.Cycles) == 1
@@ -247,27 +248,26 @@ func Fig23() Result {
 // CALLER1 0.20/1.20 at 4/10; CALLER2 0.30/1.80 at 6/10; SUB1 in cycle 1
 // passing 1.50/1.00 at 20/40; SUB2 0.00/0.50 at 1/5; SUB3 0/5).
 func Figure4Graph() *callgraph.Graph {
-	g := callgraph.New()
+	var b callgraph.Builder
+	b.Arc("CALLER1", "EXAMPLE", 4)
+	b.Arc("CALLER2", "EXAMPLE", 6)
+	b.Arc("EXAMPLE", "EXAMPLE", 4)
+	b.Arc("EXAMPLE", "SUB1", 20)
+	b.Arc("OTHER", "SUB1", 20)
+	b.Arc("SUB1", "PARTNER", 7)
+	b.Arc("PARTNER", "SUB1", 7)
+	b.Arc("EXAMPLE", "SUB2", 1)
+	b.Arc("OTHER", "SUB2", 4)
+	b.Static("EXAMPLE", "SUB3")
+	b.Arc("OTHER", "SUB3", 5)
+	b.Arc("SUB1", "DEEP", 8)
+	b.Arc("SUB2", "SUB2LEAF", 3)
+	g := b.Graph()
 	g.Hz = 1
-	g.AddArc("CALLER1", "EXAMPLE", 4)
-	g.AddArc("CALLER2", "EXAMPLE", 6)
-	g.AddArc("EXAMPLE", "EXAMPLE", 4)
-	g.AddArc("EXAMPLE", "SUB1", 20)
-	g.AddArc("OTHER", "SUB1", 20)
-	g.AddArc("SUB1", "PARTNER", 7)
-	g.AddArc("PARTNER", "SUB1", 7)
-	g.AddArc("EXAMPLE", "SUB2", 1)
-	g.AddArc("OTHER", "SUB2", 4)
-	g.Static[g.AddArc("EXAMPLE", "SUB3", 0)] = true
-	g.AddArc("OTHER", "SUB3", 5)
-	g.AddArc("SUB1", "DEEP", 8)
-	g.AddArc("SUB2", "SUB2LEAF", 3)
-	g.SelfTicks[g.MustNode("EXAMPLE")] = 0.50
-	g.SelfTicks[g.MustNode("SUB1")] = 2.00
-	g.SelfTicks[g.MustNode("PARTNER")] = 1.00
-	g.SelfTicks[g.MustNode("DEEP")] = 2.00
-	g.SelfTicks[g.MustNode("SUB2LEAF")] = 2.50
-	g.SelfTicks[g.MustNode("SUB3")] = 0.43
+	for name, t := range map[string]float64{"EXAMPLE": 0.50, "SUB1": 2.00, "PARTNER": 1.00,
+		"DEEP": 2.00, "SUB2LEAF": 2.50, "SUB3": 0.43} {
+		g.SelfTicks[b.Node(name)] = t
+	}
 	g.TotalTicks = 8.43
 	return g
 }

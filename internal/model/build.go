@@ -26,7 +26,6 @@ import (
 // Build runs in O(nodes + arcs): it copies the graph's columns, and
 // computes each cycle's totals once.
 func Build(g *callgraph.Graph) *Profile {
-	g.Freeze()
 	callgraph.AssignIndexes(g)
 
 	p := &Profile{

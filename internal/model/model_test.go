@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,22 +12,33 @@ import (
 	"repro/internal/scc"
 )
 
+// node returns the named node's number in a hand-built graph, or
+// panics.
+func node(g *callgraph.Graph, name string) int32 {
+	v := slices.Index(g.Names, name)
+	if v < 0 {
+		panic("no node " + name)
+	}
+	return int32(v)
+}
+
 // testGraph builds a small analyzed graph with a cycle, a spontaneous
 // arc, a static arc, and a never-called routine — every feature the
 // model must carry.
 func testGraph() *callgraph.Graph {
-	g := callgraph.New()
+	var b callgraph.Builder
+	b.Arc("", "main", 1)
+	b.Arc("main", "a", 4)
+	b.Arc("a", "b", 6)
+	b.Arc("b", "a", 2)
+	b.Arc("a", "a", 3)
+	b.Static("main", "ghost")
+	b.Node("unused")
+	g := b.Graph()
 	g.Hz = 1
-	g.AddArc("", "main", 1)
-	g.AddArc("main", "a", 4)
-	g.AddArc("a", "b", 6)
-	g.AddArc("b", "a", 2)
-	g.AddArc("a", "a", 3)
-	g.Static[g.AddArc("main", "ghost", 0)] = true
-	g.AddNode("unused")
-	g.SelfTicks[g.MustNode("main")] = 1
-	g.SelfTicks[g.MustNode("a")] = 5
-	g.SelfTicks[g.MustNode("b")] = 4
+	g.SelfTicks[node(g, "main")] = 1
+	g.SelfTicks[node(g, "a")] = 5
+	g.SelfTicks[node(g, "b")] = 4
 	g.TotalTicks = 10
 	scc.Analyze(g)
 	propagate.Run(g)
@@ -207,17 +219,18 @@ func TestDiff(t *testing.T) {
 
 	// Same workload, "slower": scale a's self time up and drop main's
 	// calls to a, add a brand-new routine, remove ghost.
-	g := callgraph.New()
+	var b callgraph.Builder
+	b.Arc("", "main", 1)
+	b.Arc("main", "a", 2)
+	b.Arc("a", "b", 6)
+	b.Arc("b", "a", 2)
+	b.Arc("main", "fresh", 5)
+	g := b.Graph()
 	g.Hz = 1
-	g.AddArc("", "main", 1)
-	g.AddArc("main", "a", 2)
-	g.AddArc("a", "b", 6)
-	g.AddArc("b", "a", 2)
-	g.AddArc("main", "fresh", 5)
-	g.SelfTicks[g.MustNode("main")] = 1
-	g.SelfTicks[g.MustNode("a")] = 9
-	g.SelfTicks[g.MustNode("b")] = 4
-	g.SelfTicks[g.MustNode("fresh")] = 2
+	g.SelfTicks[node(g, "main")] = 1
+	g.SelfTicks[node(g, "a")] = 9
+	g.SelfTicks[node(g, "b")] = 4
+	g.SelfTicks[node(g, "fresh")] = 2
 	g.TotalTicks = 16
 	scc.Analyze(g)
 	propagate.Run(g)

@@ -21,6 +21,16 @@ import (
 	"repro/internal/synth"
 )
 
+// node returns the named node's number in a hand-built graph, or
+// panics.
+func node(g *callgraph.Graph, name string) int32 {
+	v := slices.Index(g.Names, name)
+	if v < 0 {
+		panic("no node " + name)
+	}
+	return int32(v)
+}
+
 // stableReference numbers the listing and orders the flat profile of
 // an analyzed graph with the stable sorts the listing was first
 // written with: units by decreasing total time then name, each cycle's
@@ -251,27 +261,31 @@ func TestListingOrderMatchesStableReference(t *testing.T) {
 
 	// Equal total ticks: four leaves called once each with the same
 	// self time, created out of name order.
-	g := callgraph.New()
+	var b callgraph.Builder
+	for _, name := range []string{"d", "b", "c", "a"} {
+		b.Arc("main", name, 1)
+	}
+	g := b.Graph()
 	g.Hz = 1
 	for _, name := range []string{"d", "b", "c", "a"} {
-		g.AddArc("main", name, 1)
-		g.SelfTicks[g.MustNode(name)] = 2
+		g.SelfTicks[node(g, name)] = 2
 	}
 	g.TotalTicks = 8
 	checkOrder(t, "equal totals", analyzed(g))
 
 	// Equal self ticks and calls, different descendant time: the flat
 	// profile ties on both of its numeric keys.
-	g = callgraph.New()
+	b = callgraph.Builder{}
+	b.Arc("main", "y", 3)
+	b.Arc("main", "x", 3)
+	b.Arc("y", "leaf", 1)
+	b.Node("never2")
+	b.Node("never1")
+	g = b.Graph()
 	g.Hz = 1
-	g.AddArc("main", "y", 3)
-	g.AddArc("main", "x", 3)
-	g.AddArc("y", "leaf", 1)
-	g.SelfTicks[g.MustNode("x")] = 1
-	g.SelfTicks[g.MustNode("y")] = 1
-	g.SelfTicks[g.MustNode("leaf")] = 4
-	g.AddNode("never2")
-	g.AddNode("never1")
+	g.SelfTicks[node(g, "x")] = 1
+	g.SelfTicks[node(g, "y")] = 1
+	g.SelfTicks[node(g, "leaf")] = 4
 	g.TotalTicks = 6
 	checkOrder(t, "equal self and calls", analyzed(g))
 
@@ -280,17 +294,20 @@ func TestListingOrderMatchesStableReference(t *testing.T) {
 	// only the position tells such a routine from its cycle. Twenty
 	// of each make the sort partition rather than insert.
 	const cycles = 20
-	g = callgraph.New()
-	g.Hz = 1
+	b = callgraph.Builder{}
+	self := map[int32]float64{}
 	for k := 1; k <= cycles; k++ {
 		p, q, twin := fmt.Sprintf("p%d", k), fmt.Sprintf("q%d", k), fmt.Sprintf("<cycle %d as a whole>", k)
-		g.AddArc("main", twin, 1)
-		g.AddArc("main", p, 1)
-		g.AddArc(p, q, 1)
-		g.AddArc(q, p, 1)
-		g.SelfTicks[g.MustNode(p)] = 1
-		g.SelfTicks[g.MustNode(q)] = 1
-		g.SelfTicks[g.MustNode(twin)] = 2
+		b.Arc("main", twin, 1)
+		b.Arc("main", p, 1)
+		b.Arc(p, q, 1)
+		b.Arc(q, p, 1)
+		self[b.Node(p)], self[b.Node(q)], self[b.Node(twin)] = 1, 1, 2
+	}
+	g = b.Graph()
+	g.Hz = 1
+	for v, t := range self {
+		g.SelfTicks[v] = t
 	}
 	g.TotalTicks = 4 * cycles
 	checkOrder(t, "equal cycles", analyzed(g))
@@ -325,9 +342,9 @@ func FuzzListingOrder(f *testing.F) {
 			data = data[1:]
 			return int(b)
 		}
-		g := callgraph.New()
-		g.Hz = 1
+		var gb callgraph.Builder
 		var names []string
+		self := map[int32]float64{}
 		for n := 1 + next()%12; n > 0; n-- {
 			b := next()
 			name := ""
@@ -338,7 +355,7 @@ func FuzzListingOrder(f *testing.F) {
 					name += string(alphabet[next()%len(alphabet)])
 				}
 			}
-			g.SelfTicks[g.AddNode(name)] = ticks[next()%len(ticks)]
+			self[gb.Node(name)] = ticks[next()%len(ticks)]
 			names = append(names, name)
 		}
 		for len(data) >= 3 {
@@ -347,7 +364,12 @@ func FuzzListingOrder(f *testing.F) {
 			if from%(len(names)+1) < len(names) {
 				caller = names[from%(len(names)+1)]
 			}
-			g.AddArc(caller, names[to%len(names)], int64(count))
+			gb.Arc(caller, names[to%len(names)], int64(count))
+		}
+		g := gb.Graph()
+		g.Hz = 1
+		for v, t := range self {
+			g.SelfTicks[v] = t
 		}
 		var total float64
 		for _, t := range g.SelfTicks {

@@ -43,7 +43,6 @@ func Run(g *callgraph.Graph) {
 // a handful of units per level (DESIGN.md §16). The parameter stays
 // for callers that pass one width to every stage.
 func RunCtx(ctx context.Context, g *callgraph.Graph, jobs int) error {
-	g.Freeze()
 	clear(g.ChildTicks)
 	clear(g.PropSelf)
 	clear(g.PropChild)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -19,21 +20,22 @@ func near(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
 // TestLinearChain: main -> mid -> leaf, each called once. All of leaf's
 // time flows to mid, and leaf+mid's to main.
 func TestLinearChain(t *testing.T) {
-	g := callgraph.New()
-	g.AddArc("main", "mid", 1)
-	g.AddArc("mid", "leaf", 1)
-	g.SelfTicks[g.MustNode("main")] = 10
-	g.SelfTicks[g.MustNode("mid")] = 20
-	g.SelfTicks[g.MustNode("leaf")] = 30
+	var b callgraph.Builder
+	b.Arc("main", "mid", 1)
+	b.Arc("mid", "leaf", 1)
+	g := b.Graph()
+	g.SelfTicks[node(g, "main")] = 10
+	g.SelfTicks[node(g, "mid")] = 20
+	g.SelfTicks[node(g, "leaf")] = 30
 	scc.Analyze(g)
 	Run(g)
-	if !near(g.ChildTicks[g.MustNode("mid")], 30) {
-		t.Errorf("mid child = %v, want 30", g.ChildTicks[g.MustNode("mid")])
+	if !near(g.ChildTicks[node(g, "mid")], 30) {
+		t.Errorf("mid child = %v, want 30", g.ChildTicks[node(g, "mid")])
 	}
-	if !near(g.ChildTicks[g.MustNode("main")], 50) {
-		t.Errorf("main child = %v, want 50", g.ChildTicks[g.MustNode("main")])
+	if !near(g.ChildTicks[node(g, "main")], 50) {
+		t.Errorf("main child = %v, want 50", g.ChildTicks[node(g, "main")])
 	}
-	if main := g.MustNode("main"); !near(g.SelfTicks[main]+g.ChildTicks[main], 60) {
+	if main := node(g, "main"); !near(g.SelfTicks[main]+g.ChildTicks[main], 60) {
 		t.Errorf("main total = %v, want 60", g.SelfTicks[main]+g.ChildTicks[main])
 	}
 	if got := CheckConservation(g); got > eps {
@@ -44,17 +46,18 @@ func TestLinearChain(t *testing.T) {
 // TestProportionalSharing: the paper's core rule. Two callers call
 // `shared` 4 and 6 times: they receive 40% and 60% of its total time.
 func TestProportionalSharing(t *testing.T) {
-	g := callgraph.New()
-	g.AddArc("caller1", "shared", 4)
-	g.AddArc("caller2", "shared", 6)
-	g.SelfTicks[g.MustNode("shared")] = 100
+	var b callgraph.Builder
+	b.Arc("caller1", "shared", 4)
+	b.Arc("caller2", "shared", 6)
+	g := b.Graph()
+	g.SelfTicks[node(g, "shared")] = 100
 	scc.Analyze(g)
 	Run(g)
-	if !near(g.ChildTicks[g.MustNode("caller1")], 40) {
-		t.Errorf("caller1 = %v, want 40", g.ChildTicks[g.MustNode("caller1")])
+	if !near(g.ChildTicks[node(g, "caller1")], 40) {
+		t.Errorf("caller1 = %v, want 40", g.ChildTicks[node(g, "caller1")])
 	}
-	if !near(g.ChildTicks[g.MustNode("caller2")], 60) {
-		t.Errorf("caller2 = %v, want 60", g.ChildTicks[g.MustNode("caller2")])
+	if !near(g.ChildTicks[node(g, "caller2")], 60) {
+		t.Errorf("caller2 = %v, want 60", g.ChildTicks[node(g, "caller2")])
 	}
 	a1, a2 := mustArc(g, "caller1", "shared"), mustArc(g, "caller2", "shared")
 	if !near(g.PropSelf[a1], 40) || !near(g.PropChild[a1], 0) {
@@ -68,11 +71,12 @@ func TestProportionalSharing(t *testing.T) {
 // TestDescendantSplit: child time and self time are reported separately
 // on arcs (Figure 4's self/descendants columns).
 func TestDescendantSplit(t *testing.T) {
-	g := callgraph.New()
-	g.AddArc("top", "mid", 2)
-	g.AddArc("mid", "leaf", 1)
-	g.SelfTicks[g.MustNode("mid")] = 10
-	g.SelfTicks[g.MustNode("leaf")] = 40
+	var b callgraph.Builder
+	b.Arc("top", "mid", 2)
+	b.Arc("mid", "leaf", 1)
+	g := b.Graph()
+	g.SelfTicks[node(g, "mid")] = 10
+	g.SelfTicks[node(g, "leaf")] = 40
 	scc.Analyze(g)
 	Run(g)
 	arc := mustArc(g, "top", "mid")
@@ -88,15 +92,16 @@ func TestDescendantSplit(t *testing.T) {
 // in time propagation" — a self-recursive routine's time goes entirely to
 // its external callers.
 func TestSelfRecursionExcluded(t *testing.T) {
-	g := callgraph.New()
-	g.AddArc("main", "fact", 1)
-	g.AddArc("fact", "fact", 9)
-	g.SelfTicks[g.MustNode("fact")] = 100
+	var b callgraph.Builder
+	b.Arc("main", "fact", 1)
+	b.Arc("fact", "fact", 9)
+	g := b.Graph()
+	g.SelfTicks[node(g, "fact")] = 100
 	scc.Analyze(g)
 	Run(g)
-	if !near(g.ChildTicks[g.MustNode("main")], 100) {
+	if !near(g.ChildTicks[node(g, "main")], 100) {
 		t.Errorf("main child = %v, want all 100 despite 9 self-calls",
-			g.ChildTicks[g.MustNode("main")])
+			g.ChildTicks[node(g, "main")])
 	}
 	if got := CheckConservation(g); got > eps {
 		t.Errorf("conservation error %v", got)
@@ -107,14 +112,15 @@ func TestSelfRecursionExcluded(t *testing.T) {
 // sum; the whole flows to the external caller; intra-cycle arcs get no
 // propagation.
 func TestCycleAsSingleEntity(t *testing.T) {
-	g := callgraph.New()
-	g.AddArc("main", "p", 2)
-	g.AddArc("p", "q", 50)
-	g.AddArc("q", "p", 49)
-	g.AddArc("q", "leaf", 10)
-	g.SelfTicks[g.MustNode("p")] = 30
-	g.SelfTicks[g.MustNode("q")] = 20
-	g.SelfTicks[g.MustNode("leaf")] = 5
+	var b callgraph.Builder
+	b.Arc("main", "p", 2)
+	b.Arc("p", "q", 50)
+	b.Arc("q", "p", 49)
+	b.Arc("q", "leaf", 10)
+	g := b.Graph()
+	g.SelfTicks[node(g, "p")] = 30
+	g.SelfTicks[node(g, "q")] = 20
+	g.SelfTicks[node(g, "leaf")] = 5
 	scc.Analyze(g)
 	Run(g)
 	c := &g.Cycles[0]
@@ -126,8 +132,8 @@ func TestCycleAsSingleEntity(t *testing.T) {
 		t.Errorf("cycle child = %v, want 5", c.ChildTicks)
 	}
 	// main receives the cycle's whole 55 (sole external caller).
-	if !near(g.ChildTicks[g.MustNode("main")], 55) {
-		t.Errorf("main child = %v, want 55", g.ChildTicks[g.MustNode("main")])
+	if !near(g.ChildTicks[node(g, "main")], 55) {
+		t.Errorf("main child = %v, want 55", g.ChildTicks[node(g, "main")])
 	}
 	pq, qp := mustArc(g, "p", "q"), mustArc(g, "q", "p")
 	if g.PropSelf[pq] != 0 || g.PropChild[pq] != 0 || g.PropSelf[qp] != 0 {
@@ -147,52 +153,55 @@ func TestCycleAsSingleEntity(t *testing.T) {
 // TestCycleSharedByCallers: two external callers of a cycle share its
 // total in proportion to their call counts into any member.
 func TestCycleSharedByCallers(t *testing.T) {
-	g := callgraph.New()
-	g.AddArc("a", "p", 1) // into member p
-	g.AddArc("b", "q", 3) // into member q
-	g.AddArc("p", "q", 10)
-	g.AddArc("q", "p", 10)
-	g.SelfTicks[g.MustNode("p")] = 60
-	g.SelfTicks[g.MustNode("q")] = 20
+	var b callgraph.Builder
+	b.Arc("a", "p", 1) // into member p
+	b.Arc("b", "q", 3) // into member q
+	b.Arc("p", "q", 10)
+	b.Arc("q", "p", 10)
+	g := b.Graph()
+	g.SelfTicks[node(g, "p")] = 60
+	g.SelfTicks[node(g, "q")] = 20
 	scc.Analyze(g)
 	Run(g)
-	if !near(g.ChildTicks[g.MustNode("a")], 20) {
-		t.Errorf("a = %v, want 80*1/4 = 20", g.ChildTicks[g.MustNode("a")])
+	if !near(g.ChildTicks[node(g, "a")], 20) {
+		t.Errorf("a = %v, want 80*1/4 = 20", g.ChildTicks[node(g, "a")])
 	}
-	if !near(g.ChildTicks[g.MustNode("b")], 60) {
-		t.Errorf("b = %v, want 80*3/4 = 60", g.ChildTicks[g.MustNode("b")])
+	if !near(g.ChildTicks[node(g, "b")], 60) {
+		t.Errorf("b = %v, want 80*3/4 = 60", g.ChildTicks[node(g, "b")])
 	}
 }
 
 // TestStaticArcNoPropagation: an arc with count zero affects structure
 // but never carries time (§4).
 func TestStaticArcNoPropagation(t *testing.T) {
-	g := callgraph.New()
-	g.AddArc("main", "used", 5)
-	g.Static[g.AddArc("other", "used", 0)] = true
-	g.SelfTicks[g.MustNode("used")] = 50
+	var b callgraph.Builder
+	b.Arc("main", "used", 5)
+	b.Static("other", "used")
+	g := b.Graph()
+	g.SelfTicks[node(g, "used")] = 50
 	scc.Analyze(g)
 	Run(g)
-	if g.ChildTicks[g.MustNode("other")] != 0 {
-		t.Errorf("static arc propagated %v ticks", g.ChildTicks[g.MustNode("other")])
+	if g.ChildTicks[node(g, "other")] != 0 {
+		t.Errorf("static arc propagated %v ticks", g.ChildTicks[node(g, "other")])
 	}
-	if !near(g.ChildTicks[g.MustNode("main")], 50) {
+	if !near(g.ChildTicks[node(g, "main")], 50) {
 		t.Errorf("main = %v, want 50 (denominator excludes count-0 arcs)",
-			g.ChildTicks[g.MustNode("main")])
+			g.ChildTicks[node(g, "main")])
 	}
 }
 
 // TestSpontaneousShareVanishes: time attributed to an unidentifiable
 // caller is computed for display but flows to no node.
 func TestSpontaneousShareVanishes(t *testing.T) {
-	g := callgraph.New()
-	g.AddArc("main", "handler", 3)
-	g.AddArc("", "handler", 1) // spontaneous
-	g.SelfTicks[g.MustNode("handler")] = 40
+	var b callgraph.Builder
+	b.Arc("main", "handler", 3)
+	b.Arc("", "handler", 1) // spontaneous
+	g := b.Graph()
+	g.SelfTicks[node(g, "handler")] = 40
 	scc.Analyze(g)
 	Run(g)
-	if !near(g.ChildTicks[g.MustNode("main")], 30) {
-		t.Errorf("main = %v, want 30 (3 of 4 calls)", g.ChildTicks[g.MustNode("main")])
+	if !near(g.ChildTicks[node(g, "main")], 30) {
+		t.Errorf("main = %v, want 30 (3 of 4 calls)", g.ChildTicks[node(g, "main")])
 	}
 	sp := g.Spontaneous()[0]
 	if !near(g.PropSelf[sp], 10) {
@@ -214,7 +223,7 @@ func TestFigure4Numbers(t *testing.T) {
 	scc.Analyze(g)
 	Run(g)
 
-	ex := g.MustNode("EXAMPLE")
+	ex := node(g, "EXAMPLE")
 	if !near(g.SelfTicks[ex], 0.50) {
 		t.Errorf("EXAMPLE self = %v, want 0.50", g.SelfTicks[ex])
 	}
@@ -249,13 +258,24 @@ func TestFigure4Numbers(t *testing.T) {
 	}
 }
 
+// node returns the named node's number, or panics.
+func node(g *callgraph.Graph, name string) int32 {
+	v := slices.Index(g.Names, name)
+	if v < 0 {
+		panic("no node " + name)
+	}
+	return int32(v)
+}
+
 // mustArc returns the caller→callee arc's number in the analyzed graph.
 func mustArc(g *callgraph.Graph, caller, callee string) int32 {
-	a, ok := g.Arc(caller, callee)
-	if !ok {
-		panic("no arc " + caller + "->" + callee)
+	from, to := node(g, caller), node(g, callee)
+	for a := range int32(g.NumArcs()) {
+		if g.Caller[a] == from && g.Callee[a] == to {
+			return a
+		}
 	}
-	return a
+	panic("no arc " + caller + "->" + callee)
 }
 
 // figure4Graph builds the call-graph fragment of the paper's Figure 4,
@@ -263,42 +283,43 @@ func mustArc(g *callgraph.Graph, caller, callee string) int32 {
 // numbers exactly. Shared with the report golden test via the figures
 // harness, which reconstructs the same shape.
 func figure4Graph() *callgraph.Graph {
-	g := callgraph.New()
+	var b callgraph.Builder
 	// Parents: 4 and 6 calls; EXAMPLE also calls itself 4 times.
-	g.AddArc("CALLER1", "EXAMPLE", 4)
-	g.AddArc("CALLER2", "EXAMPLE", 6)
-	g.AddArc("EXAMPLE", "EXAMPLE", 4)
+	b.Arc("CALLER1", "EXAMPLE", 4)
+	b.Arc("CALLER2", "EXAMPLE", 6)
+	b.Arc("EXAMPLE", "EXAMPLE", 4)
 	// Children: SUB1 is in cycle1 with PARTNER; EXAMPLE's 20 calls are
 	// half the cycle's 40 external calls (the rest come from elsewhere).
-	g.AddArc("EXAMPLE", "SUB1", 20)
-	g.AddArc("OTHER", "SUB1", 20)
-	g.AddArc("SUB1", "PARTNER", 7)
-	g.AddArc("PARTNER", "SUB1", 7)
+	b.Arc("EXAMPLE", "SUB1", 20)
+	b.Arc("OTHER", "SUB1", 20)
+	b.Arc("SUB1", "PARTNER", 7)
+	b.Arc("PARTNER", "SUB1", 7)
 	// SUB2: EXAMPLE's 1 call of 5 total.
-	g.AddArc("EXAMPLE", "SUB2", 1)
-	g.AddArc("OTHER", "SUB2", 4)
+	b.Arc("EXAMPLE", "SUB2", 1)
+	b.Arc("OTHER", "SUB2", 4)
 	// SUB3: arc exists but never traversed (static), 0 of 5 calls.
-	g.Static[g.AddArc("EXAMPLE", "SUB3", 0)] = true
-	g.AddArc("OTHER", "SUB3", 5)
+	b.Static("EXAMPLE", "SUB3")
+	b.Arc("OTHER", "SUB3", 5)
 
 	// Self times (seconds at Hz=1):
 	// EXAMPLE's own time.
-	g.SelfTicks[g.MustNode("EXAMPLE")] = 0.50
 	// cycle1 members: self sums to 3.00; their descendants (DEEP)
 	// contribute 2.00, so the cycle passes (3.00+2.00)*20/40 = 2.50 to
 	// EXAMPLE, split 1.50 self / 1.00 descendants.
-	g.SelfTicks[g.MustNode("SUB1")] = 2.00
-	g.SelfTicks[g.MustNode("PARTNER")] = 1.00
-	g.AddArc("SUB1", "DEEP", 8)
-	g.SelfTicks[g.MustNode("DEEP")] = 2.00
+	b.Arc("SUB1", "DEEP", 8)
 	// SUB2: no self time; descendants only. 5 calls total, EXAMPLE's 1
 	// call earns 20%: 0.00 self, 0.50 descendants => SUB2's child time
 	// must be 2.50.
-	g.SelfTicks[g.MustNode("SUB2")] = 0.00
-	g.AddArc("SUB2", "SUB2LEAF", 3)
-	g.SelfTicks[g.MustNode("SUB2LEAF")] = 2.50
+	b.Arc("SUB2", "SUB2LEAF", 3)
 	// SUB3 has some time of its own; none reaches EXAMPLE.
-	g.SelfTicks[g.MustNode("SUB3")] = 0.75
+	g := b.Graph()
+	g.SelfTicks[node(g, "EXAMPLE")] = 0.50
+	g.SelfTicks[node(g, "SUB1")] = 2.00
+	g.SelfTicks[node(g, "PARTNER")] = 1.00
+	g.SelfTicks[node(g, "DEEP")] = 2.00
+	g.SelfTicks[node(g, "SUB2")] = 0.00
+	g.SelfTicks[node(g, "SUB2LEAF")] = 2.50
+	g.SelfTicks[node(g, "SUB3")] = 0.75
 	return g
 }
 
@@ -309,25 +330,28 @@ func TestConservationRandom(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%25) + 2
-		g := callgraph.New()
+		var b callgraph.Builder
 		names := make([]string, n)
+		self := make([]float64, n)
 		for i := range names {
 			names[i] = "f" + string(rune('a'+i%26)) + string(rune('0'+i/26))
-			g.AddNode(names[i])
-			g.SelfTicks[g.MustNode(names[i])] = float64(rng.Intn(100))
+			b.Node(names[i])
+			self[i] = float64(rng.Intn(100))
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if i != j && rng.Float64() < 0.15 {
-					g.AddArc(names[i], names[j], int64(rng.Intn(6)+1))
+					b.Arc(names[i], names[j], int64(rng.Intn(6)+1))
 				}
 			}
 		}
 		// Sprinkle self-arcs and a spontaneous arc.
 		if n > 2 {
-			g.AddArc(names[0], names[0], int64(rng.Intn(3)+1))
-			g.AddArc("", names[1], int64(rng.Intn(3)+1))
+			b.Arc(names[0], names[0], int64(rng.Intn(3)+1))
+			b.Arc("", names[1], int64(rng.Intn(3)+1))
 		}
+		g := b.Graph()
+		copy(g.SelfTicks, self)
 		scc.Analyze(g)
 		Run(g)
 		return CheckConservation(g) < 1e-6
@@ -342,9 +366,9 @@ func TestIdempotent(t *testing.T) {
 	g := figure4Graph()
 	scc.Analyze(g)
 	Run(g)
-	first := g.ChildTicks[g.MustNode("EXAMPLE")]
+	first := g.ChildTicks[node(g, "EXAMPLE")]
 	Run(g)
-	if got := g.ChildTicks[g.MustNode("EXAMPLE")]; got != first {
+	if got := g.ChildTicks[node(g, "EXAMPLE")]; got != first {
 		t.Errorf("second run changed ChildTicks: %v -> %v", first, got)
 	}
 }
@@ -353,22 +377,25 @@ func TestIdempotent(t *testing.T) {
 // directly on an acyclic graph, node by node.
 func TestRecurrenceEquation(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	g := callgraph.New()
+	var b callgraph.Builder
 	const n = 12
 	names := make([]string, n)
+	self := make([]float64, n)
 	for i := range names {
 		names[i] = string(rune('a' + i))
-		g.AddNode(names[i])
-		g.SelfTicks[g.MustNode(names[i])] = float64(rng.Intn(50) + 1)
+		b.Node(names[i])
+		self[i] = float64(rng.Intn(50) + 1)
 	}
 	// Edges only i -> j with i < j: guaranteed acyclic.
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if rng.Float64() < 0.3 {
-				g.AddArc(names[i], names[j], int64(rng.Intn(5)+1))
+				b.Arc(names[i], names[j], int64(rng.Intn(5)+1))
 			}
 		}
 	}
+	g := b.Graph()
+	copy(g.SelfTicks, self)
 	scc.Analyze(g)
 	Run(g)
 	total := func(v int32) float64 { return g.SelfTicks[v] + g.ChildTicks[v] }
@@ -388,19 +415,22 @@ func TestRecurrenceEquation(t *testing.T) {
 // shared callees appear.
 func randomCyclicGraph(n int, degree float64, seed int64) *callgraph.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := callgraph.New()
+	var b callgraph.Builder
 	names := make([]string, n)
+	self := make([]float64, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("f%d", i)
-		g.AddNode(names[i])
-		g.SelfTicks[g.MustNode(names[i])] = float64(rng.Intn(100))
+		b.Node(names[i])
+		self[i] = float64(rng.Intn(100))
 	}
 	for i := 0; i < int(float64(n)*degree); i++ {
 		from, to := rng.Intn(n), rng.Intn(n)
 		if from != to {
-			g.AddArc(names[from], names[to], int64(rng.Intn(20)+1))
+			b.Arc(names[from], names[to], int64(rng.Intn(20)+1))
 		}
 	}
+	g := b.Graph()
+	copy(g.SelfTicks, self)
 	return g
 }
 

@@ -120,20 +120,21 @@ func checkRules(t *testing.T, out string, opt report.Options) {
 // chunk edge. The first two chunks hold no cycle, so excluding their
 // routines leaves nothing selected there.
 func chunkEdgeModel(n int) *model.Profile {
-	g := callgraph.New()
-	g.Hz = 1
+	var b callgraph.Builder
 	name := func(i int) string { return fmt.Sprintf("r%03d", i) }
-	g.AddArc("main", name(0), 1)
+	b.Arc("main", name(0), 1)
 	for i := 0; i+1 < n; i++ {
-		g.AddArc(name(i), name(i+1), int64(i%5+1))
+		b.Arc(name(i), name(i+1), int64(i%5+1))
 		if i >= 2*report.EntryChunk && i%5 == 0 {
-			g.AddArc(name(i+1), name(i), 2)
+			b.Arc(name(i+1), name(i), 2)
 		}
 	}
 	var total float64
+	g := b.Graph()
+	g.Hz = 1
 	for i := 0; i < n; i++ {
 		ticks := float64(i%7 + 1)
-		g.SelfTicks[g.MustNode(name(i))] = ticks
+		g.SelfTicks[b.Node(name(i))] = ticks
 		total += ticks
 	}
 	g.TotalTicks = total

@@ -232,23 +232,24 @@ func synthProfile(t *testing.T, n int) *model.Profile {
 // than an insertion sort handles, so an unstable sort shows. A
 // spontaneous call gives main a calls count, so it gets an entry.
 func tiedProfile() *model.Profile {
-	g := callgraph.New()
-	g.Hz = 100
+	var b callgraph.Builder
 	name := func(i int) string { return fmt.Sprintf("t%03d", i) }
 	const n = 300
-	g.AddArc("", "main", 1)
+	b.Arc("", "main", 1)
 	for i := 0; i < n; i++ {
-		g.AddArc("main", name(i), 1)
-		g.AddArc(name(i), "sink", 1)
+		b.Arc("main", name(i), 1)
+		b.Arc(name(i), "sink", 1)
 		for _, j := range []int{i + 1, i + 7, i * 3 % n} {
 			if j < n && j != i {
-				g.AddArc(name(i), name(j), 1)
+				b.Arc(name(i), name(j), 1)
 			}
 		}
 		if i%9 == 0 {
-			g.AddArc("", name(i), 1) // spontaneous: the empty caller name
+			b.Arc("", name(i), 1) // spontaneous: the empty caller name
 		}
 	}
+	g := b.Graph()
+	g.Hz = 100
 	m := analyze(g)
 	for i := range m.Routines {
 		if i%3 == 0 {
@@ -262,24 +263,25 @@ func tiedProfile() *model.Profile {
 // entries, so some cycle entry falls on each chunk edge position of one
 // parity, and whose arcs tie in time now and then.
 func edgeProfile() *model.Profile {
-	g := callgraph.New()
-	g.Hz = 10
+	var b callgraph.Builder
 	name := func(i int) string { return fmt.Sprintf("e%03d", i) }
 	n := 5 * entryChunk
-	g.AddArc("main", name(0), 1)
+	b.Arc("main", name(0), 1)
 	for i := 0; i+1 < n; i++ {
-		g.AddArc(name(i), name(i+1), int64(i%5+1))
+		b.Arc(name(i), name(i+1), int64(i%5+1))
 		if i%5 == 0 {
-			g.AddArc(name(i+1), name(i), 2)
+			b.Arc(name(i+1), name(i), 2)
 		}
 		if i%4 == 0 && i+9 < n {
-			g.AddArc(name(i), name(i+9), 3)
+			b.Arc(name(i), name(i+9), 3)
 		}
 	}
 	var total float64
+	g := b.Graph()
+	g.Hz = 10
 	for i := 0; i < n; i++ {
 		ticks := float64(i%7 + 1)
-		g.SelfTicks[g.MustNode(name(i))] = ticks
+		g.SelfTicks[node(g, name(i))] = ticks
 		total += ticks
 	}
 	g.TotalTicks = total
@@ -289,19 +291,24 @@ func edgeProfile() *model.Profile {
 // hubProfile has one routine with 12,000 callers and 12,000 callees,
 // the shape of a dispatcher; the arcs' times repeat, so many tie.
 func hubProfile() *model.Profile {
-	g := callgraph.New()
-	g.Hz = 60
+	var b callgraph.Builder
 	const n = 12000
 	var total float64
+	self := map[int32]float64{}
 	for i := 0; i < n; i++ {
 		caller, callee := fmt.Sprintf("c%05d", i), fmt.Sprintf("d%05d", (i*7919)%n)
-		g.AddArc("main", caller, 1)
-		g.AddArc(caller, "hub", int64(i%13+1))
-		g.AddArc("hub", callee, int64(i%11+1))
-		g.SelfTicks[g.MustNode(callee)] = float64(i % 17)
+		b.Arc("main", caller, 1)
+		b.Arc(caller, "hub", int64(i%13+1))
+		b.Arc("hub", callee, int64(i%11+1))
+		self[b.Node(callee)] = float64(i % 17)
 		total += float64(i % 17)
 	}
-	g.SelfTicks[g.MustNode("hub")] = 5
+	g := b.Graph()
+	g.Hz = 60
+	for v, t := range self {
+		g.SelfTicks[v] = t
+	}
+	g.SelfTicks[node(g, "hub")] = 5
 	g.TotalTicks = total + 5
 	return analyze(g)
 }

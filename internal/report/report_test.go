@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,32 +16,43 @@ import (
 	"repro/internal/scc"
 )
 
+// node returns the named node's number in a hand-built graph, or
+// panics.
+func node(g *callgraph.Graph, name string) int32 {
+	v := slices.Index(g.Names, name)
+	if v < 0 {
+		panic("no node " + name)
+	}
+	return int32(v)
+}
+
 // figure4Graph reconstructs the call-graph fragment of the paper's
 // Figure 4 with tick values that reproduce the published numbers,
 // including the 41.5 %time (total run = 8.43s).
 func figure4Graph() *callgraph.Graph {
-	g := callgraph.New()
-	g.Hz = 1 // ticks are seconds
-	g.AddArc("CALLER1", "EXAMPLE", 4)
-	g.AddArc("CALLER2", "EXAMPLE", 6)
-	g.AddArc("EXAMPLE", "EXAMPLE", 4)
-	g.AddArc("EXAMPLE", "SUB1", 20)
-	g.AddArc("OTHER", "SUB1", 20)
-	g.AddArc("SUB1", "PARTNER", 7)
-	g.AddArc("PARTNER", "SUB1", 7)
-	g.AddArc("EXAMPLE", "SUB2", 1)
-	g.AddArc("OTHER", "SUB2", 4)
-	g.Static[g.AddArc("EXAMPLE", "SUB3", 0)] = true
-	g.AddArc("OTHER", "SUB3", 5)
-	g.AddArc("SUB1", "DEEP", 8)
-	g.AddArc("SUB2", "SUB2LEAF", 3)
+	var b callgraph.Builder
+	b.Arc("CALLER1", "EXAMPLE", 4)
+	b.Arc("CALLER2", "EXAMPLE", 6)
+	b.Arc("EXAMPLE", "EXAMPLE", 4)
+	b.Arc("EXAMPLE", "SUB1", 20)
+	b.Arc("OTHER", "SUB1", 20)
+	b.Arc("SUB1", "PARTNER", 7)
+	b.Arc("PARTNER", "SUB1", 7)
+	b.Arc("EXAMPLE", "SUB2", 1)
+	b.Arc("OTHER", "SUB2", 4)
+	b.Static("EXAMPLE", "SUB3")
+	b.Arc("OTHER", "SUB3", 5)
+	b.Arc("SUB1", "DEEP", 8)
+	b.Arc("SUB2", "SUB2LEAF", 3)
 
-	g.SelfTicks[g.MustNode("EXAMPLE")] = 0.50
-	g.SelfTicks[g.MustNode("SUB1")] = 2.00
-	g.SelfTicks[g.MustNode("PARTNER")] = 1.00
-	g.SelfTicks[g.MustNode("DEEP")] = 2.00
-	g.SelfTicks[g.MustNode("SUB2LEAF")] = 2.50
-	g.SelfTicks[g.MustNode("SUB3")] = 0.43
+	g := b.Graph()
+	g.Hz = 1 // ticks are seconds
+	g.SelfTicks[node(g, "EXAMPLE")] = 0.50
+	g.SelfTicks[node(g, "SUB1")] = 2.00
+	g.SelfTicks[node(g, "PARTNER")] = 1.00
+	g.SelfTicks[node(g, "DEEP")] = 2.00
+	g.SelfTicks[node(g, "SUB2LEAF")] = 2.50
+	g.SelfTicks[node(g, "SUB3")] = 0.43
 	g.TotalTicks = 8.43
 	return g
 }
@@ -155,11 +167,12 @@ func TestCycleEntry(t *testing.T) {
 }
 
 func TestSpontaneousParentShown(t *testing.T) {
-	g := callgraph.New()
+	var b callgraph.Builder
+	b.Arc("", "handler", 2)
+	b.Arc("main", "handler", 2)
+	g := b.Graph()
 	g.Hz = 1
-	g.AddArc("", "handler", 2)
-	g.AddArc("main", "handler", 2)
-	g.SelfTicks[g.MustNode("handler")] = 4
+	g.SelfTicks[node(g, "handler")] = 4
 	g.TotalTicks = 4
 	out := render(t, g, Options{})
 	if !strings.Contains(out, "<spontaneous>") {
@@ -240,16 +253,17 @@ func TestFocusWithExcludedParent(t *testing.T) {
 }
 
 func TestFlatProfile(t *testing.T) {
-	g := callgraph.New()
+	var b callgraph.Builder
+	b.Arc("main", "hot", 10)
+	b.Arc("main", "warm", 5)
+	b.Arc("main", "cold", 1)
+	b.Node("unused")
+	b.Node("alsounused")
+	g := b.Graph()
 	g.Hz = 1
-	g.AddArc("main", "hot", 10)
-	g.AddArc("main", "warm", 5)
-	g.AddArc("main", "cold", 1)
-	g.AddNode("unused")
-	g.AddNode("alsounused")
-	g.SelfTicks[g.MustNode("hot")] = 6
-	g.SelfTicks[g.MustNode("warm")] = 3
-	g.SelfTicks[g.MustNode("main")] = 1
+	g.SelfTicks[node(g, "hot")] = 6
+	g.SelfTicks[node(g, "warm")] = 3
+	g.SelfTicks[node(g, "main")] = 1
 	g.TotalTicks = 10
 	m := analyze(g)
 
@@ -291,11 +305,12 @@ func TestFlatSumsToTotal(t *testing.T) {
 	// §5.1: "for this profile, the individual times sum to the total
 	// execution time" — check the cumulative column reaches the total,
 	// including lost ticks.
-	g := callgraph.New()
+	var b callgraph.Builder
+	b.Arc("main", "f", 1)
+	g := b.Graph()
 	g.Hz = 1
-	g.AddArc("main", "f", 1)
-	g.SelfTicks[g.MustNode("main")] = 2
-	g.SelfTicks[g.MustNode("f")] = 5
+	g.SelfTicks[node(g, "main")] = 2
+	g.SelfTicks[node(g, "f")] = 5
 	g.TotalTicks = 8
 	g.LostTicks = 1
 	m := analyze(g)
@@ -314,12 +329,13 @@ func TestFlatSumsToTotal(t *testing.T) {
 }
 
 func TestFlatPerCallColumns(t *testing.T) {
-	g := callgraph.New()
+	var b callgraph.Builder
+	b.Arc("main", "f", 4)
+	b.Arc("f", "leaf", 8)
+	g := b.Graph()
 	g.Hz = 1
-	g.AddArc("main", "f", 4)
-	g.AddArc("f", "leaf", 8)
-	g.SelfTicks[g.MustNode("f")] = 2 // 0.5 s/call self
-	g.SelfTicks[g.MustNode("leaf")] = 4
+	g.SelfTicks[node(g, "f")] = 2 // 0.5 s/call self
+	g.SelfTicks[node(g, "leaf")] = 4
 	g.TotalTicks = 6
 	m := analyze(g)
 	var buf bytes.Buffer
@@ -361,24 +377,29 @@ func TestIndexListing(t *testing.T) {
 // workers.
 func TestIndexTieOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	g := callgraph.New()
-	g.Hz = 1
-	g.AddArc("main", "A", 1)
+	var b callgraph.Builder
+	b.Arc("main", "A", 1)
 	cycle := []string{"A", "B", "foo", "foo ", "foo!"}
+	self := map[int32]float64{}
 	for i, name := range cycle {
-		g.AddArc(name, cycle[(i+1)%len(cycle)], 1)
-		g.SelfTicks[g.MustNode(name)] = 50
+		b.Arc(name, cycle[(i+1)%len(cycle)], 1)
+		self[b.Node(name)] = 50
 	}
-	g.AddArc("main", "<cycle 1>", 1)
-	g.AddArc("main", "foo <cycle1>", 1)
-	g.SelfTicks[g.MustNode("<cycle 1>")] = 1
-	g.SelfTicks[g.MustNode("foo <cycle1>")] = 1
+	b.Arc("main", "<cycle 1>", 1)
+	b.Arc("main", "foo <cycle1>", 1)
+	self[b.Node("<cycle 1>")] = 1
+	self[b.Node("foo <cycle1>")] = 1
 	total := 252.0
 	for i := 0; i < 1500; i++ {
 		name := fmt.Sprintf("r%04d", i)
-		g.AddArc("main", name, 1)
-		g.SelfTicks[g.MustNode(name)] = float64(i % 3)
+		b.Arc("main", name, 1)
+		self[b.Node(name)] = float64(i % 3)
 		total += float64(i % 3)
+	}
+	g := b.Graph()
+	g.Hz = 1
+	for v, t := range self {
+		g.SelfTicks[v] = t
 	}
 	g.TotalTicks = total
 	m := analyze(g)
@@ -457,8 +478,9 @@ func TestHeadersSuppressed(t *testing.T) {
 }
 
 func TestZeroTotalTicksNoPanic(t *testing.T) {
-	g := callgraph.New()
-	g.AddArc("main", "f", 1)
+	var b callgraph.Builder
+	b.Arc("main", "f", 1)
+	g := b.Graph()
 	m := analyze(g)
 	var buf bytes.Buffer
 	if err := CallGraph(&buf, m, Options{}); err != nil {
@@ -487,11 +509,12 @@ func TestCycleMemberEntryShowsIntraCycleCalls(t *testing.T) {
 }
 
 func ExampleCallGraph() {
-	g := callgraph.New()
+	var b callgraph.Builder
+	b.Arc("main", "work", 2)
+	g := b.Graph()
 	g.Hz = 1
-	g.AddArc("main", "work", 2)
-	g.SelfTicks[g.MustNode("work")] = 3
-	g.SelfTicks[g.MustNode("main")] = 1
+	g.SelfTicks[node(g, "work")] = 3
+	g.SelfTicks[node(g, "main")] = 1
 	g.TotalTicks = 4
 	scc.Analyze(g)
 	propagate.Run(g)

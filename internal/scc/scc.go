@@ -22,8 +22,9 @@
 // The traversal is iterative (an explicit frame stack, so million-node
 // chains cannot overflow the goroutine stack) and allocation-light: it
 // walks the graph's own int32 adjacency, and all per-run arrays come
-// from a pooled scratch, so the repeated re-analysis cyclebreak
-// performs after each arc removal costs no steady-state allocations
+// from a pooled scratch. cyclebreak re-analyzes one graph after each
+// arc it picks, with that arc masked out rather than deleted
+// (AnalyzeWithout); each re-run costs no steady-state allocations
 // beyond the cycles it discovers.
 package scc
 
@@ -81,10 +82,14 @@ func growInt32(s []int32, n int) []int32 {
 // records multi-member components as cycles (setting the CycleNum
 // column and Graph.Cycles), and assigns the TopoNum column. Static
 // (count-zero) arcs participate: they "may complete strongly connected
-// components" (§4). Self-arcs do not. Analyze may be called again after
-// arcs are removed; it clears previous results first, and the repeat
-// run reuses pooled scratch, so re-analysis is allocation-light.
-func Analyze(g *callgraph.Graph) {
+// components" (§4). Self-arcs do not.
+func Analyze(g *callgraph.Graph) { AnalyzeWithout(g, nil) }
+
+// AnalyzeWithout is Analyze as if every arc a with removed[a] set were
+// not in the graph; a nil removed masks nothing. It clears previous
+// results first, and a repeat run reuses pooled scratch, so analyzing
+// one graph under a growing mask is allocation-light.
+func AnalyzeWithout(g *callgraph.Graph, removed []bool) {
 	_, _, out, outStart := g.Adjacency()
 	callee := g.Callee
 	n := g.Len()
@@ -118,8 +123,12 @@ func Analyze(g *callgraph.Graph) {
 			v := f.v
 			descended := false
 			for f.ai < outStart[v+1] {
-				w := callee[out[f.ai]]
+				a := out[f.ai]
 				f.ai++
+				if removed != nil && removed[a] {
+					continue
+				}
+				w := callee[a]
 				if sc.idx[w] == 0 {
 					visit(w)
 					descended = true

@@ -2,6 +2,7 @@ package scc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,12 +10,24 @@ import (
 )
 
 // build constructs a graph from arc pairs.
-func build(arcs [][2]string) *callgraph.Graph {
-	g := callgraph.New()
+func build(arcs [][2]string) *callgraph.Graph { return builder(arcs).Graph() }
+
+// builder collects arc pairs for a graph.
+func builder(arcs [][2]string) *callgraph.Builder {
+	var b callgraph.Builder
 	for _, a := range arcs {
-		g.AddArc(a[0], a[1], 1)
+		b.Arc(a[0], a[1], 1)
 	}
-	return g
+	return &b
+}
+
+// node returns the named node's number, or panics.
+func node(g *callgraph.Graph, name string) int32 {
+	v := slices.Index(g.Names, name)
+	if v < 0 {
+		panic("scc: no node " + name)
+	}
+	return int32(v)
 }
 
 // checkTopoInvariant verifies the paper's Figure 1/3 property: every arc
@@ -47,9 +60,9 @@ func TestChainTopo(t *testing.T) {
 		t.Errorf("chain produced %d cycles", len(g.Cycles))
 	}
 	// d is the leaf: lowest number; a the root: highest.
-	if g.TopoNum[g.MustNode("d")] != 1 || g.TopoNum[g.MustNode("a")] != 4 {
+	if g.TopoNum[node(g, "d")] != 1 || g.TopoNum[node(g, "a")] != 4 {
 		t.Errorf("topo numbers: a=%d d=%d, want 4 and 1",
-			g.TopoNum[g.MustNode("a")], g.TopoNum[g.MustNode("d")])
+			g.TopoNum[node(g, "a")], g.TopoNum[node(g, "d")])
 	}
 }
 
@@ -71,7 +84,7 @@ func TestSelfLoopIsNotACycle(t *testing.T) {
 	if len(g.Cycles) != 0 {
 		t.Errorf("self-loop collapsed into a cycle: %+v", g.Cycles)
 	}
-	if g.CycleNum[g.MustNode("fact")] != 0 {
+	if g.CycleNum[node(g, "fact")] != 0 {
 		t.Error("self-recursive node marked as cycle member")
 	}
 }
@@ -91,23 +104,23 @@ func TestMutualRecursion(t *testing.T) {
 	if len(c.Members) != 2 {
 		t.Fatalf("cycle members = %d, want 2 (p, q)", len(c.Members))
 	}
-	if g.CycleNum[g.MustNode("p")] == 0 || g.CycleNum[g.MustNode("q")] == 0 {
+	if g.CycleNum[node(g, "p")] == 0 || g.CycleNum[node(g, "q")] == 0 {
 		t.Error("p or q not marked in-cycle")
 	}
-	if g.CycleNum[g.MustNode("p")] != g.CycleNum[g.MustNode("q")] {
+	if g.CycleNum[node(g, "p")] != g.CycleNum[node(g, "q")] {
 		t.Error("p and q in different cycles")
 	}
-	if g.CycleNum[g.MustNode("main")] != 0 || g.CycleNum[g.MustNode("leaf")] != 0 {
+	if g.CycleNum[node(g, "main")] != 0 || g.CycleNum[node(g, "leaf")] != 0 {
 		t.Error("main or leaf wrongly in a cycle")
 	}
 	// Members share a topological number; main above, leaf below.
-	if g.TopoNum[g.MustNode("p")] != g.TopoNum[g.MustNode("q")] {
+	if g.TopoNum[node(g, "p")] != g.TopoNum[node(g, "q")] {
 		t.Error("cycle members have different topo numbers")
 	}
-	if !(g.TopoNum[g.MustNode("main")] > g.TopoNum[g.MustNode("p")]) {
+	if !(g.TopoNum[node(g, "main")] > g.TopoNum[node(g, "p")]) {
 		t.Error("main not above the cycle")
 	}
-	if !(g.TopoNum[g.MustNode("p")] > g.TopoNum[g.MustNode("leaf")]) {
+	if !(g.TopoNum[node(g, "p")] > g.TopoNum[node(g, "leaf")]) {
 		t.Error("cycle not above leaf")
 	}
 	if c.Number != 1 {
@@ -142,7 +155,7 @@ func TestTwoDisjointCycles(t *testing.T) {
 	if g.Cycles[0].Number != 1 || g.Cycles[1].Number != 2 {
 		t.Errorf("cycle numbers = %d,%d", g.Cycles[0].Number, g.Cycles[1].Number)
 	}
-	if g.CycleNum[g.MustNode("a")] == g.CycleNum[g.MustNode("x")] {
+	if g.CycleNum[node(g, "a")] == g.CycleNum[node(g, "x")] {
 		t.Error("disjoint cycles merged")
 	}
 }
@@ -161,8 +174,9 @@ func TestNestedCyclesMergeIntoOne(t *testing.T) {
 func TestStaticArcCompletesCycle(t *testing.T) {
 	// Dynamic arcs a->b->c; a static (count 0) arc c->a completes the
 	// cycle — the reason static construction precedes ordering (§4).
-	g := build([][2]string{{"a", "b"}, {"b", "c"}})
-	g.Static[g.AddArc("c", "a", 0)] = true
+	b := builder([][2]string{{"a", "b"}, {"b", "c"}})
+	b.Static("c", "a")
+	g := b.Graph()
 	Analyze(g)
 	if len(g.Cycles) != 1 || len(g.Cycles[0].Members) != 3 {
 		t.Fatalf("static arc did not complete the cycle: %+v", g.Cycles)
@@ -175,23 +189,34 @@ func TestReanalyzeAfterArcRemoval(t *testing.T) {
 	if len(g.Cycles) != 1 {
 		t.Fatalf("want 1 cycle, got %d", len(g.Cycles))
 	}
-	if !g.RemoveArc("b", "a") {
-		t.Fatal("RemoveArc failed")
+	removed := make([]bool, g.NumArcs())
+	for a := range removed {
+		removed[a] = g.Caller[a] == node(g, "b") && g.Callee[a] == node(g, "a")
 	}
-	Analyze(g)
+	AnalyzeWithout(g, removed)
 	if len(g.Cycles) != 0 {
-		t.Errorf("cycle persists after removing its closing arc")
+		t.Errorf("cycle persists after masking its closing arc")
 	}
-	checkTopoInvariant(t, g)
-	if g.CycleNum[g.MustNode("a")] != 0 || g.CycleNum[g.MustNode("b")] != 0 {
+	if g.CycleNum[node(g, "a")] != 0 || g.CycleNum[node(g, "b")] != 0 {
 		t.Error("stale cycle membership after re-analysis")
+	}
+
+	// The graph built without the arc analyzes the same way.
+	b := builder([][2]string{{"a", "b"}, {"b", "a"}, {"main", "a"}})
+	b.Remove("b", "a")
+	h := b.Graph()
+	Analyze(h)
+	checkTopoInvariant(t, h)
+	if len(h.Cycles) != 0 || !slices.Equal(h.TopoNum, g.TopoNum) {
+		t.Errorf("built without b/a: %d cycles, topo %v; masked: topo %v", len(h.Cycles), h.TopoNum, g.TopoNum)
 	}
 }
 
 func TestSpontaneousArcsIgnored(t *testing.T) {
-	g := callgraph.New()
-	g.AddArc("", "handler", 3) // spontaneous
-	g.AddArc("main", "handler", 1)
+	var b callgraph.Builder
+	b.Arc("", "handler", 3) // spontaneous
+	b.Arc("main", "handler", 1)
+	g := b.Graph()
 	Analyze(g)
 	checkTopoInvariant(t, g)
 }
@@ -212,20 +237,20 @@ func TestTopoOrder(t *testing.T) {
 // randomGraph builds a random digraph over n nodes with edge probability
 // p, using single-letter-ish names.
 func randomGraph(rng *rand.Rand, n int, p float64) *callgraph.Graph {
-	g := callgraph.New()
+	var b callgraph.Builder
 	names := make([]string, n)
 	for i := range names {
 		names[i] = "n" + string(rune('A'+i%26)) + string(rune('0'+i/26))
-		g.AddNode(names[i])
+		b.Node(names[i])
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i != j && rng.Float64() < p {
-				g.AddArc(names[i], names[j], int64(rng.Intn(5)+1))
+				b.Arc(names[i], names[j], int64(rng.Intn(5)+1))
 			}
 		}
 	}
-	return g
+	return b.Graph()
 }
 
 // reaches reports whether from reaches to using only nodes in members.
@@ -302,18 +327,19 @@ func TestRandomGraphProperties(t *testing.T) {
 func TestLargeGraphIterativeTarjan(t *testing.T) {
 	// A long chain would blow the stack under a recursive Tarjan; the
 	// iterative version must handle it.
-	g := callgraph.New()
+	var b callgraph.Builder
 	const n = 50000
 	prev := "f0"
-	g.AddNode(prev)
+	b.Node(prev)
 	for i := 1; i < n; i++ {
 		name := "f" + itoa(i)
-		g.AddArc(prev, name, 1)
+		b.Arc(prev, name, 1)
 		prev = name
 	}
+	g := b.Graph()
 	Analyze(g)
-	if g.TopoNum[g.MustNode("f0")] != n {
-		t.Errorf("root topo = %d, want %d", g.TopoNum[g.MustNode("f0")], n)
+	if g.TopoNum[node(g, "f0")] != n {
+		t.Errorf("root topo = %d, want %d", g.TopoNum[node(g, "f0")], n)
 	}
 }
 
