@@ -300,25 +300,25 @@ func figure4Graph() *callgraph.Graph {
 	// SUB3: arc exists but never traversed (static), 0 of 5 calls.
 	b.Static("EXAMPLE", "SUB3")
 	b.Arc("OTHER", "SUB3", 5)
+	b.Arc("SUB1", "DEEP", 8)
+	b.Arc("SUB2", "SUB2LEAF", 3)
+	g := b.Graph()
 
 	// Self times (seconds at Hz=1):
 	// EXAMPLE's own time.
+	g.SelfTicks[node(g, "EXAMPLE")] = 0.50
 	// cycle1 members: self sums to 3.00; their descendants (DEEP)
 	// contribute 2.00, so the cycle passes (3.00+2.00)*20/40 = 2.50 to
 	// EXAMPLE, split 1.50 self / 1.00 descendants.
-	b.Arc("SUB1", "DEEP", 8)
-	// SUB2: no self time; descendants only. 5 calls total, EXAMPLE's 1
-	// call earns 20%: 0.00 self, 0.50 descendants => SUB2's child time
-	// must be 2.50.
-	b.Arc("SUB2", "SUB2LEAF", 3)
-	// SUB3 has some time of its own; none reaches EXAMPLE.
-	g := b.Graph()
-	g.SelfTicks[node(g, "EXAMPLE")] = 0.50
 	g.SelfTicks[node(g, "SUB1")] = 2.00
 	g.SelfTicks[node(g, "PARTNER")] = 1.00
 	g.SelfTicks[node(g, "DEEP")] = 2.00
+	// SUB2: no self time; descendants only. 5 calls total, EXAMPLE's 1
+	// call earns 20%: 0.00 self, 0.50 descendants => SUB2's child time
+	// must be 2.50.
 	g.SelfTicks[node(g, "SUB2")] = 0.00
 	g.SelfTicks[node(g, "SUB2LEAF")] = 2.50
+	// SUB3 has some time of its own; none reaches EXAMPLE.
 	g.SelfTicks[node(g, "SUB3")] = 0.75
 	return g
 }
